@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import catalog, geometry, theorems
+from . import catalog, expr, geometry, theorems
 from .connections import (
     LEVI_CIVITA,
     PROJECTIVE,
@@ -210,7 +210,7 @@ def _cmd_eval(args) -> int:
     point = _parse_point(args.point, spec)
     try:
         array, index_names, extras = _eval_tensor(spec, args.tensor, point)
-    except (NotSPDError, GateError, SpecError) as err:
+    except (NotSPDError, GateError, SpecError, expr.ExprError) as err:
         raise _InputError(str(err)) from err
     if args.json:
         payload = {
@@ -251,7 +251,7 @@ def _cmd_verify(args) -> int:
         )
     except KeyError as err:
         raise _UsageError(str(err)) from None
-    except (NotSPDError, SpecError) as err:
+    except (NotSPDError, SpecError, expr.ExprError) as err:
         raise _InputError(str(err)) from err
     if args.json:
         text = json.dumps([r.to_dict() for r in reports], indent=2)
@@ -329,3 +329,7 @@ def main(argv=None) -> int:
 
 def run():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

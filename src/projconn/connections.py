@@ -27,7 +27,7 @@ import numpy as np
 
 from . import expr as ex
 from . import geometry
-from .geometry import ManifoldSpec, metric_at
+from .geometry import ManifoldSpec, MetricJet, metric_jet
 from .report import CheckReport
 
 __all__ = [
@@ -41,6 +41,8 @@ __all__ = [
     "levi_civita_at",
     "projective_coeffs_at",
     "connection_at",
+    "coefficient_jets",
+    "pi_gradient",
     "one_forms_at",
     "torsion_at",
     "torsion_components",
@@ -114,95 +116,95 @@ class NonmetricityValue:
 # coefficient construction
 
 
-def _lc_pieces(mv, order: int):
-    """Christoffel data from metric jets.
+def _lc_pieces(mj: MetricJet, order: int):
+    """Christoffel data from metric jets, batched over the leading sample axis.
 
     C[l,i,j] = (d_i g_jl + d_j g_il - d_l g_ij)/2, Gamma = G_inv @ C, and the
     exact derivative chain using d(G_inv) = -G_inv dG G_inv.
     """
-    dG = mv.dG
-    C = 0.5 * (dG.transpose(2, 0, 1) + dG.transpose(2, 1, 0) - dG)
-    Gamma = np.einsum("kl,lij->kij", mv.G_inv, C)
+    G_inv, dG = mj.G_inv, mj.dG
+    C = 0.5 * (dG.transpose(0, 3, 1, 2) + dG.transpose(0, 3, 2, 1) - dG)
+    Gamma = np.einsum("skl,slij->skij", G_inv, C)
     if order < 1:
         return Gamma, None, None
-    d2G = mv.d2G
-    dGinv = -np.einsum("ka,mab,bl->mkl", mv.G_inv, dG, mv.G_inv)
-    dC = 0.5 * (
-        d2G.transpose(0, 3, 1, 2) + d2G.transpose(0, 3, 2, 1) - d2G
-    )
-    dGamma = np.einsum("mkl,lij->mkij", dGinv, C) + np.einsum(
-        "kl,mlij->mkij", mv.G_inv, dC
+    d2G = mj.d2G
+    dGinv = -np.einsum("ska,smab,sbl->smkl", G_inv, dG, G_inv)
+    dC = 0.5 * (d2G.transpose(0, 1, 4, 2, 3) + d2G.transpose(0, 1, 4, 3, 2) - d2G)
+    dGamma = np.einsum("smkl,slij->smkij", dGinv, C) + np.einsum(
+        "skl,smlij->smkij", G_inv, dC
     )
     if order < 2:
         return Gamma, dGamma, None
-    d3G = mv.d3G
+    d3G = mj.d3G
     d2Ginv = -(
-        np.einsum("pka,mab,bl->pmkl", dGinv, dG, mv.G_inv)
-        + np.einsum("ka,pmab,bl->pmkl", mv.G_inv, d2G, mv.G_inv)
-        + np.einsum("ka,mab,pbl->pmkl", mv.G_inv, dG, dGinv)
+        np.einsum("spka,smab,sbl->spmkl", dGinv, dG, G_inv)
+        + np.einsum("ska,spmab,sbl->spmkl", G_inv, d2G, G_inv)
+        + np.einsum("ska,smab,spbl->spmkl", G_inv, dG, dGinv)
     )
     d2C = 0.5 * (
-        d3G.transpose(0, 1, 4, 2, 3) + d3G.transpose(0, 1, 4, 3, 2) - d3G
+        d3G.transpose(0, 1, 2, 5, 3, 4) + d3G.transpose(0, 1, 2, 5, 4, 3) - d3G
     )
     d2Gamma = (
-        np.einsum("pmkl,lij->pmkij", d2Ginv, C, optimize=True)
-        + np.einsum("mkl,plij->pmkij", dGinv, dC, optimize=True)
-        + np.einsum("pkl,mlij->pmkij", dGinv, dC, optimize=True)
-        + np.einsum("kl,pmlij->pmkij", mv.G_inv, d2C, optimize=True)
+        np.einsum("spmkl,slij->spmkij", d2Ginv, C)
+        + np.einsum("smkl,splij->spmkij", dGinv, dC)
+        + np.einsum("spkl,smlij->spmkij", dGinv, dC)
+        + np.einsum("skl,spmlij->spmkij", G_inv, d2C)
     )
     return Gamma, dGamma, d2Gamma
 
 
+def _projective_shift(mj: MetricJet, lc):
+    """Add n/(n+1) pi_j d^k_i - 1/(n+1) pi_i d^k_j, and its partials from
+    the symbolic partials of pi, to the Levi-Civita pieces."""
+    n = mj.G.shape[1]
+    a = n / (n + 1.0)
+    b = -1.0 / (n + 1.0)
+    eye = np.eye(n)
+
+    def shift(p):
+        return a * np.einsum("ki,...j->...kij", eye, p) + b * np.einsum(
+            "kj,...i->...kij", eye, p
+        )
+
+    return tuple(
+        None if piece is None else piece + shift(p)
+        for piece, p in zip(lc, (mj.pi, mj.dpi, mj.d2pi))
+    )
+
+
+def coefficient_jets(mj: MetricJet, order: int) -> dict[str, tuple]:
+    """(Gamma, dGamma, d2Gamma) of both connections, batched like the metric
+    jet, with derivative arrays up to `order` (the metric jet needs order + 1)."""
+    lc = _lc_pieces(mj, order)
+    return {LEVI_CIVITA: lc, PROJECTIVE: _projective_shift(mj, lc)}
+
+
+def connection_at(spec: ManifoldSpec, kind: str, point, order: int = 1) -> ConnectionCoeffs:
+    """Coefficients of one connection at a point, with derivative arrays up
+    to `order`: the one-sample coefficient jet."""
+    if kind not in (LEVI_CIVITA, PROJECTIVE):
+        raise ValueError(f"unknown connection kind {kind!r}")
+    mj = metric_jet(spec, [point], order + 1)
+    pieces = coefficient_jets(mj, order)[kind]
+    return ConnectionCoeffs(
+        kind, tuple(mj.points[0].tolist()),
+        *(None if a is None else a[0] for a in pieces),
+    )
+
+
 def levi_civita_at(spec: ManifoldSpec, point, order: int = 1) -> ConnectionCoeffs:
     """Levi-Civita coefficients with derivative arrays up to `order`."""
-    mv = metric_at(spec, point, order=order + 1)
-    Gamma, dGamma, d2Gamma = _lc_pieces(mv, order)
-    return ConnectionCoeffs(LEVI_CIVITA, mv.point, Gamma, dGamma, d2Gamma)
-
-
-def _pi_jets(spec: ManifoldSpec, point, order: int):
-    env = spec.env(point)
-    jets = [spec.tables.values("pi", k, env) for k in range(order + 1)]
-    return jets
+    return connection_at(spec, LEVI_CIVITA, point, order)
 
 
 def projective_coeffs_at(spec: ManifoldSpec, point, order: int = 1) -> ConnectionCoeffs:
     """Coefficients of the projective semi-symmetric connection."""
-    lc = levi_civita_at(spec, point, order=order)
-    n = spec.n
-    a = n / (n + 1.0)
-    b = -1.0 / (n + 1.0)
-    eye = np.eye(n)
-    jets = _pi_jets(spec, point, order)
-    pi = jets[0]
-    Gamma = lc.Gamma + a * np.einsum("ki,j->kij", eye, pi) + b * np.einsum(
-        "kj,i->kij", eye, pi
-    )
-    dGamma = None
-    d2Gamma = None
-    if order >= 1:
-        dpi = jets[1]
-        dGamma = (
-            lc.dGamma
-            + a * np.einsum("ki,mj->mkij", eye, dpi)
-            + b * np.einsum("kj,mi->mkij", eye, dpi)
-        )
-    if order >= 2:
-        d2pi = jets[2]
-        d2Gamma = (
-            lc.d2Gamma
-            + a * np.einsum("ki,pmj->pmkij", eye, d2pi)
-            + b * np.einsum("kj,pmi->pmkij", eye, d2pi)
-        )
-    return ConnectionCoeffs(PROJECTIVE, lc.point, Gamma, dGamma, d2Gamma)
+    return connection_at(spec, PROJECTIVE, point, order)
 
 
-def connection_at(spec: ManifoldSpec, kind: str, point, order: int = 1) -> ConnectionCoeffs:
-    if kind == LEVI_CIVITA:
-        return levi_civita_at(spec, point, order)
-    if kind == PROJECTIVE:
-        return projective_coeffs_at(spec, point, order)
-    raise ValueError(f"unknown connection kind {kind!r}")
+def pi_gradient(mj: MetricJet, Gamma: np.ndarray) -> np.ndarray:
+    """(D_m pi)_i under the connection with (batched) coefficients Gamma."""
+    return mj.dpi - np.einsum("spmi,sp->smi", Gamma, mj.pi)
 
 
 def one_forms_at(spec: ManifoldSpec, point) -> OneFormPair:
@@ -234,19 +236,19 @@ def torsion_at(spec: ManifoldSpec, point, X, Y) -> np.ndarray:
 def nonmetricity_components(spec: ManifoldSpec, point):
     """(0,3) arrays Q[i,j,k] of the metric's covariant derivative under the
     projective connection: the closed form and the direct differentiation."""
-    mv = metric_at(spec, point, order=1)
-    pi = mv.G @ spec.tables.values("xi", 0, spec.env(point))
+    mj = metric_jet(spec, [point], order=1)
+    G, dG, pi = mj.G[0], mj.dG[0], mj.pi[0]
+    Gamma = coefficient_jets(mj, 0)[PROJECTIVE][0][0]
     n = spec.n
     closed = (
-        2.0 * np.einsum("i,jk->ijk", pi, mv.G)
-        - n * np.einsum("j,ik->ijk", pi, mv.G)
-        - n * np.einsum("k,ij->ijk", pi, mv.G)
+        2.0 * np.einsum("i,jk->ijk", pi, G)
+        - n * np.einsum("j,ik->ijk", pi, G)
+        - n * np.einsum("k,ij->ijk", pi, G)
     ) / (n + 1.0)
-    conn = projective_coeffs_at(spec, point, order=0)
     direct = (
-        mv.dG
-        - np.einsum("mij,mk->ijk", conn.Gamma, mv.G)
-        - np.einsum("mik,jm->ijk", conn.Gamma, mv.G)
+        dG
+        - np.einsum("mij,mk->ijk", Gamma, G)
+        - np.einsum("mik,jm->ijk", Gamma, G)
     )
     return closed, direct
 
@@ -334,16 +336,12 @@ def parallel_unit_xi_residuals(spec: ManifoldSpec, samples) -> tuple[float, floa
     |g(xi,xi) - 1|."""
     nabla_max = 0.0
     unit_max = 0.0
-    for point in samples.points:
-        env = spec.env(point)
-        mv = metric_at(spec, point, order=1)
-        xi = spec.tables.values("xi", 0, env)
-        pi = mv.G @ xi
-        dpi = spec.tables.values("pi", 1, env)
-        Gamma, _, _ = _lc_pieces(mv, order=0)
-        nabla_pi = dpi - np.einsum("pmi,p->mi", Gamma, pi)
+    for lo, hi in samples.chunks():
+        mj = metric_jet(spec, samples.points[lo:hi], order=1)
+        nabla_pi = pi_gradient(mj, _lc_pieces(mj, 0)[0])
+        unit = np.einsum("si,si->s", mj.pi, mj.xi) - 1.0
         nabla_max = max(nabla_max, float(np.max(np.abs(nabla_pi))))
-        unit_max = max(unit_max, abs(float(pi @ xi) - 1.0))
+        unit_max = max(unit_max, float(np.max(np.abs(unit))))
     return nabla_max, unit_max
 
 

@@ -3,6 +3,9 @@ Ricci data, the theta/beta difference tensors, projective curvature, the
 curvature-as-derivation action, quasi-Einstein decomposition and nullity
 fitting.
 
+``jet`` builds all of it for a batch of points at once, as arrays with a
+leading sample axis; the per-point functions are one-sample calls of it.
+
 Sign conventions (fixed here, validated by the flat-space two-path check):
 
 * ``R(X, Y)Z = D_X D_Y Z - D_Y D_X Z - D_[X,Y] Z``, so in coordinates
@@ -23,29 +26,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from . import geometry
-from .geometry import GateError, ManifoldSpec, metric_at
-from .connections import (
-    LEVI_CIVITA,
-    PROJECTIVE,
-    connection_at,
-)
+from .geometry import GateError, ManifoldSpec, MetricJet, metric_jet
+from .connections import LEVI_CIVITA, PROJECTIVE, coefficient_jets, pi_gradient
 
 __all__ = [
+    "ConnectionJet",
+    "Jet",
     "CurvatureValue",
     "RicciValue",
     "ThetaBeta",
     "QuasiEinsteinFit",
     "NullityFit",
     "lam_scale",
+    "jet",
     "riemann_at",
     "rtilde_closed_form",
     "theta_beta_at",
     "ricci_at",
-    "ricci_with_partials",
+    "ricci_shifts",
+    "ricci_partials",
     "nabla_curvature",
+    "projective_tensor",
     "projective_at",
     "derivation_apply",
     "derivation_all_frames",
@@ -57,6 +59,33 @@ __all__ = [
 def lam_scale(n: int) -> float:
     """The nullity scale of the projective connection, -n^2/(n+1)^2."""
     return -(n * n) / float((n + 1) * (n + 1))
+
+
+@dataclass
+class ConnectionJet:
+    """One connection at a batch of points, every array with a leading
+    sample axis; arrays beyond the jet's order are None."""
+
+    Gamma: np.ndarray  # Gamma[s,k,i,j]
+    dGamma: np.ndarray | None = None  # dGamma[s,m,k,i,j]
+    d2Gamma: np.ndarray | None = None  # d2Gamma[s,p,m,k,i,j]
+    R: np.ndarray | None = None  # R[s,l,i,j,k]
+    Rlow: np.ndarray | None = None  # Rlow[s,i,j,k,l] = g[l,m] R[s,m,i,j,k]
+    S: np.ndarray | None = None  # S[s,j,k] = R[s,i,i,j,k]
+    dR: np.ndarray | None = None  # dR[s,m,l,i,j,k] = d_m R[l,i,j,k]
+    nabla_R: np.ndarray | None = None  # nabla_R[s,m,l,i,j,k] = (D_m R)[l,i,j,k]
+
+
+@dataclass
+class Jet(MetricJet):
+    """The metric jet of a batch of points plus both connections (from
+    order 1): everything the identity checks contract."""
+
+    lc: ConnectionJet | None = None
+    pr: ConnectionJet | None = None
+
+    def connection(self, kind: str) -> ConnectionJet:
+        return {LEVI_CIVITA: self.lc, PROJECTIVE: self.pr}[kind]
 
 
 @dataclass
@@ -104,58 +133,140 @@ class NullityFit:
 
 
 # ---------------------------------------------------------------------------
-# curvature from coefficients
+# the sample-set jet
 
 
 def _riemann_components(Gamma: np.ndarray, dGamma: np.ndarray) -> np.ndarray:
-    term_a = dGamma.transpose(1, 0, 2, 3)  # [l,i,j,k] = d_i Gamma[l,j,k]
-    term_b = dGamma.transpose(1, 2, 0, 3)  # [l,i,j,k] = d_j Gamma[l,i,k]
-    quad_a = np.einsum("lim,mjk->lijk", Gamma, Gamma)
-    quad_b = np.einsum("ljm,mik->lijk", Gamma, Gamma)
+    term_a = dGamma.transpose(0, 2, 1, 3, 4)  # [s,l,i,j,k] = d_i Gamma[l,j,k]
+    term_b = dGamma.transpose(0, 2, 3, 1, 4)  # [s,l,i,j,k] = d_j Gamma[l,i,k]
+    quad_a = np.einsum("slim,smjk->slijk", Gamma, Gamma)
+    quad_b = np.einsum("sljm,smik->slijk", Gamma, Gamma)
     return term_a - term_b + quad_a - quad_b
 
 
 def _riemann_partials(
     Gamma: np.ndarray, dGamma: np.ndarray, d2Gamma: np.ndarray
 ) -> np.ndarray:
-    """dR[m,l,i,j,k] by differentiating the coordinate formula exactly."""
-    term_a = d2Gamma.transpose(0, 2, 1, 3, 4)  # [m,l,i,j,k] = d_m d_i Gamma[l,j,k]
-    term_b = d2Gamma.transpose(0, 2, 3, 1, 4)  # [m,l,i,j,k] = d_m d_j Gamma[l,i,k]
+    """dR[s,m,l,i,j,k] by differentiating the coordinate formula exactly."""
+    term_a = d2Gamma.transpose(0, 1, 3, 2, 4, 5)  # d_m d_i Gamma[l,j,k]
+    term_b = d2Gamma.transpose(0, 1, 3, 4, 2, 5)  # d_m d_j Gamma[l,i,k]
     quad = (
-        np.einsum("mlip,pjk->mlijk", dGamma, Gamma, optimize=True)
-        + np.einsum("lip,mpjk->mlijk", Gamma, dGamma, optimize=True)
-        - np.einsum("mljp,pik->mlijk", dGamma, Gamma, optimize=True)
-        - np.einsum("ljp,mpik->mlijk", Gamma, dGamma, optimize=True)
+        np.einsum("smlip,spjk->smlijk", dGamma, Gamma)
+        + np.einsum("slip,smpjk->smlijk", Gamma, dGamma)
+        - np.einsum("smljp,spik->smlijk", dGamma, Gamma)
+        - np.einsum("sljp,smpik->smlijk", Gamma, dGamma)
     )
     return term_a - term_b + quad
 
 
+def _nabla_curvature(Gamma: np.ndarray, R: np.ndarray, dR: np.ndarray) -> np.ndarray:
+    """Covariant derivative of the curvature with respect to its own
+    connection: out[s,m,l,i,j,k] = (D_m R)[l,i,j,k]."""
+    return (
+        dR
+        + np.einsum("slmp,spijk->smlijk", Gamma, R)
+        - np.einsum("spmi,slpjk->smlijk", Gamma, R)
+        - np.einsum("spmj,slipk->smlijk", Gamma, R)
+        - np.einsum("spmk,slijp->smlijk", Gamma, R)
+    )
+
+
+def _connection_jet(G, Gamma, dGamma, d2Gamma) -> ConnectionJet:
+    cj = ConnectionJet(Gamma, dGamma, d2Gamma)
+    if dGamma is not None:
+        cj.R = _riemann_components(Gamma, dGamma)
+        cj.Rlow = np.einsum("slm,smijk->sijkl", G, cj.R)
+        cj.S = np.einsum("siijk->sjk", cj.R)
+    if d2Gamma is not None:
+        cj.dR = _riemann_partials(Gamma, dGamma, d2Gamma)
+        cj.nabla_R = _nabla_curvature(Gamma, cj.R, cj.dR)
+    return cj
+
+
+def jet(spec: ManifoldSpec, points, order: int) -> Jet:
+    """Everything the identities contract, at a batch of points, as arrays
+    with a leading sample axis.
+
+    `order` counts metric derivatives: 0 gives G, G_inv, xi and pi; 1 adds
+    both connections' Gamma; 2 adds dGamma, R, Rlow and the Ricci tensor S;
+    3 adds d2Gamma, dR and nabla_R.  Every chart table is evaluated once per
+    sample.
+    """
+    mj = metric_jet(spec, points, order)
+    if order < 1:
+        return Jet(**vars(mj))
+    coeffs = coefficient_jets(mj, order - 1)
+    return Jet(
+        **vars(mj),
+        lc=_connection_jet(mj.G, *coeffs[LEVI_CIVITA]),
+        pr=_connection_jet(mj.G, *coeffs[PROJECTIVE]),
+    )
+
+
+def ricci_shifts(j: Jet):
+    """Per sample: the scalar curvatures r and r~ of both connections and
+    the residuals of the shift identities S~ = S - lam (n-1) pi x pi and
+    r~ = r - lam (n-1)."""
+    n = j.G.shape[1]
+    c = lam_scale(n) * (n - 1)
+    r = np.einsum("sjk,sjk->s", j.G_inv, j.lc.S)
+    r_tilde = np.einsum("sjk,sjk->s", j.G_inv, j.pr.S)
+    shift = j.lc.S - c * np.einsum("sj,sk->sjk", j.pi, j.pi)
+    ricci_residual = np.max(np.abs(j.pr.S - shift), axis=(1, 2))
+    return r, r_tilde, ricci_residual, np.abs(r_tilde - (r - c))
+
+
+def ricci_partials(dR: np.ndarray) -> np.ndarray:
+    """dS[..., m, j, k] = d_m S[j, k] from the curvature partials."""
+    return np.einsum("...miijk->...mjk", dR)
+
+
+def projective_tensor(R: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Weyl projective curvature P[l,i,j,k] = R[l,i,j,k] -
+    (S[j,k] d^l_i - S[i,k] d^l_j)/(n-1), over any leading axes."""
+    n = R.shape[-1]
+    eye = np.eye(n)
+    return R - (
+        np.einsum("...jk,li->...lijk", S, eye) - np.einsum("...ik,lj->...lijk", S, eye)
+    ) / (n - 1.0)
+
+
+def derivation_all_frames(R_acting: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Derivation action for every coordinate pair at once, over any leading
+    axes: out[a,b,l,z,u,v] = (R(e_a, e_b) . T)[l,z,u,v] with
+    A[a,b,l,m] = R[l,a,b,m] acting on the output slot,
+
+        sum_m A[a,b,l,m] T[m,z,u,v] - T[l,m,u,v] A[a,b,m,z]
+              - T[l,z,m,v] A[a,b,m,u] - T[l,z,u,m] A[a,b,m,v],
+
+    each term one stacked matrix product over m."""
+    n = T.shape[-1]
+    lead = T.shape[:-4]
+    A = np.moveaxis(R_acting, -4, -2)  # A[a,b,l,m]
+    A_in = A.swapaxes(-1, -2).reshape(lead + (n**3, n))  # rows (a,b,z), column m
+    out = (A.reshape(lead + (n**3, n)) @ T.reshape(lead + (n, n**3))).reshape(lead + (n,) * 6)
+    for slot in (-3, -2, -1):
+        T_m = np.moveaxis(T, slot, -4).reshape(lead + (n, n**3))  # m first
+        out -= np.moveaxis((A_in @ T_m).reshape(lead + (n,) * 6), -4, slot)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# point queries: one-sample jets
+
+
 def riemann_at(spec: ManifoldSpec, conn_kind: str, point, order: int = 0) -> CurvatureValue:
     """Curvature of the requested connection; order >= 1 fills dR."""
-    conn = connection_at(spec, conn_kind, point, order=order + 1)
-    R = _riemann_components(conn.Gamma, conn.dGamma)
-    G = metric_at(spec, point, order=0).G
-    Rlow = np.einsum("lm,mijk->ijkl", G, R)
-    dR = None
-    if order >= 1:
-        dR = _riemann_partials(conn.Gamma, conn.dGamma, conn.d2Gamma)
-    return CurvatureValue(conn_kind, conn.point, R, Rlow, dR)
+    j = jet(spec, [point], order + 2)
+    cj = j.connection(conn_kind)
+    dR = cj.dR[0] if order >= 1 else None
+    return CurvatureValue(conn_kind, tuple(j.points[0].tolist()), cj.R[0], cj.Rlow[0], dR)
 
 
 def nabla_curvature(spec: ManifoldSpec, conn_kind: str, point) -> np.ndarray:
     """Covariant derivative of the curvature tensor with respect to its own
     connection: out[m,l,i,j,k] = (D_m R)[l,i,j,k]."""
-    conn = connection_at(spec, conn_kind, point, order=2)
-    R = _riemann_components(conn.Gamma, conn.dGamma)
-    dR = _riemann_partials(conn.Gamma, conn.dGamma, conn.d2Gamma)
-    Gamma = conn.Gamma
-    return (
-        dR
-        + np.einsum("lmp,pijk->mlijk", Gamma, R, optimize=True)
-        - np.einsum("pmi,lpjk->mlijk", Gamma, R, optimize=True)
-        - np.einsum("pmj,lipk->mlijk", Gamma, R, optimize=True)
-        - np.einsum("pmk,lijp->mlijk", Gamma, R, optimize=True)
-    )
+    return jet(spec, [point], 3).connection(conn_kind).nabla_R[0]
 
 
 def rtilde_closed_form(spec: ManifoldSpec, point, X, Y, Z) -> np.ndarray:
@@ -169,16 +280,12 @@ def rtilde_closed_form(spec: ManifoldSpec, point, X, Y, Z) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    lc = riemann_at(spec, LEVI_CIVITA, point)
-    pi = geometry.pi_at(spec, point).components
+    j = jet(spec, [point], 2)
+    pi = j.pi[0]
     lam = lam_scale(spec.n)
-    base = np.einsum("lijk,i,j,k->l", lc.R, X, Y, Z)
+    base = np.einsum("lijk,i,j,k->l", j.lc.R[0], X, Y, Z)
     px, py, pz = float(pi @ X), float(pi @ Y), float(pi @ Z)
     return base + lam * (px * pz * Y - py * pz * X)
-
-
-# ---------------------------------------------------------------------------
-# theta / beta difference tensors
 
 
 def theta_beta_at(spec: ManifoldSpec, point) -> ThetaBeta:
@@ -192,13 +299,9 @@ def theta_beta_at(spec: ManifoldSpec, point) -> ThetaBeta:
     be built from psi - phi for the reconstruction above to hold; with a
     parallel unit field both forms are parallel and beta vanishes.)
     """
-    env = spec.env(point)
-    mv = metric_at(spec, point, order=1)
-    xi = spec.tables.values("xi", 0, env)
-    pi = mv.G @ xi
-    dpi = spec.tables.values("pi", 1, env)
-    conn = connection_at(spec, LEVI_CIVITA, point, order=0)
-    nabla_pi = dpi - np.einsum("pmi,p->mi", conn.Gamma, pi)
+    j = jet(spec, [point], 1)
+    pi = j.pi[0]
+    nabla_pi = pi_gradient(j, j.lc.Gamma)[0]
     n = spec.n
     a_coef = n / (n + 1.0)
     b_coef = -1.0 / (n + 1.0)
@@ -209,90 +312,34 @@ def theta_beta_at(spec: ManifoldSpec, point) -> ThetaBeta:
     return ThetaBeta(theta=theta, beta=beta)
 
 
-# ---------------------------------------------------------------------------
-# Ricci data
-
-
-def _ricci_from(R: np.ndarray) -> np.ndarray:
-    return np.einsum("iijk->jk", R)
-
-
 def ricci_at(spec: ManifoldSpec, point) -> RicciValue:
     """Ricci tensors and scalars of both connections, with the shift
     identities S~ = S - lam (n-1) pi x pi and r~ = r - lam (n-1) re-verified
     as residuals."""
-    lc = riemann_at(spec, LEVI_CIVITA, point)
-    pr = riemann_at(spec, PROJECTIVE, point)
-    mv = metric_at(spec, point, order=0)
-    pi = mv.G @ spec.tables.values("xi", 0, spec.env(point))
-    n = spec.n
-    lam = lam_scale(n)
-    S = _ricci_from(lc.R)
-    S_tilde = _ricci_from(pr.R)
-    r = float(np.einsum("jk,jk->", mv.G_inv, S))
-    r_tilde = float(np.einsum("jk,jk->", mv.G_inv, S_tilde))
-    shift = S - lam * (n - 1) * np.einsum("j,k->jk", pi, pi)
-    ricci_shift_residual = float(np.max(np.abs(S_tilde - shift)))
-    scalar_shift_residual = abs(r_tilde - (r - lam * (n - 1)))
+    j = jet(spec, [point], 2)
+    r, r_tilde, ricci_residual, scalar_residual = ricci_shifts(j)
     return RicciValue(
-        lc.point, S, S_tilde, r, r_tilde, lam,
-        ricci_shift_residual, scalar_shift_residual,
+        tuple(j.points[0].tolist()), j.lc.S[0], j.pr.S[0], float(r[0]),
+        float(r_tilde[0]), lam_scale(spec.n), float(ricci_residual[0]),
+        float(scalar_residual[0]),
     )
-
-
-def ricci_with_partials(spec: ManifoldSpec, conn_kind: str, point):
-    """(S, dS) for one connection, dS[m,j,k] = d_m S[j,k], exact partials."""
-    cv = riemann_at(spec, conn_kind, point, order=1)
-    return _ricci_from(cv.R), np.einsum("miijk->mjk", cv.dR)
-
-
-# ---------------------------------------------------------------------------
-# projective curvature and the derivation action
 
 
 def projective_at(spec: ManifoldSpec, conn_kind: str, point) -> np.ndarray:
     """Weyl projective curvature of the requested connection as a (1,3)
     array P[l,i,j,k] = R[l,i,j,k] - (S[j,k] d^l_i - S[i,k] d^l_j)/(n-1)."""
     spec.require_dimension_above_two()
-    cv = riemann_at(spec, conn_kind, point)
-    S = _ricci_from(cv.R)
-    n = spec.n
-    eye = np.eye(n)
-    return cv.R - (
-        np.einsum("jk,li->lijk", S, eye) - np.einsum("ik,lj->lijk", S, eye)
-    ) / (n - 1.0)
+    cj = jet(spec, [point], 2).connection(conn_kind)
+    return projective_tensor(cj.R[0], cj.S[0])
 
 
 def derivation_apply(spec: ManifoldSpec, point, X, Y, T, conn_kind: str) -> np.ndarray:
     """(R(X,Y) . T) for a (1,3) tensor T: the endomorphism R(X,Y) acts on the
     output slot and is subtracted from each input slot."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    T = np.asarray(T, dtype=float)
-    cv = riemann_at(spec, conn_kind, point)
-    A = np.einsum("lijm,i,j->lm", cv.R, X, Y)
-    return _derive_with_endomorphism(A, T)
-
-
-def _derive_with_endomorphism(A: np.ndarray, T: np.ndarray) -> np.ndarray:
-    return (
-        np.einsum("lm,mzuv->lzuv", A, T, optimize=True)
-        - np.einsum("lmuv,mz->lzuv", T, A, optimize=True)
-        - np.einsum("lzmv,mu->lzuv", T, A, optimize=True)
-        - np.einsum("lzum,mv->lzuv", T, A, optimize=True)
-    )
-
-
-def derivation_all_frames(R_acting: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Derivation action for every coordinate pair at once:
-    out[a,b,l,z,u,v] = (R(e_a, e_b) . T)[l,z,u,v]."""
-    A = np.einsum("lijm->ijlm", R_acting)  # A[a,b,l,m] = R[l,a,b,m]
-    return (
-        np.einsum("ablm,mzuv->ablzuv", A, T, optimize=True)
-        - np.einsum("lmuv,abmz->ablzuv", T, A, optimize=True)
-        - np.einsum("lzmv,abmu->ablzuv", T, A, optimize=True)
-        - np.einsum("lzum,abmv->ablzuv", T, A, optimize=True)
-    )
+    R = jet(spec, [point], 2).connection(conn_kind).R[0]
+    frames = derivation_all_frames(R, np.asarray(T, dtype=float))
+    return np.einsum("ablzuv,a,b->lzuv", frames, np.asarray(X, dtype=float),
+                     np.asarray(Y, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +367,9 @@ def quasi_einstein_fit(
     a, b = float(coeffs[0]), float(coeffs[1])
     model = a * G + b * np.einsum("i,j->ij", pi, pi)
     residual = float(np.max(np.abs(S - model)))
-    eigenvalues = np.sort(scipy.linalg.eigh(S, G, eigvals_only=True))
+    # Eigenvalues of the pencil (S, G): whiten with the Cholesky factor of G.
+    L_inv = np.linalg.inv(np.linalg.cholesky(G))
+    eigenvalues = np.linalg.eigvalsh(L_inv @ S @ L_inv.T)
     pi_norm2 = float(pi @ np.linalg.solve(G, pi))
     expected_simple = a + b * pi_norm2
     scale = 1.0 + max(abs(a), abs(expected_simple))
@@ -347,29 +396,25 @@ def nullity_fit(spec: ManifoldSpec, conn_kind: str, samples) -> NullityFit:
             "nullity fit for the projective connection needs the "
             "parallel-unit-field hypothesis"
         )
-    num = 0.0
-    den = 0.0
-    per_point = []
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    cached = []
-    for s in range(samples.count):
-        point = samples.points[s]
-        cv = riemann_at(spec, conn_kind, point)
-        pi = geometry.pi_at(spec, point).components
-        xi = spec.tables.values("xi", 0, spec.env(point))
-        lhs_all = np.einsum("lijk,k->lij", cv.R, xi)
-        for ia, ib in pairs:
-            X = samples.frames[s, ia]
-            Y = samples.frames[s, ib]
-            v = np.einsum("lij,i,j->l", lhs_all, X, Y)
-            w = float(pi @ X) * Y - float(pi @ Y) * X
-            num += float(v @ w)
-            den += float(w @ w)
-            cached.append((v, w))
-    k = num / den if den > 0.0 else 0.0
-    residuals = [float(np.max(np.abs(v - k * w))) for v, w in cached]
+    first, second = zip(*pairs)
+    vs, ws = [], []
+    for lo, hi in samples.chunks():
+        j = jet(spec, samples.points[lo:hi], 2)
+        lhs_all = np.einsum("slijk,sk->slij", j.connection(conn_kind).R, j.xi)
+        X = samples.frames[lo:hi, first]  # (S, pair, n)
+        Y = samples.frames[lo:hi, second]
+        vs.append(np.einsum("slij,spi,spj->spl", lhs_all, X, Y))
+        pi_x = np.einsum("si,spi->sp", j.pi, X)[..., None]
+        pi_y = np.einsum("si,spi->sp", j.pi, Y)[..., None]
+        ws.append(pi_x * Y - pi_y * X)
+    v = np.concatenate(vs)
+    w = np.concatenate(ws)
+    den = float(np.sum(w * w))
+    k = float(np.sum(v * w)) / den if den > 0.0 else 0.0
+    residuals = np.max(np.abs(v - k * w), axis=2)
     return NullityFit(
         k=k,
-        residual=max(residuals),
+        residual=float(np.max(residuals)),
         residual_mean=float(np.mean(residuals)),
     )

@@ -63,6 +63,7 @@ class ParseError(ExprError):
 class EvalError(ExprError):
     def __init__(self, message: str, subexpr: "Expr"):
         super().__init__(f"{message} in '{to_text(subexpr)}'")
+        self.reason = message
         self.subexpr = subexpr
 
 

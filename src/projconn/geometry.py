@@ -30,10 +30,12 @@ __all__ = [
     "DimensionError",
     "ManifoldSpec",
     "MetricValue",
+    "MetricJet",
     "CovectorValue",
     "SampleSet",
     "load_spec",
     "spec_to_text",
+    "metric_jet",
     "metric_at",
     "pi_at",
     "sample",
@@ -56,6 +58,11 @@ class GateError(Exception):
 
 class DimensionError(Exception):
     """An operation requiring dimension > 2 was invoked on a planar chart."""
+
+
+# Samples are walked in chunks: the largest run of samples whose n^6 float64
+# derivation tensor fits this many bytes, and at least one sample.
+CHUNK_BYTES = 512 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +100,8 @@ class ChartTables:
                 for j in range(n):
                     phi[i, j] = spec.phi[i][j]
             self._base["phi"] = phi
+        if None not in (spec.f1, spec.f2, spec.f3):
+            self._base["f"] = np.array([spec.f1, spec.f2, spec.f3], dtype=object)
         self._cache: dict[tuple[str, int], np.ndarray] = {}
         self._eval_plans: dict[tuple[str, int], tuple[np.ndarray, list]] = {}
 
@@ -192,9 +201,28 @@ class MetricValue:
     point: tuple[float, ...]
     G: np.ndarray
     G_inv: np.ndarray
-    dG: np.ndarray
+    dG: np.ndarray | None = None
     d2G: np.ndarray | None = None
     d3G: np.ndarray | None = None
+
+
+@dataclass
+class MetricJet:
+    """Metric data at a batch of points, every array with a leading sample
+    axis.  The metric's partials are present up to the order asked, the
+    first partials of pi from order 1 and its second partials from order 3
+    (what the connection coefficients one order below need)."""
+
+    points: np.ndarray  # (S, n)
+    G: np.ndarray  # (S, n, n)
+    G_inv: np.ndarray
+    xi: np.ndarray  # (S, n)
+    pi: np.ndarray  # (S, n), pi = G xi
+    dG: np.ndarray | None = None  # (S, n, n, n)
+    d2G: np.ndarray | None = None
+    d3G: np.ndarray | None = None
+    dpi: np.ndarray | None = None  # (S, n, n), dpi[s, m, i] = d_m pi_i
+    d2pi: np.ndarray | None = None
 
 
 @dataclass
@@ -214,6 +242,13 @@ class SampleSet:
     @property
     def count(self) -> int:
         return self.points.shape[0]
+
+    def chunks(self) -> list[tuple[int, int]]:
+        """(start, stop) ranges walking the samples in order, each as long
+        as CHUNK_BYTES allows for an n^6 float64 tensor per sample."""
+        n = self.points.shape[1]
+        size = max(1, CHUNK_BYTES // (8 * n**6))
+        return [(lo, min(lo + size, self.count)) for lo in range(0, self.count, size)]
 
 
 # ---------------------------------------------------------------------------
@@ -467,43 +502,89 @@ def spec_to_text(spec: ManifoldSpec) -> str:
 # evaluation at points
 
 
-def metric_at(spec: ManifoldSpec, point, order: int = 1) -> MetricValue:
-    """Evaluate the metric and its first `order` coordinate derivative arrays.
+def point_text(point) -> str:
+    """A point as plain floats, for messages."""
+    return "(" + ", ".join(repr(float(x)) for x in point) + ")"
 
-    Positive definiteness is certified by a Cholesky factorization at the
-    point; symbolic partials guarantee the derivative arrays are exact up to
-    rounding in the final arithmetic.
-    """
-    env = spec.env(point)
-    tables = spec.tables
-    G = tables.values("g", 0, env)
-    asym = float(np.max(np.abs(G - G.T)))
-    if asym > 1e-12 * (1.0 + float(np.max(np.abs(G)))):
-        raise SpecError(f"metric is not symmetric at {tuple(point)} (defect {asym:.3e})")
+
+def table_values(spec: ManifoldSpec, name: str, order: int, points) -> np.ndarray:
+    """One table at each of a batch of points, stacked along a leading sample
+    axis: one scalar evaluation pass per sample.  An evaluation error names
+    the point."""
+    out = []
+    for point in points:
+        try:
+            out.append(spec.tables.values(name, order, spec.env(point)))
+        except ex.EvalError as err:
+            raise type(err)(f"{err.reason} at {point_text(point)}", err.subexpr) from None
+    return np.array(out)
+
+
+def _is_spd(G: np.ndarray) -> bool:
     try:
         np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
-        raise NotSPDError(
-            f"metric is not positive definite at {tuple(point)}"
-        ) from None
-    G_inv = np.linalg.inv(G)
-    dG = tables.values("g", 1, env)
-    d2G = tables.values("g", 2, env) if order >= 2 else None
-    d3G = tables.values("g", 3, env) if order >= 3 else None
-    return MetricValue(tuple(float(x) for x in point), G, G_inv, dG, d2G, d3G)
+        return False
+    return True
+
+
+def _require_spd(G: np.ndarray, points: np.ndarray) -> None:
+    """Raise for the first sample whose metric is asymmetric beyond rounding
+    or not positive definite (certified by a Cholesky factorization)."""
+    if np.array_equal(G, G.swapaxes(1, 2)) and _is_spd(G):
+        return
+    for point, g in zip(points, G):
+        asym = float(np.max(np.abs(g - g.T)))
+        if asym > 1e-12 * (1.0 + float(np.max(np.abs(g)))):
+            raise SpecError(f"metric is not symmetric at {point_text(point)} (defect {asym:.3e})")
+        if not _is_spd(g):
+            raise NotSPDError(f"metric is not positive definite at {point_text(point)}")
+
+
+def metric_jet(spec: ManifoldSpec, points, order: int = 1) -> MetricJet:
+    """The metric stage of the sample-set jet: every table the order needs,
+    evaluated once per sample, stacked along a leading sample axis.
+
+    Symbolic partials make the derivative arrays exact up to rounding in the
+    final arithmetic.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+
+    def table(name: str, k: int, needed: bool = True):
+        return table_values(spec, name, k, points) if needed else None
+
+    G = table("g", 0)
+    _require_spd(G, points)
+    xi = table("xi", 0)
+    return MetricJet(
+        points=points,
+        G=G,
+        G_inv=np.linalg.inv(G),
+        xi=xi,
+        pi=np.einsum("sij,sj->si", G, xi),
+        dG=table("g", 1, order >= 1),
+        d2G=table("g", 2, order >= 2),
+        d3G=table("g", 3, order >= 3),
+        dpi=table("pi", 1, order >= 1),
+        d2pi=table("pi", 2, order >= 3),
+    )
+
+
+def metric_at(spec: ManifoldSpec, point, order: int = 1) -> MetricValue:
+    """Metric and its first `order` coordinate derivative arrays at a point:
+    the one-sample metric jet."""
+    mj = metric_jet(spec, [point], order)
+    return MetricValue(
+        tuple(mj.points[0].tolist()), mj.G[0], mj.G_inv[0],
+        *(None if a is None else a[0] for a in (mj.dG, mj.d2G, mj.d3G)),
+    )
 
 
 def pi_at(spec: ManifoldSpec, point) -> CovectorValue:
     """Lower xi with the metric; report |<pi, xi> - 1| as the unit residual."""
-    env = spec.env(point)
-    G = metric_at(spec, point, order=0).G
-    xi = spec.tables.values("xi", 0, env)
-    pi = G @ xi
+    mj = metric_jet(spec, [point], order=0)
+    pi, xi = mj.pi[0], mj.xi[0]
     return CovectorValue(pi, abs(float(pi @ xi) - 1.0))
-
-
-def xi_at(spec: ManifoldSpec, point) -> np.ndarray:
-    return spec.tables.values("xi", 0, spec.env(point))
 
 
 def in_box(spec: ManifoldSpec, point, tol: float = 1e-12) -> bool:

@@ -16,23 +16,19 @@ one more derivative enters, 1e-8 for third-derivative identities.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 
-from .geometry import ManifoldSpec, SpecError, metric_at, sample
-from .connections import (
-    LEVI_CIVITA,
-    PROJECTIVE,
-    check_parallel_unit_xi,
-    connection_at,
-)
+from .geometry import ManifoldSpec, SpecError, sample, table_values
+from .connections import check_parallel_unit_xi
 from .curvature import (
     derivation_all_frames,
+    jet,
     lam_scale,
-    projective_at,
-    ricci_with_partials,
-    riemann_at,
-    _riemann_components,
-    _riemann_partials,
+    projective_tensor,
+    ricci_partials,
+    ricci_shifts,
 )
 from .report import CheckReport
 
@@ -145,265 +141,277 @@ def _skip_family(ids, spec, samples, tolerances, gate: CheckReport):
     ]
 
 
-def _point_state(spec, point, order):
-    """Common per-point data for identity checks."""
-    env = spec.env(point)
-    mv = metric_at(spec, point, order=0)
-    xi = spec.tables.values("xi", 0, env)
-    pi = mv.G @ xi
-    lcc = connection_at(spec, LEVI_CIVITA, point, order=order)
-    prc = connection_at(spec, PROJECTIVE, point, order=order)
-    R = _riemann_components(lcc.Gamma, lcc.dGamma)
-    Rt = _riemann_components(prc.Gamma, prc.dGamma)
-    state = {
-        "G": mv.G, "Ginv": mv.G_inv, "xi": xi, "pi": pi,
-        "lcc": lcc, "prc": prc, "R": R, "Rt": Rt,
-    }
-    if order >= 2:
-        dR = _riemann_partials(lcc.Gamma, lcc.dGamma, lcc.d2Gamma)
-        dRt = _riemann_partials(prc.Gamma, prc.dGamma, prc.d2Gamma)
-        state["nabla_R"] = _covariant_curvature_derivative(lcc.Gamma, R, dR)
-        state["nabla_Rt"] = _covariant_curvature_derivative(prc.Gamma, Rt, dRt)
-    return state
+def _max_abs(arr: np.ndarray) -> np.ndarray:
+    """Per-sample max |entry| of an array with a leading sample axis."""
+    return np.max(np.abs(arr), axis=tuple(range(1, arr.ndim)))
 
 
-def _covariant_curvature_derivative(Gamma, R, dR):
-    return (
-        dR
-        + np.einsum("lmp,pijk->mlijk", Gamma, R, optimize=True)
-        - np.einsum("pmi,lpjk->mlijk", Gamma, R, optimize=True)
-        - np.einsum("pmj,lipk->mlijk", Gamma, R, optimize=True)
-        - np.einsum("pmk,lijp->mlijk", Gamma, R, optimize=True)
+def _curvature_shift(pi: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """pi_i pi_k d^l_j - pi_j pi_k d^l_i, the curvature shift per unit lam."""
+    return np.einsum("si,sk,lj->slijk", pi, pi, eye) - np.einsum(
+        "sj,sk,li->slijk", pi, pi, eye
     )
 
 
-def _max_abs(arr) -> float:
-    return float(np.max(np.abs(arr)))
+def _nullity_defect(j, Rt: np.ndarray, lam: float, eye: np.ndarray) -> np.ndarray:
+    """R~(X,Y)xi - lam {pi(X) Y - pi(Y) X} in components."""
+    return np.einsum("slijk,sk->slij", Rt, j.xi) - lam * (
+        np.einsum("si,lj->slij", j.pi, eye) - np.einsum("sj,li->slij", j.pi, eye)
+    )
 
 
 # ---------------------------------------------------------------------------
-# curvature identity suite
+# per-chunk contractions: each maps one jet to per-sample columns
 
 
-def check_curvature_identities(
-    spec: ManifoldSpec, samples, tolerances=None, gate: CheckReport | None = None
-) -> list[CheckReport]:
-    """Antisymmetry, the pair-swap and pair-symmetry defect closed forms, the
-    first Bianchi identity, the cyclic third-derivative identity, the
-    curvature-shift two-path check and the distinguished-field relations."""
-    ids = ["eq9_two_path", "thm2_1_i", "thm2_1_ii", "thm2_1_iii", "thm2_1_iv",
-           "thm2_1_v", "eq11d", "eq12", "lem2_4"]
-    gate = _gate(spec, samples, gate)
-    if gate.gate_status != "passed":
-        return _skip_family(ids, spec, samples, tolerances, gate)
+def _curvature_columns(spec, j) -> dict:
     n = spec.n
     lam = lam_scale(n)
     eye = np.eye(n)
-    acc = {cid: [] for cid in ids}
-    sub24 = np.zeros(3)
-    for point in samples.points:
-        st = _point_state(spec, point, order=2)
-        G, pi, xi = st["G"], st["pi"], st["xi"]
-        R, Rt = st["R"], st["Rt"]
-        Rtlow = np.einsum("lm,mijk->ijkl", G, Rt)
-        shift = lam * (
-            np.einsum("i,k,lj->lijk", pi, pi, eye)
-            - np.einsum("j,k,li->lijk", pi, pi, eye)
+    G, pi, xi = j.G, j.pi, j.xi
+    R, Rt, Rtlow = j.lc.R, j.pr.R, j.pr.Rlow
+    nabla_Rt = j.pr.nabla_R
+    cols = {"eq9_two_path": _max_abs(Rt - (R + lam * _curvature_shift(pi, eye)))}
+    cols["thm2_1_i"] = _max_abs(Rtlow + np.einsum("sijkl->sjikl", Rtlow))
+    defect_ii = lam * (
+        np.einsum("si,sk,sjl->sijkl", pi, pi, G)
+        - np.einsum("sj,sk,sil->sijkl", pi, pi, G)
+        + np.einsum("si,sl,sjk->sijkl", pi, pi, G)
+        - np.einsum("sj,sl,sik->sijkl", pi, pi, G)
+    )
+    cols["thm2_1_ii"] = _max_abs(Rtlow + np.einsum("sijkl->sijlk", Rtlow) - defect_ii)
+    defect_iii = lam * (
+        np.einsum("si,sl,sjk->sijkl", pi, pi, G)
+        - np.einsum("sj,sk,sil->sijkl", pi, pi, G)
+    )
+    cols["thm2_1_iii"] = _max_abs(Rtlow - np.einsum("sijkl->sklij", Rtlow) - defect_iii)
+    cols["thm2_1_iv"] = _max_abs(
+        Rt + np.einsum("slxyz->slzxy", Rt) + np.einsum("slxyz->slyzx", Rt)
+    )
+    cyclic = (
+        nabla_Rt
+        + np.einsum("siljmk->smlijk", nabla_Rt)
+        + np.einsum("sjlmik->smlijk", nabla_Rt)
+    )
+    rhs_v = 2.0 * (
+        np.einsum("sm,slijk->smlijk", pi, R)
+        + np.einsum("si,sljmk->smlijk", pi, R)
+        + np.einsum("sj,slmik->smlijk", pi, R)
+    )
+    cols["thm2_1_v"] = _max_abs(cyclic - rhs_v)
+    rhs_11d = (
+        j.lc.nabla_R
+        + (2.0 / (n + 1)) * np.einsum("sm,slijk->smlijk", pi, R)
+        - (n / (n + 1.0)) * (
+            np.einsum("si,slmjk->smlijk", pi, R)
+            + np.einsum("sj,slimk->smlijk", pi, R)
+            + np.einsum("sk,slijm->smlijk", pi, R)
         )
-        acc["eq9_two_path"].append(_max_abs(Rt - (R + shift)))
-        acc["thm2_1_i"].append(_max_abs(Rtlow + np.einsum("ijkl->jikl", Rtlow)))
-        defect_ii = lam * (
-            np.einsum("i,k,jl->ijkl", pi, pi, G)
-            - np.einsum("j,k,il->ijkl", pi, pi, G)
-            + np.einsum("i,l,jk->ijkl", pi, pi, G)
-            - np.einsum("j,l,ik->ijkl", pi, pi, G)
+        - (2.0 * lam * (n - 1) / (n + 1)) * (
+            np.einsum("sm,sk,si,lj->smlijk", pi, pi, pi, eye)
+            - np.einsum("sm,sj,sk,li->smlijk", pi, pi, pi, eye)
         )
-        acc["thm2_1_ii"].append(
-            _max_abs(Rtlow + np.einsum("ijkl->ijlk", Rtlow) - defect_ii)
+    )
+    cols["eq11d"] = _max_abs(nabla_Rt - rhs_11d)
+    cols["eq12"] = _max_abs(_nullity_defect(j, Rt, lam, eye))
+    d1 = np.einsum("slijk,si->sljk", Rt, xi) - lam * (
+        np.einsum("sk,lj->sljk", pi, eye) - np.einsum("sj,sk,sl->sljk", pi, pi, xi)
+    )
+    d2 = np.einsum("slijk,sj->slik", Rt, xi) - lam * (
+        np.einsum("sk,si,sl->slik", pi, pi, xi) - np.einsum("sk,li->slik", pi, eye)
+    )
+    d3 = np.einsum("sl,slijk->sijk", pi, Rt)
+    cols["part_i"], cols["part_ii"], cols["part_iii"] = _max_abs(d1), _max_abs(d2), _max_abs(d3)
+    cols["lem2_4"] = np.maximum.reduce([cols["part_i"], cols["part_ii"], cols["part_iii"]])
+    return cols
+
+
+def _lc_nabla_ricci(Gamma: np.ndarray, S: np.ndarray, dS: np.ndarray) -> np.ndarray:
+    """Levi-Civita covariant derivative of a (0,2) tensor, out[s,m,j,k]."""
+    return (
+        dS
+        - np.einsum("spmj,spk->smjk", Gamma, S)
+        - np.einsum("spmk,sjp->smjk", Gamma, S)
+    )
+
+
+def _ricci_columns(spec, j) -> dict:
+    _, _, ricci_residual, scalar_residual = ricci_shifts(j)
+    Gamma = j.lc.Gamma
+    nabla_S = _lc_nabla_ricci(Gamma, j.lc.S, ricci_partials(j.lc.dR))
+    nabla_St = _lc_nabla_ricci(Gamma, j.pr.S, ricci_partials(j.pr.dR))
+
+    def cyclic(T):
+        return T + np.einsum("sjkm->smjk", T) + np.einsum("skmj->smjk", T)
+
+    codazzi = (nabla_St - np.einsum("smjk->sjmk", nabla_St)) - (
+        nabla_S - np.einsum("smjk->sjmk", nabla_S)
+    )
+    return {
+        "eq10": ricci_residual,
+        "eq11": scalar_residual,
+        "eq15": _max_abs(nabla_St - nabla_S),
+        "lem2_6": np.maximum(_max_abs(codazzi), _max_abs(cyclic(nabla_St) - cyclic(nabla_S))),
+    }
+
+
+def _space_form_pattern(G: np.ndarray) -> np.ndarray:
+    """g_jk g_il - g_ik g_jl: the lowered curvature of unit constant curvature."""
+    return np.einsum("sjk,sil->sijkl", G, G) - np.einsum("sik,sjl->sijkl", G, G)
+
+
+def _projective_columns(spec, j) -> dict:
+    lam = lam_scale(spec.n)
+    eye = np.eye(spec.n)
+    R, Rt = j.lc.R, j.pr.R
+    P = projective_tensor(R, j.lc.S)
+    Pt = projective_tensor(Rt, j.pr.S)
+    pattern = _space_form_pattern(j.G)
+    coincidence = _max_abs(Pt - P)
+    return {
+        "max_R": _max_abs(R),
+        "Rlow": j.lc.Rlow,
+        "G": j.G,
+        "fit_num": np.sum(j.lc.Rlow * pattern, axis=(1, 2, 3, 4)),
+        "fit_den": np.sum(pattern * pattern, axis=(1, 2, 3, 4)),
+        "eq17": coincidence,
+        "eq10b": np.maximum(
+            _max_abs(Rt - (P + lam * _curvature_shift(j.pi, eye))), coincidence
+        ),
+        "thm3_3_p_flat": _max_abs(P),
+    }
+
+
+def _semisymmetry_columns(spec, j) -> dict:
+    n = spec.n
+    lam = lam_scale(n)
+    eye = np.eye(n)
+    pi, xi, Rt = j.pi, j.xi, j.pr.R
+    rr = derivation_all_frames(Rt, Rt)
+    rho = -2.0 * (n - 1) / (n + 1.0) * pi
+    applied = np.einsum("sablzuv,sa->sblzuv", rr, xi)
+    rhs_20 = -lam * (
+        np.einsum("sz,slbuv->sblzuv", pi, Rt)
+        + np.einsum("su,slzbv->sblzuv", pi, Rt)
+        + np.einsum("sv,slzub->sblzuv", pi, Rt)
+    ) + 2.0 * lam * lam * np.einsum("sz,lu,sb,sv->sblzuv", pi, eye, pi, pi) \
+      - 2.0 * lam * lam * np.einsum("su,lz,sb,sv->sblzuv", pi, eye, pi, pi)
+    return {
+        "max_R": _max_abs(j.lc.R),
+        "def4_1_flat": _max_abs(rr),
+        "eq20": _max_abs(applied - rhs_20),
+        "eq21": _max_abs(Rt - lam * _curvature_shift(pi, eye)),
+        "cor4_3": _max_abs(j.pr.nabla_R - np.einsum("sm,slijk->smlijk", rho, Rt)),
+    }
+
+
+def _rp_columns(spec, j) -> dict:
+    n = spec.n
+    eye = np.eye(n)
+    pi, xi, R, S = j.pi, j.xi, j.lc.R, j.lc.S
+    P = projective_tensor(R, S)
+    Pt = projective_tensor(j.pr.R, j.pr.S)
+    S_xi = np.einsum("sjk,sk->sj", S, xi)
+    d_i = np.einsum("slijk,si->sljk", Pt, xi) - (
+        np.einsum("sk,lj->sljk", S_xi, eye) - np.einsum("sjk,sl->sljk", S, xi)
+    ) / (n - 1.0)
+    d_ii = np.einsum("sl,slijk->sijk", pi, Pt) - (
+        np.einsum("sj,sik->sijk", pi, S) - np.einsum("si,sjk->sijk", pi, S)
+    ) / (n - 1.0)
+    rp = _max_abs(derivation_all_frames(j.pr.R, Pt))
+    max_S = _max_abs(S)
+    part_i, part_ii = _max_abs(d_i), _max_abs(d_ii)
+    return {
+        "part_i": part_i,
+        "part_ii": part_ii,
+        "eq5_3": np.maximum(part_i, part_ii),
+        "max_R": _max_abs(R),
+        "max_RP": rp,
+        "max_S": max_S,
+        "thm5_1_flat": np.maximum.reduce([rp, max_S, _max_abs(Pt - R), _max_abs(Pt - P)]),
+    }
+
+
+def _gssf_columns(spec, j) -> dict:
+    n = spec.n
+    lam = lam_scale(n)
+    eye = np.eye(n)
+    G, pi, xi, R = j.G, j.pi, j.xi, j.lc.R
+    phi = table_values(spec, "phi", 0, j.points)
+    f1, f2, f3 = table_values(spec, "f", 0, j.points).T[:, :, None, None, None, None]
+    square = np.einsum("sim,smj->sij", phi, phi) + eye - np.einsum("si,sj->sij", xi, pi)
+    kills_field = np.einsum("sij,sj->si", phi, xi)
+    unit = np.abs(np.einsum("si,si->s", pi, xi) - 1.0)
+    compat = np.einsum("sab,sai,sbj->sij", G, phi, phi) - (
+        G - np.einsum("si,sj->sij", pi, pi)
+    )
+    A = np.einsum("sim,smk->sik", G, phi)  # A[i,k] = g(d_i, phi d_k)
+    rhs = (
+        f1 * (np.einsum("sjk,li->slijk", G, eye) - np.einsum("sik,lj->slijk", G, eye))
+        + f2 * (
+            np.einsum("sik,slj->slijk", A, phi)
+            - np.einsum("sjk,sli->slijk", A, phi)
+            + 2.0 * np.einsum("sij,slk->slijk", A, phi)
         )
-        defect_iii = lam * (
-            np.einsum("i,l,jk->ijkl", pi, pi, G)
-            - np.einsum("j,k,il->ijkl", pi, pi, G)
+        + f3 * (
+            _curvature_shift(pi, eye)
+            + np.einsum("sik,sj,sl->slijk", G, pi, xi)
+            - np.einsum("sjk,si,sl->slijk", G, pi, xi)
         )
-        acc["thm2_1_iii"].append(
-            _max_abs(Rtlow - np.einsum("ijkl->klij", Rtlow) - defect_iii)
-        )
-        acc["thm2_1_iv"].append(
-            _max_abs(Rt + np.einsum("lxyz->lzxy", Rt) + np.einsum("lxyz->lyzx", Rt))
-        )
-        nabla_Rt = st["nabla_Rt"]
-        cyclic = (
-            nabla_Rt
-            + np.einsum("iljmk->mlijk", nabla_Rt)
-            + np.einsum("jlmik->mlijk", nabla_Rt)
-        )
-        rhs_v = 2.0 * (
-            np.einsum("m,lijk->mlijk", pi, R)
-            + np.einsum("i,ljmk->mlijk", pi, R)
-            + np.einsum("j,lmik->mlijk", pi, R)
-        )
-        acc["thm2_1_v"].append(_max_abs(cyclic - rhs_v))
-        rhs_11d = (
-            st["nabla_R"]
-            + (2.0 / (n + 1)) * np.einsum("m,lijk->mlijk", pi, R)
-            - (n / (n + 1.0)) * (
-                np.einsum("i,lmjk->mlijk", pi, R)
-                + np.einsum("j,limk->mlijk", pi, R)
-                + np.einsum("k,lijm->mlijk", pi, R)
-            )
-            - (2.0 * lam * (n - 1) / (n + 1)) * (
-                np.einsum("m,k,i,lj->mlijk", pi, pi, pi, eye)
-                - np.einsum("m,j,k,li->mlijk", pi, pi, pi, eye)
-            )
-        )
-        acc["eq11d"].append(_max_abs(nabla_Rt - rhs_11d))
-        eq12_defect = np.einsum("lijk,k->lij", Rt, xi) - lam * (
-            np.einsum("i,lj->lij", pi, eye) - np.einsum("j,li->lij", pi, eye)
-        )
-        acc["eq12"].append(_max_abs(eq12_defect))
-        d1 = np.einsum("lijk,i->ljk", Rt, xi) - lam * (
-            np.einsum("k,lj->ljk", pi, eye) - np.einsum("j,k,l->ljk", pi, pi, xi)
-        )
-        d2 = np.einsum("lijk,j->lik", Rt, xi) - lam * (
-            np.einsum("k,i,l->lik", pi, pi, xi) - np.einsum("k,li->lik", pi, eye)
-        )
-        d3 = np.einsum("l,lijk->ijk", pi, Rt)
-        parts = np.array([_max_abs(d1), _max_abs(d2), _max_abs(d3)])
-        sub24 = np.maximum(sub24, parts)
-        acc["lem2_4"].append(float(parts.max()))
-    reports = []
-    for cid in ids:
-        extras = {}
-        if cid == "lem2_4":
-            extras = {"part_i": sub24[0], "part_ii": sub24[1], "part_iii": sub24[2]}
-        reports.append(
-            _report(cid, spec, samples, acc[cid], tolerances, "passed", extras=extras)
-        )
+    )
+    return {
+        "gssf_star1": np.maximum.reduce(
+            [_max_abs(square), _max_abs(kills_field), unit, _max_abs(compat)]
+        ),
+        "gssf_star2": _max_abs(R - rhs),
+        "gssf_star3": _max_abs(np.einsum("slijk,sk->slij", R, xi)),
+        "gssf_star4": _max_abs(_nullity_defect(j, j.pr.R, lam, eye)),
+    }
+
+
+# ---------------------------------------------------------------------------
+# reports from the columns of all samples
+
+
+# checks whose residual is the largest of named parts, each also reported
+_PARTS = {"lem2_4": ("part_i", "part_ii", "part_iii"), "eq5_3": ("part_i", "part_ii")}
+
+
+def _part_maxima(check_id, cols) -> dict:
+    return {part: float(np.max(cols[part])) for part in _PARTS.get(check_id, ())}
+
+
+def _plain_reports(family, gate_status):
+    def reports(spec, samples, cols, tolerances, gate):
+        return [
+            _report(cid, spec, samples, cols[cid], tolerances, gate_status,
+                    extras=_part_maxima(cid, cols))
+            for cid in _family_ids(family)
+        ]
+
     return reports
 
 
-# ---------------------------------------------------------------------------
-# Ricci relation suite
-
-
-def check_ricci_relations(
-    spec: ManifoldSpec, samples, tolerances=None, gate: CheckReport | None = None
-) -> list[CheckReport]:
-    """Ricci shift, scalar shift, equality of the two covariant Ricci
-    derivatives, and the Codazzi/cyclic-sum agreement they imply.
-
-    Both Ricci tensors are differentiated with the metric connection; that is
-    the reading under which the shift identity differentiates to an exact
-    statement, since the shift term is parallel together with the field.
-    """
-    ids = ["eq10", "eq11", "eq15", "lem2_6"]
-    gate = _gate(spec, samples, gate)
-    if gate.gate_status != "passed":
-        return _skip_family(ids, spec, samples, tolerances, gate)
-    n = spec.n
-    lam = lam_scale(n)
-    acc = {cid: [] for cid in ids}
-    for point in samples.points:
-        env = spec.env(point)
-        mv = metric_at(spec, point, order=0)
-        pi = mv.G @ spec.tables.values("xi", 0, env)
-        S, dS = ricci_with_partials(spec, LEVI_CIVITA, point)
-        St, dSt = ricci_with_partials(spec, PROJECTIVE, point)
-        acc["eq10"].append(
-            _max_abs(St - (S - lam * (n - 1) * np.einsum("j,k->jk", pi, pi)))
-        )
-        r = float(np.einsum("jk,jk->", mv.G_inv, S))
-        rt = float(np.einsum("jk,jk->", mv.G_inv, St))
-        acc["eq11"].append(abs(rt - (r - lam * (n - 1))))
-        Gamma = connection_at(spec, LEVI_CIVITA, point, order=0).Gamma
-        nabla_S = (
-            dS
-            - np.einsum("pmj,pk->mjk", Gamma, S)
-            - np.einsum("pmk,jp->mjk", Gamma, S)
-        )
-        nabla_St = (
-            dSt
-            - np.einsum("pmj,pk->mjk", Gamma, St)
-            - np.einsum("pmk,jp->mjk", Gamma, St)
-        )
-        acc["eq15"].append(_max_abs(nabla_St - nabla_S))
-        codazzi = (nabla_St - np.einsum("mjk->jmk", nabla_St)) - (
-            nabla_S - np.einsum("mjk->jmk", nabla_S)
-        )
-        cyc_St = nabla_St + np.einsum("jkm->mjk", nabla_St) + np.einsum("kmj->mjk", nabla_St)
-        cyc_S = nabla_S + np.einsum("jkm->mjk", nabla_S) + np.einsum("kmj->mjk", nabla_S)
-        acc["lem2_6"].append(max(_max_abs(codazzi), _max_abs(cyc_St - cyc_S)))
-    return [
-        _report(cid, spec, samples, acc[cid], tolerances, "passed") for cid in ids
-    ]
-
-
-# ---------------------------------------------------------------------------
-# flat / constant-curvature premise detection
-
-
-def _curvature_survey(spec, samples):
-    """(max |R|, space-form fit constant, fit residual) over the samples."""
-    max_R = 0.0
-    num = 0.0
-    den = 0.0
-    rows = []
-    for point in samples.points:
-        cv = riemann_at(spec, LEVI_CIVITA, point)
-        G = metric_at(spec, point, order=0).G
-        pattern = np.einsum("jk,il->ijkl", G, G) - np.einsum("ik,jl->ijkl", G, G)
-        max_R = max(max_R, _max_abs(cv.R))
-        num += float(np.sum(cv.Rlow * pattern))
-        den += float(np.sum(pattern * pattern))
-        rows.append((cv.Rlow, pattern))
-    K = num / den if den > 0 else 0.0
-    fit_residual = max(_max_abs(low - K * pat) for low, pat in rows)
-    return max_R, K, fit_residual
-
-
-# ---------------------------------------------------------------------------
-# projective coincidence suite
-
-
-def check_projective_coincidence(
-    spec: ManifoldSpec, samples, tolerances=None, gate: CheckReport | None = None
-) -> list[CheckReport]:
-    """Coincidence of the two projective curvature tensors; on flat charts
-    the consistency of the curvature shift with both; on constant-curvature
-    charts the vanishing of the metric projective tensor."""
-    spec.require_dimension_above_two()
-    gate = _gate(spec, samples, gate)
-    n = spec.n
-    lam = lam_scale(n)
-    eye = np.eye(n)
-    reports = []
-    max_R, K, fit_residual = _curvature_survey(spec, samples)
+def _projective_reports(spec, samples, cols, tolerances, gate):
+    max_R = float(np.max(cols["max_R"]))
+    den = float(np.sum(cols["fit_den"]))
+    K = float(np.sum(cols["fit_num"])) / den if den > 0 else 0.0
+    fit_residual = max(
+        float(np.max(np.abs(Rlow - K * _space_form_pattern(G))))
+        for Rlow, G in zip(cols["Rlow"], cols["G"])
+    )
     flat = max_R <= FLAT_DETECTION_TOL
     const_curv = fit_residual <= 1e-8 * (1.0 + abs(K))
+    reports = []
     if gate.gate_status != "passed":
         reports.extend(
             _skip_family(["eq17", "eq10b"], spec, samples, tolerances, gate)
         )
     else:
-        acc17 = []
-        acc10b = []
-        for point in samples.points:
-            P = projective_at(spec, LEVI_CIVITA, point)
-            Pt = projective_at(spec, PROJECTIVE, point)
-            acc17.append(_max_abs(Pt - P))
-            if flat:
-                st = _point_state(spec, point, order=1)
-                shift = lam * (
-                    np.einsum("i,k,lj->lijk", st["pi"], st["pi"], eye)
-                    - np.einsum("j,k,li->lijk", st["pi"], st["pi"], eye)
-                )
-                acc10b.append(
-                    max(_max_abs(st["Rt"] - (P + shift)), _max_abs(Pt - P))
-                )
-        reports.append(_report("eq17", spec, samples, acc17, tolerances, "passed"))
+        reports.append(_report("eq17", spec, samples, cols["eq17"], tolerances, "passed"))
         if flat:
             reports.append(
-                _report("eq10b", spec, samples, acc10b, tolerances, "passed",
+                _report("eq10b", spec, samples, cols["eq10b"], tolerances, "passed",
                         notes="flat chart: curvature shift consistent with both projective tensors")
             )
         else:
@@ -413,12 +421,8 @@ def check_projective_coincidence(
                       extras={"max_abs_R": max_R})
             )
     if const_curv:
-        acc33 = [
-            _max_abs(projective_at(spec, LEVI_CIVITA, point))
-            for point in samples.points
-        ]
         reports.append(
-            _report("thm3_3_p_flat", spec, samples, acc33, tolerances,
+            _report("thm3_3_p_flat", spec, samples, cols["thm3_3_p_flat"], tolerances,
                     "not_required",
                     notes=f"constant curvature K = {K:.6g} (fit residual {fit_residual:.2e})")
         )
@@ -431,62 +435,16 @@ def check_projective_coincidence(
     return reports
 
 
-# ---------------------------------------------------------------------------
-# semi-symmetry suite
-
-
-def check_semisymmetry(
-    spec: ManifoldSpec, samples, tolerances=None, gate: CheckReport | None = None
-) -> list[CheckReport]:
-    """On flat charts: the curvature-as-derivation annihilates itself, the
-    closed forms for the curvature and its derivation by the field hold, and
-    the curvature is recurrent with the predicted 1-form.  On non-flat charts
-    these are skipped and the observed magnitudes are reported, which is the
-    contrapositive direction of the flat-iff-semi-symmetric theorem."""
-    ids = ["def4_1_flat", "eq20", "eq21", "cor4_3"]
-    gate = _gate(spec, samples, gate)
-    if gate.gate_status != "passed":
-        return _skip_family(ids, spec, samples, tolerances, gate)
-    n = spec.n
-    lam = lam_scale(n)
-    eye = np.eye(n)
-    max_R = 0.0
-    max_RR = 0.0
-    acc = {cid: [] for cid in ids}
-    per_point_rr = []
-    for point in samples.points:
-        st = _point_state(spec, point, order=2)
-        pi, xi, R, Rt = st["pi"], st["xi"], st["R"], st["Rt"]
-        max_R = max(max_R, _max_abs(R))
-        rr = derivation_all_frames(Rt, Rt)
-        rr_max = _max_abs(rr)
-        max_RR = max(max_RR, rr_max)
-        per_point_rr.append(rr_max)
-        acc["def4_1_flat"].append(rr_max)
-        rho = -2.0 * (n - 1) / (n + 1.0) * pi
-        acc["cor4_3"].append(
-            _max_abs(st["nabla_Rt"] - np.einsum("m,lijk->mlijk", rho, Rt))
-        )
-        eq21_defect = Rt - lam * (
-            np.einsum("k,i,lj->lijk", pi, pi, eye)
-            - np.einsum("k,j,li->lijk", pi, pi, eye)
-        )
-        acc["eq21"].append(_max_abs(eq21_defect))
-        applied = np.einsum("ablzuv,a->blzuv", rr, xi)
-        rhs_20 = -lam * (
-            np.einsum("z,lbuv->blzuv", pi, Rt)
-            + np.einsum("u,lzbv->blzuv", pi, Rt)
-            + np.einsum("v,lzub->blzuv", pi, Rt)
-        ) + 2.0 * lam * lam * np.einsum("z,lu,b,v->blzuv", pi, eye, pi, pi) \
-          - 2.0 * lam * lam * np.einsum("u,lz,b,v->blzuv", pi, eye, pi, pi)
-        acc["eq20"].append(_max_abs(applied - rhs_20))
-    flat = max_R <= FLAT_DETECTION_TOL
-    if flat:
+def _semisymmetry_reports(spec, samples, cols, tolerances, gate):
+    ids = _family_ids("semisymmetry")
+    max_R = float(np.max(cols["max_R"]))
+    if max_R <= FLAT_DETECTION_TOL:
         return [
-            _report(cid, spec, samples, acc[cid], tolerances, "passed",
+            _report(cid, spec, samples, cols[cid], tolerances, "passed",
                     extras={"max_abs_R": max_R} if cid == "def4_1_flat" else None)
             for cid in ids
         ]
+    max_RR = float(np.max(cols["def4_1_flat"]))
     notes = (
         f"skipped: chart is not flat (max |R| = {max_R:.2e}); observed "
         f"max |R~.R~| = {max_RR:.2e}, nonzero as the flat-iff theorem predicts"
@@ -499,8 +457,138 @@ def check_semisymmetry(
     ]
 
 
+def _rp_reports(spec, samples, cols, tolerances, gate):
+    observed = {key: float(np.max(cols[key])) for key in ("max_R", "max_RP", "max_S")}
+    reports = [
+        _report("eq5_3", spec, samples, cols["eq5_3"], tolerances, "passed",
+                extras=_part_maxima("eq5_3", cols))
+    ]
+    if observed["max_R"] <= FLAT_DETECTION_TOL:
+        reports.append(
+            _report("thm5_1_flat", spec, samples, cols["thm5_1_flat"], tolerances, "passed",
+                    notes="flat chart: derivation annihilates the projective tensor and the Ricci tensor vanishes")
+        )
+    else:
+        reports.append(
+            _skip("thm5_1_flat", spec, samples, tolerances, "passed",
+                  f"skipped: chart is not flat (max |R| = {observed['max_R']:.2e}); observed "
+                  f"max |R~.P~| = {observed['max_RP']:.2e} with max |S| = {observed['max_S']:.2e}",
+                  extras={"max_abs_R": observed["max_R"], "max_abs_RP": observed["max_RP"],
+                          "max_abs_S": observed["max_S"]})
+        )
+    return reports
+
+
 # ---------------------------------------------------------------------------
-# derivation-on-projective suite
+# orchestration
+
+
+# family -> contraction of one chunk's jet into per-sample columns
+_FAMILY_RUNNERS = {
+    "curvature": _curvature_columns,
+    "ricci": _ricci_columns,
+    "projective": _projective_columns,
+    "semisymmetry": _semisymmetry_columns,
+    "rp": _rp_columns,
+    "gssf": _gssf_columns,
+}
+
+# family -> (jet order its contractions need, reports from all columns)
+_FAMILIES = {
+    "curvature": (3, _plain_reports("curvature", "passed")),
+    "ricci": (3, _plain_reports("ricci", "passed")),
+    "projective": (2, _projective_reports),
+    "semisymmetry": (3, _semisymmetry_reports),
+    "rp": (2, _rp_reports),
+    "gssf": (2, _plain_reports("gssf", "not_required")),
+}
+
+
+def _family_ids(family: str) -> list[str]:
+    return [cid for cid, meta in REGISTRY.items() if meta[1] == family]
+
+
+def _run_families(spec, samples, families, tolerances, gate) -> list[CheckReport]:
+    """Walk the samples in order, in chunks; build one jet per chunk at the
+    highest order the running families need and contract it in each."""
+    for family in families:
+        if any(REGISTRY[cid][3] for cid in _family_ids(family)):
+            spec.require_dimension_above_two()
+        if family == "gssf" and None in (spec.phi, spec.f1, spec.f2, spec.f3):
+            raise SpecError(
+                f"chart {spec.name!r} is missing the structure fields "
+                "(phi, f1, f2, f3) required by the almost-contact checks"
+            )
+    gate = _gate(spec, samples, gate)
+    running = [
+        family for family in families
+        if gate.gate_status == "passed"
+        or not all(REGISTRY[cid][2] for cid in _family_ids(family))
+    ]
+    columns = {family: defaultdict(list) for family in running}
+    if running:
+        order = max(_FAMILIES[family][0] for family in running)
+        for lo, hi in samples.chunks():
+            j = jet(spec, samples.points[lo:hi], order)
+            for family in running:
+                for key, col in _FAMILY_RUNNERS[family](spec, j).items():
+                    columns[family][key].append(col)
+    reports = []
+    for family in families:
+        if family in columns:
+            # Per-sample values are joined across chunks; per-sample tensors
+            # stay one array per chunk, so they are never copied whole.
+            cols = {
+                key: np.concatenate(parts) if parts[0].ndim == 1 else parts
+                for key, parts in columns[family].items()
+            }
+            reports += _FAMILIES[family][1](spec, samples, cols, tolerances, gate)
+        else:
+            reports += _skip_family(_family_ids(family), spec, samples, tolerances, gate)
+    return reports
+
+
+def check_curvature_identities(
+    spec: ManifoldSpec, samples, tolerances=None, gate: CheckReport | None = None
+) -> list[CheckReport]:
+    """Antisymmetry, the pair-swap and pair-symmetry defect closed forms, the
+    first Bianchi identity, the cyclic third-derivative identity, the
+    curvature-shift two-path check and the distinguished-field relations."""
+    return _run_families(spec, samples, ["curvature"], tolerances, gate)
+
+
+def check_ricci_relations(
+    spec: ManifoldSpec, samples, tolerances=None, gate: CheckReport | None = None
+) -> list[CheckReport]:
+    """Ricci shift, scalar shift, equality of the two covariant Ricci
+    derivatives, and the Codazzi/cyclic-sum agreement they imply.
+
+    Both Ricci tensors are differentiated with the metric connection; that is
+    the reading under which the shift identity differentiates to an exact
+    statement, since the shift term is parallel together with the field.
+    """
+    return _run_families(spec, samples, ["ricci"], tolerances, gate)
+
+
+def check_projective_coincidence(
+    spec: ManifoldSpec, samples, tolerances=None, gate: CheckReport | None = None
+) -> list[CheckReport]:
+    """Coincidence of the two projective curvature tensors; on flat charts
+    the consistency of the curvature shift with both; on constant-curvature
+    charts the vanishing of the metric projective tensor (detected by a
+    least-squares space-form fit of the sampled curvature)."""
+    return _run_families(spec, samples, ["projective"], tolerances, gate)
+
+
+def check_semisymmetry(
+    spec: ManifoldSpec, samples, tolerances=None, gate: CheckReport | None = None
+) -> list[CheckReport]:
+    """On flat charts: the curvature-as-derivation annihilates itself, the
+    closed forms for the curvature and its derivation by the field hold, and
+    the curvature is recurrent with the predicted 1-form.  On non-flat charts
+    these are skipped and the observed magnitudes are reported, which is the
+    contrapositive direction of the flat-iff-semi-symmetric theorem."""
+    return _run_families(spec, samples, ["semisymmetry"], tolerances, gate)
 
 
 def check_rp_condition(
@@ -510,66 +598,7 @@ def check_rp_condition(
     on flat charts the joint vanishing of the derivation action on the
     projective tensor and of the Ricci tensor, together with the coincidence
     of the projective tensor with the metric curvature."""
-    spec.require_dimension_above_two()
-    ids = ["eq5_3", "thm5_1_flat"]
-    gate = _gate(spec, samples, gate)
-    if gate.gate_status != "passed":
-        return _skip_family(ids, spec, samples, tolerances, gate)
-    n = spec.n
-    acc53 = []
-    acc51 = []
-    max_R = 0.0
-    max_RP = 0.0
-    max_S = 0.0
-    sub53 = np.zeros(2)
-    for point in samples.points:
-        st = _point_state(spec, point, order=1)
-        pi, xi, R, Rt = st["pi"], st["xi"], st["R"], st["Rt"]
-        S = np.einsum("iijk->jk", R)
-        eye = np.eye(n)
-        St = np.einsum("iijk->jk", Rt)
-        P = R - (
-            np.einsum("jk,li->lijk", S, eye) - np.einsum("ik,lj->lijk", S, eye)
-        ) / (n - 1.0)
-        Pt = Rt - (
-            np.einsum("jk,li->lijk", St, eye) - np.einsum("ik,lj->lijk", St, eye)
-        ) / (n - 1.0)
-        S_xi = S @ xi
-        d_i = np.einsum("lijk,i->ljk", Pt, xi) - (
-            np.einsum("k,lj->ljk", S_xi, eye) - np.einsum("jk,l->ljk", S, xi)
-        ) / (n - 1.0)
-        d_ii = np.einsum("l,lijk->ijk", pi, Pt) - (
-            np.einsum("j,ik->ijk", pi, S) - np.einsum("i,jk->ijk", pi, S)
-        ) / (n - 1.0)
-        parts = np.array([_max_abs(d_i), _max_abs(d_ii)])
-        sub53 = np.maximum(sub53, parts)
-        acc53.append(float(parts.max()))
-        max_R = max(max_R, _max_abs(R))
-        rp = derivation_all_frames(Rt, Pt)
-        max_RP = max(max_RP, _max_abs(rp))
-        max_S = max(max_S, _max_abs(S))
-        acc51.append(max(_max_abs(rp), _max_abs(S), _max_abs(Pt - R), _max_abs(Pt - P)))
-    reports = [
-        _report("eq5_3", spec, samples, acc53, tolerances, "passed",
-                extras={"part_i": sub53[0], "part_ii": sub53[1]})
-    ]
-    if max_R <= FLAT_DETECTION_TOL:
-        reports.append(
-            _report("thm5_1_flat", spec, samples, acc51, tolerances, "passed",
-                    notes="flat chart: derivation annihilates the projective tensor and the Ricci tensor vanishes")
-        )
-    else:
-        reports.append(
-            _skip("thm5_1_flat", spec, samples, tolerances, "passed",
-                  f"skipped: chart is not flat (max |R| = {max_R:.2e}); observed "
-                  f"max |R~.P~| = {max_RP:.2e} with max |S| = {max_S:.2e}",
-                  extras={"max_abs_R": max_R, "max_abs_RP": max_RP, "max_abs_S": max_S})
-        )
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# almost-contact example suite
+    return _run_families(spec, samples, ["rp"], tolerances, gate)
 
 
 def check_gssf_example(
@@ -579,82 +608,7 @@ def check_gssf_example(
     structure identities, the three-term curvature shape with the chart's
     coefficient functions, the annihilation of the field by the curvature,
     and the nullity form of the projective connection's curvature."""
-    if spec.phi is None or spec.f1 is None or spec.f2 is None or spec.f3 is None:
-        raise SpecError(
-            f"chart {spec.name!r} is missing the structure fields "
-            "(phi, f1, f2, f3) required by the almost-contact checks"
-        )
-    ids = ["gssf_star1", "gssf_star2", "gssf_star3", "gssf_star4"]
-    n = spec.n
-    lam = lam_scale(n)
-    eye = np.eye(n)
-    acc = {cid: [] for cid in ids}
-    for point in samples.points:
-        env = spec.env(point)
-        mv = metric_at(spec, point, order=0)
-        G = mv.G
-        xi = spec.tables.values("xi", 0, env)
-        pi = G @ xi
-        phi = spec.tables.values("phi", 0, env)
-        f1 = _eval_scalar(spec.f1, env)
-        f2 = _eval_scalar(spec.f2, env)
-        f3 = _eval_scalar(spec.f3, env)
-        square = np.einsum("im,mj->ij", phi, phi) + eye - np.einsum("i,j->ij", xi, pi)
-        kills_field = phi @ xi
-        unit = abs(float(pi @ xi) - 1.0)
-        compat = np.einsum("ab,ai,bj->ij", G, phi, phi) - (
-            G - np.einsum("i,j->ij", pi, pi)
-        )
-        acc["gssf_star1"].append(
-            max(_max_abs(square), _max_abs(kills_field), unit, _max_abs(compat))
-        )
-        cv = riemann_at(spec, LEVI_CIVITA, point)
-        A = np.einsum("im,mk->ik", G, phi)  # A[i,k] = g(d_i, phi d_k)
-        rhs = (
-            f1 * (np.einsum("jk,li->lijk", G, eye) - np.einsum("ik,lj->lijk", G, eye))
-            + f2 * (
-                np.einsum("ik,lj->lijk", A, phi)
-                - np.einsum("jk,li->lijk", A, phi)
-                + 2.0 * np.einsum("ij,lk->lijk", A, phi)
-            )
-            + f3 * (
-                np.einsum("i,k,lj->lijk", pi, pi, eye)
-                - np.einsum("j,k,li->lijk", pi, pi, eye)
-                + np.einsum("ik,j,l->lijk", G, pi, xi)
-                - np.einsum("jk,i,l->lijk", G, pi, xi)
-            )
-        )
-        acc["gssf_star2"].append(_max_abs(cv.R - rhs))
-        acc["gssf_star3"].append(_max_abs(np.einsum("lijk,k->lij", cv.R, xi)))
-        Rt = riemann_at(spec, PROJECTIVE, point).R
-        nullity_defect = np.einsum("lijk,k->lij", Rt, xi) - lam * (
-            np.einsum("i,lj->lij", pi, eye) - np.einsum("j,li->lij", pi, eye)
-        )
-        acc["gssf_star4"].append(_max_abs(nullity_defect))
-    return [
-        _report(cid, spec, samples, acc[cid], tolerances, "not_required")
-        for cid in ids
-    ]
-
-
-def _eval_scalar(tree, env) -> float:
-    from . import expr as ex
-
-    return ex.evaluate(tree, env)
-
-
-# ---------------------------------------------------------------------------
-# orchestration
-
-
-_FAMILY_RUNNERS = {
-    "curvature": check_curvature_identities,
-    "ricci": check_ricci_relations,
-    "projective": check_projective_coincidence,
-    "semisymmetry": check_semisymmetry,
-    "rp": check_rp_condition,
-    "gssf": check_gssf_example,
-}
+    return _run_families(spec, samples, ["gssf"], tolerances, gate)
 
 
 def run_checks(
@@ -669,8 +623,9 @@ def run_checks(
     """Run the selected checks (default: every applicable one) and return
     their reports in registry order.
 
-    Deterministic: the same spec, seed, count and tolerance map produce
-    byte-identical serialized reports.
+    The gate runs first; the families then share one jet per chunk of
+    samples.  Deterministic: the same spec, seed, count and tolerance map
+    produce byte-identical serialized reports.
     """
     if samples is None:
         samples = sample(spec, count, seed)
@@ -688,10 +643,9 @@ def run_checks(
     gate = check_parallel_unit_xi(
         spec, samples, tolerance=_tol("parallel_unit_xi", tolerances)
     )
-    by_id: dict[str, CheckReport] = {"parallel_unit_xi": gate}
-    families = {REGISTRY[cid][1] for cid in wanted if cid != "parallel_unit_xi"}
-    for family in families:
-        runner = _FAMILY_RUNNERS[family]
-        for rep in runner(spec, samples, tolerances=tolerances, gate=gate):
-            by_id[rep.check_id] = rep
+    families = [family for family in _FAMILIES
+                if any(REGISTRY[cid][1] == family for cid in wanted)]
+    by_id = {"parallel_unit_xi": gate}
+    for rep in _run_families(spec, samples, families, tolerances, gate):
+        by_id[rep.check_id] = rep
     return [by_id[cid] for cid in REGISTRY if cid in wanted and cid in by_id]

@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from projconn.cli import main
@@ -171,3 +175,78 @@ def test_out_flag_writes_file(tmp_path, capsys):
 def test_missing_manifold_argument(capsys):
     code, _, err = run_cli(capsys, "verify")
     assert code == 2
+
+
+BAD_LOG_CHART = """
+name = bad_log
+dim = 3
+coords = x, y, z
+g[0][0] = exp(2*log(x))
+g[0][1] = 0
+g[0][2] = 0
+g[1][1] = 1
+g[1][2] = 0
+g[2][2] = 1
+xi[0] = 0
+xi[1] = 0
+xi[2] = 1
+box[0] = -1, 1
+box[1] = -1, 1
+box[2] = -1, 1
+"""
+
+
+def test_evaluation_error_exits_3_naming_point_and_subexpression(tmp_path, capsys):
+    path = tmp_path / "bad_log.manifold"
+    path.write_text(BAD_LOG_CHART, encoding="utf-8")
+    code, _, err = run_cli(capsys, "verify", "--file", str(path), "--samples", "5")
+    assert code == 3
+    assert "log of a non-positive value at (" in err and "'log(x)'" in err
+    assert "np.float64" not in err
+    code, _, err = run_cli(
+        capsys, "eval", "--file", str(path), "--tensor", "riemann", "--point=-0.5,0,0",
+    )
+    assert code == 3
+    assert err.strip() == "error: log of a non-positive value at (-0.5, 0.0, 0.0) in 'log(x)'"
+
+
+def test_not_spd_message_prints_plain_floats(tmp_path, capsys):
+    path = tmp_path / "not_spd.manifold"
+    path.write_text(BAD_LOG_CHART.replace("exp(2*log(x))", "x - 0.5"), encoding="utf-8")
+    code, _, err = run_cli(capsys, "verify", "--file", str(path), "--samples", "5")
+    assert code == 3
+    assert "metric is not positive definite at (" in err
+    assert "np.float64" not in err
+
+
+def test_asymmetric_metric_message_prints_plain_floats(euclidean3):
+    from dataclasses import replace
+
+    from projconn import expr as ex
+    from projconn.geometry import SpecError, metric_at
+
+    g = [list(row) for row in euclidean3.g]
+    g[0][1] = ex.parse("x")
+    spec = replace(euclidean3, g=tuple(tuple(row) for row in g), _tables=None)
+    with pytest.raises(SpecError, match=r"not symmetric at \(0\.5, 0\.0, 0\.0\)") as err:
+        metric_at(spec, np.array([0.5, 0.0, 0.0]))
+    assert "np.float64" not in str(err.value)
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_module_entry_point_runs():
+    proc = _python("-m", "projconn.cli", "list")
+    assert proc.returncode == 0, proc.stderr
+    assert "euclidean3 (n=3" in proc.stdout
+
+
+def test_cli_import_does_not_load_scipy():
+    proc = _python("-c", "import sys, projconn.cli; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

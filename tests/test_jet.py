@@ -1,0 +1,97 @@
+"""The sample-set jet: chunking leaves every report unchanged, and its
+tensors agree with an independent SymPy derivation from the chart strings."""
+
+import numpy as np
+import pytest
+import sympy as sp
+
+from projconn import geometry
+from projconn import expr as ex
+from projconn.catalog import builtin
+from projconn.curvature import jet
+from projconn.geometry import sample
+from projconn.theorems import run_checks
+
+
+def test_chunk_sizes_follow_the_byte_budget():
+    sizes = {}
+    for n in (3, 4, 8):
+        samples = sample(builtin(f"euclidean{n}").spec, 200, seed=1)
+        chunks = samples.chunks()
+        assert chunks[0][0] == 0 and chunks[-1][1] == 200
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        sizes[n] = chunks[0][1] - chunks[0][0]
+    assert sizes == {3: 89, 4: 16, 8: 1}
+
+
+@pytest.mark.parametrize("name", ["cylinder_s2xr", "gssf_c1", "sphere3_bad_xi", "euclidean4"])
+def test_reports_do_not_depend_on_chunking(name, monkeypatch):
+    spec = builtin(name).spec
+    samples = sample(spec, 100, seed=42)
+    default = run_checks(spec, samples=samples)
+    monkeypatch.setattr(geometry, "CHUNK_BYTES", 1)
+    assert len(samples.chunks()) == 100
+    single = run_checks(spec, samples=samples)
+    assert [r.check_id for r in single] == [r.check_id for r in default]
+    for a, b in zip(default, single):
+        assert (a.passed, a.skipped, a.gate_status) == (b.passed, b.skipped, b.gate_status)
+        if a.residual_max is not None:
+            assert abs(a.residual_max - b.residual_max) <= 1e-14, a.check_id
+            assert abs(a.residual_mean - b.residual_mean) <= 1e-14, a.check_id
+        assert set(a.extras) == set(b.extras)
+        for key in a.extras:
+            assert abs(a.extras[key] - b.extras[key]) <= 1e-14 * max(1.0, abs(a.extras[key]))
+
+
+def _sympy_tensors(spec):
+    """G_inv, Gamma, R and nabla R of both connections as functions of the
+    point, derived with sympy.diff from the chart's expression strings."""
+    n = spec.n
+    x = sp.symbols(spec.coords)
+    names = dict(zip(spec.coords, x))
+
+    def parse(tree):
+        return sp.sympify(ex.to_text(tree).replace("^", "**"), locals=names)
+
+    g = sp.Matrix(n, n, lambda i, j: parse(spec.g[i][j]))
+    g_inv = g.inv()
+    xi = [parse(e) for e in spec.xi]
+    pi = [sum(g[i, j] * xi[j] for j in range(n)) for i in range(n)]
+    r = range(n)
+    lc = [[[sum(g_inv[k, l] * (sp.diff(g[j, l], x[i]) + sp.diff(g[i, l], x[j])
+                               - sp.diff(g[i, j], x[l])) for l in r) / 2
+            for j in r] for i in r] for k in r]
+    delta = sp.eye(n)
+    pr = [[[lc[k][i][j] + sp.Rational(n, n + 1) * pi[j] * delta[k, i]
+            - sp.Rational(1, n + 1) * pi[i] * delta[k, j]
+            for j in r] for i in r] for k in r]
+    out = {"G_inv": g_inv.tolist()}
+    for label, G in (("lc", lc), ("pr", pr)):
+        R = [[[[sp.diff(G[l][j][k], x[i]) - sp.diff(G[l][i][k], x[j])
+                + sum(G[l][i][m] * G[m][j][k] - G[l][j][m] * G[m][i][k] for m in r)
+                for k in r] for j in r] for i in r] for l in r]
+        nabla = [[[[[sp.diff(R[l][i][j][k], x[m])
+                     + sum(G[l][m][p] * R[p][i][j][k] - G[p][m][i] * R[l][p][j][k]
+                           - G[p][m][j] * R[l][i][p][k] - G[p][m][k] * R[l][i][j][p]
+                           for p in r)
+                     for k in r] for j in r] for i in r] for l in r] for m in r]
+        out.update({f"{label}.Gamma": G, f"{label}.R": R, f"{label}.nabla_R": nabla})
+    return {key: sp.lambdify(x, value, "math") for key, value in out.items()}
+
+
+@pytest.mark.parametrize("name", ["cylinder_s2xr", "gssf_c1"])
+def test_jet_matches_sympy_oracle(name):
+    spec = builtin(name).spec
+    oracle = _sympy_tensors(spec)
+    points = sample(spec, 3, seed=2024).points
+    j = jet(spec, points, 3)
+    engine = {"G_inv": j.G_inv}
+    for label in ("lc", "pr"):
+        cj = getattr(j, label)
+        engine.update({f"{label}.Gamma": cj.Gamma, f"{label}.R": cj.R,
+                       f"{label}.nabla_R": cj.nabla_R})
+    for key, values in engine.items():
+        for s, point in enumerate(points):
+            expected = np.array(oracle[key](*point.tolist()), dtype=float)
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            assert np.max(np.abs(values[s] - expected)) <= 1e-12 * scale, (key, s)
