@@ -85,7 +85,9 @@ class Jet(MetricJet):
     pr: ConnectionJet | None = None
 
     def connection(self, kind: str) -> ConnectionJet:
-        return {LEVI_CIVITA: self.lc, PROJECTIVE: self.pr}[kind]
+        if kind not in (LEVI_CIVITA, PROJECTIVE):
+            raise ValueError(f"unknown connection kind {kind!r}")
+        return self.lc if kind == LEVI_CIVITA else self.pr
 
 
 @dataclass

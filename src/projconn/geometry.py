@@ -35,6 +35,7 @@ __all__ = [
     "SampleSet",
     "load_spec",
     "spec_to_text",
+    "table_values",
     "metric_jet",
     "metric_at",
     "pi_at",
@@ -502,7 +503,7 @@ def spec_to_text(spec: ManifoldSpec) -> str:
 # evaluation at points
 
 
-def point_text(point) -> str:
+def _point_text(point) -> str:
     """A point as plain floats, for messages."""
     return "(" + ", ".join(repr(float(x)) for x in point) + ")"
 
@@ -516,7 +517,7 @@ def table_values(spec: ManifoldSpec, name: str, order: int, points) -> np.ndarra
         try:
             out.append(spec.tables.values(name, order, spec.env(point)))
         except ex.EvalError as err:
-            raise type(err)(f"{err.reason} at {point_text(point)}", err.subexpr) from None
+            raise type(err)(f"{err.reason} at {_point_text(point)}", err.subexpr) from None
     return np.array(out)
 
 
@@ -536,9 +537,9 @@ def _require_spd(G: np.ndarray, points: np.ndarray) -> None:
     for point, g in zip(points, G):
         asym = float(np.max(np.abs(g - g.T)))
         if asym > 1e-12 * (1.0 + float(np.max(np.abs(g)))):
-            raise SpecError(f"metric is not symmetric at {point_text(point)} (defect {asym:.3e})")
+            raise SpecError(f"metric is not symmetric at {_point_text(point)} (defect {asym:.3e})")
         if not _is_spd(g):
-            raise NotSPDError(f"metric is not positive definite at {point_text(point)}")
+            raise NotSPDError(f"metric is not positive definite at {_point_text(point)}")
 
 
 def metric_jet(spec: ManifoldSpec, points, order: int = 1) -> MetricJet:
