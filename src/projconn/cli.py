@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -104,13 +105,20 @@ def _parse_tolerances(pairs) -> dict:
 
 
 def _emit(text: str, out_path: str | None):
-    sys.stdout.write(text)
     if not text.endswith("\n"):
-        sys.stdout.write("\n")
+        text += "\n"
     if out_path:
-        Path(out_path).write_text(
-            text if text.endswith("\n") else text + "\n", encoding="utf-8"
-        )
+        Path(out_path).write_text(text, encoding="utf-8")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (``projconn list | head -1``).  Point stdout
+        # at devnull so the flush at exit cannot fail again, and stop quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise SystemExit(EXIT_OK) from None
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ partials of the metric and of pi, never from numeric differencing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,6 +97,23 @@ class TensorField:
 
     components: np.ndarray
     variance: tuple[str, ...]
+    _jets: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def jet(self, coords: tuple[str, ...]) -> ex.CompiledTable:
+        """The components and their first partials stacked on a leading axis
+        of length 1 + n, differentiated and compiled once per coordinate
+        tuple."""
+        compiled = self._jets.get(coords)
+        if compiled is None:
+            comp = self.components
+            stacked = np.empty((1 + len(coords),) + comp.shape, dtype=object)
+            stacked[0] = comp
+            memo: dict = {}
+            for m, coord in enumerate(coords):
+                for idx in np.ndindex(comp.shape):
+                    stacked[(1 + m,) + idx] = ex.diff(comp[idx], coord, memo)
+            compiled = self._jets[coords] = ex.CompiledTable(stacked, coords)
+        return compiled
 
 
 @dataclass
@@ -301,19 +318,12 @@ def covariant_derivative(
         )
     if any(v not in ("u", "l") for v in variance):
         raise ValueError("variance entries must be 'u' or 'l'")
-    env = spec.env(point)
-    comp = field.components
-    rank = comp.ndim
+    rank = field.components.ndim
     if rank != len(variance):
         raise ValueError("variance length does not match component rank")
-    values = np.empty(comp.shape, dtype=float)
-    partials = np.empty((spec.n,) + comp.shape, dtype=float)
-    for idx in np.ndindex(comp.shape):
-        values[idx] = ex.evaluate(comp[idx], env)
-        for m, coord in enumerate(spec.coords):
-            partials[(m,) + idx] = ex.evaluate(ex.diff(comp[idx], coord), env)
     conn = connection_at(spec, conn_kind, point, order=0)
-    out = partials.copy()
+    jet = field.jet(spec.coords).values([point])[0]
+    values, out = jet[0], jet[1:]
     idx_letters = _LETTERS[:rank]
     for slot, v in enumerate(variance):
         letters = list(idx_letters)

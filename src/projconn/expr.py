@@ -13,15 +13,21 @@ naming either a coordinate or one of the built-in functions (sin, cos, tan,
 exp, log, sqrt, sinh, cosh).
 
 Trees are immutable, so they can be shared freely between threads and
-evaluated concurrently.  Differentiation is exact and closed over the node
-set; only constant folding and 0/1 identities are applied to keep derivative
-trees small (no canonical normalization).
+evaluated concurrently.  ``evaluate`` walks one tree at one point;
+``CompiledTable`` compiles an array of trees into one straight-line program
+with shared subexpressions and runs it on a whole batch of points.
+Differentiation is exact and closed over the node set; only constant
+folding and 0/1 identities are applied to keep derivative trees small (no
+canonical normalization).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "Expr",
@@ -42,6 +48,8 @@ __all__ = [
     "parse",
     "to_text",
     "evaluate",
+    "CompiledTable",
+    "point_text",
     "diff",
     "variables",
     "const",
@@ -390,6 +398,178 @@ def evaluate(e: Expr, env: dict) -> float:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def point_text(point) -> str:
+    """A point as plain floats, for messages."""
+    return "(" + ", ".join(repr(float(x)) for x in point) + ")"
+
+
+_BINARY_UFUNCS = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
+_COMMUTATIVE = (np.add, np.multiply)  # exact in IEEE arithmetic, so operands may swap
+_CALL_UFUNCS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "sinh": np.sinh,
+    "cosh": np.cosh,
+}
+
+
+def _compile(trees, coords: tuple[str, ...]):
+    """Straight-line code for the trees over the coordinates.
+
+    Registers 0..n-1 hold the coordinates; every distinct operation
+    (ufunc, operand, operand) gets the next register, so subexpressions that
+    recur within or across the trees -- by identity or by structure -- are
+    computed once.  Operands are registers, or constants numbered after the
+    last register.  Returns (code, output registers, register count,
+    registers of unbound variables, constants).
+    """
+    registers = {name: r for r, name in enumerate(coords)}
+    unbound = []
+    ops: dict[tuple, int] = {}
+    code = []
+    constants: dict[tuple[float, float], int] = {}
+    seen: dict[int, int] = {}  # id(node) -> operand; the trees keep every node alive
+
+    def constant(value: float) -> int:
+        key = (value, math.copysign(1.0, value))  # keeps 0.0 and -0.0 apart
+        if key not in constants:
+            constants[key] = len(constants)
+        return ~constants[key]
+
+    def variable(name: str) -> int:
+        if name not in registers:
+            registers[name] = len(registers) + len(code)
+            unbound.append(registers[name])
+        return registers[name]
+
+    def emit(fn, a: int, b: int | None = None) -> int:
+        if fn in _COMMUTATIVE and b < a:
+            a, b = b, a
+        key = (fn, a, b)
+        if key not in ops:
+            ops[key] = len(registers) + len(code)
+            code.append((fn, a, b, ops[key]))
+        return ops[key]
+
+    def visit(e: Expr) -> int:
+        operand = seen.get(id(e))
+        if operand is None:
+            kind = type(e)
+            if kind is Const:
+                operand = constant(e.value)
+            elif kind is Var:
+                operand = variable(e.name)
+            elif kind is Neg:
+                operand = emit(np.negative, visit(e.arg))
+            elif kind is Pow:
+                operand = emit(np.power, visit(e.base), constant(float(e.exponent)))
+            elif kind is Call:
+                operand = emit(_CALL_UFUNCS[e.func], visit(e.arg))
+            elif kind in _BINARY_UFUNCS:
+                operand = emit(_BINARY_UFUNCS[kind], visit(e.left), visit(e.right))
+            else:
+                raise TypeError(f"not an expression node: {e!r}")
+            seen[id(e)] = operand
+        return operand
+
+    outputs = [visit(tree) for tree in trees]
+    count = len(registers) + len(code)
+
+    def slot(operand: int | None) -> int | None:
+        return operand if operand is None or operand >= 0 else count + ~operand
+
+    code = [(fn, slot(a), slot(b), r) for fn, a, b, r in code]
+    return code, outputs, count, unbound, [value for value, _ in constants]
+
+
+class CompiledTable:
+    """An object array of trees, compiled into a straight-line program over
+    the coordinates and evaluated on a batch of points at a time.
+
+    Constant entries are baked into a template; the program computes the
+    varying ones in a register file with one row per distinct operation and
+    one column per point, and one fancy index gathers them.  The program is
+    compiled on first use, except that a first evaluation at a single point
+    walks the trees instead: a chart loaded for one point query would spend
+    longer compiling than walking.
+
+    In IEEE arithmetic every domain error of the scalar ``evaluate`` leaves
+    a non-finite register: division by zero and zero to a negative power give
+    an infinity, log of x <= 0 gives -inf or nan, sqrt of x < 0 gives nan,
+    and overflow in exp, sinh, cosh or a power gives an infinity; an unbound
+    variable is a row of nan.  So one mask, the points with a non-finite
+    register, covers them all.  Each masked point is evaluated again by
+    ``evaluate``, which either raises the scalar error, with the point named
+    in its message, or supplies that point's values.  Points are taken in
+    order, so the error is the first the scalar walk would meet.
+    """
+
+    def __init__(self, table: np.ndarray, coords: Sequence[str]):
+        self.shape = table.shape
+        self.coords = tuple(coords)
+        flat = table.reshape(-1).tolist()
+        self.template = np.array([e.value if isinstance(e, Const) else 0.0 for e in flat])
+        index = [k for k, e in enumerate(flat) if not isinstance(e, Const)]
+        self.trees = [flat[k] for k in index]
+        self.index = np.array(index, dtype=np.intp)
+        self._program = None
+        self._evaluated = False
+
+    @property
+    def operations(self) -> int:
+        """Instructions in the program: one per distinct operation."""
+        return len(self._compiled()[0])
+
+    def values(self, points) -> np.ndarray:
+        """The table at each of the (S, n) points, shape (S,) + table shape."""
+        points = np.asarray(points, dtype=float)
+        out = np.empty((points.shape[0], self.template.size))
+        out[:] = self.template
+        if self.trees:
+            if len(points) == 1 and not self._evaluated:
+                out[0, self.index] = self._evaluate_at(points[0])
+            else:
+                registers, outputs = self._run(points)
+                out[:, self.index] = registers[outputs].T
+                for s in np.flatnonzero(~np.isfinite(registers).all(axis=0)):
+                    out[s, self.index] = self._evaluate_at(points[s])
+            self._evaluated = True
+        return out.reshape((points.shape[0],) + self.shape)
+
+    def _compiled(self):
+        if self._program is None:
+            self._program = _compile(self.trees, self.coords)
+        return self._program
+
+    def _run(self, points: np.ndarray):
+        """The register file after one pass over the points, and the
+        registers holding the varying entries."""
+        code, outputs, count, unbound, constants = self._compiled()
+        registers = np.empty((count, points.shape[0]))
+        registers[: len(self.coords)] = points.T
+        if unbound:
+            registers[unbound] = np.nan
+        operands = [*registers, *constants]
+        with np.errstate(all="ignore"):
+            for fn, a, b, r in code:
+                if b is None:
+                    fn(operands[a], out=operands[r])
+                else:
+                    fn(operands[a], operands[b], out=operands[r])
+        return registers, outputs
+
+    def _evaluate_at(self, point) -> list[float]:
+        env = dict(zip(self.coords, point.tolist()))
+        try:
+            return [evaluate(tree, env) for tree in self.trees]
+        except EvalError as err:
+            raise type(err)(f"{err.reason} at {point_text(point)}", err.subexpr) from None
+
+
 # ---------------------------------------------------------------------------
 # differentiation (with light simplification)
 
@@ -474,55 +654,73 @@ def _call(func: str, arg: Expr) -> Expr:
     return Call(func, arg)
 
 
-def diff(e: Expr, var: str) -> Expr:
+def diff(e: Expr, var: str, memo: dict | None = None) -> Expr:
     """Exact partial derivative with respect to the named coordinate.
 
     Repeated application is supported to any order; the derivative of an
-    expression not containing var is the zero constant.
+    expression not containing var is the zero constant.  ``memo`` maps
+    (node identity, var) to the node and its derivative, so a subtree shared
+    within one tree, or across the calls given the same memo, is
+    differentiated once and its derivative is shared in turn.  The result is
+    structurally the same with or without it.
     """
     if isinstance(e, Const):
         return Const(0.0)
     if isinstance(e, Var):
         return Const(1.0 if e.name == var else 0.0)
+    if memo is None:
+        memo = {}
+    key = (id(e), var)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit[1]
     if isinstance(e, Neg):
-        return _neg(diff(e.arg, var))
-    if isinstance(e, Add):
-        return add(diff(e.left, var), diff(e.right, var))
-    if isinstance(e, Sub):
-        return _sub(diff(e.left, var), diff(e.right, var))
-    if isinstance(e, Mul):
-        return add(
-            mul(diff(e.left, var), e.right),
-            mul(e.left, diff(e.right, var)),
+        result = _neg(diff(e.arg, var, memo))
+    elif isinstance(e, Add):
+        result = add(diff(e.left, var, memo), diff(e.right, var, memo))
+    elif isinstance(e, Sub):
+        result = _sub(diff(e.left, var, memo), diff(e.right, var, memo))
+    elif isinstance(e, Mul):
+        result = add(
+            mul(diff(e.left, var, memo), e.right),
+            mul(e.left, diff(e.right, var, memo)),
         )
-    if isinstance(e, Div):
+    elif isinstance(e, Div):
         numerator = _sub(
-            mul(diff(e.left, var), e.right),
-            mul(e.left, diff(e.right, var)),
+            mul(diff(e.left, var, memo), e.right),
+            mul(e.left, diff(e.right, var, memo)),
         )
-        return _div(numerator, _pow(e.right, 2))
-    if isinstance(e, Pow):
-        du = diff(e.base, var)
-        return mul(mul(Const(float(e.exponent)), _pow(e.base, e.exponent - 1)), du)
-    if isinstance(e, Call):
-        u = e.arg
-        du = diff(u, var)
-        if e.func == "sin":
-            return mul(_call("cos", u), du)
-        if e.func == "cos":
-            return _neg(mul(_call("sin", u), du))
-        if e.func == "tan":
-            return _div(du, _pow(_call("cos", u), 2))
-        if e.func == "exp":
-            return mul(_call("exp", u), du)
-        if e.func == "log":
-            return _div(du, u)
-        if e.func == "sqrt":
-            return _div(du, mul(Const(2.0), _call("sqrt", u)))
-        if e.func == "sinh":
-            return mul(_call("cosh", u), du)
-        if e.func == "cosh":
-            return mul(_call("sinh", u), du)
+        result = _div(numerator, _pow(e.right, 2))
+    elif isinstance(e, Pow):
+        du = diff(e.base, var, memo)
+        result = mul(mul(Const(float(e.exponent)), _pow(e.base, e.exponent - 1)), du)
+    elif isinstance(e, Call):
+        result = _diff_call(e, diff(e.arg, var, memo))
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    memo[key] = (e, result)  # holding e keeps its identity from being reused
+    return result
+
+
+def _diff_call(e: Call, du: Expr) -> Expr:
+    """Chain rule for a built-in function of u, given du."""
+    func, u = e.func, e.arg
+    if func == "sin":
+        return mul(_call("cos", u), du)
+    if func == "cos":
+        return _neg(mul(_call("sin", u), du))
+    if func == "tan":
+        return _div(du, _pow(_call("cos", u), 2))
+    if func == "exp":
+        return mul(_call("exp", u), du)
+    if func == "log":
+        return _div(du, u)
+    if func == "sqrt":
+        return _div(du, mul(Const(2.0), _call("sqrt", u)))
+    if func == "sinh":
+        return mul(_call("cosh", u), du)
+    if func == "cosh":
+        return mul(_call("sinh", u), du)
     raise TypeError(f"not an expression node: {e!r}")
 
 

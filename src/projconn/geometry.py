@@ -35,7 +35,6 @@ __all__ = [
     "SampleSet",
     "load_spec",
     "spec_to_text",
-    "table_values",
     "metric_jet",
     "metric_at",
     "pi_at",
@@ -75,7 +74,8 @@ class ChartTables:
 
     Tables are object arrays of Expr; the table of order k has shape
     (n,)*k + base_shape with derivative axes first.  Building is idempotent,
-    so concurrent lazy fills at worst recompute.
+    so concurrent lazy fills at worst recompute.  ``values`` evaluates a
+    table on a batch of points through its compiled program.
     """
 
     def __init__(self, spec: "ManifoldSpec"):
@@ -104,7 +104,10 @@ class ChartTables:
         if None not in (spec.f1, spec.f2, spec.f3):
             self._base["f"] = np.array([spec.f1, spec.f2, spec.f3], dtype=object)
         self._cache: dict[tuple[str, int], np.ndarray] = {}
-        self._eval_plans: dict[tuple[str, int], tuple[np.ndarray, list]] = {}
+        # Shared by every table, so a subtree common to several entries or
+        # orders (pi shares g's entries) is differentiated once.
+        self._diff_memo: dict = {}
+        self._compiled: dict[tuple[str, int], ex.CompiledTable] = {}
 
     def table(self, name: str, order: int) -> np.ndarray:
         if order == 0:
@@ -118,34 +121,24 @@ class ChartTables:
         out = np.empty((n,) + prev.shape, dtype=object)
         for m, coord in enumerate(self.coords):
             for idx in np.ndindex(prev.shape):
-                out[(m,) + idx] = ex.diff(prev[idx], coord)
+                out[(m,) + idx] = ex.diff(prev[idx], coord, self._diff_memo)
         self._cache[key] = out
         return out
 
-    def values(self, name: str, order: int, env: dict) -> np.ndarray:
-        # Constant entries dominate these tables (derivative tables of flat
-        # charts are entirely constant), so they are baked into a template
-        # once and only the genuinely varying entries are walked per point.
+    def values(self, name: str, order: int, points) -> np.ndarray:
+        """The table at each of a batch of points, with a leading sample
+        axis.  Each table is compiled once (``expr.CompiledTable``); an
+        evaluation error names the first point the scalar walk fails at."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.shape[1] != len(self.coords):
+            raise SpecError(
+                f"point has {points.shape[1]} coordinates, chart has {len(self.coords)}"
+            )
         key = (name, order)
-        plan = self._eval_plans.get(key)
-        if plan is None:
-            table = self.table(name, order)
-            template = np.zeros(table.shape, dtype=float)
-            varying = []
-            flat = table.reshape(-1)
-            for k in range(flat.size):
-                tree = flat[k]
-                if isinstance(tree, ex.Const):
-                    template.flat[k] = tree.value
-                else:
-                    varying.append((k, tree))
-            plan = (template, varying)
-            self._eval_plans[key] = plan
-        template, varying = plan
-        out = template.copy()
-        for k, tree in varying:
-            out.flat[k] = ex.evaluate(tree, env)
-        return out
+        compiled = self._compiled.get(key)
+        if compiled is None:
+            compiled = self._compiled[key] = ex.CompiledTable(self.table(name, order), self.coords)
+        return compiled.values(points)
 
 
 @dataclass
@@ -180,13 +173,6 @@ class ManifoldSpec:
         if self._tables is None:
             self._tables = ChartTables(self)
         return self._tables
-
-    def env(self, point) -> dict:
-        if len(point) != self.n:
-            raise SpecError(
-                f"point has {len(point)} coordinates, chart has {self.n}"
-            )
-        return dict(zip(self.coords, (float(x) for x in point)))
 
     def require_dimension_above_two(self):
         if self.n <= 2:
@@ -503,24 +489,6 @@ def spec_to_text(spec: ManifoldSpec) -> str:
 # evaluation at points
 
 
-def _point_text(point) -> str:
-    """A point as plain floats, for messages."""
-    return "(" + ", ".join(repr(float(x)) for x in point) + ")"
-
-
-def table_values(spec: ManifoldSpec, name: str, order: int, points) -> np.ndarray:
-    """One table at each of a batch of points, stacked along a leading sample
-    axis: one scalar evaluation pass per sample.  An evaluation error names
-    the point."""
-    out = []
-    for point in points:
-        try:
-            out.append(spec.tables.values(name, order, spec.env(point)))
-        except ex.EvalError as err:
-            raise type(err)(f"{err.reason} at {_point_text(point)}", err.subexpr) from None
-    return np.array(out)
-
-
 def _is_spd(G: np.ndarray) -> bool:
     try:
         np.linalg.cholesky(G)
@@ -537,14 +505,14 @@ def _require_spd(G: np.ndarray, points: np.ndarray) -> None:
     for point, g in zip(points, G):
         asym = float(np.max(np.abs(g - g.T)))
         if asym > 1e-12 * (1.0 + float(np.max(np.abs(g)))):
-            raise SpecError(f"metric is not symmetric at {_point_text(point)} (defect {asym:.3e})")
+            raise SpecError(f"metric is not symmetric at {ex.point_text(point)} (defect {asym:.3e})")
         if not _is_spd(g):
-            raise NotSPDError(f"metric is not positive definite at {_point_text(point)}")
+            raise NotSPDError(f"metric is not positive definite at {ex.point_text(point)}")
 
 
 def metric_jet(spec: ManifoldSpec, points, order: int = 1) -> MetricJet:
     """The metric stage of the sample-set jet: every table the order needs,
-    evaluated once per sample, stacked along a leading sample axis.
+    evaluated once on the whole batch, with a leading sample axis.
 
     Symbolic partials make the derivative arrays exact up to rounding in the
     final arithmetic.
@@ -552,7 +520,7 @@ def metric_jet(spec: ManifoldSpec, points, order: int = 1) -> MetricJet:
     points = np.atleast_2d(np.asarray(points, dtype=float))
 
     def table(name: str, k: int, needed: bool = True):
-        return table_values(spec, name, k, points) if needed else None
+        return spec.tables.values(name, k, points) if needed else None
 
     G = table("g", 0)
     _require_spd(G, points)

@@ -20,7 +20,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .geometry import ManifoldSpec, SpecError, sample, table_values
+from .geometry import ManifoldSpec, SpecError, sample
 from .connections import check_parallel_unit_xi
 from .curvature import (
     derivation_all_frames,
@@ -337,8 +337,8 @@ def _gssf_columns(spec, j) -> dict:
     lam = lam_scale(n)
     eye = np.eye(n)
     G, pi, xi, R = j.G, j.pi, j.xi, j.lc.R
-    phi = table_values(spec, "phi", 0, j.points)
-    f1, f2, f3 = table_values(spec, "f", 0, j.points).T[:, :, None, None, None, None]
+    phi = spec.tables.values("phi", 0, j.points)
+    f1, f2, f3 = spec.tables.values("f", 0, j.points).T[:, :, None, None, None, None]
     square = np.einsum("sim,smj->sij", phi, phi) + eye - np.einsum("si,sj->sij", xi, pi)
     kills_field = np.einsum("sij,sj->si", phi, xi)
     unit = np.abs(np.einsum("si,si->s", pi, xi) - 1.0)

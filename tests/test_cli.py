@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from projconn.cli import main
+from projconn.expr import point_text
+from projconn.geometry import load_spec, sample
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -208,6 +210,17 @@ def test_evaluation_error_exits_3_naming_point_and_subexpression(tmp_path, capsy
     )
     assert code == 3
     assert err.strip() == "error: log of a non-positive value at (-0.5, 0.0, 0.0) in 'log(x)'"
+    # A chunk is evaluated as a whole; the message still names the first bad
+    # sample, here one inside the first chunk.
+    path.write_text(BAD_LOG_CHART.replace("box[0] = -1, 1", "box[0] = -0.2, 1"), encoding="utf-8")
+    samples = sample(load_spec(path), 40, seed=42)
+    first_bad = int(np.flatnonzero(samples.points[:, 0] <= 0.0)[0])
+    assert 0 < first_bad < samples.chunks()[0][1]
+    code, _, err = run_cli(capsys, "verify", "--file", str(path), "--samples", "40")
+    assert code == 3
+    assert err.strip() == (
+        f"error: log of a non-positive value at {point_text(samples.points[first_bad])} in 'log(x)'"
+    )
 
 
 def test_not_spd_message_prints_plain_floats(tmp_path, capsys):
@@ -250,3 +263,20 @@ def test_cli_import_does_not_load_scipy():
     proc = _python("-c", "import sys, projconn.cli; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_closed_pipe_exits_quietly():
+    # No reader at all: the read end is closed before the child starts, so
+    # its first flush meets a broken pipe.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "projconn.cli", "list"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr

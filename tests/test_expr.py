@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from projconn import expr as ex
-from exprgen import central_difference, seeded_pairs
+from exprgen import central_difference, random_expr, seeded_pairs
 
 # strings that must survive a parse -> print -> parse round trip unchanged
 ROUND_TRIP_CORPUS = [
@@ -205,3 +205,143 @@ def test_printer_negative_constant_evaluates_equal():
         assert ex.evaluate(reparsed, {"x": x}) == pytest.approx(
             ex.evaluate(tree, {"x": x}), abs=1e-15
         )
+
+
+_DERIVATIVE = {
+    "sin": math.cos,
+    "cos": math.sin,  # magnitudes only
+    "tan": lambda a: 1.0 / math.cos(a) ** 2,
+    "exp": math.exp,
+    "log": lambda a: 1.0 / a,
+    "sqrt": lambda a: 0.5 / math.sqrt(a) if a else math.inf,
+    "sinh": math.cosh,
+    "cosh": math.sinh,
+}
+
+
+def _value_and_spread(e, env):
+    """The scalar value of e and a first-order bound on how far it moves, in
+    units of one relative rounding error, when every operation of the walk
+    rounds differently by up to one unit: each operation contributes its own
+    magnitude plus its operands' spreads times its partials."""
+    if isinstance(e, ex.Const):
+        return e.value, 0.0
+    if isinstance(e, ex.Var):
+        return env[e.name], 0.0
+    if isinstance(e, ex.Neg):
+        value, spread = _value_and_spread(e.arg, env)
+        return -value, spread
+    if isinstance(e, ex.Pow):
+        base, spread = _value_and_spread(e.base, env)
+        value = base**e.exponent
+        return value, abs(e.exponent * base ** (e.exponent - 1)) * spread + abs(value)
+    if isinstance(e, ex.Call):
+        arg, spread = _value_and_spread(e.arg, env)
+        value = ex.FUNCTIONS[e.func](arg)
+        carried = abs(_DERIVATIVE[e.func](arg)) * spread if spread else 0.0
+        return value, carried + abs(value)
+    a, sa = _value_and_spread(e.left, env)
+    b, sb = _value_and_spread(e.right, env)
+    if isinstance(e, ex.Add):
+        value, spread = a + b, sa + sb
+    elif isinstance(e, ex.Sub):
+        value, spread = a - b, sa + sb
+    elif isinstance(e, ex.Mul):
+        value, spread = a * b, abs(b) * sa + abs(a) * sb
+    else:
+        value, spread = a / b, sa / abs(b) + abs(a) * sb / b**2
+    return value, spread + abs(value)
+
+
+def _scalar_table(trees, coords, points):
+    """The reference: every tree walked at every point in order, the first
+    error named at its point."""
+    out = np.empty((len(points), len(trees)))
+    for s, point in enumerate(points):
+        env = dict(zip(coords, (float(x) for x in point)))
+        for k, tree in enumerate(trees):
+            try:
+                out[s, k] = ex.evaluate(tree, env)
+            except ex.EvalError as err:
+                raise type(err)(f"{err.reason} at {ex.point_text(point)}", err.subexpr) from None
+    return out
+
+
+def _compiled_and_scalar(trees, coords, points):
+    """Evaluate the trees as one compiled table and by the scalar walk; an
+    error must match the walk's in type and message, and values must agree
+    to relative 1e-14 of the larger of the value and its rounding spread.
+    numpy's sin, exp, cosh, ... may differ from libm's by an ulp, and an
+    ill-conditioned tree (cancellation, tan near a pole, trig of a large
+    argument) magnifies that.  Returns the number of values compared, or
+    None when the walk raised."""
+    table = np.empty(len(trees), dtype=object)
+    table[:] = trees
+    try:
+        expected = _scalar_table(trees, coords, points)
+    except ex.EvalError as err:
+        with pytest.raises(type(err)) as batched:
+            ex.CompiledTable(table, coords).values(points)
+        assert str(batched.value) == str(err)
+        return None
+    got = ex.CompiledTable(table, coords).values(points)
+    compared = 0
+    for s, point in enumerate(points):
+        env = dict(zip(coords, point.tolist()))
+        for k, tree in enumerate(trees):
+            value, spread = _value_and_spread(tree, env)
+            assert value == expected[s, k] or np.isnan(expected[s, k])
+            if not np.isfinite(value):
+                assert got[s, k] == value or np.isnan(value) and np.isnan(got[s, k])
+                continue
+            compared += 1
+            assert abs(got[s, k] - value) <= 1e-14 * max(abs(value), spread), ex.to_text(tree)
+    return compared
+
+
+def test_compiled_table_matches_scalar_walk():
+    rng = np.random.default_rng(20240917)
+    raised = compared = 0
+    for _ in range(400):
+        trees = [random_expr(rng, 4) for _ in range(3)]
+        points = rng.uniform(-2.0, 2.0, size=(8, 2))
+        points[rng.integers(8), rng.integers(2)] = 0.0
+        count = _compiled_and_scalar(trees, ("x", "y"), points)
+        if count is None:
+            raised += 1
+        else:
+            compared += count
+    assert raised > 100 and compared > 2000
+
+
+def test_compiled_corpus_matches_scalar_walk():
+    trees = [ex.parse(text) for text in ROUND_TRIP_CORPUS]
+    coords = tuple(sorted(set().union(*(ex.variables(t) for t in trees))))
+    points = np.random.default_rng(3).uniform(0.1, 2.0, size=(16, len(coords)))
+    assert _compiled_and_scalar(trees, coords, points) == 16 * len(trees)
+    # later samples leave the domain: x^-2 at x = 0, then 1/sin(chi) at chi = 0
+    points[5, coords.index("x")] = 0.0
+    points[9, coords.index("chi")] = 0.0
+    assert _compiled_and_scalar(trees, coords, points) is None
+    # a variable the chart does not have
+    assert _compiled_and_scalar(trees, coords[1:], points[:, 1:]) is None
+
+
+def test_compiled_table_shares_subexpressions():
+    table = np.empty(3, dtype=object)
+    table[:] = [ex.parse("x*y+sin(x*y)"), ex.parse("sin(y*x)"), ex.Const(2.5)]
+    compiled = ex.CompiledTable(table, ("x", "y"))
+    assert compiled.operations == 3  # x*y, its sine and the sum
+    got = compiled.values([[0.5, 2.0], [1.0, -1.0]])
+    for point, row in zip([(0.5, 2.0), (1.0, -1.0)], got):
+        p = point[0] * point[1]
+        assert row.tolist() == pytest.approx([p + math.sin(p), math.sin(p), 2.5], rel=1e-15)
+
+
+def test_diff_memo_shares_without_changing_structure():
+    memo = {}
+    for tree, _ in seeded_pairs(50, seed=11):
+        shared = ex.diff(tree, "x", memo)
+        assert shared == ex.diff(tree, "x")
+        if not isinstance(tree, (ex.Const, ex.Var)):
+            assert ex.diff(tree, "x", memo) is shared

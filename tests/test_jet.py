@@ -9,7 +9,7 @@ from projconn import geometry
 from projconn import expr as ex
 from projconn.catalog import builtin
 from projconn.curvature import jet
-from projconn.geometry import sample
+from projconn.geometry import load_spec, sample
 from projconn.theorems import run_checks
 
 
@@ -95,3 +95,56 @@ def test_jet_matches_sympy_oracle(name):
             expected = np.array(oracle[key](*point.tolist()), dtype=float)
             scale = max(1.0, float(np.max(np.abs(expected))))
             assert np.max(np.abs(values[s] - expected)) <= 1e-12 * scale, (key, s)
+
+
+# (x, y, z) x t with g_tt = 1 and xi = d_t, the 3x3 block mixing exp, cosh,
+# sinh, sqrt, log and sin with off-diagonal terms; SPD on the box by
+# diagonal dominance.  No catalog chart has transcendental coefficients.
+WARPED_CHART = """
+name = warped_fixed
+dim = 4
+coords = x, y, z, t
+g[0][0] = 3.21 + exp(1.27*x)*sqrt(1 + y^2)/cosh(0.97*z)
+g[0][1] = 0.3*sinh(1.02*x*y)
+g[0][2] = 0.28*sin(x*z)*exp(y)
+g[0][3] = 0
+g[1][1] = 3.07 + cosh(1.2*y)*log(2 + x*z)
+g[1][2] = 0.29*cos(x + y*z)
+g[1][3] = 0
+g[2][2] = 3.48 + sin(1.32*x + y)*exp(-1.04*z)
+g[2][3] = 0
+g[3][3] = 1
+xi[0] = 0
+xi[1] = 0
+xi[2] = 0
+xi[3] = 1
+box[0] = -0.5, 0.5
+box[1] = -0.5, 0.5
+box[2] = -0.5, 0.5
+box[3] = -0.5, 0.5
+"""
+
+
+def test_transcendental_tables_match_sympy():
+    spec = load_spec(WARPED_CHART)
+    n = spec.n
+    x = sp.symbols(spec.coords)
+    names = dict(zip(spec.coords, x))
+
+    def parse(tree):
+        return sp.sympify(ex.to_text(tree).replace("^", "**"), locals=names)
+
+    g = [[parse(e) for e in row] for row in spec.g]
+    xi = [parse(e) for e in spec.xi]
+    pi = [sum(g[i][j] * xi[j] for j in range(n)) for i in range(n)]
+    points = sample(spec, 3, seed=2024).points
+    for name, table in (("g", sp.Array(g)), ("pi", sp.Array(pi))):
+        for order in range(4):
+            if order:
+                table = sp.derive_by_array(table, x)  # derivative axis first
+            oracle = sp.lambdify(x, table.tolist(), "math")
+            got = spec.tables.values(name, order, points)
+            for s, point in enumerate(points):
+                expected = np.array(oracle(*point.tolist()), dtype=float)
+                scale = max(1.0, float(np.max(np.abs(expected))))
+                assert np.max(np.abs(got[s] - expected)) <= 1e-12 * scale, (name, order, s)
