@@ -244,16 +244,23 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise _UsageError(f"--samples must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be non-negative, got {args.seed}")
     spec = _load_manifold(args)
     tolerances = _parse_tolerances(args.tol)
     selected = None
     if args.check:
         selected = [c.strip() for c in args.check.split(",") if c.strip()]
     try:
+        samples = geometry.sample(spec, args.samples, args.seed)
+    except ValueError as err:  # an empty sampling box
+        raise _InputError(f"chart {spec.name!r}: {err}") from err
+    try:
         reports = theorems.run_checks(
             spec,
-            count=args.samples,
-            seed=args.seed,
+            samples,
             tolerances=tolerances,
             selected=selected,
         )

@@ -7,7 +7,8 @@ Slot convention, fixed once and used by every downstream tensor: in
 argument, i.e. the covariant derivative of the j-th coordinate field along
 the i-th has k-th component ``Gamma[k, i, j]``.  The torsionful connection
 makes this choice observable; it is validated by the two-path curvature
-check in the verification suite.
+check in the verification suite.  ``covariant`` is the one function that
+applies it to take a covariant derivative.
 
 The combined coefficient of the projective semi-symmetric connection is
 
@@ -42,12 +43,12 @@ __all__ = [
     "projective_coeffs_at",
     "connection_at",
     "coefficient_jets",
-    "pi_gradient",
     "one_forms_at",
     "torsion_at",
     "torsion_components",
     "nonmetricity_at",
     "nonmetricity_components",
+    "covariant",
     "covariant_derivative",
     "pi_field",
     "xi_field",
@@ -106,12 +107,7 @@ class TensorField:
         compiled = self._jets.get(coords)
         if compiled is None:
             comp = self.components
-            stacked = np.empty((1 + len(coords),) + comp.shape, dtype=object)
-            stacked[0] = comp
-            memo: dict = {}
-            for m, coord in enumerate(coords):
-                for idx in np.ndindex(comp.shape):
-                    stacked[(1 + m,) + idx] = ex.diff(comp[idx], coord, memo)
+            stacked = np.concatenate((comp[None], ex.partials(comp, coords, {})))
             compiled = self._jets[coords] = ex.CompiledTable(stacked, coords)
         return compiled
 
@@ -219,11 +215,6 @@ def projective_coeffs_at(spec: ManifoldSpec, point, order: int = 1) -> Connectio
     return connection_at(spec, PROJECTIVE, point, order)
 
 
-def pi_gradient(mj: MetricJet, Gamma: np.ndarray) -> np.ndarray:
-    """(D_m pi)_i under the connection with (batched) coefficients Gamma."""
-    return mj.dpi - np.einsum("spmi,sp->smi", Gamma, mj.pi)
-
-
 def one_forms_at(spec: ManifoldSpec, point) -> OneFormPair:
     pi = geometry.pi_at(spec, point).components
     n = spec.n
@@ -297,7 +288,30 @@ def metric_field(spec: ManifoldSpec) -> TensorField:
     return TensorField(spec.tables.table("g", 0), ("l", "l"))
 
 
-_LETTERS = "abcdefgh"
+_SLOTS = "abcdefgh"  # slot labels; s (sample), m (direction), p (summed) stay free
+
+
+def covariant(Gamma: np.ndarray, T: np.ndarray, dT: np.ndarray, variance) -> np.ndarray:
+    """Covariant derivative of a tensor at a batch of points, the package's
+    one copy of the rule.
+
+    ``Gamma[s,k,i,j]`` are the connection's coefficients, ``T[s,...]`` the
+    tensor and ``dT[s,m,...]`` its partials; ``variance`` marks each slot
+    'u' (vector) or 'l' (covector).  The result is
+    ``out[s,m,...] = (D_m T)[...]``: +Gamma per upper slot and -Gamma per
+    lower slot, the direction m in Gamma's middle slot, one two-operand
+    einsum per slot.
+    """
+    idx = _SLOTS[: len(variance)]
+    out = dT
+    for slot, v in enumerate(variance):
+        c = idx[slot]
+        src = idx[:slot] + "p" + idx[slot + 1:]
+        if v == "u":
+            out = out + np.einsum(f"s{c}mp,s{src}->sm{idx}", Gamma, T)
+        else:
+            out = out - np.einsum(f"spm{c},s{src}->sm{idx}", Gamma, T)
+    return out
 
 
 def covariant_derivative(
@@ -307,8 +321,7 @@ def covariant_derivative(
 
     The result has one extra lower index, prepended: out[m, ...] is the
     derivative along the m-th coordinate.  Partials of the components are
-    exact (symbolic); the connection term is +Gamma per upper slot and
-    -Gamma per lower slot under the package slot convention.
+    exact (symbolic); the connection term is ``covariant`` at one sample.
     """
     variance = tuple(field.variance)
     if len(variance) > 4 or variance.count("u") > 1:
@@ -318,22 +331,11 @@ def covariant_derivative(
         )
     if any(v not in ("u", "l") for v in variance):
         raise ValueError("variance entries must be 'u' or 'l'")
-    rank = field.components.ndim
-    if rank != len(variance):
+    if field.components.ndim != len(variance):
         raise ValueError("variance length does not match component rank")
     conn = connection_at(spec, conn_kind, point, order=0)
-    jet = field.jet(spec.coords).values([point])[0]
-    values, out = jet[0], jet[1:]
-    idx_letters = _LETTERS[:rank]
-    for slot, v in enumerate(variance):
-        letters = list(idx_letters)
-        contracted = letters[slot]
-        letters[slot] = "p"
-        src = "".join(letters)
-        if v == "u":
-            out += np.einsum(f"{contracted}mp,{src}->m{idx_letters}", conn.Gamma, values)
-        else:
-            out -= np.einsum(f"pm{contracted},{src}->m{idx_letters}", conn.Gamma, values)
+    jet = field.jet(spec.coords).values([point])
+    out = covariant(conn.Gamma[None], jet[:, 0], jet[:, 1:], variance)[0]
     return TensorValue(conn.point, out, ("l",) + variance)
 
 
@@ -348,7 +350,7 @@ def parallel_unit_xi_residuals(spec: ManifoldSpec, samples) -> tuple[float, floa
     unit_max = 0.0
     for lo, hi in samples.chunks():
         mj = metric_jet(spec, samples.points[lo:hi], order=1)
-        nabla_pi = pi_gradient(mj, _lc_pieces(mj, 0)[0])
+        nabla_pi = covariant(_lc_pieces(mj, 0)[0], mj.pi, mj.dpi, "l")
         unit = np.einsum("si,si->s", mj.pi, mj.xi) - 1.0
         nabla_max = max(nabla_max, float(np.max(np.abs(nabla_pi))))
         unit_max = max(unit_max, float(np.max(np.abs(unit))))

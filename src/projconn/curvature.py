@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GateError, ManifoldSpec, MetricJet, metric_jet
-from .connections import LEVI_CIVITA, PROJECTIVE, coefficient_jets, pi_gradient
+from .connections import LEVI_CIVITA, PROJECTIVE, coefficient_jets, covariant
 
 __all__ = [
     "ConnectionJet",
@@ -45,8 +45,7 @@ __all__ = [
     "theta_beta_at",
     "ricci_at",
     "ricci_shifts",
-    "ricci_partials",
-    "nabla_curvature",
+    "ricci_contraction",
     "projective_tensor",
     "projective_at",
     "derivation_apply",
@@ -161,27 +160,15 @@ def _riemann_partials(
     return term_a - term_b + quad
 
 
-def _nabla_curvature(Gamma: np.ndarray, R: np.ndarray, dR: np.ndarray) -> np.ndarray:
-    """Covariant derivative of the curvature with respect to its own
-    connection: out[s,m,l,i,j,k] = (D_m R)[l,i,j,k]."""
-    return (
-        dR
-        + np.einsum("slmp,spijk->smlijk", Gamma, R)
-        - np.einsum("spmi,slpjk->smlijk", Gamma, R)
-        - np.einsum("spmj,slipk->smlijk", Gamma, R)
-        - np.einsum("spmk,slijp->smlijk", Gamma, R)
-    )
-
-
 def _connection_jet(G, Gamma, dGamma, d2Gamma) -> ConnectionJet:
     cj = ConnectionJet(Gamma, dGamma, d2Gamma)
     if dGamma is not None:
         cj.R = _riemann_components(Gamma, dGamma)
         cj.Rlow = np.einsum("slm,smijk->sijkl", G, cj.R)
-        cj.S = np.einsum("siijk->sjk", cj.R)
+        cj.S = ricci_contraction(cj.R)
     if d2Gamma is not None:
         cj.dR = _riemann_partials(Gamma, dGamma, d2Gamma)
-        cj.nabla_R = _nabla_curvature(Gamma, cj.R, cj.dR)
+        cj.nabla_R = covariant(Gamma, cj.R, cj.dR, "ulll")
     return cj
 
 
@@ -218,9 +205,10 @@ def ricci_shifts(j: Jet):
     return r, r_tilde, ricci_residual, np.abs(r_tilde - (r - c))
 
 
-def ricci_partials(dR: np.ndarray) -> np.ndarray:
-    """dS[..., m, j, k] = d_m S[j, k] from the curvature partials."""
-    return np.einsum("...miijk->...mjk", dR)
+def ricci_contraction(R: np.ndarray) -> np.ndarray:
+    """The first-slot contraction S[..., j, k] = R[..., i, i, j, k] over any
+    leading axes: the Ricci tensor from R, its partials d_m S from dR."""
+    return np.einsum("...iijk->...jk", R)
 
 
 def projective_tensor(R: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -265,12 +253,6 @@ def riemann_at(spec: ManifoldSpec, conn_kind: str, point, order: int = 0) -> Cur
     return CurvatureValue(conn_kind, tuple(j.points[0].tolist()), cj.R[0], cj.Rlow[0], dR)
 
 
-def nabla_curvature(spec: ManifoldSpec, conn_kind: str, point) -> np.ndarray:
-    """Covariant derivative of the curvature tensor with respect to its own
-    connection: out[m,l,i,j,k] = (D_m R)[l,i,j,k]."""
-    return jet(spec, [point], 3).connection(conn_kind).nabla_R[0]
-
-
 def rtilde_closed_form(spec: ManifoldSpec, point, X, Y, Z) -> np.ndarray:
     """Independent route to the projective connection's curvature on a
     parallel-unit-field chart: R(X,Y)Z + lam {pi(X)pi(Z) Y - pi(Y)pi(Z) X}."""
@@ -303,7 +285,7 @@ def theta_beta_at(spec: ManifoldSpec, point) -> ThetaBeta:
     """
     j = jet(spec, [point], 1)
     pi = j.pi[0]
-    nabla_pi = pi_gradient(j, j.lc.Gamma)[0]
+    nabla_pi = covariant(j.lc.Gamma, j.pi, j.dpi, "l")[0]
     n = spec.n
     a_coef = n / (n + 1.0)
     b_coef = -1.0 / (n + 1.0)

@@ -51,7 +51,9 @@ __all__ = [
     "CompiledTable",
     "point_text",
     "diff",
+    "partials",
     "variables",
+    "format_number",
     "const",
     "add",
     "mul",
@@ -307,7 +309,8 @@ def _precedence(e: Expr) -> int:
     return 9
 
 
-def _format_number(value: float) -> str:
+def format_number(value: float) -> str:
+    """A float as written in a document: integral values without a point."""
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
     return repr(value)
@@ -316,8 +319,8 @@ def _format_number(value: float) -> str:
 def _render(e: Expr) -> str:
     if isinstance(e, Const):
         if e.value < 0:
-            return "-" + _format_number(-e.value)
-        return _format_number(e.value)
+            return "-" + format_number(-e.value)
+        return format_number(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):
@@ -700,6 +703,17 @@ def diff(e: Expr, var: str, memo: dict | None = None) -> Expr:
         raise TypeError(f"not an expression node: {e!r}")
     memo[key] = (e, result)  # holding e keeps its identity from being reused
     return result
+
+
+def partials(table: np.ndarray, coords: Sequence[str], memo: dict) -> np.ndarray:
+    """The first partials of an object table of trees, with the derivative
+    axis first: out[m, ...] = d table[...] / d coords[m].  Every entry is
+    differentiated through the one ``memo`` (see ``diff``)."""
+    out = np.empty((len(coords),) + table.shape, dtype=object)
+    for m, coord in enumerate(coords):
+        for idx in np.ndindex(table.shape):
+            out[(m,) + idx] = diff(table[idx], coord, memo)
+    return out
 
 
 def _diff_call(e: Call, du: Expr) -> Expr:

@@ -116,13 +116,9 @@ class ChartTables:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        prev = self.table(name, order - 1)
-        n = len(self.coords)
-        out = np.empty((n,) + prev.shape, dtype=object)
-        for m, coord in enumerate(self.coords):
-            for idx in np.ndindex(prev.shape):
-                out[(m,) + idx] = ex.diff(prev[idx], coord, self._diff_memo)
-        self._cache[key] = out
+        out = self._cache[key] = ex.partials(
+            self.table(name, order - 1), self.coords, self._diff_memo
+        )
         return out
 
     def values(self, name: str, order: int, points) -> np.ndarray:
@@ -291,21 +287,31 @@ def _parse_json_document(text: str) -> dict:
     for key in ("dim", "name", "parallel_xi_expected", "f1", "f2", "f3", "coords"):
         if key in data:
             doc[key] = data[key]
-    if "g" in data:
-        for i, row in enumerate(data["g"]):
-            for j, entry in enumerate(row):
-                if entry is not None:
-                    doc["g"][(i, j)] = str(entry)
-    if "phi" in data:
-        for i, row in enumerate(data["phi"]):
-            for j, entry in enumerate(row):
-                doc["phi"][(i, j)] = str(entry)
-    if "xi" in data:
-        for i, entry in enumerate(data["xi"]):
-            doc["xi"][i] = str(entry)
-    if "box" in data:
-        for i, pair in enumerate(data["box"]):
-            doc["box"][i] = f"{pair[0]}, {pair[1]}"
+    if not isinstance(data.get("coords", []), (list, str)):
+        raise SpecError("JSON key 'coords' must be a list of names")
+
+    def rows(key: str) -> list:
+        value = data.get(key, [])
+        if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+            raise SpecError(f"JSON key {key!r} must be a list of lists")
+        return value
+
+    for i, row in enumerate(rows("g")):
+        for j, entry in enumerate(row):
+            if entry is not None:
+                doc["g"][(i, j)] = str(entry)
+    for i, row in enumerate(rows("phi")):
+        for j, entry in enumerate(row):
+            doc["phi"][(i, j)] = str(entry)
+    xi = data.get("xi", [])
+    if not isinstance(xi, list):
+        raise SpecError("JSON key 'xi' must be a list")
+    for i, entry in enumerate(xi):
+        doc["xi"][i] = str(entry)
+    for i, pair in enumerate(rows("box")):
+        if len(pair) != 2:
+            raise SpecError(f"box[{i}] must be a pair [lo, hi]")
+        doc["box"][i] = f"{pair[0]}, {pair[1]}"
     return doc
 
 
@@ -454,12 +460,6 @@ def load_spec(document: str | Path) -> ManifoldSpec:
     return _build_spec(_parse_kv_document(text))
 
 
-def _format_float(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
-
-
 def spec_to_text(spec: ManifoldSpec) -> str:
     """Deterministic key/value rendering; load_spec(spec_to_text(s)) == s."""
     lines = [
@@ -474,7 +474,7 @@ def spec_to_text(spec: ManifoldSpec) -> str:
     for i in range(spec.n):
         lines.append(f"xi[{i}] = {ex.to_text(spec.xi[i])}")
     for i, (lo, hi) in enumerate(spec.box):
-        lines.append(f"box[{i}] = {_format_float(lo)}, {_format_float(hi)}")
+        lines.append(f"box[{i}] = {ex.format_number(lo)}, {ex.format_number(hi)}")
     if spec.phi is not None:
         for i in range(spec.n):
             for j in range(spec.n):

@@ -21,13 +21,13 @@ from collections import defaultdict
 import numpy as np
 
 from .geometry import ManifoldSpec, SpecError, sample
-from .connections import check_parallel_unit_xi
+from .connections import check_parallel_unit_xi, covariant
 from .curvature import (
     derivation_all_frames,
     jet,
     lam_scale,
     projective_tensor,
-    ricci_partials,
+    ricci_contraction,
     ricci_shifts,
 )
 from .report import CheckReport
@@ -226,20 +226,11 @@ def _curvature_columns(spec, j) -> dict:
     return cols
 
 
-def _lc_nabla_ricci(Gamma: np.ndarray, S: np.ndarray, dS: np.ndarray) -> np.ndarray:
-    """Levi-Civita covariant derivative of a (0,2) tensor, out[s,m,j,k]."""
-    return (
-        dS
-        - np.einsum("spmj,spk->smjk", Gamma, S)
-        - np.einsum("spmk,sjp->smjk", Gamma, S)
-    )
-
-
 def _ricci_columns(spec, j) -> dict:
     _, _, ricci_residual, scalar_residual = ricci_shifts(j)
     Gamma = j.lc.Gamma
-    nabla_S = _lc_nabla_ricci(Gamma, j.lc.S, ricci_partials(j.lc.dR))
-    nabla_St = _lc_nabla_ricci(Gamma, j.pr.S, ricci_partials(j.pr.dR))
+    nabla_S = covariant(Gamma, j.lc.S, ricci_contraction(j.lc.dR), "ll")
+    nabla_St = covariant(Gamma, j.pr.S, ricci_contraction(j.pr.dR), "ll")
 
     def cyclic(T):
         return T + np.einsum("sjkm->smjk", T) + np.einsum("skmj->smjk", T)

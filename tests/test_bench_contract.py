@@ -2,12 +2,17 @@
 run time: the tracer wraps module-level functions, the family runners and
 ``ChartTables.values`` / ``ChartTables.table``, and the worker counts the
 nodes of the order-3 g table.  A change to those names would only show when
-the benchmark runs; these tests show it here."""
+the benchmark runs (as a per-layer metric reading 0); these tests show it
+here."""
 
+import importlib
 import importlib.util
+import re
+import types
 from pathlib import Path
 
 import projconn
+from projconn.geometry import ChartTables
 from projconn.catalog import builtin
 from projconn.theorems import run_checks
 
@@ -43,3 +48,25 @@ def test_worker_counts_table_nodes():
     assert table.shape == (3,) * 5
     assert sum(count_nodes(tree) for tree in table.reshape(-1)) >= table.size
     assert count_nodes(projconn.parse("x*sin(y)+1")) == 6
+
+
+# Spans the tracer or the worker wrap themselves, outside the package's functions.
+WORKER_SPANS = {"numpy.einsum", "catalog.load", "report.serialise"}
+
+
+def test_worker_reads_only_spans_that_exist():
+    source = (BENCH / "worker.py").read_text(encoding="utf-8")
+    names = set(
+        re.findall(r"tracer\.(?:calls|total|self_time)\([^,()]+,\s*\"([^\"]+)\"", source)
+    )
+    assert len(names) >= 11, sorted(names)
+    for name in sorted(names - WORKER_SPANS):
+        module_name, attr = name.split(".", 1)
+        if module_name == "expr":
+            # ChartTables.values / ChartTables.table, wrapped as the expr layer
+            assert isinstance(getattr(ChartTables, attr, None), types.FunctionType), name
+            continue
+        module = importlib.import_module(f"projconn.{module_name}")
+        func = getattr(module, attr, None)
+        assert isinstance(func, types.FunctionType), name
+        assert func.__module__ == module.__name__, name

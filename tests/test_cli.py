@@ -280,3 +280,37 @@ def test_closed_pipe_exits_quietly():
         os.close(write_end)
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+
+
+_JSON_CHART = {
+    "name": "flat_json", "dim": 2, "coords": ["x", "y"],
+    "g": [["1", "0"], ["0", "1"]], "xi": ["1", "0"], "box": [[-1, 1], [-1, 1]],
+}
+
+
+@pytest.mark.parametrize(
+    "args, document, code, message",
+    [
+        (["--manifold", "euclidean3", "--samples", "0"], None, 2, "--samples must be at least 1"),
+        (["--manifold", "euclidean3", "--samples", "-3"], None, 2, "--samples must be at least 1"),
+        (["--manifold", "euclidean3", "--seed", "-1"], None, 2, "--seed must be non-negative"),
+        ([], (REPO_ROOT / "catalog" / "euclidean3.manifold").read_text(encoding="utf-8")
+         .replace("box[2] = -1, 1", "box[2] = 1, -1"), 3, "empty sampling box for coordinate 'z'"),
+        ([], json.dumps(dict(_JSON_CHART, box=[[-1], [-1, 1]])), 3, "box[0] must be a pair"),
+        ([], json.dumps(dict(_JSON_CHART, g="1")), 3, "'g' must be a list of lists"),
+        ([], json.dumps(dict(_JSON_CHART, coords=5)), 3, "'coords' must be a list of names"),
+    ],
+    ids=["samples_zero", "samples_negative", "seed_negative", "empty_box", "short_box_pair",
+         "g_not_a_list", "coords_not_a_list"],
+)
+def test_bad_input_ends_with_a_message(tmp_path, args, document, code, message):
+    if document is not None:
+        path = tmp_path / "chart.manifold"
+        path.write_text(document, encoding="utf-8")
+        args = ["--file", str(path)]
+    proc = _python("-m", "projconn.cli", "verify", *args)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert any(
+        line.startswith("error: ") and message in line for line in proc.stderr.splitlines()
+    ), proc.stderr

@@ -9,6 +9,7 @@ from projconn.connections import (
     TensorField,
     check_parallel_unit_xi,
     connection_at,
+    covariant,
     covariant_derivative,
     levi_civita_at,
     metric_field,
@@ -22,7 +23,10 @@ from projconn.connections import (
     xi_field,
 )
 from projconn import expr as ex
+from projconn.catalog import builtin, catalog_names
+from projconn.curvature import jet
 from projconn.geometry import load_spec, metric_at, sample
+from test_jet import WARPED_CHART
 
 ZERO_FIELD_3D = """
 name = flat_no_field
@@ -262,3 +266,54 @@ def test_gate_flags_inconsistent_declaration(sphere):
     report = check_parallel_unit_xi(lying, sample(lying, 10, seed=71))
     assert not report.passed
     assert not report.skipped
+
+
+# ---------------------------------------------------------------------------
+# the batched covariant derivative
+
+
+def _chart(name):
+    return load_spec(WARPED_CHART) if name == "warped" else builtin(name).spec
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), "warped"])
+def test_covariant_levi_civita_is_metric_compatible(name):
+    spec = _chart(name)
+    j = jet(spec, sample(spec, 40, seed=83).points, 1)
+    nabla_g = covariant(j.lc.Gamma, j.G, j.dG, "ll")
+    assert nabla_g.shape == (40,) + (spec.n,) * 3
+    assert np.max(np.abs(nabla_g)) <= 1e-11 * (1.0 + np.max(np.abs(j.dG)))
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in catalog_names() if builtin(n).spec.parallel_xi_expected]
+)
+def test_covariant_projective_on_parallel_field(name):
+    spec = _chart(name)
+    n = spec.n
+    s = sample(spec, 40, seed=89)
+    j = jet(spec, s.points, 1)
+    dxi = spec.tables.values("xi", 1, s.points)
+    # grad~ pi = -(n-1)/(n+1) pi x pi
+    nabla_pi = covariant(j.pr.Gamma, j.pi, j.dpi, "l")
+    expected = -(n - 1) / (n + 1.0) * np.einsum("sm,si->smi", j.pi, j.pi)
+    np.testing.assert_allclose(nabla_pi, expected, rtol=0, atol=1e-12)
+    # grad~_X xi = (n X - pi(X) xi)/(n+1), X each sampled frame vector
+    nabla_xi = covariant(j.pr.Gamma, j.xi, dxi, "u")
+    X = s.frames
+    along = np.einsum("svm,smc->svc", X, nabla_xi)
+    pi_x = np.einsum("si,svi->sv", j.pi, X)
+    expected = (n * X - pi_x[..., None] * j.xi[:, None, :]) / (n + 1.0)
+    np.testing.assert_allclose(along, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["cylinder_s2xr", "gssf_c1", "warped"])
+@pytest.mark.parametrize("kind", [LEVI_CIVITA, PROJECTIVE])
+def test_covariant_derivative_is_the_batched_rule_at_one_sample(name, kind):
+    spec = _chart(name)
+    s = sample(spec, 12, seed=97)
+    j = jet(spec, s.points, 1)
+    batched = covariant(j.connection(kind).Gamma, j.G, j.dG, "ll")
+    for row, point in zip(batched, s.points):
+        value = covariant_derivative(spec, metric_field(spec), kind, point)
+        np.testing.assert_allclose(value.components, row, rtol=1e-13, atol=1e-15)
