@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ from .connections import (
     torsion_components,
 )
 from .curvature import projective_at, ricci_at, riemann_at, theta_beta_at
-from .geometry import GateError, NotSPDError, SpecError
+from .geometry import DimensionError, GateError, NotSPDError, SpecError
 
 __all__ = ["main", "run"]
 
@@ -101,6 +102,8 @@ def _parse_tolerances(pairs) -> dict:
             overrides[key] = float(value)
         except ValueError:
             raise _UsageError(f"--tol value for {key!r} is not a number") from None
+        if not math.isfinite(overrides[key]) or overrides[key] < 0:
+            raise _UsageError(f"--tol value for {key!r} must be finite and non-negative, got {value}")
     return overrides
 
 
@@ -218,7 +221,7 @@ def _cmd_eval(args) -> int:
     point = _parse_point(args.point, spec)
     try:
         array, index_names, extras = _eval_tensor(spec, args.tensor, point)
-    except (NotSPDError, GateError, SpecError, expr.ExprError) as err:
+    except (NotSPDError, GateError, SpecError, DimensionError, expr.ExprError) as err:
         raise _InputError(str(err)) from err
     if args.json:
         payload = {
@@ -253,6 +256,8 @@ def _cmd_verify(args) -> int:
     selected = None
     if args.check:
         selected = [c.strip() for c in args.check.split(",") if c.strip()]
+        if not selected:
+            raise _UsageError(f"--check names no check: {args.check!r}")
     try:
         samples = geometry.sample(spec, args.samples, args.seed)
     except ValueError as err:  # an empty sampling box
@@ -266,7 +271,7 @@ def _cmd_verify(args) -> int:
         )
     except KeyError as err:
         raise _UsageError(str(err)) from None
-    except (NotSPDError, SpecError, expr.ExprError) as err:
+    except (NotSPDError, SpecError, DimensionError, expr.ExprError) as err:
         raise _InputError(str(err)) from err
     if args.json:
         text = json.dumps([r.to_dict() for r in reports], indent=2)

@@ -322,7 +322,9 @@ def _build_spec(doc: dict) -> ManifoldSpec:
         raise SpecError("missing required key 'coords'")
     try:
         n = int(doc["dim"])
-    except (TypeError, ValueError):
+        if n != float(doc["dim"]):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
         raise SpecError("'dim' must be an integer") from None
     if n < 2:
         raise SpecError("'dim' must be at least 2")

@@ -7,7 +7,9 @@ gate fails they are reported as skipped, not failed.  Checks whose statement
 additionally needs flatness (or constant curvature) detect that premise
 numerically from the sampled metric curvature and skip with an observational
 note when it does not hold, so the contrapositive direction of the
-flat-if-and-only-if theorems stays visible in the reports.
+flat-if-and-only-if theorems stays visible in the reports.  Both decisions
+are made in ``_reports``, from the premise table ``_PREMISES`` and the
+per-check table ``_SHAPES``.
 
 Default tolerances scale with the derivative order of the identity:
 1e-10 for purely algebraic consequences of the curvature arrays, 1e-9 when
@@ -93,9 +95,11 @@ def _tol(check_id: str, tolerances: dict | None) -> float:
 
 
 def _report(check_id, spec, samples, residuals, tolerances, gate_status,
-            notes="", extras=None) -> CheckReport:
-    residual_max = float(np.max(residuals))
-    residual_mean = float(np.mean(residuals))
+            notes, extras) -> CheckReport:
+    """A ran report from per-sample residuals, or a skipped one when
+    ``residuals`` is None."""
+    skipped = residuals is None
+    residual_max = None if skipped else float(np.max(residuals))
     tol = _tol(check_id, tolerances)
     return CheckReport(
         check_id=check_id,
@@ -103,42 +107,14 @@ def _report(check_id, spec, samples, residuals, tolerances, gate_status,
         samples=samples.count,
         seed=samples.seed,
         residual_max=residual_max,
-        residual_mean=residual_mean,
+        residual_mean=None if skipped else float(np.mean(residuals)),
         tolerance=tol,
-        passed=residual_max <= tol,
+        passed=not skipped and residual_max <= tol,
         gate_status=gate_status,
-        skipped=False,
+        skipped=skipped,
         notes=notes,
-        extras=extras or {},
+        extras=extras,
     )
-
-
-def _skip(check_id, spec, samples, tolerances, gate_status, notes, extras=None) -> CheckReport:
-    return CheckReport(
-        check_id=check_id,
-        manifold=spec.name,
-        samples=samples.count,
-        seed=samples.seed,
-        residual_max=None,
-        residual_mean=None,
-        tolerance=_tol(check_id, tolerances),
-        passed=False,
-        gate_status=gate_status,
-        skipped=True,
-        notes=notes,
-        extras=extras or {},
-    )
-
-
-def _gate(spec, samples, gate: CheckReport | None) -> CheckReport:
-    return gate if gate is not None else check_parallel_unit_xi(spec, samples)
-
-
-def _skip_family(ids, spec, samples, tolerances, gate: CheckReport):
-    notes = f"skipped: parallel unit field gate failed (residual {gate.residual_max:.2e})"
-    return [
-        _skip(cid, spec, samples, tolerances, "failed", notes) for cid in ids
-    ]
 
 
 def _max_abs(arr: np.ndarray) -> np.ndarray:
@@ -364,109 +340,87 @@ def _gssf_columns(spec, j) -> dict:
 # reports from the columns of all samples
 
 
-# checks whose residual is the largest of named parts, each also reported
-_PARTS = {"lem2_4": ("part_i", "part_ii", "part_iii"), "eq5_3": ("part_i", "part_ii")}
+# observed value a report can name -> the column it is the largest value of
+_MAXIMA = {"max_abs_R": "max_R", "max_abs_RR": "def4_1_flat", "max_abs_RP": "max_RP",
+           "max_abs_S": "max_S", "part_i": "part_i", "part_ii": "part_ii", "part_iii": "part_iii"}
 
 
-def _part_maxima(check_id, cols) -> dict:
-    return {part: float(np.max(cols[part])) for part in _PARTS.get(check_id, ())}
+def _observed(cols) -> dict:
+    """The values a family's reports can name, over all samples: the maxima
+    of its columns and, where it has the space-form fit sums, the fitted
+    curvature K and the fit residual."""
+    seen = {name: float(np.max(cols[col])) for name, col in _MAXIMA.items() if col in cols}
+    if "fit_num" in cols:
+        den = float(np.sum(cols["fit_den"]))
+        K = seen["K"] = float(np.sum(cols["fit_num"])) / den if den > 0 else 0.0
+        seen["space_form_fit_residual"] = max(
+            float(np.max(np.abs(Rlow - K * _space_form_pattern(G))))
+            for Rlow, G in zip(cols["Rlow"], cols["G"])
+        )
+    return seen
 
 
-def _plain_reports(family, gate_status):
-    def reports(spec, samples, cols, tolerances, gate):
-        return [
-            _report(cid, spec, samples, cols[cid], tolerances, gate_status,
-                    extras=_part_maxima(cid, cols))
-            for cid in _family_ids(family)
-        ]
+# premise -> (whether it holds, from the observed values; why a skip skipped)
+_PREMISES = {
+    "flat": (
+        lambda seen: seen["max_abs_R"] <= FLAT_DETECTION_TOL,
+        "chart is not flat (max |R| = {max_abs_R:.2e})",
+    ),
+    "space form": (
+        lambda seen: seen["space_form_fit_residual"] <= 1e-8 * (1.0 + abs(seen["K"])),
+        "curvature is not constant (space-form fit residual {space_form_fit_residual:.2e})",
+    ),
+}
 
-    return reports
+_SEEN_RR = "; observed max |R~.R~| = {max_abs_RR:.2e}, nonzero as the flat-iff theorem predicts"
+
+# check -> (premise, notes of a ran report, what a skip adds to the premise's
+# note, observed values a ran report carries in extras, those a skipped one
+# carries).  A check not listed has no premise, no notes and no extras.
+_SHAPES = {
+    "lem2_4": (None, "", "", ("part_i", "part_ii", "part_iii"), ()),
+    "eq10b": ("flat", "flat chart: curvature shift consistent with both projective tensors",
+              "", (), ("max_abs_R",)),
+    "thm3_3_p_flat": ("space form",
+                      "constant curvature K = {K:.6g} (fit residual {space_form_fit_residual:.2e})",
+                      "", (), ("space_form_fit_residual",)),
+    "def4_1_flat": ("flat", "", _SEEN_RR, ("max_abs_R",), ("max_abs_R", "max_abs_RR")),
+    "eq20": ("flat", "", _SEEN_RR, (), ()),
+    "eq21": ("flat", "", _SEEN_RR, (), ()),
+    "cor4_3": ("flat", "", _SEEN_RR, (), ()),
+    "eq5_3": (None, "", "", ("part_i", "part_ii"), ()),
+    "thm5_1_flat": ("flat",
+                    "flat chart: derivation annihilates the projective tensor and the Ricci tensor vanishes",
+                    "; observed max |R~.P~| = {max_abs_RP:.2e} with max |S| = {max_abs_S:.2e}",
+                    (), ("max_abs_R", "max_abs_RP", "max_abs_S")),
+}
 
 
-def _projective_reports(spec, samples, cols, tolerances, gate):
-    max_R = float(np.max(cols["max_R"]))
-    den = float(np.sum(cols["fit_den"]))
-    K = float(np.sum(cols["fit_num"])) / den if den > 0 else 0.0
-    fit_residual = max(
-        float(np.max(np.abs(Rlow - K * _space_form_pattern(G))))
-        for Rlow, G in zip(cols["Rlow"], cols["G"])
-    )
-    flat = max_R <= FLAT_DETECTION_TOL
-    const_curv = fit_residual <= 1e-8 * (1.0 + abs(K))
+def _reports(family, spec, samples, cols, tolerances, gate) -> list[CheckReport]:
+    """One report per check of the family, in registry order.
+
+    A gated check skips when the gate failed.  Otherwise a check skips when
+    its premise does not hold and runs when it does.  ``cols`` is empty when
+    the family did not run, which happens only when all of its checks are
+    gated and the gate failed.
+    """
+    seen = _observed(cols)
     reports = []
-    if gate.gate_status != "passed":
-        reports.extend(
-            _skip_family(["eq17", "eq10b"], spec, samples, tolerances, gate)
-        )
-    else:
-        reports.append(_report("eq17", spec, samples, cols["eq17"], tolerances, "passed"))
-        if flat:
-            reports.append(
-                _report("eq10b", spec, samples, cols["eq10b"], tolerances, "passed",
-                        notes="flat chart: curvature shift consistent with both projective tensors")
-            )
+    for cid in _family_ids(family):
+        premise, notes, skip_notes, extras, skip_extras = _SHAPES.get(cid, (None, "", "", (), ()))
+        gated = REGISTRY[cid][2]
+        status = "passed" if gated else "not_required"
+        residuals = None
+        if gated and gate.gate_status != "passed":
+            status, extras = "failed", ()
+            notes = f"skipped: parallel unit field gate failed (residual {gate.residual_max:.2e})"
+        elif premise and not _PREMISES[premise][0](seen):
+            extras = skip_extras
+            notes = ("skipped: " + _PREMISES[premise][1] + skip_notes).format_map(seen)
         else:
-            reports.append(
-                _skip("eq10b", spec, samples, tolerances, "passed",
-                      f"skipped: chart is not flat (max |R| = {max_R:.2e})",
-                      extras={"max_abs_R": max_R})
-            )
-    if const_curv:
-        reports.append(
-            _report("thm3_3_p_flat", spec, samples, cols["thm3_3_p_flat"], tolerances,
-                    "not_required",
-                    notes=f"constant curvature K = {K:.6g} (fit residual {fit_residual:.2e})")
-        )
-    else:
-        reports.append(
-            _skip("thm3_3_p_flat", spec, samples, tolerances, "not_required",
-                  f"skipped: curvature is not constant (space-form fit residual {fit_residual:.2e})",
-                  extras={"space_form_fit_residual": fit_residual})
-        )
-    return reports
-
-
-def _semisymmetry_reports(spec, samples, cols, tolerances, gate):
-    ids = _family_ids("semisymmetry")
-    max_R = float(np.max(cols["max_R"]))
-    if max_R <= FLAT_DETECTION_TOL:
-        return [
-            _report(cid, spec, samples, cols[cid], tolerances, "passed",
-                    extras={"max_abs_R": max_R} if cid == "def4_1_flat" else None)
-            for cid in ids
-        ]
-    max_RR = float(np.max(cols["def4_1_flat"]))
-    notes = (
-        f"skipped: chart is not flat (max |R| = {max_R:.2e}); observed "
-        f"max |R~.R~| = {max_RR:.2e}, nonzero as the flat-iff theorem predicts"
-    )
-    extras = {"max_abs_R": max_R, "max_abs_RR": max_RR}
-    return [
-        _skip(cid, spec, samples, tolerances, "passed", notes,
-              extras=extras if cid == "def4_1_flat" else None)
-        for cid in ids
-    ]
-
-
-def _rp_reports(spec, samples, cols, tolerances, gate):
-    observed = {key: float(np.max(cols[key])) for key in ("max_R", "max_RP", "max_S")}
-    reports = [
-        _report("eq5_3", spec, samples, cols["eq5_3"], tolerances, "passed",
-                extras=_part_maxima("eq5_3", cols))
-    ]
-    if observed["max_R"] <= FLAT_DETECTION_TOL:
-        reports.append(
-            _report("thm5_1_flat", spec, samples, cols["thm5_1_flat"], tolerances, "passed",
-                    notes="flat chart: derivation annihilates the projective tensor and the Ricci tensor vanishes")
-        )
-    else:
-        reports.append(
-            _skip("thm5_1_flat", spec, samples, tolerances, "passed",
-                  f"skipped: chart is not flat (max |R| = {observed['max_R']:.2e}); observed "
-                  f"max |R~.P~| = {observed['max_RP']:.2e} with max |S| = {observed['max_S']:.2e}",
-                  extras={"max_abs_R": observed["max_R"], "max_abs_RP": observed["max_RP"],
-                          "max_abs_S": observed["max_S"]})
-        )
+            residuals, notes = cols[cid], notes.format_map(seen)
+        reports.append(_report(cid, spec, samples, residuals, tolerances, status, notes,
+                               {key: seen[key] for key in extras}))
     return reports
 
 
@@ -484,15 +438,8 @@ _FAMILY_RUNNERS = {
     "gssf": _gssf_columns,
 }
 
-# family -> (jet order its contractions need, reports from all columns)
-_FAMILIES = {
-    "curvature": (3, _plain_reports("curvature", "passed")),
-    "ricci": (3, _plain_reports("ricci", "passed")),
-    "projective": (2, _projective_reports),
-    "semisymmetry": (3, _semisymmetry_reports),
-    "rp": (2, _rp_reports),
-    "gssf": (2, _plain_reports("gssf", "not_required")),
-}
+# family -> jet order its contractions need
+_FAMILIES = {"curvature": 3, "ricci": 3, "projective": 2, "semisymmetry": 3, "rp": 2, "gssf": 2}
 
 
 def _family_ids(family: str) -> list[str]:
@@ -510,7 +457,8 @@ def _run_families(spec, samples, families, tolerances, gate) -> list[CheckReport
                 f"chart {spec.name!r} is missing the structure fields "
                 "(phi, f1, f2, f3) required by the almost-contact checks"
             )
-    gate = _gate(spec, samples, gate)
+    if gate is None:
+        gate = check_parallel_unit_xi(spec, samples)
     running = [
         family for family in families
         if gate.gate_status == "passed"
@@ -518,7 +466,7 @@ def _run_families(spec, samples, families, tolerances, gate) -> list[CheckReport
     ]
     columns = {family: defaultdict(list) for family in running}
     if running:
-        order = max(_FAMILIES[family][0] for family in running)
+        order = max(_FAMILIES[family] for family in running)
         for lo, hi in samples.chunks():
             j = jet(spec, samples.points[lo:hi], order)
             for family in running:
@@ -526,16 +474,13 @@ def _run_families(spec, samples, families, tolerances, gate) -> list[CheckReport
                     columns[family][key].append(col)
     reports = []
     for family in families:
-        if family in columns:
-            # Per-sample values are joined across chunks; per-sample tensors
-            # stay one array per chunk, so they are never copied whole.
-            cols = {
-                key: np.concatenate(parts) if parts[0].ndim == 1 else parts
-                for key, parts in columns[family].items()
-            }
-            reports += _FAMILIES[family][1](spec, samples, cols, tolerances, gate)
-        else:
-            reports += _skip_family(_family_ids(family), spec, samples, tolerances, gate)
+        # Per-sample values are joined across chunks; per-sample tensors
+        # stay one array per chunk, so they are never copied whole.
+        cols = {
+            key: np.concatenate(parts) if parts[0].ndim == 1 else parts
+            for key, parts in columns.get(family, {}).items()
+        }
+        reports += _reports(family, spec, samples, cols, tolerances, gate)
     return reports
 
 

@@ -291,24 +291,39 @@ _JSON_CHART = {
 @pytest.mark.parametrize(
     "args, document, code, message",
     [
-        (["--manifold", "euclidean3", "--samples", "0"], None, 2, "--samples must be at least 1"),
-        (["--manifold", "euclidean3", "--samples", "-3"], None, 2, "--samples must be at least 1"),
-        (["--manifold", "euclidean3", "--seed", "-1"], None, 2, "--seed must be non-negative"),
-        ([], (REPO_ROOT / "catalog" / "euclidean3.manifold").read_text(encoding="utf-8")
+        (["verify", "--manifold", "euclidean3", "--samples", "0"], None, 2,
+         "--samples must be at least 1"),
+        (["verify", "--manifold", "euclidean3", "--samples", "-3"], None, 2,
+         "--samples must be at least 1"),
+        (["verify", "--manifold", "euclidean3", "--seed", "-1"], None, 2,
+         "--seed must be non-negative"),
+        (["verify"], (REPO_ROOT / "catalog" / "euclidean3.manifold").read_text(encoding="utf-8")
          .replace("box[2] = -1, 1", "box[2] = 1, -1"), 3, "empty sampling box for coordinate 'z'"),
-        ([], json.dumps(dict(_JSON_CHART, box=[[-1], [-1, 1]])), 3, "box[0] must be a pair"),
-        ([], json.dumps(dict(_JSON_CHART, g="1")), 3, "'g' must be a list of lists"),
-        ([], json.dumps(dict(_JSON_CHART, coords=5)), 3, "'coords' must be a list of names"),
+        (["verify"], json.dumps(dict(_JSON_CHART, box=[[-1], [-1, 1]])), 3, "box[0] must be a pair"),
+        (["verify"], json.dumps(dict(_JSON_CHART, g="1")), 3, "'g' must be a list of lists"),
+        (["verify"], json.dumps(dict(_JSON_CHART, coords=5)), 3, "'coords' must be a list of names"),
+        (["verify", "--check", "eq17"], json.dumps(_JSON_CHART), 3,
+         "operation requires dimension > 2"),
+        (["eval", "--tensor", "projective", "--point", "0,0"], json.dumps(_JSON_CHART), 3,
+         "operation requires dimension > 2"),
+        (["verify", "--manifold", "euclidean3", "--tol", "eq17=nan"], None, 2,
+         "--tol value for 'eq17' must be finite and non-negative"),
+        (["verify", "--manifold", "euclidean3", "--tol", "eq17=-1"], None, 2,
+         "--tol value for 'eq17' must be finite and non-negative"),
+        (["verify", "--manifold", "euclidean3", "--check", ","], None, 2,
+         "--check names no check"),
+        (["verify"], json.dumps(dict(_JSON_CHART, dim=2.7)), 3, "'dim' must be an integer"),
     ],
     ids=["samples_zero", "samples_negative", "seed_negative", "empty_box", "short_box_pair",
-         "g_not_a_list", "coords_not_a_list"],
+         "g_not_a_list", "coords_not_a_list", "verify_planar_eq17", "eval_planar_projective",
+         "tol_nan", "tol_negative", "check_names_none", "dim_not_integral"],
 )
 def test_bad_input_ends_with_a_message(tmp_path, args, document, code, message):
     if document is not None:
         path = tmp_path / "chart.manifold"
         path.write_text(document, encoding="utf-8")
-        args = ["--file", str(path)]
-    proc = _python("-m", "projconn.cli", "verify", *args)
+        args = [*args, "--file", str(path)]
+    proc = _python("-m", "projconn.cli", *args)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert any(

@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from projconn.catalog import builtin
 from projconn.geometry import SpecError, sample
 from projconn.theorems import (
     CHECK_IDS,
@@ -177,3 +179,65 @@ def test_family_functions_accept_external_gate(cylinder):
     ):
         for report in fn(cylinder, samples, gate=gate):
             assert report.check_id in REGISTRY
+
+
+_RAN = (False, True, "passed", "", [])
+_GATE_OK = (False, True, "passed", "max |grad pi| = #, max |g(xi,xi)-#| = #", [])
+_GATE_SKIP = (True, False, "failed", "skipped: parallel unit field gate failed (residual #)", [])
+_LEM2_4 = (False, True, "passed", "", ["part_i", "part_ii", "part_iii"])
+_EQ5_3 = (False, True, "passed", "", ["part_i", "part_ii"])
+_NOT_FLAT = "skipped: chart is not flat (max |R| = #)"
+_NOT_FLAT_RR = _NOT_FLAT + "; observed max |R~.R~| = #, nonzero as the flat-iff theorem predicts"
+_EQ10B_SKIP = (True, False, "passed", _NOT_FLAT, ["max_abs_R"])
+_SPACE_FORM = (False, True, "not_required", "constant curvature K = # (fit residual #)", [])
+_NOT_SPACE_FORM = (True, False, "not_required",
+                   "skipped: curvature is not constant (space-form fit residual #)",
+                   ["space_form_fit_residual"])
+_DEF4_1_SKIP = (True, False, "passed", _NOT_FLAT_RR, ["max_abs_R", "max_abs_RR"])
+_SEMI_SKIP = (True, False, "passed", _NOT_FLAT_RR, [])
+_THM5_1_SKIP = (True, False, "passed",
+                _NOT_FLAT + "; observed max |R~.P~| = # with max |S| = #",
+                ["max_abs_R", "max_abs_RP", "max_abs_S"])
+_GSSF = (False, True, "not_required", "", [])
+
+# check id -> (skipped, passed, gate_status, notes with numbers masked, sorted
+# extras keys) on euclidean3, cylinder_s2xr, gssf_c1 and sphere3_bad_xi; None
+# where the check is not scheduled
+_REPORT_PATHS = {
+    "parallel_unit_xi": (_GATE_OK, _GATE_OK, _GATE_OK, (
+        True, False, "failed", "gate residual # exceeds #; consistent with the declared "
+        "negative control, gated checks are skipped", [])),
+    **{cid: (_RAN, _RAN, _RAN, _GATE_SKIP) for cid in (
+        "eq9_two_path", "thm2_1_i", "thm2_1_ii", "thm2_1_iii", "thm2_1_iv", "thm2_1_v",
+        "eq11d", "eq12", "eq10", "eq11", "eq15", "lem2_6", "eq17")},
+    "lem2_4": (_LEM2_4, _LEM2_4, _LEM2_4, _GATE_SKIP),
+    "eq10b": ((False, True, "passed",
+               "flat chart: curvature shift consistent with both projective tensors", []),
+              _EQ10B_SKIP, _EQ10B_SKIP, _GATE_SKIP),
+    "thm3_3_p_flat": (_SPACE_FORM, _NOT_SPACE_FORM, _NOT_SPACE_FORM, _SPACE_FORM),
+    "def4_1_flat": ((False, True, "passed", "", ["max_abs_R"]),
+                    _DEF4_1_SKIP, _DEF4_1_SKIP, _GATE_SKIP),
+    **{cid: (_RAN, _SEMI_SKIP, _SEMI_SKIP, _GATE_SKIP) for cid in ("eq20", "eq21", "cor4_3")},
+    "eq5_3": (_EQ5_3, _EQ5_3, _EQ5_3, _GATE_SKIP),
+    "thm5_1_flat": ((False, True, "passed", "flat chart: derivation annihilates the projective "
+                     "tensor and the Ricci tensor vanishes", []),
+                    _THM5_1_SKIP, _THM5_1_SKIP, _GATE_SKIP),
+    **{cid: (None, None, _GSSF, None)
+       for cid in ("gssf_star1", "gssf_star2", "gssf_star3", "gssf_star4")},
+}
+
+
+_PINNED_CHARTS = ("euclidean3", "cylinder_s2xr", "gssf_c1", "sphere3_bad_xi")
+
+
+@pytest.mark.parametrize("column, name", enumerate(_PINNED_CHARTS), ids=_PINNED_CHARTS)
+def test_every_report_path_is_pinned(column, name):
+    reports = _by_id(run_checks(builtin(name).spec, count=6, seed=1))
+    observed = {
+        cid: (r.skipped, r.passed, r.gate_status,
+              re.sub(r"\d+(\.\d+)?(e[+-]\d+)?", "#", r.notes), sorted(r.extras))
+        for cid, r in reports.items()
+    }
+    expected = {cid: row[column] for cid, row in _REPORT_PATHS.items() if row[column]}
+    assert set(_REPORT_PATHS) == set(CHECK_IDS)
+    assert observed == expected
