@@ -44,12 +44,6 @@ from .curvature import (
 from .report import CheckReport
 from .theorems import (
     CHECK_IDS,
-    check_curvature_identities,
-    check_gssf_example,
-    check_projective_coincidence,
-    check_rp_condition,
-    check_ricci_relations,
-    check_semisymmetry,
     run_checks,
 )
 from .catalog import CatalogEntry, builtin, catalog_names, write_catalog_files

@@ -264,15 +264,16 @@ def _parse_kv_document(text: str) -> dict:
         m2 = _INDEXED_2.match(key)
         m1 = _INDEXED_1.match(key)
         if m2:
-            doc[m2.group(1)][(int(m2.group(2)), int(m2.group(3)))] = value
+            slot, index = doc[m2.group(1)], (int(m2.group(2)), int(m2.group(3)))
         elif m1:
-            doc[m1.group(1)][int(m1.group(2))] = value
+            slot, index = doc[m1.group(1)], int(m1.group(2))
         elif key in ("dim", "coords", "name", "parallel_xi_expected", "f1", "f2", "f3"):
-            if key in doc:
-                raise SpecError(f"line {lineno}: duplicate key {key!r}")
-            doc[key] = value
+            slot, index = doc, key
         else:
             raise SpecError(f"line {lineno}: unknown key {key!r}")
+        if index in slot:
+            raise SpecError(f"line {lineno}: duplicate key {key!r}")
+        slot[index] = value
     return doc
 
 
@@ -394,6 +395,8 @@ def _build_spec(doc: dict) -> ManifoldSpec:
             lo, hi = float(parts[0]), float(parts[1])
         except ValueError:
             raise SpecError(f"box[{i}] bounds must be numbers") from None
+        if not np.isfinite(hi - lo):
+            raise SpecError(f"box[{i}] bounds and their difference must be finite")
         box.append((lo, hi))
 
     phi_entries = doc.get("phi", {})

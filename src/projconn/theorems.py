@@ -34,18 +34,7 @@ from .curvature import (
 )
 from .report import CheckReport
 
-__all__ = [
-    "REGISTRY",
-    "CHECK_IDS",
-    "default_tolerance",
-    "run_checks",
-    "check_curvature_identities",
-    "check_ricci_relations",
-    "check_projective_coincidence",
-    "check_semisymmetry",
-    "check_rp_condition",
-    "check_gssf_example",
-]
+__all__ = ["REGISTRY", "CHECK_IDS", "run_checks"]
 
 
 # check id -> (default tolerance, family, needs parallel gate, needs n > 2)
@@ -84,14 +73,10 @@ CHECK_IDS = tuple(REGISTRY)
 FLAT_DETECTION_TOL = 1e-10
 
 
-def default_tolerance(check_id: str) -> float:
-    return REGISTRY[check_id][0]
-
-
 def _tol(check_id: str, tolerances: dict | None) -> float:
     if tolerances and check_id in tolerances:
         return float(tolerances[check_id])
-    return default_tolerance(check_id)
+    return REGISTRY[check_id][0]
 
 
 def _report(check_id, spec, samples, residuals, tolerances, gate_status,
@@ -203,6 +188,9 @@ def _curvature_columns(spec, j) -> dict:
 
 
 def _ricci_columns(spec, j) -> dict:
+    """Both Ricci tensors are differentiated with the metric connection: that
+    is the reading under which the shift identity differentiates to an exact
+    statement, since the shift term is parallel together with the field."""
     _, _, ricci_residual, scalar_residual = ricci_shifts(j)
     Gamma = j.lc.Gamma
     nabla_S = covariant(Gamma, j.lc.S, ricci_contraction(j.lc.dR), "ll")
@@ -228,6 +216,9 @@ def _space_form_pattern(G: np.ndarray) -> np.ndarray:
 
 
 def _projective_columns(spec, j) -> dict:
+    """The space-form premise of ``thm3_3_p_flat`` is detected by a
+    least-squares fit of the sampled curvature to K times the unit pattern;
+    the fit sums and the lowered curvature are kept per chunk for that."""
     lam = lam_scale(spec.n)
     eye = np.eye(spec.n)
     R, Rt = j.lc.R, j.pr.R
@@ -250,6 +241,9 @@ def _projective_columns(spec, j) -> dict:
 
 
 def _semisymmetry_columns(spec, j) -> dict:
+    """Every check here has the flat premise.  On non-flat charts the checks
+    skip but still report the observed max |R| and |R~.R~|: that is the
+    contrapositive direction of the flat-iff-semi-symmetric theorem."""
     n = spec.n
     lam = lam_scale(n)
     eye = np.eye(n)
@@ -273,6 +267,9 @@ def _semisymmetry_columns(spec, j) -> dict:
 
 
 def _rp_columns(spec, j) -> dict:
+    """``thm5_1_flat`` joins what flatness gives: R~.P~ = 0, S = 0 and P~
+    equal to both R and P.  On non-flat charts it skips but reports the
+    observed max |R~.P~| and max |S|."""
     n = spec.n
     eye = np.eye(n)
     pi, xi, R, S = j.pi, j.xi, j.lc.R, j.lc.S
@@ -300,6 +297,10 @@ def _rp_columns(spec, j) -> dict:
 
 
 def _gssf_columns(spec, j) -> dict:
+    """For charts carrying the almost-contact structure (phi, f1, f2, f3):
+    the structure identities, the three-term curvature shape with the
+    chart's coefficient functions, the annihilation of the field by the
+    curvature, and the nullity form of the projective curvature."""
     n = spec.n
     lam = lam_scale(n)
     eye = np.eye(n)
@@ -396,7 +397,7 @@ _SHAPES = {
 }
 
 
-def _reports(family, spec, samples, cols, tolerances, gate) -> list[CheckReport]:
+def _reports(family, spec, samples, cols, tolerances, gate_report) -> list[CheckReport]:
     """One report per check of the family, in registry order.
 
     A gated check skips when the gate failed.  Otherwise a check skips when
@@ -411,9 +412,10 @@ def _reports(family, spec, samples, cols, tolerances, gate) -> list[CheckReport]
         gated = REGISTRY[cid][2]
         status = "passed" if gated else "not_required"
         residuals = None
-        if gated and gate.gate_status != "passed":
+        if gated and gate_report.gate_status != "passed":
             status, extras = "failed", ()
-            notes = f"skipped: parallel unit field gate failed (residual {gate.residual_max:.2e})"
+            notes = ("skipped: parallel unit field gate failed "
+                     f"(residual {gate_report.residual_max:.2e})")
         elif premise and not _PREMISES[premise][0](seen):
             extras = skip_extras
             notes = ("skipped: " + _PREMISES[premise][1] + skip_notes).format_map(seen)
@@ -446,107 +448,6 @@ def _family_ids(family: str) -> list[str]:
     return [cid for cid, meta in REGISTRY.items() if meta[1] == family]
 
 
-def _run_families(spec, samples, families, tolerances, gate) -> list[CheckReport]:
-    """Walk the samples in order, in chunks; build one jet per chunk at the
-    highest order the running families need and contract it in each."""
-    for family in families:
-        if any(REGISTRY[cid][3] for cid in _family_ids(family)):
-            spec.require_dimension_above_two()
-        if family == "gssf" and None in (spec.phi, spec.f1, spec.f2, spec.f3):
-            raise SpecError(
-                f"chart {spec.name!r} is missing the structure fields "
-                "(phi, f1, f2, f3) required by the almost-contact checks"
-            )
-    if gate is None:
-        gate = check_parallel_unit_xi(spec, samples)
-    running = [
-        family for family in families
-        if gate.gate_status == "passed"
-        or not all(REGISTRY[cid][2] for cid in _family_ids(family))
-    ]
-    columns = {family: defaultdict(list) for family in running}
-    if running:
-        order = max(_FAMILIES[family] for family in running)
-        for lo, hi in samples.chunks():
-            j = jet(spec, samples.points[lo:hi], order)
-            for family in running:
-                for key, col in _FAMILY_RUNNERS[family](spec, j).items():
-                    columns[family][key].append(col)
-    reports = []
-    for family in families:
-        # Per-sample values are joined across chunks; per-sample tensors
-        # stay one array per chunk, so they are never copied whole.
-        cols = {
-            key: np.concatenate(parts) if parts[0].ndim == 1 else parts
-            for key, parts in columns.get(family, {}).items()
-        }
-        reports += _reports(family, spec, samples, cols, tolerances, gate)
-    return reports
-
-
-def check_curvature_identities(
-    spec: ManifoldSpec, samples, tolerances=None, gate: CheckReport | None = None
-) -> list[CheckReport]:
-    """Antisymmetry, the pair-swap and pair-symmetry defect closed forms, the
-    first Bianchi identity, the cyclic third-derivative identity, the
-    curvature-shift two-path check and the distinguished-field relations."""
-    return _run_families(spec, samples, ["curvature"], tolerances, gate)
-
-
-def check_ricci_relations(
-    spec: ManifoldSpec, samples, tolerances=None, gate: CheckReport | None = None
-) -> list[CheckReport]:
-    """Ricci shift, scalar shift, equality of the two covariant Ricci
-    derivatives, and the Codazzi/cyclic-sum agreement they imply.
-
-    Both Ricci tensors are differentiated with the metric connection; that is
-    the reading under which the shift identity differentiates to an exact
-    statement, since the shift term is parallel together with the field.
-    """
-    return _run_families(spec, samples, ["ricci"], tolerances, gate)
-
-
-def check_projective_coincidence(
-    spec: ManifoldSpec, samples, tolerances=None, gate: CheckReport | None = None
-) -> list[CheckReport]:
-    """Coincidence of the two projective curvature tensors; on flat charts
-    the consistency of the curvature shift with both; on constant-curvature
-    charts the vanishing of the metric projective tensor (detected by a
-    least-squares space-form fit of the sampled curvature)."""
-    return _run_families(spec, samples, ["projective"], tolerances, gate)
-
-
-def check_semisymmetry(
-    spec: ManifoldSpec, samples, tolerances=None, gate: CheckReport | None = None
-) -> list[CheckReport]:
-    """On flat charts: the curvature-as-derivation annihilates itself, the
-    closed forms for the curvature and its derivation by the field hold, and
-    the curvature is recurrent with the predicted 1-form.  On non-flat charts
-    these are skipped and the observed magnitudes are reported, which is the
-    contrapositive direction of the flat-iff-semi-symmetric theorem."""
-    return _run_families(spec, samples, ["semisymmetry"], tolerances, gate)
-
-
-def check_rp_condition(
-    spec: ManifoldSpec, samples, tolerances=None, gate: CheckReport | None = None
-) -> list[CheckReport]:
-    """Closed forms for the projective tensor contracted with the field, and
-    on flat charts the joint vanishing of the derivation action on the
-    projective tensor and of the Ricci tensor, together with the coincidence
-    of the projective tensor with the metric curvature."""
-    return _run_families(spec, samples, ["rp"], tolerances, gate)
-
-
-def check_gssf_example(
-    spec: ManifoldSpec, samples, tolerances=None, gate: CheckReport | None = None
-) -> list[CheckReport]:
-    """For charts carrying the almost-contact structure: the algebraic
-    structure identities, the three-term curvature shape with the chart's
-    coefficient functions, the annihilation of the field by the curvature,
-    and the nullity form of the projective connection's curvature."""
-    return _run_families(spec, samples, ["gssf"], tolerances, gate)
-
-
 def run_checks(
     spec: ManifoldSpec,
     samples=None,
@@ -559,9 +460,13 @@ def run_checks(
     """Run the selected checks (default: every applicable one) and return
     their reports in registry order.
 
-    The gate runs first; the families then share one jet per chunk of
-    samples.  Deterministic: the same spec, seed, count and tolerance map
-    produce byte-identical serialized reports.
+    Every family with a selected check runs whole; its checks are reported
+    only when selected.  The gate runs once, at its tolerance in
+    ``tolerances``; the families then walk the samples in order, in chunks,
+    sharing one jet per chunk at the highest order they need.  A family
+    whose checks are all gated does not run when the gate fails.
+    Deterministic: the same spec, seed, count and tolerance map produce
+    byte-identical serialized reports.
     """
     if samples is None:
         samples = sample(spec, count, seed)
@@ -576,12 +481,40 @@ def run_checks(
             wanted -= {cid for cid, meta in REGISTRY.items() if meta[1] == "gssf"}
         if spec.n <= 2:
             wanted -= {cid for cid, meta in REGISTRY.items() if meta[3]}
+    families = [family for family in _FAMILIES
+                if any(REGISTRY[cid][1] == family for cid in wanted)]
+    for family in families:
+        if any(REGISTRY[cid][3] for cid in _family_ids(family)):
+            spec.require_dimension_above_two()
+        if family == "gssf" and None in (spec.phi, spec.f1, spec.f2, spec.f3):
+            raise SpecError(
+                f"chart {spec.name!r} is missing the structure fields "
+                "(phi, f1, f2, f3) required by the almost-contact checks"
+            )
     gate = check_parallel_unit_xi(
         spec, samples, tolerance=_tol("parallel_unit_xi", tolerances)
     )
-    families = [family for family in _FAMILIES
-                if any(REGISTRY[cid][1] == family for cid in wanted)]
+    running = [
+        family for family in families
+        if gate.gate_status == "passed"
+        or not all(REGISTRY[cid][2] for cid in _family_ids(family))
+    ]
+    columns = {family: defaultdict(list) for family in running}
+    if running:
+        order = max(_FAMILIES[family] for family in running)
+        for lo, hi in samples.chunks():
+            j = jet(spec, samples.points[lo:hi], order)
+            for family in running:
+                for key, col in _FAMILY_RUNNERS[family](spec, j).items():
+                    columns[family][key].append(col)
     by_id = {"parallel_unit_xi": gate}
-    for rep in _run_families(spec, samples, families, tolerances, gate):
-        by_id[rep.check_id] = rep
-    return [by_id[cid] for cid in REGISTRY if cid in wanted and cid in by_id]
+    for family in families:
+        # Per-sample values are joined across chunks; per-sample tensors
+        # stay one array per chunk, so they are never copied whole.
+        cols = {
+            key: np.concatenate(parts) if parts[0].ndim == 1 else parts
+            for key, parts in columns.get(family, {}).items()
+        }
+        for rep in _reports(family, spec, samples, cols, tolerances, gate):
+            by_id[rep.check_id] = rep
+    return [by_id[cid] for cid in REGISTRY if cid in wanted]

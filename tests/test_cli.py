@@ -313,10 +313,17 @@ _JSON_CHART = {
         (["verify", "--manifold", "euclidean3", "--check", ","], None, 2,
          "--check names no check"),
         (["verify"], json.dumps(dict(_JSON_CHART, dim=2.7)), 3, "'dim' must be an integer"),
+        (["verify"], (REPO_ROOT / "catalog" / "euclidean3.manifold").read_text(encoding="utf-8")
+         .replace("box[0] = -1, 1", "box[0] = -1, inf"), 3,
+         "box[0] bounds and their difference must be finite"),
+        (["verify"], (REPO_ROOT / "catalog" / "euclidean3.manifold").read_text(encoding="utf-8")
+         .replace("box[0] = -1, 1", "box[0] = -1e308, 1e308"), 3,
+         "box[0] bounds and their difference must be finite"),
     ],
     ids=["samples_zero", "samples_negative", "seed_negative", "empty_box", "short_box_pair",
          "g_not_a_list", "coords_not_a_list", "verify_planar_eq17", "eval_planar_projective",
-         "tol_nan", "tol_negative", "check_names_none", "dim_not_integral"],
+         "tol_nan", "tol_negative", "check_names_none", "dim_not_integral",
+         "box_infinite", "box_width_overflows"],
 )
 def test_bad_input_ends_with_a_message(tmp_path, args, document, code, message):
     if document is not None:

@@ -242,6 +242,51 @@ def test_derivation_self_annihilation_flat(euclidean3):
     assert worst <= 1e-9
 
 
+def _curved5_document() -> str:
+    """A non-diagonal n = 5 chart with no special structure in its curvature."""
+    g = {(0, 0): "1", (1, 1): "exp(a)", (2, 2): "1 + a^2 + b^2", (3, 3): "2 + sin(c)",
+         (4, 4): "1 + d^2", (0, 1): "0.1*c", (2, 4): "0.2*sin(e)", (1, 3): "0.1*a*d"}
+    lines = ["name = curved5", "dim = 5", "coords = a, b, c, d, e",
+             "parallel_xi_expected = false"]
+    lines += [f"g[{i}][{j}] = {g.get((i, j), '0')}" for i in range(5) for j in range(i, 5)]
+    lines += [f"xi[{i}] = {int(i == 0)}" for i in range(5)]
+    lines += [f"box[{i}] = 0.1, 0.6" for i in range(5)]
+    return "\n".join(lines) + "\n"
+
+
+def _derivation_definition(A, T):
+    """A . T for endomorphisms A[..., l, m] and a (1,3) tensor T[l, z, u, v]:
+    A acts on the output slot and is subtracted from each input slot."""
+    return (np.einsum("...lm,mzuv->...lzuv", A, T)
+            - np.einsum("lmuv,...mz->...lzuv", T, A)
+            - np.einsum("lzmv,...mu->...lzuv", T, A)
+            - np.einsum("lzum,...mv->...lzuv", T, A))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_derivation_all_frames_matches_definition(n):
+    rng = np.random.default_rng(100 + n)
+    R = rng.normal(size=(2,) + (n,) * 4)  # two samples on a leading axis
+    T = rng.normal(size=(2,) + (n,) * 4)
+    expected = np.stack([
+        _derivation_definition(np.einsum("labm->ablm", r), t) for r, t in zip(R, T)
+    ])
+    np.testing.assert_allclose(derivation_all_frames(R, T), expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("conn", [LEVI_CIVITA, PROJECTIVE])
+@pytest.mark.parametrize("n", [3, 5])
+def test_derivation_apply_matches_definition(cylinder, n, conn):
+    spec = cylinder if n == 3 else load_spec(_curved5_document())
+    rng = np.random.default_rng(200 + n)
+    point = sample(spec, 1, seed=n).points[0]
+    T, X, Y = rng.normal(size=(n,) * 4), rng.normal(size=n), rng.normal(size=n)
+    A = np.einsum("labm,a,b->lm", riemann_at(spec, conn, point).R, X, Y)
+    assert np.max(np.abs(A)) > 0.1
+    np.testing.assert_allclose(derivation_apply(spec, point, X, Y, T, conn),
+                               _derivation_definition(A, T), rtol=0, atol=1e-12)
+
+
 def test_quasi_einstein_exact_member():
     G = np.eye(3)
     pi = np.array([1.0, 0.0, 0.0])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ def test_missing_metric_entry_rejected():
 def test_unknown_key_rejected():
     with pytest.raises(SpecError, match="unknown key"):
         load_spec(FLAT_2D + "bogus = 1\n")
+
+
+@pytest.mark.parametrize("extra, key", [
+    ("g[1][1] = 2\n", "g[1][1]"),
+    ("xi[0] = 0\n", "xi[0]"),
+    ("box[1] = 0, 1\n", "box[1]"),
+    ("phi[0][1] = 0\nphi[0][1] = 1\n", "phi[0][1]"),
+    ("dim = 2\n", "dim"),
+], ids=["g", "xi", "box", "phi", "dim"])
+def test_duplicate_key_rejected(extra, key):
+    lineno = FLAT_2D.count("\n") + extra.count("\n")
+    with pytest.raises(SpecError, match=re.escape(f"line {lineno}: duplicate key {key!r}")):
+        load_spec(FLAT_2D + extra)
 
 
 def test_unknown_coordinate_in_expression_rejected():

@@ -8,12 +8,6 @@ from projconn.geometry import SpecError, sample
 from projconn.theorems import (
     CHECK_IDS,
     REGISTRY,
-    check_curvature_identities,
-    check_gssf_example,
-    check_projective_coincidence,
-    check_ricci_relations,
-    check_rp_condition,
-    check_semisymmetry,
     run_checks,
 )
 
@@ -107,7 +101,7 @@ def test_gssf_checks_pass_for_both_scalings(gssf1, gssf4):
 
 def test_gssf_requires_structure_fields(euclidean3):
     with pytest.raises(SpecError, match="structure fields"):
-        check_gssf_example(euclidean3, sample(euclidean3, 5, seed=1))
+        run_checks(euclidean3, sample(euclidean3, 5, seed=1), selected=["gssf_star1"])
 
 
 def test_gssf_not_scheduled_without_structure(euclid_reports):
@@ -115,7 +109,8 @@ def test_gssf_not_scheduled_without_structure(euclid_reports):
 
 
 def test_ricci_relations_values(cylinder):
-    reports = _by_id(check_ricci_relations(cylinder, sample(cylinder, 30, seed=42)))
+    reports = _by_id(run_checks(cylinder, sample(cylinder, 30, seed=42),
+                                selected=["eq10", "eq11", "eq15", "lem2_6"]))
     assert reports["eq10"].residual_max <= 1e-10
     assert reports["eq11"].residual_max <= 1e-12
     assert reports["eq15"].residual_max <= 1e-9
@@ -165,20 +160,17 @@ def test_pass_semantics_follow_residual_and_gate(cylinder_reports):
             assert report.passed == (report.residual_max <= report.tolerance)
 
 
-def test_family_functions_accept_external_gate(cylinder):
-    samples = sample(cylinder, 10, seed=42)
-    from projconn.connections import check_parallel_unit_xi
-
-    gate = check_parallel_unit_xi(cylinder, samples)
-    for fn in (
-        check_curvature_identities,
-        check_ricci_relations,
-        check_projective_coincidence,
-        check_semisymmetry,
-        check_rp_condition,
-    ):
-        for report in fn(cylinder, samples, gate=gate):
-            assert report.check_id in REGISTRY
+@pytest.mark.parametrize("selected", [None, ["eq9_two_path"]], ids=["all", "one_family"])
+def test_gate_tolerance_override_skips_gated_checks(cylinder, selected):
+    # The gate passes on this chart at its default tolerance; a negative one
+    # fails it, whether or not the gate's own report is selected.
+    reports = run_checks(cylinder, count=10, seed=42, selected=selected,
+                         tolerances={"parallel_unit_xi": -1.0})
+    gated = [r for r in reports if REGISTRY[r.check_id][2]]
+    assert [r.check_id for r in gated] == (
+        selected or [cid for cid, meta in REGISTRY.items() if meta[2]])
+    for report in gated:
+        assert report.skipped and report.gate_status == "failed", report.check_id
 
 
 _RAN = (False, True, "passed", "", [])
