@@ -141,7 +141,9 @@ def _lc_pieces(mj: MetricJet, order: int):
     if order < 1:
         return Gamma, None, None
     d2G = mj.d2G
-    dGinv = -np.einsum("ska,smab,sbl->smkl", G_inv, dG, G_inv)
+    Gi = G_inv[:, None]  # broadcast over the derivative axis
+    Gi_dG = Gi @ dG
+    dGinv = -(Gi_dG @ Gi)
     dC = 0.5 * (d2G.transpose(0, 1, 4, 2, 3) + d2G.transpose(0, 1, 4, 3, 2) - d2G)
     dGamma = np.einsum("smkl,slij->smkij", dGinv, C) + np.einsum(
         "skl,smlij->smkij", G_inv, dC
@@ -150,9 +152,9 @@ def _lc_pieces(mj: MetricJet, order: int):
         return Gamma, dGamma, None
     d3G = mj.d3G
     d2Ginv = -(
-        np.einsum("spka,smab,sbl->spmkl", dGinv, dG, G_inv)
-        + np.einsum("ska,spmab,sbl->spmkl", G_inv, d2G, G_inv)
-        + np.einsum("ska,smab,spbl->spmkl", G_inv, dG, dGinv)
+        dGinv[:, :, None] @ (dG @ Gi)[:, None]
+        + G_inv[:, None, None] @ d2G @ G_inv[:, None, None]
+        + Gi_dG[:, None] @ dGinv[:, :, None]
     )
     d2C = 0.5 * (
         d3G.transpose(0, 1, 2, 5, 3, 4) + d3G.transpose(0, 1, 2, 5, 4, 3) - d3G
@@ -288,9 +290,6 @@ def metric_field(spec: ManifoldSpec) -> TensorField:
     return TensorField(spec.tables.table("g", 0), ("l", "l"))
 
 
-_SLOTS = "abcdefgh"  # slot labels; s (sample), m (direction), p (summed) stay free
-
-
 def covariant(Gamma: np.ndarray, T: np.ndarray, dT: np.ndarray, variance) -> np.ndarray:
     """Covariant derivative of a tensor at a batch of points, the package's
     one copy of the rule.
@@ -298,19 +297,22 @@ def covariant(Gamma: np.ndarray, T: np.ndarray, dT: np.ndarray, variance) -> np.
     ``Gamma[s,k,i,j]`` are the connection's coefficients, ``T[s,...]`` the
     tensor and ``dT[s,m,...]`` its partials; ``variance`` marks each slot
     'u' (vector) or 'l' (covector).  The result is
-    ``out[s,m,...] = (D_m T)[...]``: +Gamma per upper slot and -Gamma per
-    lower slot, the direction m in Gamma's middle slot, one two-operand
-    einsum per slot.
+    ``out[s,m,...] = (D_m T)[...]``: +Gamma[c,m,p] T[..p..] per upper slot
+    and -Gamma[p,m,c] T[..p..] per lower slot, the direction m in Gamma's
+    middle slot.  Each slot's term is one stacked matrix product: T with
+    that slot last, times Gamma viewed as [s, p, m*c].
     """
-    idx = _SLOTS[: len(variance)]
+    s, n = Gamma.shape[:2]
+    lower = Gamma.reshape(s, n, n * n)  # [s, p, (m, c)] = Gamma[s,p,m,c]
+    upper = Gamma.transpose(0, 3, 2, 1).reshape(s, n, n * n)  # = Gamma[s,c,m,p]
     out = dT
-    for slot, v in enumerate(variance):
-        c = idx[slot]
-        src = idx[:slot] + "p" + idx[slot + 1:]
-        if v == "u":
-            out = out + np.einsum(f"s{c}mp,s{src}->sm{idx}", Gamma, T)
-        else:
-            out = out - np.einsum(f"spm{c},s{src}->sm{idx}", Gamma, T)
+    for slot, v in enumerate(variance, start=1):
+        T_p = np.moveaxis(T, slot, -1)  # [s, ..., p]
+        term = (T_p.reshape(s, -1, n) @ (upper if v == "u" else lower)).reshape(
+            T_p.shape[:-1] + (n, n)
+        )  # [s, ..., m, c]
+        term = np.moveaxis(np.moveaxis(term, -1, slot), -1, 1)  # [s, m, ..., c, ...]
+        out = out + term if v == "u" else out - term
     return out
 
 

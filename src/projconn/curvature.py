@@ -48,6 +48,7 @@ __all__ = [
     "ricci_contraction",
     "projective_tensor",
     "projective_at",
+    "derivation",
     "derivation_apply",
     "derivation_all_frames",
     "quasi_einstein_fit",
@@ -221,24 +222,35 @@ def projective_tensor(R: np.ndarray, S: np.ndarray) -> np.ndarray:
     ) / (n - 1.0)
 
 
-def derivation_all_frames(R_acting: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Derivation action for every coordinate pair at once, over any leading
-    axes: out[a,b,l,z,u,v] = (R(e_a, e_b) . T)[l,z,u,v] with
-    A[a,b,l,m] = R[l,a,b,m] acting on the output slot,
+def derivation(A: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The action A . T of a stack of endomorphisms A[..., l, m] on a (1,3)
+    tensor T[..., l, z, u, v]: A acts on the output slot and is subtracted
+    from each input slot,
 
-        sum_m A[a,b,l,m] T[m,z,u,v] - T[l,m,u,v] A[a,b,m,z]
-              - T[l,z,m,v] A[a,b,m,u] - T[l,z,u,m] A[a,b,m,v],
+        sum_m A[l,m] T[m,z,u,v] - T[l,m,u,v] A[m,z]
+              - T[l,z,m,v] A[m,u] - T[l,z,u,m] A[m,v],
 
-    each term one stacked matrix product over m."""
+    each term one stacked matrix product over m.  T's leading axes lead A's
+    too; the stack axes between them and (l, m) lead the result's (l, z, u, v)."""
     n = T.shape[-1]
     lead = T.shape[:-4]
-    A = np.moveaxis(R_acting, -4, -2)  # A[a,b,l,m]
-    A_in = A.swapaxes(-1, -2).reshape(lead + (n**3, n))  # rows (a,b,z), column m
-    out = (A.reshape(lead + (n**3, n)) @ T.reshape(lead + (n, n**3))).reshape(lead + (n,) * 6)
+    shape = A.shape[:-2] + (n,) * 4
+    out = (A.reshape(lead + (-1, n)) @ T.reshape(lead + (n, n**3))).reshape(shape)
+    A_stack = A.reshape(lead + (-1, n, n))
     for slot in (-3, -2, -1):
-        T_m = np.moveaxis(T, slot, -4).reshape(lead + (n, n**3))  # m first
-        out -= np.moveaxis((A_in @ T_m).reshape(lead + (n,) * 6), -4, slot)
+        T_m = np.moveaxis(T, slot, -1).reshape(lead + (1, n**3, n))  # m last
+        out -= np.moveaxis((T_m @ A_stack).reshape(shape), -1, slot)
     return out
+
+
+def derivation_all_frames(R_acting: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Derivation action of every coordinate frame a < b, over any leading
+    axes: out[p,l,z,u,v] = (R(e_a, e_b) . T)[l,z,u,v] for the p-th pair of
+    ``np.triu_indices(n, 1)``, with R(e_a, e_b)[l,m] = R[l,a,b,m].  Since
+    R(e_b, e_a) = -R(e_a, e_b), these n(n-1)/2 frames carry every value of
+    the n^2 up to sign."""
+    a, b = np.triu_indices(T.shape[-1], 1)
+    return derivation(np.moveaxis(R_acting, -4, -2)[..., a, b, :, :], T)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +333,8 @@ def derivation_apply(spec: ManifoldSpec, point, X, Y, T, conn_kind: str) -> np.n
     """(R(X,Y) . T) for a (1,3) tensor T: the endomorphism R(X,Y) acts on the
     output slot and is subtracted from each input slot."""
     R = jet(spec, [point], 2).connection(conn_kind).R[0]
-    frames = derivation_all_frames(R, np.asarray(T, dtype=float))
-    return np.einsum("ablzuv,a,b->lzuv", frames, np.asarray(X, dtype=float),
-                     np.asarray(Y, dtype=float))
+    A = np.einsum("labm,a,b->lm", R, np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
+    return derivation(A, np.asarray(T, dtype=float))
 
 
 # ---------------------------------------------------------------------------

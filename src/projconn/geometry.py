@@ -60,8 +60,9 @@ class DimensionError(Exception):
     """An operation requiring dimension > 2 was invoked on a planar chart."""
 
 
-# Samples are walked in chunks: the largest run of samples whose n^6 float64
-# derivation tensor fits this many bytes, and at least one sample.
+# Samples are walked in chunks: the largest run of samples whose n^6-per-sample
+# float64 arrays (nabla R and the smlijk contractions of the curvature family)
+# fit this many bytes each, and at least one sample.
 CHUNK_BYTES = 512 * 1024
 
 
@@ -228,7 +229,8 @@ class SampleSet:
 
     def chunks(self) -> list[tuple[int, int]]:
         """(start, stop) ranges walking the samples in order, each as long
-        as CHUNK_BYTES allows for an n^6 float64 tensor per sample."""
+        as CHUNK_BYTES allows for the n^6-per-sample float64 arrays (nabla R
+        and the smlijk contractions)."""
         n = self.points.shape[1]
         size = max(1, CHUNK_BYTES // (8 * n**6))
         return [(lo, min(lo + size, self.count)) for lo in range(0, self.count, size)]
@@ -277,9 +279,20 @@ def _parse_kv_document(text: str) -> dict:
     return doc
 
 
+def _unique_members(pairs: list) -> dict:
+    """A JSON object's members as a dict, rejecting a repeated key (which
+    ``json.loads`` would resolve silently to the last value)."""
+    members: dict = {}
+    for key, value in pairs:
+        if key in members:
+            raise SpecError(f"duplicate JSON key {key!r}")
+        members[key] = value
+    return members
+
+
 def _parse_json_document(text: str) -> dict:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_members)
     except json.JSONDecodeError as err:
         raise SpecError(f"invalid JSON document: {err}") from err
     if not isinstance(data, dict):

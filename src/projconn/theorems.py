@@ -25,6 +25,7 @@ import numpy as np
 from .geometry import ManifoldSpec, SpecError, sample
 from .connections import check_parallel_unit_xi, covariant
 from .curvature import (
+    derivation,
     derivation_all_frames,
     jet,
     lam_scale,
@@ -168,10 +169,8 @@ def _curvature_columns(spec, j) -> dict:
             + np.einsum("sj,slimk->smlijk", pi, R)
             + np.einsum("sk,slijm->smlijk", pi, R)
         )
-        - (2.0 * lam * (n - 1) / (n + 1)) * (
-            np.einsum("sm,sk,si,lj->smlijk", pi, pi, pi, eye)
-            - np.einsum("sm,sj,sk,li->smlijk", pi, pi, pi, eye)
-        )
+        - (2.0 * lam * (n - 1) / (n + 1))
+        * np.einsum("sm,slijk->smlijk", pi, _curvature_shift(pi, eye))
     )
     cols["eq11d"] = _max_abs(nabla_Rt - rhs_11d)
     cols["eq12"] = _max_abs(_nullity_defect(j, Rt, lam, eye))
@@ -250,13 +249,12 @@ def _semisymmetry_columns(spec, j) -> dict:
     pi, xi, Rt = j.pi, j.xi, j.pr.R
     rr = derivation_all_frames(Rt, Rt)
     rho = -2.0 * (n - 1) / (n + 1.0) * pi
-    applied = np.einsum("sablzuv,sa->sblzuv", rr, xi)
+    applied = derivation(np.einsum("sa,slabm->sblm", xi, Rt), Rt)  # R~(xi, e_b) . R~
     rhs_20 = -lam * (
         np.einsum("sz,slbuv->sblzuv", pi, Rt)
         + np.einsum("su,slzbv->sblzuv", pi, Rt)
         + np.einsum("sv,slzub->sblzuv", pi, Rt)
-    ) + 2.0 * lam * lam * np.einsum("sz,lu,sb,sv->sblzuv", pi, eye, pi, pi) \
-      - 2.0 * lam * lam * np.einsum("su,lz,sb,sv->sblzuv", pi, eye, pi, pi)
+    ) + 2.0 * lam * lam * np.einsum("sb,slzuv->sblzuv", pi, _curvature_shift(pi, eye))
     return {
         "max_R": _max_abs(j.lc.R),
         "def4_1_flat": _max_abs(rr),

@@ -317,3 +317,37 @@ def test_covariant_derivative_is_the_batched_rule_at_one_sample(name, kind):
     for row, point in zip(batched, s.points):
         value = covariant_derivative(spec, metric_field(spec), kind, point)
         np.testing.assert_allclose(value.components, row, rtol=1e-13, atol=1e-15)
+
+
+_SLOTS = "abcdefgh"  # slot labels; s (sample), m (direction), p (summed) stay free
+
+
+def _covariant_reference(Gamma, T, dT, variance):
+    """The covariant rule one two-operand einsum per slot: +Gamma[c,m,p] for
+    an upper slot c, -Gamma[p,m,c] for a lower one."""
+    idx = _SLOTS[: len(variance)]
+    out = dT
+    for slot, v in enumerate(variance):
+        c = idx[slot]
+        src = idx[:slot] + "p" + idx[slot + 1:]
+        if v == "u":
+            out = out + np.einsum(f"s{c}mp,s{src}->sm{idx}", Gamma, T)
+        else:
+            out = out - np.einsum(f"spm{c},s{src}->sm{idx}", Gamma, T)
+    return out
+
+
+@pytest.mark.parametrize("variance", ["l", "u", "ll", "ul", "lu", "ulll"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_covariant_matches_per_slot_reference(n, variance):
+    # Gamma with no symmetry in (direction, argument), so that swapping its
+    # middle slots changes the result
+    rng = np.random.default_rng(7 * n + len(variance))
+    rank = len(variance)
+    Gamma = rng.normal(size=(4, n, n, n))
+    assert np.max(np.abs(Gamma - Gamma.transpose(0, 1, 3, 2))) > 0.1
+    T = rng.normal(size=(4,) + (n,) * rank)
+    dT = rng.normal(size=(4,) + (n,) * (rank + 1))
+    np.testing.assert_allclose(covariant(Gamma, T, dT, tuple(variance)),
+                               _covariant_reference(Gamma, T, dT, variance),
+                               rtol=0, atol=1e-12)

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from projconn.connections import LEVI_CIVITA, PROJECTIVE
+from projconn import theorems
+from projconn.catalog import builtin
 from projconn.curvature import (
+    derivation,
     derivation_all_frames,
     derivation_apply,
+    jet,
     lam_scale,
     nullity_fit,
     projective_at,
@@ -263,15 +267,63 @@ def _derivation_definition(A, T):
             - np.einsum("lzum,...mv->...lzuv", T, A))
 
 
+def _all_frames_definition(R, T):
+    """(R(e_a, e_b) . T) for every ordered pair (a, b), by the definition."""
+    return _derivation_definition(np.einsum("labm->ablm", R), T)
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_derivation_all_frames_matches_definition(n):
     rng = np.random.default_rng(100 + n)
     R = rng.normal(size=(2,) + (n,) * 4)  # two samples on a leading axis
     T = rng.normal(size=(2,) + (n,) * 4)
-    expected = np.stack([
-        _derivation_definition(np.einsum("labm->ablm", r), t) for r, t in zip(R, T)
-    ])
+    a, b = np.triu_indices(n, 1)
+    expected = np.stack([_all_frames_definition(r, t)[a, b] for r, t in zip(R, T)])
     np.testing.assert_allclose(derivation_all_frames(R, T), expected, rtol=0, atol=1e-12)
+
+
+def _chart_curvatures(n):
+    """Both connections' R at two sample points of cylinder_s2xr (n = 3) or
+    curved5 (n = 5), with the jet they come from."""
+    spec = load_spec(_curved5_document()) if n == 5 else builtin("cylinder_s2xr").spec
+    return spec, jet(spec, sample(spec, 2, seed=n).points, 3)
+
+
+@pytest.mark.parametrize("conn", [LEVI_CIVITA, PROJECTIVE])
+@pytest.mark.parametrize("n", [3, 5])
+def test_derivation_pairs_keep_the_maximum_of_all_frames(n, conn):
+    # R(e_b, e_a) = -R(e_a, e_b), so the a < b frames lose no maximum; the
+    # action is on a random T, since on the cylinder R annihilates R and R~
+    _, j = _chart_curvatures(n)
+    T = np.random.default_rng(300 + n).normal(size=(n,) * 4)
+    for R in j.connection(conn).R:
+        everything = np.max(np.abs(_all_frames_definition(R, T)))
+        assert everything > 0.1
+        assert np.max(np.abs(derivation_all_frames(R, T))) == pytest.approx(everything, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_eq20_field_action_matches_definition(monkeypatch, n):
+    # eq20 acts with R~(xi, e_b) alone; that must be the xi-contraction of
+    # the full frames R~(e_a, e_b) . R~
+    spec, j = _chart_curvatures(n)
+    actions = []
+
+    def recording(A, T):
+        out = derivation(A, T)
+        actions.append((T, out))
+        return out
+
+    monkeypatch.setattr(theorems, "derivation", recording)
+    theorems._semisymmetry_columns(spec, j)
+    [(T, applied)] = actions
+    Rt = j.pr.R
+    assert T is Rt
+    expected = np.stack([
+        np.einsum("ablzuv,a->blzuv", _all_frames_definition(r, r), x) for r, x in zip(Rt, j.xi)
+    ])
+    assert np.max(np.abs(expected)) > 0.1
+    np.testing.assert_allclose(applied, expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("conn", [LEVI_CIVITA, PROJECTIVE])

@@ -30,6 +30,16 @@ box[1] = -1, 1
 """
 
 
+FLAT_2D_JSON = json.dumps({
+    "name": "plane",
+    "dim": 2,
+    "coords": ["u", "v"],
+    "g": [["1", "0"], ["0", "1"]],
+    "xi": ["1", "0"],
+    "box": [[-1, 1], [-1, 1]],
+})
+
+
 def test_load_kv_document():
     spec = load_spec(FLAT_2D)
     assert spec.n == 2
@@ -43,15 +53,7 @@ def test_load_three_coordinate_document(cylinder):
 
 
 def test_load_json_document_equals_kv():
-    doc = {
-        "name": "plane",
-        "dim": 2,
-        "coords": ["u", "v"],
-        "g": [["1", "0"], ["0", "1"]],
-        "xi": ["1", "0"],
-        "box": [[-1, 1], [-1, 1]],
-    }
-    assert load_spec(json.dumps(doc)) == load_spec(FLAT_2D)
+    assert load_spec(FLAT_2D_JSON) == load_spec(FLAT_2D)
 
 
 def test_dimension_mismatch_rejected():
@@ -77,11 +79,22 @@ def test_unknown_key_rejected():
     ("box[1] = 0, 1\n", "box[1]"),
     ("phi[0][1] = 0\nphi[0][1] = 1\n", "phi[0][1]"),
     ("dim = 2\n", "dim"),
-], ids=["g", "xi", "box", "phi", "dim"])
+    ('"g": [["2", "0"], ["0", "1"]]', "g"),
+    ('"xi": ["0", "1"]', "xi"),
+    ('"box": [[0, 1], [0, 1]]', "box"),
+    ('"dim": 2', "dim"),
+], ids=["g", "xi", "box", "phi", "dim", "json-g", "json-xi", "json-box", "json-dim"])
 def test_duplicate_key_rejected(extra, key):
-    lineno = FLAT_2D.count("\n") + extra.count("\n")
-    with pytest.raises(SpecError, match=re.escape(f"line {lineno}: duplicate key {key!r}")):
-        load_spec(FLAT_2D + extra)
+    if extra.startswith('"'):
+        # a second member of the JSON object, which json.loads alone would
+        # keep in place of the first
+        document = FLAT_2D_JSON[:-1] + ", " + extra + "}"
+        message = f"duplicate JSON key {key!r}"
+    else:
+        document = FLAT_2D + extra
+        message = f"line {FLAT_2D.count(chr(10)) + extra.count(chr(10))}: duplicate key {key!r}"
+    with pytest.raises(SpecError, match=re.escape(message)):
+        load_spec(document)
 
 
 def test_unknown_coordinate_in_expression_rejected():
