@@ -323,7 +323,7 @@ _SLOTS = "abcdefgh"  # slot labels; s (sample), m (direction), p (summed) stay f
 
 
 def _covariant_reference(Gamma, T, dT, variance):
-    """The covariant rule one two-operand einsum per slot: +Gamma[c,m,p] for
+    """The covariant rule as one two-operand einsum per slot: +Gamma[c,m,p] for
     an upper slot c, -Gamma[p,m,c] for a lower one."""
     idx = _SLOTS[: len(variance)]
     out = dT
