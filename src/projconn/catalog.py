@@ -13,6 +13,10 @@ file-loading paths share one source and can be byte-compared.  The entries:
   factor 1 resp. 4) dressed with the 90-degree rotation tensor on the sphere
   factor; the product is cosymplectic and its curvature has the three-term
   space-form-like shape with coefficient functions f1 = f2 = f3 = c/4.
+* ``polar_r2xr2``: the plane in polar coordinates times a plane, with the
+  tilted constant field 0.6 d_z + 0.8 d_w.  Flat, but its Christoffel
+  symbols do not vanish, so the flat closed forms see non-zero connection
+  data and rounding.
 * ``sphere3_bad_xi``: round 3-sphere with a normalized coordinate field, the
   negative control: the field is unit but not parallel, so gated checks must
   skip.
@@ -131,6 +135,32 @@ f3 = {f}
 """
 
 
+def _polar_document() -> str:
+    return """name = polar_r2xr2
+dim = 4
+coords = r, theta, z, w
+parallel_xi_expected = true
+g[0][0] = 1
+g[0][1] = 0
+g[0][2] = 0
+g[0][3] = 0
+g[1][1] = r^2
+g[1][2] = 0
+g[1][3] = 0
+g[2][2] = 1
+g[2][3] = 0
+g[3][3] = 1
+xi[0] = 0
+xi[1] = 0
+xi[2] = 0.6
+xi[3] = 0.8
+box[0] = 0.5, 2
+box[1] = 0.1, 6.1
+box[2] = -1, 1
+box[3] = -1, 1
+"""
+
+
 def _sphere_document() -> str:
     return f"""name = sphere3_bad_xi
 dim = 3
@@ -165,6 +195,10 @@ _PROVENANCE = {
         "sphere factor of curvature 4 (radius 1/2) times a line, same "
         "rotation tensor; f1=f2=f3=1"
     ),
+    "polar_r2xr2": (
+        "flat plane in polar coordinates times a flat plane, constant unit "
+        "field 0.6 d_z + 0.8 d_w; flat with non-vanishing Christoffel symbols"
+    ),
     "sphere3_bad_xi": (
         "round 3-sphere with a normalized coordinate field: unit but not "
         "parallel (negative control for the gate)"
@@ -181,6 +215,7 @@ _CORE_NAMES = (
     "cylinder_s2xr",
     "gssf_c1",
     "gssf_c4",
+    "polar_r2xr2",
     "sphere3_bad_xi",
 )
 
@@ -203,6 +238,8 @@ def entry_document(name: str) -> str:
         return _gssf_document(1)
     if name == "gssf_c4":
         return _gssf_document(4)
+    if name == "polar_r2xr2":
+        return _polar_document()
     if name == "sphere3_bad_xi":
         return _sphere_document()
     raise KeyError(f"unknown catalog entry {name!r}")

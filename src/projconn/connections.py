@@ -133,11 +133,16 @@ def _lc_pieces(mj: MetricJet, order: int):
     """Christoffel data from metric jets, batched over the leading sample axis.
 
     C[l,i,j] = (d_i g_jl + d_j g_il - d_l g_ij)/2, Gamma = G_inv @ C, and the
-    exact derivative chain using d(G_inv) = -G_inv dG G_inv.
+    exact derivative chain using d(G_inv) = -G_inv dG G_inv.  Every product
+    contracts over l as one stacked matrix product, with C and its partials
+    viewed as [.., l, i*j].  The two mixed terms of d_p d_m Gamma are one
+    product W[m,p] = d_p G_inv d_m C, taken in both (p, m) orders.
     """
     G_inv, dG = mj.G_inv, mj.dG
+    s, n = G_inv.shape[:2]
     C = 0.5 * (dG.transpose(0, 3, 1, 2) + dG.transpose(0, 3, 2, 1) - dG)
-    Gamma = np.einsum("skl,slij->skij", G_inv, C)
+    C_flat = C.reshape(s, n, n * n)
+    Gamma = (G_inv @ C_flat).reshape((s,) + (n,) * 3)
     if order < 1:
         return Gamma, None, None
     d2G = mj.d2G
@@ -145,9 +150,9 @@ def _lc_pieces(mj: MetricJet, order: int):
     Gi_dG = Gi @ dG
     dGinv = -(Gi_dG @ Gi)
     dC = 0.5 * (d2G.transpose(0, 1, 4, 2, 3) + d2G.transpose(0, 1, 4, 3, 2) - d2G)
-    dGamma = np.einsum("smkl,slij->smkij", dGinv, C) + np.einsum(
-        "skl,smlij->smkij", G_inv, dC
-    )
+    dC_flat = dC.reshape(s, n, n, n * n)  # [s, m, l, i*j]
+    dGamma = (dGinv.reshape(s, n * n, n) @ C_flat).reshape((s,) + (n,) * 4)
+    dGamma += (Gi @ dC_flat).reshape(dGamma.shape)
     if order < 2:
         return Gamma, dGamma, None
     d3G = mj.d3G
@@ -159,12 +164,11 @@ def _lc_pieces(mj: MetricJet, order: int):
     d2C = 0.5 * (
         d3G.transpose(0, 1, 2, 5, 3, 4) + d3G.transpose(0, 1, 2, 5, 4, 3) - d3G
     )
-    d2Gamma = (
-        np.einsum("spmkl,slij->spmkij", d2Ginv, C)
-        + np.einsum("smkl,splij->spmkij", dGinv, dC)
-        + np.einsum("spkl,smlij->spmkij", dGinv, dC)
-        + np.einsum("skl,spmlij->spmkij", G_inv, d2C)
-    )
+    W = (dGinv[:, None] @ dC_flat[:, :, None]).reshape((s,) + (n,) * 5)
+    d2Gamma = (d2Ginv.reshape(s, n**3, n) @ C_flat).reshape(W.shape)
+    d2Gamma += (Gi @ d2C.reshape(s, n * n, n, n * n)).reshape(W.shape)
+    d2Gamma += W
+    d2Gamma += W.transpose(0, 2, 1, 3, 4, 5)
     return Gamma, dGamma, d2Gamma
 
 

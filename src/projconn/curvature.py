@@ -24,6 +24,7 @@ Sign conventions (fixed here, validated by the flat-space two-path check):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,12 @@ class ConnectionJet:
     S: np.ndarray | None = None  # S[s,j,k] = R[s,i,i,j,k]
     dR: np.ndarray | None = None  # dR[s,m,l,i,j,k] = d_m R[l,i,j,k]
     nabla_R: np.ndarray | None = None  # nabla_R[s,m,l,i,j,k] = (D_m R)[l,i,j,k]
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        """The Weyl projective curvature P[s,l,i,j,k] of R and S, built on
+        first use and kept, so every family that reads it shares one copy."""
+        return projective_tensor(self.R, self.S)
 
 
 @dataclass
@@ -138,27 +145,36 @@ class NullityFit:
 # the sample-set jet
 
 
+def _antisymmetrised(D: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The part of D + Q antisymmetric in the (i, j) slots of [..., l, i, j, k],
+    one rule for R and for dR.  It is summed as (D - D^T + Q) - Q^T, the
+    order of the coordinate formula's four terms, so R keeps its rounding."""
+    out = D - D.swapaxes(-3, -2)
+    out += Q
+    out -= Q.swapaxes(-3, -2)
+    return out
+
+
 def _riemann_components(Gamma: np.ndarray, dGamma: np.ndarray) -> np.ndarray:
-    term_a = dGamma.transpose(0, 2, 1, 3, 4)  # [s,l,i,j,k] = d_i Gamma[l,j,k]
-    term_b = dGamma.transpose(0, 2, 3, 1, 4)  # [s,l,i,j,k] = d_j Gamma[l,i,k]
-    quad_a = np.einsum("slim,smjk->slijk", Gamma, Gamma)
-    quad_b = np.einsum("sljm,smik->slijk", Gamma, Gamma)
-    return term_a - term_b + quad_a - quad_b
+    """R[s,l,i,j,k] = X[l,i,j,k] - X[l,j,i,k] with X[l,i,j,k] =
+    d_i Gamma[l,j,k] + Gamma[l,i,p] Gamma[p,j,k], the product one stacked
+    matrix product over p."""
+    s, n = Gamma.shape[:2]
+    quad = Gamma.reshape(s, n * n, n) @ Gamma.reshape(s, n, n * n)
+    return _antisymmetrised(dGamma.transpose(0, 2, 1, 3, 4), quad.reshape((s,) + (n,) * 4))
 
 
 def _riemann_partials(
     Gamma: np.ndarray, dGamma: np.ndarray, d2Gamma: np.ndarray
 ) -> np.ndarray:
-    """dR[s,m,l,i,j,k] by differentiating the coordinate formula exactly."""
-    term_a = d2Gamma.transpose(0, 1, 3, 2, 4, 5)  # d_m d_i Gamma[l,j,k]
-    term_b = d2Gamma.transpose(0, 1, 3, 4, 2, 5)  # d_m d_j Gamma[l,i,k]
-    quad = (
-        np.einsum("smlip,spjk->smlijk", dGamma, Gamma)
-        + np.einsum("slip,smpjk->smlijk", Gamma, dGamma)
-        - np.einsum("smljp,spik->smlijk", dGamma, Gamma)
-        - np.einsum("sljp,smpik->smlijk", Gamma, dGamma)
-    )
-    return term_a - term_b + quad
+    """dR[s,m,l,i,j,k] by differentiating the coordinate formula exactly: the
+    (i, j)-antisymmetric part of d_m X[l,i,j,k] = d_m d_i Gamma[l,j,k] +
+    d_m Gamma[l,i,p] Gamma[p,j,k] + Gamma[l,i,p] d_m Gamma[p,j,k], each
+    product one stacked matrix product over p."""
+    s, n = Gamma.shape[:2]
+    quad = (dGamma.reshape(s, n**3, n) @ Gamma.reshape(s, n, n * n)).reshape((s,) + (n,) * 5)
+    quad += (Gamma.reshape(s, 1, n * n, n) @ dGamma.reshape(s, n, n, n * n)).reshape(quad.shape)
+    return _antisymmetrised(d2Gamma.transpose(0, 1, 3, 2, 4, 5), quad)
 
 
 def _connection_jet(G, Gamma, dGamma, d2Gamma) -> ConnectionJet:
@@ -325,8 +341,7 @@ def projective_at(spec: ManifoldSpec, conn_kind: str, point) -> np.ndarray:
     """Weyl projective curvature of the requested connection as a (1,3)
     array P[l,i,j,k] = R[l,i,j,k] - (S[j,k] d^l_i - S[i,k] d^l_j)/(n-1)."""
     spec.require_dimension_above_two()
-    cj = jet(spec, [point], 2).connection(conn_kind)
-    return projective_tensor(cj.R[0], cj.S[0])
+    return jet(spec, [point], 2).connection(conn_kind).P[0]
 
 
 def derivation_apply(spec: ManifoldSpec, point, X, Y, T, conn_kind: str) -> np.ndarray:

@@ -60,9 +60,11 @@ class DimensionError(Exception):
     """An operation requiring dimension > 2 was invoked on a planar chart."""
 
 
-# Samples are walked in chunks: the largest run of samples whose n^6-per-sample
-# float64 arrays (nabla R and the smlijk contractions of the curvature family)
-# fit this many bytes each, and at least one sample.
+# Samples are walked in chunks: the largest run of samples at n^6 float64
+# values each that fits this many bytes, and at least one sample.  The jet's
+# dR and nabla R and the smlijk contractions of the curvature family hold n^5
+# values per sample; the largest per-sample array is the a < b derivation
+# stack, n^4 n(n-1)/2 values (0.9 MiB at n = 8).
 CHUNK_BYTES = 512 * 1024
 
 
@@ -229,8 +231,8 @@ class SampleSet:
 
     def chunks(self) -> list[tuple[int, int]]:
         """(start, stop) ranges walking the samples in order, each as long
-        as CHUNK_BYTES allows for the n^6-per-sample float64 arrays (nabla R
-        and the smlijk contractions)."""
+        as CHUNK_BYTES allows at n^6 float64 values per sample: n times the
+        n^5 values of dR, nabla R and the smlijk contractions."""
         n = self.points.shape[1]
         size = max(1, CHUNK_BYTES // (8 * n**6))
         return [(lo, min(lo + size, self.count)) for lo in range(0, self.count, size)]

@@ -29,7 +29,6 @@ from .curvature import (
     derivation_all_frames,
     jet,
     lam_scale,
-    projective_tensor,
     ricci_contraction,
     ricci_shifts,
 )
@@ -133,7 +132,9 @@ def _curvature_columns(spec, j) -> dict:
     G, pi, xi = j.G, j.pi, j.xi
     R, Rt, Rtlow = j.lc.R, j.pr.R, j.pr.Rlow
     nabla_Rt = j.pr.nabla_R
-    cols = {"eq9_two_path": _max_abs(Rt - (R + lam * _curvature_shift(pi, eye)))}
+    shift = _curvature_shift(pi, eye)
+    pi_R = np.einsum("sm,slijk->smlijk", pi, R)
+    cols = {"eq9_two_path": _max_abs(Rt - (R + lam * shift))}
     cols["thm2_1_i"] = _max_abs(Rtlow + np.einsum("sijkl->sjikl", Rtlow))
     defect_ii = lam * (
         np.einsum("si,sk,sjl->sijkl", pi, pi, G)
@@ -156,21 +157,21 @@ def _curvature_columns(spec, j) -> dict:
         + np.einsum("sjlmik->smlijk", nabla_Rt)
     )
     rhs_v = 2.0 * (
-        np.einsum("sm,slijk->smlijk", pi, R)
+        pi_R
         + np.einsum("si,sljmk->smlijk", pi, R)
         + np.einsum("sj,slmik->smlijk", pi, R)
     )
     cols["thm2_1_v"] = _max_abs(cyclic - rhs_v)
     rhs_11d = (
         j.lc.nabla_R
-        + (2.0 / (n + 1)) * np.einsum("sm,slijk->smlijk", pi, R)
+        + (2.0 / (n + 1)) * pi_R
         - (n / (n + 1.0)) * (
             np.einsum("si,slmjk->smlijk", pi, R)
             + np.einsum("sj,slimk->smlijk", pi, R)
             + np.einsum("sk,slijm->smlijk", pi, R)
         )
         - (2.0 * lam * (n - 1) / (n + 1))
-        * np.einsum("sm,slijk->smlijk", pi, _curvature_shift(pi, eye))
+        * np.einsum("sm,slijk->smlijk", pi, shift)
     )
     cols["eq11d"] = _max_abs(nabla_Rt - rhs_11d)
     cols["eq12"] = _max_abs(_nullity_defect(j, Rt, lam, eye))
@@ -220,9 +221,7 @@ def _projective_columns(spec, j) -> dict:
     the fit sums and the lowered curvature are kept per chunk for that."""
     lam = lam_scale(spec.n)
     eye = np.eye(spec.n)
-    R, Rt = j.lc.R, j.pr.R
-    P = projective_tensor(R, j.lc.S)
-    Pt = projective_tensor(Rt, j.pr.S)
+    R, Rt, P, Pt = j.lc.R, j.pr.R, j.lc.P, j.pr.P
     pattern = _space_form_pattern(j.G)
     coincidence = _max_abs(Pt - P)
     return {
@@ -249,17 +248,18 @@ def _semisymmetry_columns(spec, j) -> dict:
     pi, xi, Rt = j.pi, j.xi, j.pr.R
     rr = derivation_all_frames(Rt, Rt)
     rho = -2.0 * (n - 1) / (n + 1.0) * pi
+    shift = _curvature_shift(pi, eye)
     applied = derivation(np.einsum("sa,slabm->sblm", xi, Rt), Rt)  # R~(xi, e_b) . R~
     rhs_20 = -lam * (
         np.einsum("sz,slbuv->sblzuv", pi, Rt)
         + np.einsum("su,slzbv->sblzuv", pi, Rt)
         + np.einsum("sv,slzub->sblzuv", pi, Rt)
-    ) + 2.0 * lam * lam * np.einsum("sb,slzuv->sblzuv", pi, _curvature_shift(pi, eye))
+    ) + 2.0 * lam * lam * np.einsum("sb,slzuv->sblzuv", pi, shift)
     return {
         "max_R": _max_abs(j.lc.R),
         "def4_1_flat": _max_abs(rr),
         "eq20": _max_abs(applied - rhs_20),
-        "eq21": _max_abs(Rt - lam * _curvature_shift(pi, eye)),
+        "eq21": _max_abs(Rt - lam * shift),
         "cor4_3": _max_abs(j.pr.nabla_R - np.einsum("sm,slijk->smlijk", rho, Rt)),
     }
 
@@ -270,9 +270,7 @@ def _rp_columns(spec, j) -> dict:
     observed max |R~.P~| and max |S|."""
     n = spec.n
     eye = np.eye(n)
-    pi, xi, R, S = j.pi, j.xi, j.lc.R, j.lc.S
-    P = projective_tensor(R, S)
-    Pt = projective_tensor(j.pr.R, j.pr.S)
+    pi, xi, R, S, P, Pt = j.pi, j.xi, j.lc.R, j.lc.S, j.lc.P, j.pr.P
     S_xi = np.einsum("sjk,sk->sj", S, xi)
     d_i = np.einsum("slijk,si->sljk", Pt, xi) - (
         np.einsum("sk,lj->sljk", S_xi, eye) - np.einsum("sjk,sl->sljk", S, xi)

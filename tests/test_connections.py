@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from projconn import connections
 from projconn.connections import (
     LEVI_CIVITA,
     PROJECTIVE,
@@ -26,6 +28,7 @@ from projconn import expr as ex
 from projconn.catalog import builtin, catalog_names
 from projconn.curvature import jet
 from projconn.geometry import load_spec, metric_at, sample
+from mutants import mutant
 from test_jet import WARPED_CHART
 
 ZERO_FIELD_3D = """
@@ -351,3 +354,77 @@ def test_covariant_matches_per_slot_reference(n, variance):
     np.testing.assert_allclose(covariant(Gamma, T, dT, tuple(variance)),
                                _covariant_reference(Gamma, T, dT, variance),
                                rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the Levi-Civita chain
+
+
+def _lc_reference(G_inv, dG, d2G, d3G):
+    """Gamma, dGamma and d2Gamma by the coordinate chain, one einsum per
+    product: C[l,i,j] = (d_i g_jl + d_j g_il - d_l g_ij)/2, Gamma = G_inv C,
+    and d(G_inv) = -G_inv dG G_inv differentiated once more."""
+    C = 0.5 * (np.einsum("sijl->slij", dG) + np.einsum("sjil->slij", dG) - dG)
+    dC = 0.5 * (np.einsum("smijl->smlij", d2G) + np.einsum("smjil->smlij", d2G) - d2G)
+    d2C = 0.5 * (np.einsum("spmijl->spmlij", d3G) + np.einsum("spmjil->spmlij", d3G) - d3G)
+    dGinv = -np.einsum("ska,smab,sbl->smkl", G_inv, dG, G_inv)
+    d2Ginv = -(
+        np.einsum("spka,smab,sbl->spmkl", dGinv, dG, G_inv)
+        + np.einsum("ska,spmab,sbl->spmkl", G_inv, d2G, G_inv)
+        + np.einsum("ska,smab,spbl->spmkl", G_inv, dG, dGinv)
+    )
+    Gamma = np.einsum("skl,slij->skij", G_inv, C)
+    dGamma = np.einsum("smkl,slij->smkij", dGinv, C) + np.einsum("skl,smlij->smkij", G_inv, dC)
+    d2Gamma = (
+        np.einsum("spmkl,slij->spmkij", d2Ginv, C)
+        + np.einsum("smkl,splij->spmkij", dGinv, dC)
+        + np.einsum("spkl,smlij->spmkij", dGinv, dC)
+        + np.einsum("skl,spmlij->spmkij", G_inv, d2C)
+    )
+    return Gamma, dGamma, d2Gamma
+
+
+def _random_metric_jet(n):
+    """G_inv and the partials of g at two samples, with no symmetry at all:
+    C and its partials are then not symmetric in (i, j), and d2G and d3G
+    not in their derivative axes."""
+    rng = np.random.default_rng(400 + n)
+    return SimpleNamespace(**{
+        name: rng.normal(size=(2,) + (n,) * rank)
+        for name, rank in (("G_inv", 2), ("dG", 3), ("d2G", 4), ("d3G", 5))
+    })
+
+
+def _lc_gaps(mj):
+    """Per piece, the largest difference of connections._lc_pieces from the
+    reference, relative to the reference's largest entry."""
+    want = _lc_reference(mj.G_inv, mj.dG, mj.d2G, mj.d3G)
+    got = connections._lc_pieces(mj, 2)
+    return [float(np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(b)))) for a, b in zip(got, want)]
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_lc_pieces_match_reference(n):
+    mj = _random_metric_jet(n)
+    assert max(_lc_gaps(mj)) <= 1e-12
+    # the lower orders are the same rule cut short
+    Gamma, dGamma, _ = connections._lc_pieces(mj, 2)
+    assert connections._lc_pieces(mj, 0)[1:] == (None, None)
+    np.testing.assert_array_equal(connections._lc_pieces(mj, 0)[0], Gamma)
+    np.testing.assert_array_equal(connections._lc_pieces(mj, 1)[1], dGamma)
+
+
+# slot-swap mutants of _lc_pieces: G_inv's slots swapped in Gamma and in
+# dGamma, and the two mixed terms of d2Gamma taken in one (p, m) order
+LC_MUTANTS = {
+    "gamma": ("(G_inv @ C_flat)", "(G_inv.swapaxes(-1, -2) @ C_flat)"),
+    "dgamma": ("(Gi @ dC_flat)", "(Gi.swapaxes(-1, -2) @ dC_flat)"),
+    "d2gamma_mixed_order": ("d2Gamma += W.transpose(0, 2, 1, 3, 4, 5)", "d2Gamma += W"),
+}
+
+
+@pytest.mark.parametrize("name", LC_MUTANTS)
+def test_lc_reference_catches_slot_swaps(monkeypatch, name):
+    monkeypatch.setattr(connections, "_lc_pieces",
+                        mutant(connections._lc_pieces, *LC_MUTANTS[name]))
+    assert max(_lc_gaps(_random_metric_jet(5))) > 1e-3

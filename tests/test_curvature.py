@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from projconn.connections import LEVI_CIVITA, PROJECTIVE
-from projconn import theorems
+from projconn import curvature, theorems
 from projconn.catalog import builtin
 from projconn.curvature import (
     derivation,
@@ -21,6 +21,7 @@ from projconn.curvature import (
     theta_beta_at,
 )
 from projconn.geometry import DimensionError, GateError, load_spec, metric_at, sample
+from mutants import mutant
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -337,6 +338,65 @@ def test_derivation_apply_matches_definition(cylinder, n, conn):
     assert np.max(np.abs(A)) > 0.1
     np.testing.assert_allclose(derivation_apply(spec, point, X, Y, T, conn),
                                _derivation_definition(A, T), rtol=0, atol=1e-12)
+
+
+def _riemann_reference(Gamma, dGamma):
+    """R[s,l,i,j,k] as the coordinate formula's four terms, the products
+    two-operand einsums."""
+    term_a = dGamma.transpose(0, 2, 1, 3, 4)  # d_i Gamma[l,j,k]
+    term_b = dGamma.transpose(0, 2, 3, 1, 4)  # d_j Gamma[l,i,k]
+    quad_a = np.einsum("slim,smjk->slijk", Gamma, Gamma)
+    quad_b = np.einsum("sljm,smik->slijk", Gamma, Gamma)
+    return term_a - term_b + quad_a - quad_b
+
+
+def _riemann_partials_reference(Gamma, dGamma, d2Gamma):
+    """dR[s,m,l,i,j,k], the coordinate formula differentiated term by term."""
+    term_a = d2Gamma.transpose(0, 1, 3, 2, 4, 5)  # d_m d_i Gamma[l,j,k]
+    term_b = d2Gamma.transpose(0, 1, 3, 4, 2, 5)  # d_m d_j Gamma[l,i,k]
+    quad = (
+        np.einsum("smlip,spjk->smlijk", dGamma, Gamma)
+        + np.einsum("slip,smpjk->smlijk", Gamma, dGamma)
+        - np.einsum("smljp,spik->smlijk", dGamma, Gamma)
+        - np.einsum("sljp,smpik->smlijk", Gamma, dGamma)
+    )
+    return term_a - term_b + quad
+
+
+def _riemann_gaps(n):
+    """The largest differences of the engine's R and dR from the references,
+    on random Gamma, dGamma and d2Gamma at two samples.  Like the projective
+    connection's, the Gamma here is not symmetric in (i, j)."""
+    rng = np.random.default_rng(500 + n)
+    Gamma, dGamma, d2Gamma = (rng.normal(size=(2,) + (n,) * rank) for rank in (3, 4, 5))
+    assert np.max(np.abs(Gamma - Gamma.transpose(0, 1, 3, 2))) > 0.1
+    R = curvature._riemann_components(Gamma, dGamma)
+    dR = curvature._riemann_partials(Gamma, dGamma, d2Gamma)
+    return (float(np.max(np.abs(R - _riemann_reference(Gamma, dGamma)))),
+            float(np.max(np.abs(dR - _riemann_partials_reference(Gamma, dGamma, d2Gamma)))))
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_riemann_rules_match_reference(n):
+    assert max(_riemann_gaps(n)) <= 1e-12
+
+
+# slot-swap mutants: the antisymmetrisation over (j, k) instead of (i, j) on
+# the products, and Gamma[l,p,i] for Gamma[l,i,p] in each rule's product
+RIEMANN_MUTANTS = {
+    "antisymmetrised": ("_antisymmetrised", "out -= Q.swapaxes(-3, -2)", "out -= Q.swapaxes(-2, -1)"),
+    "components": ("_riemann_components", "Gamma.reshape(s, n * n, n) @",
+                   "Gamma.swapaxes(-1, -2).reshape(s, n * n, n) @"),
+    "partials": ("_riemann_partials", "(Gamma.reshape(s, 1, n * n, n)",
+                 "(Gamma.swapaxes(-1, -2).reshape(s, 1, n * n, n)"),
+}
+
+
+@pytest.mark.parametrize("name", RIEMANN_MUTANTS)
+def test_riemann_reference_catches_slot_swaps(monkeypatch, name):
+    rule, old, new = RIEMANN_MUTANTS[name]
+    monkeypatch.setattr(curvature, rule, mutant(getattr(curvature, rule), old, new))
+    assert max(_riemann_gaps(5)) > 1e-3
 
 
 def test_quasi_einstein_exact_member():

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from projconn import geometry
+from projconn import connections, geometry
 from projconn import expr as ex
 from projconn.catalog import builtin
 from projconn.curvature import jet
 from projconn.geometry import load_spec, sample
 from projconn.theorems import run_checks
+from mutants import mutant
 
 
 def test_chunk_sizes_follow_the_byte_budget():
@@ -123,6 +124,29 @@ box[1] = -0.5, 0.5
 box[2] = -0.5, 0.5
 box[3] = -0.5, 0.5
 """
+
+
+# The catalog's curved charts have metrics of one coordinate, on which
+# d_p d_m Gamma comes out symmetric in (p, m) whatever the order of its mixed
+# terms; this chart's metric depends on x, y and z.
+def _warped_failures():
+    reports = run_checks(load_spec(WARPED_CHART), count=10, seed=42)
+    return reports, {r.check_id for r in reports if not (r.passed or r.skipped)}
+
+
+def test_warped_chart_passes_every_check():
+    reports, failed = _warped_failures()
+    assert not failed
+    ran = {r.check_id for r in reports if not r.skipped}
+    assert {"thm2_1_v", "eq11d", "lem2_6"} <= ran
+
+
+def test_warped_chart_catches_mixed_d2gamma_order(monkeypatch):
+    # the two mixed terms d_p G_inv d_m C and d_m G_inv d_p C taken in one order
+    wrong = mutant(connections._lc_pieces,
+                   "d2Gamma += W.transpose(0, 2, 1, 3, 4, 5)", "d2Gamma += W")
+    monkeypatch.setattr(connections, "_lc_pieces", wrong)
+    assert "thm2_1_v" in _warped_failures()[1]
 
 
 def test_transcendental_tables_match_sympy():
