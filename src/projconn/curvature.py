@@ -146,7 +146,7 @@ class NullityFit:
 
 
 def _antisymmetrised(D: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """The part of D + Q antisymmetric in the (i, j) slots of [..., l, i, j, k],
+    """X - X^T for X = D + Q, ^T swapping the (i, j) slots of [..., l, i, j, k]:
     one rule for R and for dR.  It is summed as (D - D^T + Q) - Q^T, the
     order of the coordinate formula's four terms, so R keeps its rounding."""
     out = D - D.swapaxes(-3, -2)
@@ -167,9 +167,9 @@ def _riemann_components(Gamma: np.ndarray, dGamma: np.ndarray) -> np.ndarray:
 def _riemann_partials(
     Gamma: np.ndarray, dGamma: np.ndarray, d2Gamma: np.ndarray
 ) -> np.ndarray:
-    """dR[s,m,l,i,j,k] by differentiating the coordinate formula exactly: the
-    (i, j)-antisymmetric part of d_m X[l,i,j,k] = d_m d_i Gamma[l,j,k] +
-    d_m Gamma[l,i,p] Gamma[p,j,k] + Gamma[l,i,p] d_m Gamma[p,j,k], each
+    """dR[s,m,l,i,j,k] by differentiating the coordinate formula exactly:
+    d_m X[l,i,j,k] - d_m X[l,j,i,k] with d_m X[l,i,j,k] = d_m d_i Gamma[l,j,k]
+    + d_m Gamma[l,i,p] Gamma[p,j,k] + Gamma[l,i,p] d_m Gamma[p,j,k], each
     product one stacked matrix product over p."""
     s, n = Gamma.shape[:2]
     quad = (dGamma.reshape(s, n**3, n) @ Gamma.reshape(s, n, n * n)).reshape((s,) + (n,) * 5)
