@@ -5,13 +5,13 @@ quasi-Einstein decomposition."""
 import numpy as np
 
 from projconn.catalog import builtin
-from projconn.connections import LEVI_CIVITA, PROJECTIVE
+from projconn.connections import PROJECTIVE
 from projconn.curvature import (
+    jet,
     lam_scale,
     nullity_fit,
     quasi_einstein_fit,
-    ricci_at,
-    riemann_at,
+    ricci_shifts,
 )
 from projconn.geometry import sample
 
@@ -20,22 +20,21 @@ def main():
     spec = builtin("euclidean3").spec
     origin = (0.0, 0.0, 0.0)
     print("flat chart: the shifted connection is curved")
-    cv = riemann_at(spec, PROJECTIVE, origin)
-    print(f"  R~[2,1,2,1] = {cv.R[1, 0, 1, 0]:+.4f}  (the scale -n^2/(n+1)^2 "
+    j = jet(spec, [origin], 2)
+    print(f"  R~[2,1,2,1] = {j.pr.R[0, 1, 0, 1, 0]:+.4f}  (the scale -n^2/(n+1)^2 "
           f"= {lam_scale(3):+.4f})")
-    print(f"  metric curvature: max |R| = "
-          f"{np.max(np.abs(riemann_at(spec, LEVI_CIVITA, origin).R)):.1e}")
+    print(f"  metric curvature: max |R| = {np.max(np.abs(j.lc.R[0])):.1e}")
     print()
 
     spec = builtin("cylinder_s2xr").spec
     point = (np.pi / 2, 1.0, 0.0)
-    rv = ricci_at(spec, point)
+    j = jet(spec, [point], 2)
+    r, r_tilde, ricci_residual, scalar_residual = (float(v[0]) for v in ricci_shifts(j))
     print("sphere-times-line chart at the equator")
-    print(f"  Ricci (metric)  diag = {np.round(np.diag(rv.S), 6)},  scalar = {rv.r:.4f}")
-    print(f"  Ricci (shifted) diag = {np.round(np.diag(rv.S_tilde), 6)},  "
-          f"scalar = {rv.r_tilde:.4f}")
-    print(f"  shift identity residuals: {rv.ricci_shift_residual:.1e}, "
-          f"{rv.scalar_shift_residual:.1e}")
+    print(f"  Ricci (metric)  diag = {np.round(np.diag(j.lc.S[0]), 6)},  scalar = {r:.4f}")
+    print(f"  Ricci (shifted) diag = {np.round(np.diag(j.pr.S[0]), 6)},  "
+          f"scalar = {r_tilde:.4f}")
+    print(f"  shift identity residuals: {ricci_residual:.1e}, {scalar_residual:.1e}")
     print()
 
     print("nullity constant of the field, by dimension")

@@ -18,28 +18,22 @@ from .geometry import (
 )
 from .connections import (
     ConnectionCoeffs,
-    TensorField,
-    TensorValue,
     check_parallel_unit_xi,
+    connection_at,
     covariant_derivative,
-    levi_civita_at,
     nonmetricity_at,
-    projective_coeffs_at,
     torsion_at,
 )
 from .curvature import (
-    CurvatureValue,
+    Jet,
     NullityFit,
     QuasiEinsteinFit,
-    RicciValue,
     derivation_apply,
+    jet,
     nullity_fit,
-    projective_at,
     quasi_einstein_fit,
-    ricci_at,
-    riemann_at,
     rtilde_closed_form,
-    theta_beta_at,
+    theta_beta,
 )
 from .report import CheckReport
 from .theorems import (

@@ -20,14 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog, expr, geometry, theorems
-from .connections import (
-    LEVI_CIVITA,
-    PROJECTIVE,
-    connection_at,
-    nonmetricity_components,
-    torsion_components,
-)
-from .curvature import projective_at, ricci_at, riemann_at, theta_beta_at
+from .connections import nonmetricity_components, torsion_components
+from .curvature import jet, lam_scale, ricci_shifts, theta_beta
 from .geometry import DimensionError, GateError, NotSPDError, SpecError
 
 __all__ = ["main", "run"]
@@ -36,22 +30,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
-
-TENSOR_IDS = (
-    "gamma",
-    "gamma_tilde",
-    "torsion",
-    "nonmetricity",
-    "riemann",
-    "riemann_tilde",
-    "ricci",
-    "ricci_tilde",
-    "theta",
-    "beta",
-    "projective",
-    "projective_tilde",
-)
-
 
 class _UsageError(Exception):
     pass
@@ -142,7 +120,7 @@ def _cmd_list(args) -> int:
                 "provenance": entry.provenance,
             }
         )
-    if args.json or args.format == "json":
+    if args.json:
         _emit(json.dumps(entries, indent=2), args.out)
         return EXIT_OK
     lines = []
@@ -174,42 +152,56 @@ def _component_lines(label: str, array: np.ndarray, index_names: str) -> list[st
     return lines
 
 
+def _nonmetricity(spec, point, j):
+    closed, direct = nonmetricity_components(spec, point)
+    return direct, {"two_path_discrepancy": float(np.max(np.abs(closed - direct)))}
+
+
+def _ricci(spec, point, j):
+    return j.lc.S[0], {"scalar_curvature": float(ricci_shifts(j)[0][0])}
+
+
+def _ricci_tilde(spec, point, j):
+    return j.pr.S[0], {
+        "scalar_curvature": float(ricci_shifts(j)[1][0]),
+        "lambda": lam_scale(spec.n),
+    }
+
+
+def _projective(spec, cj):
+    spec.require_dimension_above_two()
+    return cj.P[0], {}
+
+
+# tensor id -> (order of the one-sample jet it reads, or None for an
+# independent reference route; index labels; reader of (array, extras) from
+# the spec, the point and that jet)
+_TENSORS = {
+    "gamma": (1, "kij", lambda spec, point, j: (j.lc.Gamma[0], {})),
+    "gamma_tilde": (1, "kij", lambda spec, point, j: (j.pr.Gamma[0], {})),
+    "torsion": (None, "kij", lambda spec, point, j: (torsion_components(spec, point), {})),
+    "nonmetricity": (None, "ijk", _nonmetricity),
+    "riemann": (2, "lijk", lambda spec, point, j: (j.lc.R[0], {})),
+    "riemann_tilde": (2, "lijk", lambda spec, point, j: (j.pr.R[0], {})),
+    "ricci": (2, "jk", _ricci),
+    "ricci_tilde": (2, "jk", _ricci_tilde),
+    "theta": (1, "ij", lambda spec, point, j: (theta_beta(j)[0][0], {})),
+    "beta": (1, "ij", lambda spec, point, j: (theta_beta(j)[1][0], {})),
+    "projective": (2, "lijk", lambda spec, point, j: _projective(spec, j.lc)),
+    "projective_tilde": (2, "lijk", lambda spec, point, j: _projective(spec, j.pr)),
+}
+
+TENSOR_IDS = tuple(_TENSORS)
+
+
 def _eval_tensor(spec, tensor: str, point):
-    if tensor == "gamma":
-        arr = connection_at(spec, LEVI_CIVITA, point, order=0).Gamma
-        return arr, "kij", {}
-    if tensor == "gamma_tilde":
-        arr = connection_at(spec, PROJECTIVE, point, order=0).Gamma
-        return arr, "kij", {}
-    if tensor == "torsion":
-        return torsion_components(spec, point), "kij", {}
-    if tensor == "nonmetricity":
-        closed, direct = nonmetricity_components(spec, point)
-        return direct, "ijk", {
-            "two_path_discrepancy": float(np.max(np.abs(closed - direct)))
-        }
-    if tensor == "riemann":
-        return riemann_at(spec, LEVI_CIVITA, point).R, "lijk", {}
-    if tensor == "riemann_tilde":
-        return riemann_at(spec, PROJECTIVE, point).R, "lijk", {}
-    if tensor == "ricci":
-        rv = ricci_at(spec, point)
-        return rv.S, "jk", {"scalar_curvature": rv.r}
-    if tensor == "ricci_tilde":
-        rv = ricci_at(spec, point)
-        return rv.S_tilde, "jk", {
-            "scalar_curvature": rv.r_tilde,
-            "lambda": rv.lam,
-        }
-    if tensor == "theta":
-        return theta_beta_at(spec, point).theta, "ij", {}
-    if tensor == "beta":
-        return theta_beta_at(spec, point).beta, "ij", {}
-    if tensor == "projective":
-        return projective_at(spec, LEVI_CIVITA, point), "lijk", {}
-    if tensor == "projective_tilde":
-        return projective_at(spec, PROJECTIVE, point), "lijk", {}
-    raise _UsageError(f"unknown tensor id {tensor!r}; known: {', '.join(TENSOR_IDS)}")
+    """(array, index labels, extras) of one tensor at a point."""
+    if tensor not in _TENSORS:
+        raise _UsageError(f"unknown tensor id {tensor!r}; known: {', '.join(TENSOR_IDS)}")
+    order, labels, read = _TENSORS[tensor]
+    j = None if order is None else jet(spec, [point], order)
+    array, extras = read(spec, point, j)
+    return array, labels, extras
 
 
 def _cmd_eval(args) -> int:
@@ -307,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_list = sub.add_parser("list", help="list catalog entries")
-    p_list.add_argument("--format", choices=("human", "json"), default="human")
     p_list.add_argument("--json", action="store_true")
     p_list.add_argument("--out")
 

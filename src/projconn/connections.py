@@ -1,6 +1,6 @@
 """Connection coefficients: the metric (Levi-Civita) connection and the
 projective semi-symmetric connection built from it, plus torsion,
-non-metricity and covariant derivatives of expression-valued tensor fields.
+non-metricity and covariant derivatives, batched and of the chart tables.
 
 Slot convention, fixed once and used by every downstream tensor: in
 ``Gamma[k, i, j]`` the index i is the direction of differentiation and j the
@@ -22,11 +22,10 @@ partials of the metric and of pi, never from numeric differencing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
 from . import geometry
 from .geometry import ManifoldSpec, MetricJet, metric_jet
 from .report import CheckReport
@@ -35,24 +34,15 @@ __all__ = [
     "LEVI_CIVITA",
     "PROJECTIVE",
     "ConnectionCoeffs",
-    "OneFormPair",
-    "TensorField",
-    "TensorValue",
     "NonmetricityValue",
-    "levi_civita_at",
-    "projective_coeffs_at",
     "connection_at",
     "coefficient_jets",
-    "one_forms_at",
     "torsion_at",
     "torsion_components",
     "nonmetricity_at",
     "nonmetricity_components",
     "covariant",
     "covariant_derivative",
-    "pi_field",
-    "xi_field",
-    "metric_field",
     "parallel_unit_xi_residuals",
     "check_parallel_unit_xi",
 ]
@@ -71,45 +61,6 @@ class ConnectionCoeffs:
     Gamma: np.ndarray
     dGamma: np.ndarray | None = None
     d2Gamma: np.ndarray | None = None
-
-
-@dataclass
-class OneFormPair:
-    """The two 1-forms generating the connection difference: phi = pi/2 and
-    psi = (n-1)/(2(n+1)) pi, componentwise at a point."""
-
-    phi: np.ndarray
-    psi: np.ndarray
-
-
-@dataclass
-class TensorValue:
-    """Numeric multi-index array at a point; variance marks each slot 'u'
-    (vector) or 'l' (covector)."""
-
-    point: tuple[float, ...]
-    components: np.ndarray
-    variance: tuple[str, ...]
-
-
-@dataclass
-class TensorField:
-    """Tensor field whose components are expression trees (object ndarray)."""
-
-    components: np.ndarray
-    variance: tuple[str, ...]
-    _jets: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def jet(self, coords: tuple[str, ...]) -> ex.CompiledTable:
-        """The components and their first partials stacked on a leading axis
-        of length 1 + n, differentiated and compiled once per coordinate
-        tuple."""
-        compiled = self._jets.get(coords)
-        if compiled is None:
-            comp = self.components
-            stacked = np.concatenate((comp[None], ex.partials(comp, coords, {})))
-            compiled = self._jets[coords] = ex.CompiledTable(stacked, coords)
-        return compiled
 
 
 @dataclass
@@ -211,22 +162,6 @@ def connection_at(spec: ManifoldSpec, kind: str, point, order: int = 1) -> Conne
     )
 
 
-def levi_civita_at(spec: ManifoldSpec, point, order: int = 1) -> ConnectionCoeffs:
-    """Levi-Civita coefficients with derivative arrays up to `order`."""
-    return connection_at(spec, LEVI_CIVITA, point, order)
-
-
-def projective_coeffs_at(spec: ManifoldSpec, point, order: int = 1) -> ConnectionCoeffs:
-    """Coefficients of the projective semi-symmetric connection."""
-    return connection_at(spec, PROJECTIVE, point, order)
-
-
-def one_forms_at(spec: ManifoldSpec, point) -> OneFormPair:
-    pi = geometry.pi_at(spec, point).components
-    n = spec.n
-    return OneFormPair(phi=0.5 * pi, psi=(n - 1.0) / (2.0 * (n + 1.0)) * pi)
-
-
 # ---------------------------------------------------------------------------
 # torsion and non-metricity
 
@@ -279,19 +214,7 @@ def nonmetricity_at(spec: ManifoldSpec, point, X, Y, Z) -> NonmetricityValue:
 
 
 # ---------------------------------------------------------------------------
-# covariant derivatives of expression fields
-
-
-def pi_field(spec: ManifoldSpec) -> TensorField:
-    return TensorField(spec.tables.table("pi", 0), ("l",))
-
-
-def xi_field(spec: ManifoldSpec) -> TensorField:
-    return TensorField(spec.tables.table("xi", 0), ("u",))
-
-
-def metric_field(spec: ManifoldSpec) -> TensorField:
-    return TensorField(spec.tables.table("g", 0), ("l", "l"))
+# covariant derivatives
 
 
 def covariant(Gamma: np.ndarray, T: np.ndarray, dT: np.ndarray, variance) -> np.ndarray:
@@ -320,29 +243,20 @@ def covariant(Gamma: np.ndarray, T: np.ndarray, dT: np.ndarray, variance) -> np.
     return out
 
 
-def covariant_derivative(
-    spec: ManifoldSpec, field: TensorField, conn_kind: str, point
-) -> TensorValue:
-    """Coordinate covariant derivative of an expression-valued tensor field.
+# chart table -> the variance of its slots
+_VARIANCE = {"g": "ll", "xi": "u", "pi": "l", "phi": "ul"}
 
-    The result has one extra lower index, prepended: out[m, ...] is the
-    derivative along the m-th coordinate.  Partials of the components are
-    exact (symbolic); the connection term is ``covariant`` at one sample.
-    """
-    variance = tuple(field.variance)
-    if len(variance) > 4 or variance.count("u") > 1:
-        raise ValueError(
-            f"unsupported tensor rank {variance!r}: at most one upper and "
-            "four total slots are handled"
-        )
-    if any(v not in ("u", "l") for v in variance):
-        raise ValueError("variance entries must be 'u' or 'l'")
-    if field.components.ndim != len(variance):
-        raise ValueError("variance length does not match component rank")
-    conn = connection_at(spec, conn_kind, point, order=0)
-    jet = field.jet(spec.coords).values([point])
-    out = covariant(conn.Gamma[None], jet[:, 0], jet[:, 1:], variance)[0]
-    return TensorValue(conn.point, out, ("l",) + variance)
+
+def covariant_derivative(spec: ManifoldSpec, name: str, conn_kind: str, point) -> np.ndarray:
+    """Covariant derivative of the chart table ``name`` ("g", "xi", "pi" or
+    "phi") at a point: ``covariant`` at one sample, on the table's exact
+    partials.  The result has one extra lower index, prepended: out[m, ...]
+    is the derivative along the m-th coordinate."""
+    if name not in _VARIANCE or (name == "phi" and spec.phi is None):
+        raise ValueError(f"chart {spec.name!r} has no table {name!r} to differentiate")
+    Gamma = connection_at(spec, conn_kind, point, order=0).Gamma
+    T, dT = (spec.tables.values(name, k, [point]) for k in (0, 1))
+    return covariant(Gamma[None], T, dT, _VARIANCE[name])[0]
 
 
 # ---------------------------------------------------------------------------

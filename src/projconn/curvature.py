@@ -4,7 +4,8 @@ curvature-as-derivation action, quasi-Einstein decomposition and nullity
 fitting.
 
 ``jet`` builds all of it for a batch of points at once, as arrays with a
-leading sample axis; the per-point functions are one-sample calls of it.
+leading sample axis; a point query is the one-sample call ``jet(spec,
+[point], order)``.
 
 Sign conventions (fixed here, validated by the flat-space two-path check):
 
@@ -34,21 +35,15 @@ from .connections import LEVI_CIVITA, PROJECTIVE, coefficient_jets, covariant
 __all__ = [
     "ConnectionJet",
     "Jet",
-    "CurvatureValue",
-    "RicciValue",
-    "ThetaBeta",
     "QuasiEinsteinFit",
     "NullityFit",
     "lam_scale",
     "jet",
-    "riemann_at",
     "rtilde_closed_form",
-    "theta_beta_at",
-    "ricci_at",
+    "theta_beta",
     "ricci_shifts",
     "ricci_contraction",
     "projective_tensor",
-    "projective_at",
     "derivation",
     "derivation_apply",
     "derivation_all_frames",
@@ -95,33 +90,6 @@ class Jet(MetricJet):
         if kind not in (LEVI_CIVITA, PROJECTIVE):
             raise ValueError(f"unknown connection kind {kind!r}")
         return self.lc if kind == LEVI_CIVITA else self.pr
-
-
-@dataclass
-class CurvatureValue:
-    kind: str
-    point: tuple[float, ...]
-    R: np.ndarray  # R[l,i,j,k]
-    Rlow: np.ndarray  # Rlow[i,j,k,l] = g[l,m] R[m,i,j,k]
-    dR: np.ndarray | None = None  # dR[m,l,i,j,k]
-
-
-@dataclass
-class RicciValue:
-    point: tuple[float, ...]
-    S: np.ndarray
-    S_tilde: np.ndarray
-    r: float
-    r_tilde: float
-    lam: float
-    ricci_shift_residual: float
-    scalar_shift_residual: float
-
-
-@dataclass
-class ThetaBeta:
-    theta: np.ndarray
-    beta: np.ndarray
 
 
 @dataclass
@@ -222,6 +190,27 @@ def ricci_shifts(j: Jet):
     return r, r_tilde, ricci_residual, np.abs(r_tilde - (r - c))
 
 
+def theta_beta(j: Jet) -> tuple[np.ndarray, np.ndarray]:
+    """Per sample, the (0,2) tensors through which the two curvatures differ:
+
+        R~(X,Y)Z = R(X,Y)Z + beta(X,Y) Z + theta(X,Z) Y - theta(Y,Z) X
+
+    with theta(X,Y) = (grad_X a)(Y) - a(X)a(Y) for the symmetric-part form
+    a = phi + psi = n/(n+1) pi, and beta the antisymmetrized gradient of the
+    torsion-part form psi - phi = -1/(n+1) pi.  (The antisymmetric piece must
+    be built from psi - phi for the reconstruction above to hold; with a
+    parallel unit field both forms are parallel and beta vanishes.)  Needs a
+    jet of order 1.
+    """
+    nabla_pi = covariant(j.lc.Gamma, j.pi, j.dpi, "l")
+    n = j.G.shape[1]
+    a_coef = n / (n + 1.0)
+    b_coef = -1.0 / (n + 1.0)
+    theta = a_coef * nabla_pi - (a_coef**2) * np.einsum("si,sj->sij", j.pi, j.pi)
+    grad_b = b_coef * nabla_pi
+    return theta, grad_b - grad_b.swapaxes(1, 2)
+
+
 def ricci_contraction(R: np.ndarray) -> np.ndarray:
     """The first-slot contraction S[..., j, k] = R[..., i, i, j, k] over any
     leading axes: the Ricci tensor from R, its partials d_m S from dR."""
@@ -270,15 +259,7 @@ def derivation_all_frames(R_acting: np.ndarray, T: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# point queries: one-sample jets
-
-
-def riemann_at(spec: ManifoldSpec, conn_kind: str, point, order: int = 0) -> CurvatureValue:
-    """Curvature of the requested connection; order >= 1 fills dR."""
-    j = jet(spec, [point], order + 2)
-    cj = j.connection(conn_kind)
-    dR = cj.dR[0] if order >= 1 else None
-    return CurvatureValue(conn_kind, tuple(j.points[0].tolist()), cj.R[0], cj.Rlow[0], dR)
+# at one point: the closed-form reference and the derivation action
 
 
 def rtilde_closed_form(spec: ManifoldSpec, point, X, Y, Z) -> np.ndarray:
@@ -300,50 +281,6 @@ def rtilde_closed_form(spec: ManifoldSpec, point, X, Y, Z) -> np.ndarray:
     return base + lam * (px * pz * Y - py * pz * X)
 
 
-def theta_beta_at(spec: ManifoldSpec, point) -> ThetaBeta:
-    """The (0,2) tensors through which the two curvatures differ:
-
-        R~(X,Y)Z = R(X,Y)Z + beta(X,Y) Z + theta(X,Z) Y - theta(Y,Z) X
-
-    with theta(X,Y) = (grad_X a)(Y) - a(X)a(Y) for the symmetric-part form
-    a = phi + psi = n/(n+1) pi, and beta the antisymmetrized gradient of the
-    torsion-part form psi - phi = -1/(n+1) pi.  (The antisymmetric piece must
-    be built from psi - phi for the reconstruction above to hold; with a
-    parallel unit field both forms are parallel and beta vanishes.)
-    """
-    j = jet(spec, [point], 1)
-    pi = j.pi[0]
-    nabla_pi = covariant(j.lc.Gamma, j.pi, j.dpi, "l")[0]
-    n = spec.n
-    a_coef = n / (n + 1.0)
-    b_coef = -1.0 / (n + 1.0)
-    grad_a = a_coef * nabla_pi
-    theta = grad_a - (a_coef**2) * np.einsum("i,j->ij", pi, pi)
-    grad_b = b_coef * nabla_pi
-    beta = grad_b - grad_b.T
-    return ThetaBeta(theta=theta, beta=beta)
-
-
-def ricci_at(spec: ManifoldSpec, point) -> RicciValue:
-    """Ricci tensors and scalars of both connections, with the shift
-    identities S~ = S - lam (n-1) pi x pi and r~ = r - lam (n-1) re-verified
-    as residuals."""
-    j = jet(spec, [point], 2)
-    r, r_tilde, ricci_residual, scalar_residual = ricci_shifts(j)
-    return RicciValue(
-        tuple(j.points[0].tolist()), j.lc.S[0], j.pr.S[0], float(r[0]),
-        float(r_tilde[0]), lam_scale(spec.n), float(ricci_residual[0]),
-        float(scalar_residual[0]),
-    )
-
-
-def projective_at(spec: ManifoldSpec, conn_kind: str, point) -> np.ndarray:
-    """Weyl projective curvature of the requested connection as a (1,3)
-    array P[l,i,j,k] = R[l,i,j,k] - (S[j,k] d^l_i - S[i,k] d^l_j)/(n-1)."""
-    spec.require_dimension_above_two()
-    return jet(spec, [point], 2).connection(conn_kind).P[0]
-
-
 def derivation_apply(spec: ManifoldSpec, point, X, Y, T, conn_kind: str) -> np.ndarray:
     """(R(X,Y) . T) for a (1,3) tensor T: the endomorphism R(X,Y) acts on the
     output slot and is subtracted from each input slot."""
@@ -356,9 +293,7 @@ def derivation_apply(spec: ManifoldSpec, point, X, Y, T, conn_kind: str) -> np.n
 # fits
 
 
-def quasi_einstein_fit(
-    S: np.ndarray, G: np.ndarray, pi: np.ndarray, b_tol: float = 1e-8
-) -> QuasiEinsteinFit:
+def quasi_einstein_fit(S: np.ndarray, G: np.ndarray, pi: np.ndarray) -> QuasiEinsteinFit:
     """Least-squares (a, b) with S ~ a g + b pi x pi over the independent
     (upper triangle) components, plus the eigenvalue picture of the Ricci
     operator: one eigenvalue of multiplicity n-1 and a simple one shifted by
@@ -389,7 +324,7 @@ def quasi_einstein_fit(
         multiplicity_ok = bool(np.all(near_a))
     else:
         multiplicity_ok = int(np.sum(near_a)) == n - 1 and int(np.sum(near_s)) == 1
-    is_quasi_einstein = abs(b) > b_tol and residual <= 1e-8 * (1.0 + float(np.max(np.abs(S))))
+    is_quasi_einstein = abs(b) > 1e-8 and residual <= 1e-8 * (1.0 + float(np.max(np.abs(S))))
     return QuasiEinsteinFit(a, b, eigenvalues, residual, multiplicity_ok, is_quasi_einstein)
 
 

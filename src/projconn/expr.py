@@ -258,7 +258,10 @@ class _Parser:
     def parse_primary(self) -> Expr:
         kind, lexeme, pos = self.advance()
         if kind == "number":
-            return Const(float(lexeme))
+            value = float(lexeme)
+            if not math.isfinite(value):
+                raise ParseError("number out of range", pos)
+            return Const(value)
         if kind == "ident":
             if self.peek()[0] == "(":
                 if lexeme not in FUNCTIONS:

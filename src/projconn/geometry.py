@@ -576,11 +576,12 @@ def pi_at(spec: ManifoldSpec, point) -> CovectorValue:
     return CovectorValue(pi, abs(float(pi @ xi) - 1.0))
 
 
-def in_box(spec: ManifoldSpec, point, tol: float = 1e-12) -> bool:
+def in_box(spec: ManifoldSpec, point) -> bool:
+    """Whether the point lies in the sampling box, up to 1e-12 per coordinate."""
     if len(point) != spec.n:
         return False
     return all(
-        lo - tol <= float(x) <= hi + tol
+        lo - 1e-12 <= float(x) <= hi + 1e-12
         for x, (lo, hi) in zip(point, spec.box)
     )
 

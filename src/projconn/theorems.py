@@ -466,10 +466,11 @@ def run_checks(
     """
     if samples is None:
         samples = sample(spec, count, seed)
-    if selected is not None:
-        unknown = [cid for cid in selected if cid not in REGISTRY]
+    for ids, where in ((selected, ""), (tolerances, " in tolerances")):
+        unknown = [cid for cid in ids or () if cid not in REGISTRY]
         if unknown:
-            raise KeyError(f"unknown check id(s): {', '.join(unknown)}")
+            raise KeyError(f"unknown check id(s){where}: {', '.join(unknown)}")
+    if selected is not None:
         wanted = set(selected)
     else:
         wanted = set(REGISTRY)

@@ -31,7 +31,7 @@ def test_list_human(capsys):
 
 
 def test_list_json(capsys):
-    code, out, _ = run_cli(capsys, "list", "--format", "json")
+    code, out, _ = run_cli(capsys, "list", "--json")
     assert code == 0
     entries = json.loads(out)
     assert isinstance(entries, list) and len(entries) >= 5
@@ -288,6 +288,10 @@ _JSON_CHART = {
 }
 
 
+_OVERFLOWING_CHART = (REPO_ROOT / "catalog" / "euclidean3.manifold").read_text(
+    encoding="utf-8").replace("g[0][0] = 1", "g[0][0] = 1 + log(x - 1e999)")
+
+
 @pytest.mark.parametrize(
     "args, document, code, message",
     [
@@ -319,11 +323,15 @@ _JSON_CHART = {
         (["verify"], (REPO_ROOT / "catalog" / "euclidean3.manifold").read_text(encoding="utf-8")
          .replace("box[0] = -1, 1", "box[0] = -1e308, 1e308"), 3,
          "box[0] bounds and their difference must be finite"),
+        (["verify"], _OVERFLOWING_CHART, 3, "number out of range"),
+        (["eval", "--tensor", "gamma", "--point", "0,0,0"], _OVERFLOWING_CHART, 3,
+         "number out of range"),
     ],
     ids=["samples_zero", "samples_negative", "seed_negative", "empty_box", "short_box_pair",
          "g_not_a_list", "coords_not_a_list", "verify_planar_eq17", "eval_planar_projective",
          "tol_nan", "tol_negative", "check_names_none", "dim_not_integral",
-         "box_infinite", "box_width_overflows"],
+         "box_infinite", "box_width_overflows", "verify_number_overflows",
+         "eval_number_overflows"],
 )
 def test_bad_input_ends_with_a_message(tmp_path, args, document, code, message):
     if document is not None:

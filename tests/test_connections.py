@@ -8,23 +8,15 @@ from projconn import connections
 from projconn.connections import (
     LEVI_CIVITA,
     PROJECTIVE,
-    TensorField,
     check_parallel_unit_xi,
     connection_at,
     covariant,
     covariant_derivative,
-    levi_civita_at,
-    metric_field,
     nonmetricity_at,
     nonmetricity_components,
-    one_forms_at,
-    pi_field,
-    projective_coeffs_at,
     torsion_at,
     torsion_components,
-    xi_field,
 )
-from projconn import expr as ex
 from projconn.catalog import builtin, catalog_names
 from projconn.curvature import jet
 from projconn.geometry import load_spec, metric_at, sample
@@ -51,7 +43,7 @@ box[2] = -1, 1
 
 
 def test_euclidean_christoffel_vanishes(euclidean3):
-    conn = levi_civita_at(euclidean3, (0.3, -0.2, 0.8), order=2)
+    conn = connection_at(euclidean3, LEVI_CIVITA, (0.3, -0.2, 0.8), order=2)
     np.testing.assert_allclose(conn.Gamma, 0.0)
     np.testing.assert_allclose(conn.dGamma, 0.0)
     np.testing.assert_allclose(conn.d2Gamma, 0.0)
@@ -60,7 +52,7 @@ def test_euclidean_christoffel_vanishes(euclidean3):
 def test_cylinder_christoffel_hand_values(cylinder):
     # round-sphere factor: Gamma^theta_{phi phi} = -sin cos, Gamma^phi_{theta phi} = cot
     for theta in (0.5, 1.0, 2.2):
-        conn = levi_civita_at(cylinder, (theta, 1.0, 0.0), order=0)
+        conn = connection_at(cylinder, LEVI_CIVITA, (theta, 1.0, 0.0), order=0)
         assert conn.Gamma[0, 1, 1] == pytest.approx(
             -math.sin(theta) * math.cos(theta), abs=1e-14
         )
@@ -71,7 +63,7 @@ def test_cylinder_christoffel_hand_values(cylinder):
 
 
 def test_levi_civita_is_symmetric(cylinder):
-    conn = levi_civita_at(cylinder, (0.9, 2.0, -0.3), order=0)
+    conn = connection_at(cylinder, LEVI_CIVITA, (0.9, 2.0, -0.3), order=0)
     np.testing.assert_allclose(conn.Gamma, conn.Gamma.transpose(0, 2, 1), atol=1e-15)
 
 
@@ -79,7 +71,7 @@ def test_metric_compatibility_spot_check(cylinder):
     s = sample(cylinder, 10, seed=23)
     for point in s.points:
         mv = metric_at(cylinder, point, order=1)
-        conn = levi_civita_at(cylinder, point, order=0)
+        conn = connection_at(cylinder, LEVI_CIVITA, point, order=0)
         nabla_g = (
             mv.dG
             - np.einsum("mij,mk->ijk", conn.Gamma, mv.G)
@@ -91,7 +83,7 @@ def test_metric_compatibility_spot_check(cylinder):
 def test_projective_coefficient_hand_values(euclidean3):
     # with a unit field along the first axis, n = 3:
     # the symmetric shift is 3/4 on the argument slot, -1/4 on the direction slot
-    conn = projective_coeffs_at(euclidean3, (0.0, 0.0, 0.0), order=0)
+    conn = connection_at(euclidean3, PROJECTIVE, (0.0, 0.0, 0.0), order=0)
     assert conn.Gamma[1, 1, 0] == pytest.approx(0.75)
     assert conn.Gamma[1, 0, 1] == pytest.approx(-0.25)
     assert conn.Gamma[2, 2, 0] == pytest.approx(0.75)
@@ -99,15 +91,24 @@ def test_projective_coefficient_hand_values(euclidean3):
 
 
 def test_one_forms_scale(euclidean3):
-    pair = one_forms_at(euclidean3, (0.0, 0.0, 0.0))
-    np.testing.assert_allclose(pair.phi, [0.5, 0.0, 0.0])
-    np.testing.assert_allclose(pair.psi, [0.25, 0.0, 0.0])
+    # phi = pi/2 and psi = (n-1)/(2(n+1)) pi generate the connection
+    # difference: phi + psi on the argument slot, psi - phi on the direction slot
+    n = euclidean3.n
+    pi = jet(euclidean3, [(0.0, 0.0, 0.0)], 0).pi[0]
+    phi, psi = 0.5 * pi, (n - 1.0) / (2.0 * (n + 1.0)) * pi
+    np.testing.assert_allclose(phi, [0.5, 0.0, 0.0])
+    np.testing.assert_allclose(psi, [0.25, 0.0, 0.0])
+    lc = connection_at(euclidean3, LEVI_CIVITA, (0.0, 0.0, 0.0), order=0)
+    pr = connection_at(euclidean3, PROJECTIVE, (0.0, 0.0, 0.0), order=0)
+    eye = np.eye(n)
+    shift = np.einsum("ki,j->kij", eye, phi + psi) + np.einsum("kj,i->kij", eye, psi - phi)
+    np.testing.assert_allclose(pr.Gamma - lc.Gamma, shift, atol=1e-15)
 
 
 def test_vanishing_form_gives_metric_connection():
     spec = load_spec(ZERO_FIELD_3D)
-    lc = levi_civita_at(spec, (0.1, 0.2, 0.3), order=0)
-    pr = projective_coeffs_at(spec, (0.1, 0.2, 0.3), order=0)
+    lc = connection_at(spec, LEVI_CIVITA, (0.1, 0.2, 0.3), order=0)
+    pr = connection_at(spec, PROJECTIVE, (0.1, 0.2, 0.3), order=0)
     np.testing.assert_allclose(pr.Gamma, lc.Gamma)
 
 
@@ -117,8 +118,8 @@ def test_projective_symmetric_part_identity(cylinder):
     factor = (n - 1.0) / (2.0 * (n + 1.0))
     eye = np.eye(n)
     for point in s.points:
-        lc = levi_civita_at(cylinder, point, order=0)
-        pr = projective_coeffs_at(cylinder, point, order=0)
+        lc = connection_at(cylinder, LEVI_CIVITA, point, order=0)
+        pr = connection_at(cylinder, PROJECTIVE, point, order=0)
         pi = metric_at(cylinder, point, order=0).G @ np.array([0.0, 0.0, 1.0])
         sym_extra = factor * (
             np.einsum("i,kj->kij", pi, eye) + np.einsum("j,ki->kij", pi, eye)
@@ -154,7 +155,7 @@ def test_torsion_antisymmetry_random(cylinder):
 def test_torsion_matches_antisymmetric_coefficients(cylinder):
     s = sample(cylinder, 50, seed=41)
     for point in s.points:
-        pr = projective_coeffs_at(cylinder, point, order=0)
+        pr = connection_at(cylinder, PROJECTIVE, point, order=0)
         # Gamma[k,i,j] - Gamma[k,j,i] contracts against X^i Y^j as T(X,Y)
         antisym = pr.Gamma - pr.Gamma.transpose(0, 2, 1)
         assert np.max(np.abs(antisym - torsion_components(cylinder, point))) <= 1e-12
@@ -188,41 +189,45 @@ def test_nonmetricity_two_path_agreement(name, request):
 
 
 def test_covariant_derivative_of_form_projective(euclidean3):
-    value = covariant_derivative(euclidean3, pi_field(euclidean3), PROJECTIVE, (0, 0, 0))
+    value = covariant_derivative(euclidean3, "pi", PROJECTIVE, (0, 0, 0))
     # (grad~ pi)(X, Y) = -(n-1)/(n+1) pi(X) pi(Y); at (xi, xi) with n=3: -1/2
-    assert value.components[0, 0] == pytest.approx(-0.5)
-    assert value.variance == ("l", "l")
+    assert value[0, 0] == pytest.approx(-0.5)
+    assert value.shape == (3, 3)
 
 
 def test_covariant_derivative_of_field_projective(euclidean3):
-    value = covariant_derivative(euclidean3, xi_field(euclidean3), PROJECTIVE, (0, 0, 0))
+    value = covariant_derivative(euclidean3, "xi", PROJECTIVE, (0, 0, 0))
     # grad~_X xi = (n X - pi(X) xi)/(n+1); along e2 with n=3 that is (3/4) e2
-    np.testing.assert_allclose(value.components[1], [0.0, 0.75, 0.0])
+    np.testing.assert_allclose(value[1], [0.0, 0.75, 0.0])
 
 
 def test_covariant_derivative_metric_matches_nonmetricity(cylinder):
     point = (1.2, 0.7, 0.1)
-    value = covariant_derivative(cylinder, metric_field(cylinder), PROJECTIVE, point)
+    value = covariant_derivative(cylinder, "g", PROJECTIVE, point)
     _, direct = nonmetricity_components(cylinder, point)
-    np.testing.assert_allclose(value.components, direct, atol=1e-14)
+    np.testing.assert_allclose(value, direct, atol=1e-14)
 
 
 def test_covariant_derivative_parallel_form_on_catalog(euclidean3, cylinder):
     for spec in (euclidean3, cylinder):
         s = sample(spec, 20, seed=51)
         for point in s.points:
-            value = covariant_derivative(spec, pi_field(spec), LEVI_CIVITA, point)
-            assert np.max(np.abs(value.components)) <= 1e-11
+            value = covariant_derivative(spec, "pi", LEVI_CIVITA, point)
+            assert np.max(np.abs(value)) <= 1e-11
 
 
-def test_covariant_derivative_rank_gate(euclidean3):
-    n = euclidean3.n
-    comp = np.empty((n,) * 5, dtype=object)
-    comp[...] = ex.Const(1.0)
-    with pytest.raises(ValueError, match="unsupported tensor rank"):
-        covariant_derivative(
-            euclidean3, TensorField(comp, ("u", "l", "l", "l", "l")), LEVI_CIVITA, (0, 0, 0)
-        )
+def test_covariant_derivative_of_structure_on_cosymplectic_chart(gssf1):
+    # gssf_c1 is cosymplectic: phi is parallel under the metric connection
+    for point in sample(gssf1, 10, seed=53).points:
+        value = covariant_derivative(gssf1, "phi", LEVI_CIVITA, point)
+        assert value.shape == (gssf1.n,) * 3
+        assert np.max(np.abs(value)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["phi", "f", "Rlow"])
+def test_covariant_derivative_names_a_missing_table(euclidean3, name):
+    with pytest.raises(ValueError, match=f"no table '{name}'"):
+        covariant_derivative(euclidean3, name, LEVI_CIVITA, (0, 0, 0))
 
 
 def test_geodesic_spray_difference_is_radial(cylinder):
@@ -318,8 +323,8 @@ def test_covariant_derivative_is_the_batched_rule_at_one_sample(name, kind):
     j = jet(spec, s.points, 1)
     batched = covariant(j.connection(kind).Gamma, j.G, j.dG, "ll")
     for row, point in zip(batched, s.points):
-        value = covariant_derivative(spec, metric_field(spec), kind, point)
-        np.testing.assert_allclose(value.components, row, rtol=1e-13, atol=1e-15)
+        value = covariant_derivative(spec, "g", kind, point)
+        np.testing.assert_allclose(value, row, rtol=1e-13, atol=1e-15)
 
 
 _SLOTS = "abcdefgh"  # slot labels; s (sample), m (direction), p (summed) stay free

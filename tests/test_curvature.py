@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from projconn.connections import LEVI_CIVITA, PROJECTIVE
-from projconn import curvature, theorems
+from projconn import cli, curvature, theorems
 from projconn.catalog import builtin
 from projconn.curvature import (
     derivation,
@@ -13,12 +13,10 @@ from projconn.curvature import (
     jet,
     lam_scale,
     nullity_fit,
-    projective_at,
     quasi_einstein_fit,
-    ricci_at,
-    riemann_at,
+    ricci_shifts,
     rtilde_closed_form,
-    theta_beta_at,
+    theta_beta,
 )
 from projconn.geometry import DimensionError, GateError, load_spec, metric_at, sample
 from mutants import mutant
@@ -30,16 +28,16 @@ ORIGIN = (0.0, 0.0, 0.0)
 
 
 def test_euclidean_metric_curvature_vanishes(euclidean3):
-    cv = riemann_at(euclidean3, LEVI_CIVITA, (0.4, -0.1, 0.2))
-    np.testing.assert_allclose(cv.R, 0.0)
+    R = jet(euclidean3, [(0.4, -0.1, 0.2)], 2).lc.R[0]
+    np.testing.assert_allclose(R, 0.0)
 
 
 def test_flat_projective_curvature_matches_scale(euclidean3):
     # R~(e1, e2) e1 = lam e2 with lam = -9/16 for n = 3
-    cv = riemann_at(euclidean3, PROJECTIVE, ORIGIN)
-    vector = np.einsum("lijk,i,j,k->l", cv.R, E1, E2, E1)
+    Rt = jet(euclidean3, [ORIGIN], 2).pr.R[0]
+    vector = np.einsum("lijk,i,j,k->l", Rt, E1, E2, E1)
     np.testing.assert_allclose(vector, lam_scale(3) * E2, atol=1e-15)
-    assert cv.R[1, 0, 1, 0] == pytest.approx(-9.0 / 16.0)
+    assert Rt[1, 0, 1, 0] == pytest.approx(-9.0 / 16.0)
 
 
 def test_cylinder_lowered_curvature_hand_values(cylinder):
@@ -47,14 +45,14 @@ def test_cylinder_lowered_curvature_hand_values(cylinder):
     # metric on the last slot): 'R[theta,phi,theta,phi] = -sin^2,
     # 'R[theta,phi,phi,theta] = +sin^2, so the sectional curvature is +1
     for theta in (0.6, 1.2):
-        cv = riemann_at(cylinder, LEVI_CIVITA, (theta, 1.0, 0.0))
+        Rlow = jet(cylinder, [(theta, 1.0, 0.0)], 2).lc.Rlow[0]
         s2 = math.sin(theta) ** 2
-        assert cv.Rlow[0, 1, 0, 1] == pytest.approx(-s2, abs=1e-13)
-        assert cv.Rlow[0, 1, 1, 0] == pytest.approx(s2, abs=1e-13)
+        assert Rlow[0, 1, 0, 1] == pytest.approx(-s2, abs=1e-13)
+        assert Rlow[0, 1, 1, 0] == pytest.approx(s2, abs=1e-13)
         mv = metric_at(cylinder, (theta, 1.0, 0.0), order=0)
-        sectional = cv.Rlow[0, 1, 1, 0] / (mv.G[0, 0] * mv.G[1, 1])
+        sectional = Rlow[0, 1, 1, 0] / (mv.G[0, 0] * mv.G[1, 1])
         assert sectional == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(cv.Rlow[2], 0.0, atol=1e-14)
+        np.testing.assert_allclose(Rlow[2], 0.0, atol=1e-14)
 
 
 def test_closed_form_orthogonal_arguments_reduce_to_metric_curvature(cylinder):
@@ -62,7 +60,7 @@ def test_closed_form_orthogonal_arguments_reduce_to_metric_curvature(cylinder):
     # all arguments orthogonal to the distinguished field
     value = rtilde_closed_form(cylinder, point, E1, E2, E1)
     base = np.einsum(
-        "lijk,i,j,k->l", riemann_at(cylinder, LEVI_CIVITA, point).R, E1, E2, E1
+        "lijk,i,j,k->l", jet(cylinder, [point], 2).lc.R[0], E1, E2, E1
     )
     np.testing.assert_allclose(value, base, atol=1e-15)
 
@@ -77,9 +75,9 @@ def test_closed_form_two_path_oracle(cylinder):
     worst = 0.0
     for idx in range(s.count):
         point = s.points[idx]
-        cv = riemann_at(cylinder, PROJECTIVE, point)
+        Rt = jet(cylinder, [point], 2).pr.R[0]
         X, Y, Z = s.frames[idx, 0], s.frames[idx, 1], s.frames[idx, 2]
-        direct = np.einsum("lijk,i,j,k->l", cv.R, X, Y, Z)
+        direct = np.einsum("lijk,i,j,k->l", Rt, X, Y, Z)
         closed = rtilde_closed_form(cylinder, point, X, Y, Z)
         worst = max(worst, float(np.max(np.abs(direct - closed))))
     assert worst <= 1e-9
@@ -91,20 +89,20 @@ def test_closed_form_gate(sphere):
 
 
 def test_theta_beta_flat_values(euclidean3):
-    tb = theta_beta_at(euclidean3, ORIGIN)
-    np.testing.assert_allclose(tb.beta, 0.0, atol=1e-15)
+    theta, beta = theta_beta(jet(euclidean3, [ORIGIN], 1))
+    np.testing.assert_allclose(beta[0], 0.0, atol=1e-15)
     expected = np.zeros((3, 3))
     expected[0, 0] = lam_scale(3)
-    np.testing.assert_allclose(tb.theta, expected, atol=1e-15)
+    np.testing.assert_allclose(theta[0], expected, atol=1e-15)
 
 
 def test_theta_symmetric_on_parallel_charts(euclidean3, cylinder):
     for spec in (euclidean3, cylinder):
         s = sample(spec, 25, seed=101)
         for point in s.points:
-            tb = theta_beta_at(spec, point)
-            assert np.max(np.abs(tb.theta - tb.theta.T)) <= 1e-11
-            assert np.max(np.abs(tb.beta)) <= 1e-12
+            theta, beta = (t[0] for t in theta_beta(jet(spec, [point], 1)))
+            assert np.max(np.abs(theta - theta.T)) <= 1e-11
+            assert np.max(np.abs(beta)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["euclidean3", "cylinder_s2xr", "sphere3_bad_xi"])
@@ -119,14 +117,14 @@ def test_difference_tensor_reconstruction(name):
     eye = np.eye(spec.n)
     worst = 0.0
     for point in s.points:
-        R = riemann_at(spec, LEVI_CIVITA, point).R
-        Rt = riemann_at(spec, PROJECTIVE, point).R
-        tb = theta_beta_at(spec, point)
+        j = jet(spec, [point], 2)
+        R, Rt = j.lc.R[0], j.pr.R[0]
+        theta, beta = (t[0] for t in theta_beta(j))
         recon = (
             R
-            + np.einsum("ij,lk->lijk", tb.beta, eye)
-            + np.einsum("ik,lj->lijk", tb.theta, eye)
-            - np.einsum("jk,li->lijk", tb.theta, eye)
+            + np.einsum("ij,lk->lijk", beta, eye)
+            + np.einsum("ik,lj->lijk", theta, eye)
+            - np.einsum("jk,li->lijk", theta, eye)
         )
         worst = max(worst, float(np.max(np.abs(Rt - recon))))
     assert worst <= 1e-9
@@ -134,31 +132,32 @@ def test_difference_tensor_reconstruction(name):
 
 def test_ricci_cylinder_hand_values(cylinder):
     theta = 1.0
-    rv = ricci_at(cylinder, (theta, 2.0, 0.1))
+    j = jet(cylinder, [(theta, 2.0, 0.1)], 2)
+    r, r_tilde, ricci_shift_residual, scalar_shift_residual = ricci_shifts(j)
     np.testing.assert_allclose(
-        rv.S, np.diag([1.0, math.sin(theta) ** 2, 0.0]), atol=1e-13
+        j.lc.S[0], np.diag([1.0, math.sin(theta) ** 2, 0.0]), atol=1e-13
     )
-    assert rv.r == pytest.approx(2.0, abs=1e-12)
-    assert rv.S_tilde[2, 2] == pytest.approx(9.0 / 8.0, abs=1e-13)
-    assert rv.r_tilde == pytest.approx(25.0 / 8.0, abs=1e-12)
-    assert rv.lam == pytest.approx(-9.0 / 16.0)
-    assert rv.ricci_shift_residual <= 1e-13
-    assert rv.scalar_shift_residual <= 1e-13
+    assert r[0] == pytest.approx(2.0, abs=1e-12)
+    assert j.pr.S[0, 2, 2] == pytest.approx(9.0 / 8.0, abs=1e-13)
+    assert r_tilde[0] == pytest.approx(25.0 / 8.0, abs=1e-12)
+    assert lam_scale(cylinder.n) == pytest.approx(-9.0 / 16.0)
+    assert ricci_shift_residual[0] <= 1e-13
+    assert scalar_shift_residual[0] <= 1e-13
 
 
 def test_ricci_euclidean_projective_shift(euclidean3):
-    rv = ricci_at(euclidean3, ORIGIN)
-    np.testing.assert_allclose(rv.S, 0.0)
+    j = jet(euclidean3, [ORIGIN], 2)
+    np.testing.assert_allclose(j.lc.S[0], 0.0)
     expected = np.zeros((3, 3))
     expected[0, 0] = -2.0 * lam_scale(3)  # 9/8
-    np.testing.assert_allclose(rv.S_tilde, expected, atol=1e-15)
-    assert rv.S_tilde[0, 0] == pytest.approx(9.0 / 8.0)
+    np.testing.assert_allclose(j.pr.S[0], expected, atol=1e-15)
+    assert j.pr.S[0, 0, 0] == pytest.approx(9.0 / 8.0)
 
 
 def test_projective_tensor_vanishes_on_space_form(sphere):
     s = sample(sphere, 30, seed=107)
     worst = max(
-        float(np.max(np.abs(projective_at(sphere, LEVI_CIVITA, point))))
+        float(np.max(np.abs(jet(sphere, [point], 2).lc.P[0])))
         for point in s.points
     )
     assert worst <= 1e-10
@@ -168,8 +167,8 @@ def test_projective_coincidence_cylinder(cylinder):
     s = sample(cylinder, 50, seed=109)
     worst = 0.0
     for point in s.points:
-        P = projective_at(cylinder, LEVI_CIVITA, point)
-        Pt = projective_at(cylinder, PROJECTIVE, point)
+        j = jet(cylinder, [point], 2)
+        P, Pt = j.lc.P[0], j.pr.P[0]
         worst = max(worst, float(np.max(np.abs(Pt - P))))
     assert worst <= 1e-9
 
@@ -178,10 +177,8 @@ def test_projective_flat_values(euclidean3):
     # On a flat chart both projective tensors vanish and coincide with the
     # metric curvature; the shifted curvature itself stays nonzero, with the
     # gap exactly the Ricci correction of magnitude |lam|.
-    P = projective_at(euclidean3, LEVI_CIVITA, ORIGIN)
-    Pt = projective_at(euclidean3, PROJECTIVE, ORIGIN)
-    R = riemann_at(euclidean3, LEVI_CIVITA, ORIGIN).R
-    Rt = riemann_at(euclidean3, PROJECTIVE, ORIGIN).R
+    j = jet(euclidean3, [ORIGIN], 2)
+    P, Pt, R, Rt = j.lc.P[0], j.pr.P[0], j.lc.R[0], j.pr.R[0]
     np.testing.assert_allclose(P, 0.0, atol=1e-15)
     np.testing.assert_allclose(Pt, 0.0, atol=1e-15)
     np.testing.assert_allclose(Pt, R, atol=1e-15)
@@ -204,7 +201,7 @@ box[1] = -1, 1
 """
     )
     with pytest.raises(DimensionError):
-        projective_at(plane, LEVI_CIVITA, (0.0, 0.0))
+        cli._eval_tensor(plane, "projective", (0.0, 0.0))
 
 
 def test_derivation_annihilates_when_curvature_zero(euclidean3):
@@ -222,7 +219,7 @@ def test_derivation_matches_field_closed_form_flat(euclidean3):
     worst = 0.0
     for idx in range(s.count):
         point = s.points[idx]
-        Rt = riemann_at(euclidean3, PROJECTIVE, point).R
+        Rt = jet(euclidean3, [point], 2).pr.R[0]
         pi = np.array([1.0, 0.0, 0.0])
         X = s.frames[idx, 0]
         applied = derivation_apply(euclidean3, point, E1, X, Rt, PROJECTIVE)
@@ -242,7 +239,7 @@ def test_derivation_self_annihilation_flat(euclidean3):
     s = sample(euclidean3, 30, seed=127)
     worst = 0.0
     for point in s.points:
-        Rt = riemann_at(euclidean3, PROJECTIVE, point).R
+        Rt = jet(euclidean3, [point], 2).pr.R[0]
         worst = max(worst, float(np.max(np.abs(derivation_all_frames(Rt, Rt)))))
     assert worst <= 1e-9
 
@@ -334,7 +331,7 @@ def test_derivation_apply_matches_definition(cylinder, n, conn):
     rng = np.random.default_rng(200 + n)
     point = sample(spec, 1, seed=n).points[0]
     T, X, Y = rng.normal(size=(n,) * 4), rng.normal(size=n), rng.normal(size=n)
-    A = np.einsum("labm,a,b->lm", riemann_at(spec, conn, point).R, X, Y)
+    A = np.einsum("labm,a,b->lm", jet(spec, [point], 2).connection(conn).R[0], X, Y)
     assert np.max(np.abs(A)) > 0.1
     np.testing.assert_allclose(derivation_apply(spec, point, X, Y, T, conn),
                                _derivation_definition(A, T), rtol=0, atol=1e-12)

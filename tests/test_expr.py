@@ -107,6 +107,13 @@ def test_parse_unknown_function():
     assert err.value.position == 3
 
 
+@pytest.mark.parametrize("text, position", [("1e999", 1), ("x - 1e999", 5), ("2*1E+400", 3)])
+def test_parse_rejects_a_number_out_of_range(text, position):
+    with pytest.raises(ex.ParseError, match="number out of range") as err:
+        ex.parse(text)
+    assert err.value.position == position
+
+
 def test_parse_fractional_exponent_rejected():
     with pytest.raises(ex.ParseError):
         ex.parse("x^2.5")

@@ -1,0 +1,29 @@
+"""Every backticked ``module.name`` in README.md, written bare, with call
+arguments or after ``projconn.``, names an attribute of
+``projconn.<module>``: a rename or a deletion cannot leave the README
+pointing at nothing."""
+
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import projconn
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+MODULES = {module.name for module in pkgutil.iter_modules(projconn.__path__)}
+REFERENCE = re.compile(r"`(?:projconn\.)?([a-z_]+)\.([A-Za-z_][\w.]*)[`(]")
+
+
+def test_readme_references_resolve():
+    text = README.read_text(encoding="utf-8")
+    references = sorted({ref for ref in REFERENCE.findall(text) if ref[0] in MODULES})
+    assert len(references) >= 16, references
+    missing = []
+    for module, name in references:
+        obj = importlib.import_module(f"projconn.{module}")
+        for part in name.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(f"{module}.{name}")
+    assert not missing, missing

@@ -128,6 +128,11 @@ def test_unknown_selection_rejected(cylinder):
         run_checks(cylinder, count=5, seed=42, selected=["eq99"])
 
 
+def test_unknown_tolerance_id_rejected(cylinder):
+    with pytest.raises(KeyError, match="unknown check id\\(s\\) in tolerances: thm2_1_V"):
+        run_checks(cylinder, count=5, seed=42, tolerances={"thm2_1_V": 1e-30, "eq17": 1e-9})
+
+
 def test_tolerance_override_can_fail(cylinder):
     reports = run_checks(
         cylinder, count=10, seed=42, selected=["thm2_1_v"],
