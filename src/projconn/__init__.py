@@ -40,6 +40,6 @@ from .theorems import (
     CHECK_IDS,
     run_checks,
 )
-from .catalog import CatalogEntry, builtin, catalog_names, write_catalog_files
+from .catalog import CatalogEntry, builtin, catalog_names
 
 __version__ = "0.1.0"

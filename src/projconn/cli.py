@@ -22,7 +22,7 @@ import numpy as np
 from . import catalog, expr, geometry, theorems
 from .connections import nonmetricity_components, torsion_components
 from .curvature import jet, lam_scale, ricci_shifts, theta_beta
-from .geometry import DimensionError, GateError, NotSPDError, SpecError
+from .geometry import DimensionError, NotSPDError, SpecError
 
 __all__ = ["main", "run"]
 
@@ -51,7 +51,7 @@ def _load_manifold(args) -> geometry.ManifoldSpec:
     try:
         return catalog.builtin(name).spec
     except KeyError as err:
-        raise _InputError(str(err)) from err
+        raise _InputError(err.args[0]) from err
 
 
 def _parse_point(text: str, spec) -> tuple[float, ...]:
@@ -213,7 +213,7 @@ def _cmd_eval(args) -> int:
     point = _parse_point(args.point, spec)
     try:
         array, index_names, extras = _eval_tensor(spec, args.tensor, point)
-    except (NotSPDError, GateError, SpecError, DimensionError, expr.ExprError) as err:
+    except (NotSPDError, SpecError, DimensionError, expr.ExprError) as err:
         raise _InputError(str(err)) from err
     if args.json:
         payload = {
@@ -262,7 +262,7 @@ def _cmd_verify(args) -> int:
             selected=selected,
         )
     except KeyError as err:
-        raise _UsageError(str(err)) from None
+        raise _UsageError(err.args[0]) from None
     except (NotSPDError, SpecError, DimensionError, expr.ExprError) as err:
         raise _InputError(str(err)) from err
     if args.json:

@@ -34,7 +34,6 @@ __all__ = [
     "CovectorValue",
     "SampleSet",
     "load_spec",
-    "spec_to_text",
     "metric_jet",
     "metric_at",
     "pi_at",
@@ -460,49 +459,12 @@ def _build_spec(doc: dict) -> ManifoldSpec:
 
 
 def load_spec(document: str | Path) -> ManifoldSpec:
-    """Load a manifold document.
-
-    Accepts a path, or the document text itself (key/value or JSON form).
-    A plain string is treated as text when it contains a newline or '=';
-    otherwise it names a file.
-    """
-    if isinstance(document, Path):
-        text = document.read_text(encoding="utf-8")
-    elif "\n" in document or "=" in document or document.lstrip().startswith("{"):
-        text = document
-    else:
-        path = Path(document)
-        if not path.exists():
-            raise SpecError(f"manifold file not found: {document}")
-        text = path.read_text(encoding="utf-8")
+    """Load a manifold document: a ``Path`` names a file, a ``str`` is the
+    document text itself (key/value or JSON form)."""
+    text = document.read_text(encoding="utf-8") if isinstance(document, Path) else document
     if text.lstrip().startswith("{"):
         return _build_spec(_parse_json_document(text))
     return _build_spec(_parse_kv_document(text))
-
-
-def spec_to_text(spec: ManifoldSpec) -> str:
-    """Deterministic key/value rendering; load_spec(spec_to_text(s)) == s."""
-    lines = [
-        f"name = {spec.name}",
-        f"dim = {spec.n}",
-        f"coords = {', '.join(spec.coords)}",
-        f"parallel_xi_expected = {'true' if spec.parallel_xi_expected else 'false'}",
-    ]
-    for i in range(spec.n):
-        for j in range(i, spec.n):
-            lines.append(f"g[{i}][{j}] = {ex.to_text(spec.g[i][j])}")
-    for i in range(spec.n):
-        lines.append(f"xi[{i}] = {ex.to_text(spec.xi[i])}")
-    for i, (lo, hi) in enumerate(spec.box):
-        lines.append(f"box[{i}] = {ex.format_number(lo)}, {ex.format_number(hi)}")
-    if spec.phi is not None:
-        for i in range(spec.n):
-            for j in range(spec.n):
-                lines.append(f"phi[{i}][{j}] = {ex.to_text(spec.phi[i][j])}")
-    for key, tree in (("f1", spec.f1), ("f2", spec.f2), ("f3", spec.f3)):
-        if tree is not None:
-            lines.append(f"{key} = {ex.to_text(tree)}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

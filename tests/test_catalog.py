@@ -1,8 +1,11 @@
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from projconn.catalog import builtin, catalog_names, entry_document, write_catalog_files
+from projconn.catalog import CHARTS, builtin, catalog_names
 from projconn.connections import PROJECTIVE, check_parallel_unit_xi
 from projconn.curvature import lam_scale, nullity_fit
 from projconn.geometry import load_spec, sample
@@ -31,33 +34,38 @@ def test_unknown_entry_rejected():
         builtin("torus_of_unusual_size")
 
 
-def test_euclidean_family_on_demand():
-    spec = builtin("euclidean6").spec
-    assert spec.n == 6
+@pytest.mark.parametrize(
+    "name",
+    ["../charts/euclidean3", "euclidean3.manifold", "", "euclidean2", "euclidean6", "euclidean03"],
+)
+def test_only_catalog_names_are_entries(name):
     with pytest.raises(KeyError):
-        builtin("euclidean2")
+        builtin(name)
+
+
+def test_chart_files_are_the_catalog():
+    assert sorted(p.stem for p in CHARTS.glob("*.manifold")) == sorted(catalog_names())
+
+
+def test_package_data_ships_every_chart(tmp_path):
+    # An installed package has only what build_py copies, so the charts
+    # must be declared as package data.
+    pytest.importorskip("setuptools")
+    shutil.copytree(REPO_ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(REPO_ROOT / "pyproject.toml", tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-c", "from setuptools import setup; setup()",
+         "build_py", "--build-lib", "out"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    built = tmp_path / "out" / "projconn" / "charts"
+    assert sorted(p.stem for p in built.glob("*.manifold")) == sorted(catalog_names())
 
 
 def test_builtin_equals_loaded_document():
     for name in catalog_names():
-        assert load_spec(entry_document(name)) == builtin(name).spec
-
-
-def test_emitted_files_match_documents(tmp_path):
-    written = write_catalog_files(tmp_path)
-    assert {p.stem for p in written} == set(catalog_names())
-    for path in written:
-        assert path.read_text(encoding="utf-8") == entry_document(path.stem)
-        assert load_spec(path) == builtin(path.stem).spec
-
-
-def test_shipped_catalog_directory_is_current():
-    shipped = REPO_ROOT / "catalog"
-    assert shipped.is_dir(), "catalog/ directory with emitted manifold files"
-    for name in catalog_names():
-        path = shipped / f"{name}.manifold"
-        assert path.is_file(), path
-        assert path.read_text(encoding="utf-8") == entry_document(name)
+        assert load_spec(CHARTS / f"{name}.manifold") == builtin(name).spec
 
 
 @pytest.mark.parametrize("name", catalog_names())

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from projconn.catalog import CHARTS
 from projconn.cli import main
 from projconn.expr import point_text
 from projconn.geometry import load_spec, sample
@@ -147,6 +148,22 @@ def test_verify_unknown_check_usage_error(capsys):
         capsys, "verify", "--manifold", "euclidean3", "--check", "eq99",
     )
     assert code == 2
+    assert err == "error: unknown check id(s): eq99\n"
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [(["verify"], "torus"), (["verify"], "euclidean03"),
+     (["eval", "--tensor", "gamma", "--point", "0,0,0"], "torus")],
+)
+def test_unknown_manifold_lists_the_catalog(capsys, command, name):
+    code, _, err = run_cli(capsys, *command, "--manifold", name)
+    assert code == 3
+    assert err == (
+        f"error: unknown catalog entry '{name}'; known: euclidean3, euclidean4, "
+        "euclidean5, euclidean8, cylinder_s2xr, gssf_c1, gssf_c4, polar_r2xr2, "
+        "sphere3_bad_xi\n"
+    )
 
 
 def test_verify_missing_file_input_error(capsys):
@@ -155,7 +172,7 @@ def test_verify_missing_file_input_error(capsys):
 
 
 def test_verify_from_manifold_file(capsys):
-    path = REPO_ROOT / "catalog" / "euclidean3.manifold"
+    path = CHARTS / "euclidean3.manifold"
     code, out, _ = run_cli(
         capsys, "verify", "--file", str(path), "--samples", "10",
         "--check", "eq9_two_path",
@@ -288,7 +305,7 @@ _JSON_CHART = {
 }
 
 
-_OVERFLOWING_CHART = (REPO_ROOT / "catalog" / "euclidean3.manifold").read_text(
+_OVERFLOWING_CHART = (CHARTS / "euclidean3.manifold").read_text(
     encoding="utf-8").replace("g[0][0] = 1", "g[0][0] = 1 + log(x - 1e999)")
 
 
@@ -301,7 +318,7 @@ _OVERFLOWING_CHART = (REPO_ROOT / "catalog" / "euclidean3.manifold").read_text(
          "--samples must be at least 1"),
         (["verify", "--manifold", "euclidean3", "--seed", "-1"], None, 2,
          "--seed must be non-negative"),
-        (["verify"], (REPO_ROOT / "catalog" / "euclidean3.manifold").read_text(encoding="utf-8")
+        (["verify"], (CHARTS / "euclidean3.manifold").read_text(encoding="utf-8")
          .replace("box[2] = -1, 1", "box[2] = 1, -1"), 3, "empty sampling box for coordinate 'z'"),
         (["verify"], json.dumps(dict(_JSON_CHART, box=[[-1], [-1, 1]])), 3, "box[0] must be a pair"),
         (["verify"], json.dumps(dict(_JSON_CHART, g="1")), 3, "'g' must be a list of lists"),
@@ -317,10 +334,10 @@ _OVERFLOWING_CHART = (REPO_ROOT / "catalog" / "euclidean3.manifold").read_text(
         (["verify", "--manifold", "euclidean3", "--check", ","], None, 2,
          "--check names no check"),
         (["verify"], json.dumps(dict(_JSON_CHART, dim=2.7)), 3, "'dim' must be an integer"),
-        (["verify"], (REPO_ROOT / "catalog" / "euclidean3.manifold").read_text(encoding="utf-8")
+        (["verify"], (CHARTS / "euclidean3.manifold").read_text(encoding="utf-8")
          .replace("box[0] = -1, 1", "box[0] = -1, inf"), 3,
          "box[0] bounds and their difference must be finite"),
-        (["verify"], (REPO_ROOT / "catalog" / "euclidean3.manifold").read_text(encoding="utf-8")
+        (["verify"], (CHARTS / "euclidean3.manifold").read_text(encoding="utf-8")
          .replace("box[0] = -1, 1", "box[0] = -1e308, 1e308"), 3,
          "box[0] bounds and their difference must be finite"),
         (["verify"], _OVERFLOWING_CHART, 3, "number out of range"),

@@ -13,7 +13,6 @@ from projconn.geometry import (
     metric_at,
     pi_at,
     sample,
-    spec_to_text,
 )
 
 FLAT_2D = """
@@ -106,10 +105,6 @@ def test_unknown_coordinate_in_expression_rejected():
 def test_catalog_document_loads_equal_to_builtin():
     spec = load_spec(entry_document("cylinder_s2xr"))
     assert spec == builtin("cylinder_s2xr").spec
-
-
-def test_spec_text_round_trip(cylinder):
-    assert load_spec(spec_to_text(cylinder)) == cylinder
 
 
 def test_euclidean_metric_is_identity(euclidean3):

@@ -9,6 +9,8 @@ import re
 from pathlib import Path
 
 import projconn
+from projconn.catalog import builtin, entry_document
+from projconn.geometry import load_spec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 MODULES = {module.name for module in pkgutil.iter_modules(projconn.__path__)}
@@ -27,3 +29,10 @@ def test_readme_references_resolve():
         if obj is None:
             missing.append(f"{module}.{name}")
     assert not missing, missing
+
+
+def test_manifold_example_is_the_shipped_chart():
+    section = README.read_text(encoding="utf-8").split("## Manifold files", 1)[1]
+    block = section.split("```\n", 2)[1]
+    assert load_spec(block) == builtin("cylinder_s2xr").spec
+    assert block == entry_document("cylinder_s2xr")
