@@ -9,38 +9,37 @@ geodesics (the quadratic spray difference is radial).
 import numpy as np
 
 from projconn.catalog import builtin
-from projconn.connections import (
-    LEVI_CIVITA,
-    PROJECTIVE,
-    connection_at,
-    nonmetricity_at,
-    torsion_at,
-)
-from projconn.geometry import metric_at, sample
+from projconn.connections import nonmetricity_components, torsion_components
+from projconn.curvature import jet
+from projconn.geometry import sample
 
 
 def main():
     spec = builtin("euclidean3").spec
     origin = (0.0, 0.0, 0.0)
-    lc = connection_at(spec, LEVI_CIVITA, origin, order=0)
-    pr = connection_at(spec, PROJECTIVE, origin, order=0)
+    j = jet(spec, [origin], 1)
+    lc, pr = j.lc.Gamma[0], j.pr.Gamma[0]
     print("flat chart, unit field along the first axis (n = 3)")
-    print(f"  metric coefficients vanish: max |Gamma| = {np.max(np.abs(lc.Gamma)):.1e}")
-    print(f"  shifted coefficients: Gamma~[2,2,1] = {pr.Gamma[1, 1, 0]:+.4f} (= n/(n+1))")
-    print(f"                        Gamma~[2,1,2] = {pr.Gamma[1, 0, 1]:+.4f} (= -1/(n+1))")
+    print(f"  metric coefficients vanish: max |Gamma| = {np.max(np.abs(lc)):.1e}")
+    print(f"  shifted coefficients: Gamma~[2,2,1] = {pr[1, 1, 0]:+.4f} (= n/(n+1))")
+    print(f"                        Gamma~[2,1,2] = {pr[1, 0, 1]:+.4f} (= -1/(n+1))")
     print()
 
     e1 = np.array([1.0, 0.0, 0.0])
     e2 = np.array([0.0, 1.0, 0.0])
+    T = torsion_components(spec, origin)
     print("torsion T(X, Y) = pi(Y) X - pi(X) Y")
-    print(f"  T(e1, e2) = {torsion_at(spec, origin, e1, e2)}")
-    print(f"  T(X, X)   = {torsion_at(spec, origin, e2, e2)}")
+    print(f"  T(e1, e2) = {np.einsum('kij,i,j->k', T, e1, e2)}")
+    print(f"  T(X, X)   = {np.einsum('kij,i,j->k', T, e2, e2)}")
     print()
 
     print("non-metricity, closed form vs direct differentiation")
-    value = nonmetricity_at(spec, origin, e1, e1, e1)
-    print(f"  (grad~_xi g)(xi, xi): closed {value.closed_form:+.6f}, "
-          f"direct {value.direct:+.6f}, discrepancy {value.discrepancy:.1e}")
+    closed, direct = (
+        float(np.einsum("ijk,i,j,k->", Q, e1, e1, e1))
+        for Q in nonmetricity_components(spec, origin)
+    )
+    print(f"  (grad~_xi g)(xi, xi): closed {closed:+.6f}, "
+          f"direct {direct:+.6f}, discrepancy {abs(closed - direct):.1e}")
     print()
 
     spec = builtin("cylinder_s2xr").spec
@@ -49,12 +48,10 @@ def main():
     for idx in range(samples.count):
         point = samples.points[idx]
         V = samples.frames[idx, 0]
-        lc = connection_at(spec, LEVI_CIVITA, point, order=0)
-        pr = connection_at(spec, PROJECTIVE, point, order=0)
-        diff = np.einsum("kij,i,j->k", pr.Gamma - lc.Gamma, V, V)
+        j = jet(spec, [point], 1)
+        diff = np.einsum("kij,i,j->k", j.pr.Gamma[0] - j.lc.Gamma[0], V, V)
         radial = (float(diff @ V) / float(V @ V)) * V
-        pi = metric_at(spec, point, order=0).G @ np.array([0.0, 0.0, 1.0])
-        factor = (spec.n - 1) / (spec.n + 1) * float(pi @ V)
+        factor = (spec.n - 1) / (spec.n + 1) * float(j.pi[0] @ V)
         print(f"  point {np.round(point, 3)}: cross-component residual "
               f"{np.max(np.abs(diff - radial)):.1e}, radial factor {factor:+.4f}")
 

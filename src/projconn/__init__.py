@@ -13,7 +13,6 @@ from .geometry import (
     SpecError,
     load_spec,
     metric_at,
-    pi_at,
     sample,
 )
 from .connections import (
@@ -21,14 +20,11 @@ from .connections import (
     check_parallel_unit_xi,
     connection_at,
     covariant_derivative,
-    nonmetricity_at,
-    torsion_at,
 )
 from .curvature import (
     Jet,
     NullityFit,
     QuasiEinsteinFit,
-    derivation_apply,
     jet,
     nullity_fit,
     quasi_einstein_fit,

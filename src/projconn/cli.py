@@ -43,7 +43,7 @@ def _load_manifold(args) -> geometry.ManifoldSpec:
     if getattr(args, "file", None):
         try:
             return geometry.load_spec(Path(args.file))
-        except (SpecError, OSError) as err:
+        except (SpecError, OSError, UnicodeDecodeError) as err:
             raise _InputError(f"cannot load manifold file: {err}") from err
     name = getattr(args, "manifold", None)
     if not name:
@@ -89,7 +89,10 @@ def _emit(text: str, out_path: str | None):
     if not text.endswith("\n"):
         text += "\n"
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        try:
+            Path(out_path).write_text(text, encoding="utf-8")
+        except OSError as err:
+            raise _InputError(f"cannot write --out file: {err}") from err
     try:
         sys.stdout.write(text)
         sys.stdout.flush()

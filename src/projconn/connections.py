@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
 from .geometry import ManifoldSpec, MetricJet, metric_jet
 from .report import CheckReport
 
@@ -34,12 +33,9 @@ __all__ = [
     "LEVI_CIVITA",
     "PROJECTIVE",
     "ConnectionCoeffs",
-    "NonmetricityValue",
     "connection_at",
     "coefficient_jets",
-    "torsion_at",
     "torsion_components",
-    "nonmetricity_at",
     "nonmetricity_components",
     "covariant",
     "covariant_derivative",
@@ -61,19 +57,6 @@ class ConnectionCoeffs:
     Gamma: np.ndarray
     dGamma: np.ndarray | None = None
     d2Gamma: np.ndarray | None = None
-
-
-@dataclass
-class NonmetricityValue:
-    """Covariant derivative of the metric under the projective connection,
-    evaluated two independent ways."""
-
-    closed_form: float
-    direct: float
-
-    @property
-    def discrepancy(self) -> float:
-        return abs(self.closed_form - self.direct)
 
 
 # ---------------------------------------------------------------------------
@@ -169,17 +152,9 @@ def connection_at(spec: ManifoldSpec, kind: str, point, order: int = 1) -> Conne
 def torsion_components(spec: ManifoldSpec, point) -> np.ndarray:
     """Torsion of the projective connection as the (1,2) array
     T[k,i,j] = pi_j delta^k_i - pi_i delta^k_j."""
-    pi = geometry.pi_at(spec, point).components
+    pi = metric_jet(spec, [point], order=0).pi[0]
     eye = np.eye(spec.n)
     return np.einsum("ki,j->kij", eye, pi) - np.einsum("kj,i->kij", eye, pi)
-
-
-def torsion_at(spec: ManifoldSpec, point, X, Y) -> np.ndarray:
-    """Torsion vector pi(Y) X - pi(X) Y at the point."""
-    pi = geometry.pi_at(spec, point).components
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    return float(pi @ Y) * X - float(pi @ X) * Y
 
 
 def nonmetricity_components(spec: ManifoldSpec, point):
@@ -200,17 +175,6 @@ def nonmetricity_components(spec: ManifoldSpec, point):
         - np.einsum("mik,jm->ijk", Gamma, G)
     )
     return closed, direct
-
-
-def nonmetricity_at(spec: ManifoldSpec, point, X, Y, Z) -> NonmetricityValue:
-    closed, direct = nonmetricity_components(spec, point)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    return NonmetricityValue(
-        closed_form=float(np.einsum("ijk,i,j,k->", closed, X, Y, Z)),
-        direct=float(np.einsum("ijk,i,j,k->", direct, X, Y, Z)),
-    )
 
 
 # ---------------------------------------------------------------------------

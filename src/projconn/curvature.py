@@ -45,7 +45,6 @@ __all__ = [
     "ricci_contraction",
     "projective_tensor",
     "derivation",
-    "derivation_apply",
     "derivation_all_frames",
     "quasi_einstein_fit",
     "nullity_fit",
@@ -259,7 +258,7 @@ def derivation_all_frames(R_acting: np.ndarray, T: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# at one point: the closed-form reference and the derivation action
+# at one point: the closed-form reference
 
 
 def rtilde_closed_form(spec: ManifoldSpec, point, X, Y, Z) -> np.ndarray:
@@ -279,14 +278,6 @@ def rtilde_closed_form(spec: ManifoldSpec, point, X, Y, Z) -> np.ndarray:
     base = np.einsum("lijk,i,j,k->l", j.lc.R[0], X, Y, Z)
     px, py, pz = float(pi @ X), float(pi @ Y), float(pi @ Z)
     return base + lam * (px * pz * Y - py * pz * X)
-
-
-def derivation_apply(spec: ManifoldSpec, point, X, Y, T, conn_kind: str) -> np.ndarray:
-    """(R(X,Y) . T) for a (1,3) tensor T: the endomorphism R(X,Y) acts on the
-    output slot and is subtracted from each input slot."""
-    R = jet(spec, [point], 2).connection(conn_kind).R[0]
-    A = np.einsum("labm,a,b->lm", R, np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
-    return derivation(A, np.asarray(T, dtype=float))
 
 
 # ---------------------------------------------------------------------------

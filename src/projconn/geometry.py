@@ -31,12 +31,10 @@ __all__ = [
     "ManifoldSpec",
     "MetricValue",
     "MetricJet",
-    "CovectorValue",
     "SampleSet",
     "load_spec",
     "metric_jet",
     "metric_at",
-    "pi_at",
     "sample",
     "in_box",
 ]
@@ -208,12 +206,6 @@ class MetricJet:
     d3G: np.ndarray | None = None
     dpi: np.ndarray | None = None  # (S, n, n), dpi[s, m, i] = d_m pi_i
     d2pi: np.ndarray | None = None
-
-
-@dataclass
-class CovectorValue:
-    components: np.ndarray
-    unit_residual: float
 
 
 @dataclass
@@ -436,13 +428,11 @@ def _build_spec(doc: dict) -> ManifoldSpec:
         else:
             fs[key] = None
 
-    parallel_raw = doc.get("parallel_xi_expected", True)
-    if isinstance(parallel_raw, str):
-        if parallel_raw.lower() not in ("true", "false"):
-            raise SpecError("parallel_xi_expected must be true or false")
-        parallel = parallel_raw.lower() == "true"
-    else:
-        parallel = bool(parallel_raw)
+    parallel = doc.get("parallel_xi_expected", True)
+    if isinstance(parallel, str) and parallel.lower() in ("true", "false"):
+        parallel = parallel.lower() == "true"
+    if not isinstance(parallel, bool):
+        raise SpecError("parallel_xi_expected must be true or false")
 
     return ManifoldSpec(
         name=str(doc.get("name", "unnamed")),
@@ -529,13 +519,6 @@ def metric_at(spec: ManifoldSpec, point, order: int = 1) -> MetricValue:
         tuple(mj.points[0].tolist()), mj.G[0], mj.G_inv[0],
         *(None if a is None else a[0] for a in (mj.dG, mj.d2G, mj.d3G)),
     )
-
-
-def pi_at(spec: ManifoldSpec, point) -> CovectorValue:
-    """Lower xi with the metric; report |<pi, xi> - 1| as the unit residual."""
-    mj = metric_jet(spec, [point], order=0)
-    pi, xi = mj.pi[0], mj.xi[0]
-    return CovectorValue(pi, abs(float(pi @ xi) - 1.0))
 
 
 def in_box(spec: ManifoldSpec, point) -> bool:

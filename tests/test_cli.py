@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -343,21 +344,61 @@ _OVERFLOWING_CHART = (CHARTS / "euclidean3.manifold").read_text(
         (["verify"], _OVERFLOWING_CHART, 3, "number out of range"),
         (["eval", "--tensor", "gamma", "--point", "0,0,0"], _OVERFLOWING_CHART, 3,
          "number out of range"),
+        (["list", "--out", "{tmp}"], None, 3, "cannot write --out file"),
+        (["list", "--out", "{tmp}/missing/list.txt"], None, 3, "cannot write --out file"),
+        (["verify"], b"\xff" + (CHARTS / "euclidean3.manifold").read_bytes(), 3,
+         "cannot load manifold file: 'utf-8' codec can't decode"),
+        (["verify"], json.dumps(dict(_JSON_CHART, parallel_xi_expected=None)), 3,
+         "parallel_xi_expected must be true or false"),
+        (["verify"], json.dumps(dict(_JSON_CHART, parallel_xi_expected=0)), 3,
+         "parallel_xi_expected must be true or false"),
     ],
     ids=["samples_zero", "samples_negative", "seed_negative", "empty_box", "short_box_pair",
          "g_not_a_list", "coords_not_a_list", "verify_planar_eq17", "eval_planar_projective",
          "tol_nan", "tol_negative", "check_names_none", "dim_not_integral",
          "box_infinite", "box_width_overflows", "verify_number_overflows",
-         "eval_number_overflows"],
+         "eval_number_overflows", "out_is_a_directory", "out_directory_missing",
+         "file_not_utf8", "parallel_flag_null", "parallel_flag_number"],
 )
-def test_bad_input_ends_with_a_message(tmp_path, args, document, code, message):
+def test_bad_input_ends_with_a_message(tmp_path, capsys, args, document, code, message):
+    args = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
     if document is not None:
         path = tmp_path / "chart.manifold"
-        path.write_text(document, encoding="utf-8")
+        if isinstance(document, bytes):
+            path.write_bytes(document)
+        else:
+            path.write_text(document, encoding="utf-8")
         args = [*args, "--file", str(path)]
-    proc = _python("-m", "projconn.cli", *args)
-    assert proc.returncode == code, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert any(
-        line.startswith("error: ") and message in line for line in proc.stderr.splitlines()
-    ), proc.stderr
+    try:
+        returned = main(args)
+    except (Exception, SystemExit) as err:
+        pytest.fail(f"{type(err).__name__} escaped main: {err}")
+    err = capsys.readouterr().err
+    assert returned == code, err
+    assert "Traceback" not in err
+    assert any(line.startswith("error: ") and message in line for line in err.splitlines()), err
+
+
+def test_module_entry_point_exit_codes():
+    # one usage error (exit 2) and one input error (exit 3) through a real
+    # interpreter; both start before either is waited for
+    cases = [
+        (["verify", "--manifold", "euclidean3", "--samples", "0"], 2, "--samples must be at least 1"),
+        (["verify", "--manifold", "torus"], 3, "unknown catalog entry 'torus'"),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    with contextlib.ExitStack() as stack:
+        procs = [
+            stack.enter_context(subprocess.Popen(
+                [sys.executable, "-m", "projconn.cli", *args],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
+            ))
+            for args, _, _ in cases
+        ]
+        for proc, (_, code, message) in zip(procs, cases):
+            _, stderr = proc.communicate(timeout=60)
+            assert proc.returncode == code, stderr
+            assert "Traceback" not in stderr
+            assert any(
+                line.startswith("error: ") and message in line for line in stderr.splitlines()
+            ), stderr

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from projconn.connections import LEVI_CIVITA, PROJECTIVE
+from projconn.connections import LEVI_CIVITA, PROJECTIVE, covariant
 from projconn import cli, curvature, theorems
-from projconn.catalog import builtin
+from projconn.catalog import builtin, catalog_names
 from projconn.curvature import (
     derivation,
     derivation_all_frames,
-    derivation_apply,
     jet,
     lam_scale,
     nullity_fit,
@@ -20,6 +19,7 @@ from projconn.curvature import (
 )
 from projconn.geometry import DimensionError, GateError, load_spec, metric_at, sample
 from mutants import mutant
+from test_jet import WARPED_CHART
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -204,9 +204,15 @@ box[1] = -1, 1
         cli._eval_tensor(plane, "projective", (0.0, 0.0))
 
 
+def _endomorphism(spec, point, X, Y, conn):
+    """R(X, Y) at the point, from the one-sample jet: A[l,m] = R[l,a,b,m] X^a Y^b."""
+    R = jet(spec, [point], 2).connection(conn).R[0]
+    return np.einsum("labm,a,b->lm", R, X, Y)
+
+
 def test_derivation_annihilates_when_curvature_zero(euclidean3):
     T = np.random.default_rng(3).normal(size=(3, 3, 3, 3))
-    out = derivation_apply(euclidean3, ORIGIN, E1, E2, T, LEVI_CIVITA)
+    out = derivation(_endomorphism(euclidean3, ORIGIN, E1, E2, LEVI_CIVITA), T)
     np.testing.assert_allclose(out, 0.0)
 
 
@@ -222,7 +228,7 @@ def test_derivation_matches_field_closed_form_flat(euclidean3):
         Rt = jet(euclidean3, [point], 2).pr.R[0]
         pi = np.array([1.0, 0.0, 0.0])
         X = s.frames[idx, 0]
-        applied = derivation_apply(euclidean3, point, E1, X, Rt, PROJECTIVE)
+        applied = derivation(_endomorphism(euclidean3, point, E1, X, PROJECTIVE), Rt)
         rhs = -lam * (
             np.einsum("z,lbuv,b->lzuv", pi, Rt, X)
             + np.einsum("u,lzbv,b->lzuv", pi, Rt, X)
@@ -331,10 +337,47 @@ def test_derivation_apply_matches_definition(cylinder, n, conn):
     rng = np.random.default_rng(200 + n)
     point = sample(spec, 1, seed=n).points[0]
     T, X, Y = rng.normal(size=(n,) * 4), rng.normal(size=n), rng.normal(size=n)
-    A = np.einsum("labm,a,b->lm", jet(spec, [point], 2).connection(conn).R[0], X, Y)
+    A = _endomorphism(spec, point, X, Y, conn)
     assert np.max(np.abs(A)) > 0.1
-    np.testing.assert_allclose(derivation_apply(spec, point, X, Y, T, conn),
+    np.testing.assert_allclose(derivation(A, T),
                                _derivation_definition(A, T), rtol=0, atol=1e-12)
+
+
+RICCI_CHARTS = list(catalog_names()) + ["warped_fixed"]
+
+
+def ricci_identity_gap(name: str, conn: str) -> tuple[float, float]:
+    """Worst residual of the Ricci identity for a constant (1,3) field C,
+
+        D_a D_b C - D_b D_a C + T^p_ab D_p C = R(e_a, e_b) . C,
+
+    with T^p_ab = Gamma[p,a,b] - Gamma[p,b,a], over seeded samples of a chart
+    of ``RICCI_CHARTS``; and the largest |R . C| it is measured against.  One
+    identity pins the slot signs of ``covariant``, the torsion sign, the
+    (i, j) order of R and the slot mapping of ``curvature.derivation``."""
+    spec = load_spec(WARPED_CHART) if name == "warped_fixed" else builtin(name).spec
+    n = spec.n
+    points = sample(spec, 1 if n > 5 else 8, seed=n).points
+    cj = jet(spec, points, 2).connection(conn)
+    Gamma, dGamma = cj.Gamma, cj.dGamma
+    # no slot symmetry, and constant: its partials vanish
+    C = np.random.default_rng(500 + n).normal(size=(n,) * 4)
+    C = np.broadcast_to(C, (len(points),) + C.shape)
+    DC = covariant(Gamma, C, 0.0, "ulll")
+    dDC = np.stack([covariant(dGamma[:, a], C, 0.0, "ulll") for a in range(n)], axis=1)
+    DDC = covariant(Gamma, DC, dDC, "lulll")
+    torsion = Gamma - Gamma.swapaxes(2, 3)
+    lhs = DDC - DDC.swapaxes(1, 2) + np.einsum("spab,splzuv->sablzuv", torsion, DC)
+    # looked up on the module, where tests/test_mutation.py patches its mutant
+    rhs = curvature.derivation(np.moveaxis(cj.R, 1, 3), C)
+    return float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(rhs)))
+
+
+@pytest.mark.parametrize("conn", [LEVI_CIVITA, PROJECTIVE])
+@pytest.mark.parametrize("name", RICCI_CHARTS)
+def test_ricci_identity_holds_on_every_chart(name, conn):
+    gap, scale = ricci_identity_gap(name, conn)
+    assert gap <= 1e-12 * (1.0 + scale)
 
 
 def _riemann_reference(Gamma, dGamma):

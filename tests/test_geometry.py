@@ -11,7 +11,7 @@ from projconn.geometry import (
     SpecError,
     load_spec,
     metric_at,
-    pi_at,
+    metric_jet,
     sample,
 )
 
@@ -128,23 +128,28 @@ def test_not_spd_detected():
         metric_at(spec, (0.0, 0.0))
 
 
+def _unit_residual(mj) -> float:
+    """|pi(xi) - 1| at the jet's one sample."""
+    return abs(float(mj.pi[0] @ mj.xi[0]) - 1.0)
+
+
 def test_pi_lowering_euclidean(euclidean3):
-    cov = pi_at(euclidean3, (0.0, 0.0, 0.0))
-    np.testing.assert_allclose(cov.components, [1.0, 0.0, 0.0])
-    assert cov.unit_residual <= 1e-15
+    mj = metric_jet(euclidean3, [(0.0, 0.0, 0.0)], order=0)
+    np.testing.assert_allclose(mj.pi[0], [1.0, 0.0, 0.0])
+    assert _unit_residual(mj) <= 1e-15
 
 
 def test_pi_lowering_cylinder(cylinder):
-    cov = pi_at(cylinder, (1.0, 2.0, 0.5))
-    np.testing.assert_allclose(cov.components, [0.0, 0.0, 1.0], atol=1e-15)
+    pi = metric_jet(cylinder, [(1.0, 2.0, 0.5)], order=0).pi[0]
+    np.testing.assert_allclose(pi, [0.0, 0.0, 1.0], atol=1e-15)
 
 
 def test_non_unit_field_reports_residual():
     # negative control: g(xi, xi) = 4 gives |pi.xi - 1| = 3
     doubled = FLAT_2D.replace("xi[0] = 1", "xi[0] = 2")
-    cov = pi_at(load_spec(doubled), (0.0, 0.0))
-    assert cov.unit_residual > 0.1
-    assert cov.unit_residual == pytest.approx(3.0)
+    residual = _unit_residual(metric_jet(load_spec(doubled), [(0.0, 0.0)], order=0))
+    assert residual > 0.1
+    assert residual == pytest.approx(3.0)
 
 
 def test_sampling_is_deterministic(cylinder):
@@ -188,8 +193,7 @@ def test_catalog_metric_invariants(name):
         mv = metric_at(spec, point)
         assert np.max(np.abs(mv.G - mv.G.T)) <= 1e-14
         assert np.max(np.abs(mv.G @ mv.G_inv - np.eye(spec.n))) <= 1e-11
-        cov = pi_at(spec, point)
-        assert cov.unit_residual <= 1e-10
+        assert _unit_residual(metric_jet(spec, [point], order=0)) <= 1e-10
 
 
 def test_environment_rejects_wrong_point_length(euclidean3):

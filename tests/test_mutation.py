@@ -1,4 +1,5 @@
-"""Every engine mutant fails a check on some catalog chart.
+"""Every engine mutant is killed: it fails a check on some catalog chart, or
+it breaks the Ricci identity of ``test_curvature.ricci_identity_gap``.
 
 Each mutant is rebuilt from the rule's source (``mutants.mutant``) and
 monkeypatched in wherever the rule is looked up: the family runners through
@@ -9,32 +10,44 @@ import pytest
 
 from projconn import connections, curvature, theorems
 from projconn.catalog import builtin, catalog_names
+from projconn.connections import LEVI_CIVITA, PROJECTIVE
 from projconn.theorems import run_checks
 from mutants import mutant
+from test_curvature import RICCI_CHARTS, ricci_identity_gap
 
-# name -> (modules that bind the rule by name, rule, old source, new source);
-# a family runner is patched in theorems._FAMILY_RUNNERS instead
+# name -> (killed by, modules that bind the rule by name, rule, old source,
+# new source).  A mutant is killed by a FAIL of run_checks on some "catalog"
+# chart, or by the "ricci_identity": the derivation reaches verdicts on flat
+# charts only, where the slot mapping does not show.  A family runner is
+# patched in theorems._FAMILY_RUNNERS instead of in a binding module.
 MUTANTS = {
-    "wrong_lambda": ((curvature, theorems), "lam_scale", "-(n * n)", "-(n * n + 1)"),
+    "wrong_lambda": (
+        "catalog", (curvature, theorems), "lam_scale", "-(n * n)", "-(n * n + 1)",
+    ),
     "projective_shift_coefficients_swapped": (
-        (connections,), "_projective_shift",
+        "catalog", (connections,), "_projective_shift",
         "a = n / (n + 1.0)\n    b = -1.0 / (n + 1.0)",
         "b = n / (n + 1.0)\n    a = -1.0 / (n + 1.0)",
     ),
     "covariant_gamma_slots_swapped": (
-        (connections, curvature, theorems), "covariant",
+        "catalog", (connections, curvature, theorems), "covariant",
         "s, n = Gamma.shape[:2]\n", "s, n = Gamma.shape[:2]\n    Gamma = Gamma.swapaxes(2, 3)\n",
     ),
-    "eq11d_term_dropped": ((), "_curvature_columns", "+ (2.0 / (n + 1)) * pi_R", ""),
+    "eq11d_term_dropped": ("catalog", (), "_curvature_columns", "+ (2.0 / (n + 1)) * pi_R", ""),
     "eq20_term_dropped": (
-        (), "_semisymmetry_columns", '+ np.einsum("su,slzbv->sblzuv", pi, Rt)', "",
+        "catalog", (), "_semisymmetry_columns", '+ np.einsum("su,slzbv->sblzuv", pi, Rt)', "",
     ),
     "cor4_3_term_dropped": (
-        (), "_semisymmetry_columns",
+        "catalog", (), "_semisymmetry_columns",
         'j.pr.nabla_R - np.einsum("sm,slijk->smlijk", rho, Rt)', "j.pr.nabla_R",
     ),
     "gssf_star2_term_dropped": (
-        (), "_gssf_columns", '+ 2.0 * np.einsum("sij,slk->slijk", A, phi)', "",
+        "catalog", (), "_gssf_columns", '+ 2.0 * np.einsum("sij,slk->slijk", A, phi)', "",
+    ),
+    # the subtracted z-slot and u-slot terms land in each other's slots
+    "derivation_slots_swapped": (
+        "ricci_identity", (curvature, theorems), "derivation",
+        "-1, slot)", "-1, {-3: -2, -2: -3}.get(slot, slot))",
     ),
 }
 
@@ -51,13 +64,28 @@ def test_engine_passes_every_catalog_chart():
     assert _failing_charts() == []
 
 
-@pytest.mark.parametrize("name", MUTANTS)
-def test_mutant_fails_a_catalog_chart(monkeypatch, name):
-    binders, rule, old, new = MUTANTS[name]
+def _patch(monkeypatch, name):
+    _, binders, rule, old, new = MUTANTS[name]
     wrong = mutant(getattr((binders or (theorems,))[0], rule), old, new)
     for binder in binders:
         monkeypatch.setattr(binder, rule, wrong)
     for family, runner in list(theorems._FAMILY_RUNNERS.items()):
         if runner.__name__ == rule:
             monkeypatch.setitem(theorems._FAMILY_RUNNERS, family, wrong)
+
+
+@pytest.mark.parametrize("name", [m for m in MUTANTS if MUTANTS[m][0] == "catalog"])
+def test_mutant_fails_a_catalog_chart(monkeypatch, name):
+    _patch(monkeypatch, name)
     assert _failing_charts()
+
+
+@pytest.mark.parametrize("name", [m for m in MUTANTS if MUTANTS[m][0] == "ricci_identity"])
+def test_mutant_breaks_the_ricci_identity(monkeypatch, name):
+    _patch(monkeypatch, name)
+    worst = max(
+        gap / (1.0 + scale)
+        for chart in RICCI_CHARTS
+        for gap, scale in [ricci_identity_gap(chart, conn) for conn in (LEVI_CIVITA, PROJECTIVE)]
+    )
+    assert worst > 1e-3

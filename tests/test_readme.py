@@ -31,6 +31,19 @@ def test_readme_references_resolve():
     assert not missing, missing
 
 
+def test_all_entries_resolve():
+    # a stale __all__ entry fails only `from module import *`, which nothing else runs
+    checked, missing = 0, []
+    for name in sorted(MODULES):
+        module = importlib.import_module(f"projconn.{name}")
+        for entry in getattr(module, "__all__", ()):
+            checked += 1
+            if not hasattr(module, entry):
+                missing.append(f"{name}.{entry}")
+    assert checked >= 40, checked
+    assert not missing, missing
+
+
 def test_manifold_example_is_the_shipped_chart():
     section = README.read_text(encoding="utf-8").split("## Manifold files", 1)[1]
     block = section.split("```\n", 2)[1]
