@@ -8,7 +8,7 @@ argument, i.e. the covariant derivative of the j-th coordinate field along
 the i-th has k-th component ``Gamma[k, i, j]``.  The torsionful connection
 makes this choice observable; it is validated by the two-path curvature
 check in the verification suite.  ``covariant`` is the one function that
-applies it to take a covariant derivative.
+applies it, for covariant derivatives and for the curvature derivation.
 
 The combined coefficient of the projective semi-symmetric connection is
 
@@ -181,29 +181,38 @@ def nonmetricity_components(spec: ManifoldSpec, point):
 # covariant derivatives
 
 
-def covariant(Gamma: np.ndarray, T: np.ndarray, dT: np.ndarray, variance) -> np.ndarray:
-    """Covariant derivative of a tensor at a batch of points, the package's
-    one copy of the rule.
+def covariant(Gamma: np.ndarray, T: np.ndarray, dT: np.ndarray | None, variance) -> np.ndarray:
+    """A stack of endomorphisms acting on each slot of a tensor, at a batch
+    of points: the package's one copy of the covariant derivative and of the
+    curvature derivation.
 
-    ``Gamma[s,k,i,j]`` are the connection's coefficients, ``T[s,...]`` the
-    tensor and ``dT[s,m,...]`` its partials; ``variance`` marks each slot
-    'u' (vector) or 'l' (covector).  The result is
-    ``out[s,m,...] = (D_m T)[...]``: +Gamma[c,m,p] T[..p..] per upper slot
-    and -Gamma[p,m,c] T[..p..] per lower slot, the direction m in Gamma's
-    middle slot.  Each slot's term is one stacked matrix product: T with
-    that slot last, times Gamma viewed as [s, p, m*c].
+    ``Gamma[s,c,m,p]`` is, for each m of a stack of any length, the map
+    p -> c: a connection's coefficients along m, or curvature frames.
+    ``T[s,...]`` is the tensor, ``dT[s,m,...]`` its partials or None for the
+    bare action, and ``variance`` marks each slot 'u' or 'l'.  The result is
+    ``out[s,m,...] = dT[s,m,...]`` plus Gamma[c,m,p] T[..p..] per upper slot
+    and minus Gamma[p,m,c] T[..p..] per lower slot.  Each slot's term is one
+    stacked matrix product: Gamma as [s, m*c, p] times T for a first upper
+    slot, else T with that slot last times Gamma as [s, m, p, c], negated for
+    a lower slot.
     """
-    s, n = Gamma.shape[:2]
-    lower = Gamma.reshape(s, n, n * n)  # [s, p, (m, c)] = Gamma[s,p,m,c]
-    upper = Gamma.transpose(0, 3, 2, 1).reshape(s, n, n * n)  # = Gamma[s,c,m,p]
-    out = dT
+    s, n, k = Gamma.shape[:3]
+    out = None
     for slot, v in enumerate(variance, start=1):
-        T_p = np.moveaxis(T, slot, -1)  # [s, ..., p]
-        term = (T_p.reshape(s, -1, n) @ (upper if v == "u" else lower)).reshape(
-            T_p.shape[:-1] + (n, n)
-        )  # [s, ..., m, c]
-        term = np.moveaxis(np.moveaxis(term, -1, slot), -1, 1)  # [s, m, ..., c, ...]
-        out = out + term if v == "u" else out - term
+        if slot == 1 and v == "u":
+            A = Gamma.transpose(0, 2, 1, 3).reshape(s, k * n, n)  # [s, (m, c), p]
+            term = (A @ T.reshape(s, n, -1)).reshape((s, k) + T.shape[1:])
+        else:
+            # [s, m, p, c] = Gamma[s,c,m,p] or -Gamma[s,p,m,c]
+            stack = Gamma.transpose(0, 2, 3, 1) if v == "u" else -Gamma.transpose(0, 2, 1, 3)
+            T_p = np.moveaxis(T, slot, -1)  # [s, ..., p]
+            term = (T_p.reshape(s, 1, -1, n) @ stack).reshape((s, k) + T_p.shape[1:])
+            term = np.moveaxis(term, -1, slot + 1)  # [s, m, ..., c, ...]
+        if out is None:
+            out = term if dT is None else dT + term
+        else:
+            out += term
+        del term  # so the next slot's product can reuse its memory
     return out
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "ricci_shifts",
     "ricci_contraction",
     "projective_tensor",
-    "derivation",
     "derivation_all_frames",
     "quasi_einstein_fit",
     "nullity_fit",
@@ -226,35 +225,15 @@ def projective_tensor(R: np.ndarray, S: np.ndarray) -> np.ndarray:
     ) / (n - 1.0)
 
 
-def derivation(A: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """The action A . T of a stack of endomorphisms A[..., l, m] on a (1,3)
-    tensor T[..., l, z, u, v]: A acts on the output slot and is subtracted
-    from each input slot,
-
-        sum_m A[l,m] T[m,z,u,v] - T[l,m,u,v] A[m,z]
-              - T[l,z,m,v] A[m,u] - T[l,z,u,m] A[m,v],
-
-    each term one stacked matrix product over m.  T's leading axes lead A's
-    too; the stack axes between them and (l, m) lead the result's (l, z, u, v)."""
-    n = T.shape[-1]
-    lead = T.shape[:-4]
-    shape = A.shape[:-2] + (n,) * 4
-    out = (A.reshape(lead + (-1, n)) @ T.reshape(lead + (n, n**3))).reshape(shape)
-    A_stack = A.reshape(lead + (-1, n, n))
-    for slot in (-3, -2, -1):
-        T_m = np.moveaxis(T, slot, -1).reshape(lead + (1, n**3, n))  # m last
-        out -= np.moveaxis((T_m @ A_stack).reshape(shape), -1, slot)
-    return out
-
-
 def derivation_all_frames(R_acting: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Derivation action of every coordinate frame a < b, over any leading
-    axes: out[p,l,z,u,v] = (R(e_a, e_b) . T)[l,z,u,v] for the p-th pair of
-    ``np.triu_indices(n, 1)``, with R(e_a, e_b)[l,m] = R[l,a,b,m].  Since
-    R(e_b, e_a) = -R(e_a, e_b), these n(n-1)/2 frames carry every value of
-    the n^2 up to sign."""
+    """The curvature acting as a derivation on a (1,3) tensor, for every
+    coordinate frame a < b: out[s,p,l,z,u,v] = (R(e_a, e_b) . T)[l,z,u,v]
+    for the p-th pair of ``np.triu_indices(n, 1)``, with R(e_a, e_b)[l,m] =
+    R[s,l,a,b,m].  This is ``covariant`` with no partials and the frames as
+    its stack.  Since R(e_b, e_a) = -R(e_a, e_b), these n(n-1)/2 frames carry
+    every value of the n^2 up to sign."""
     a, b = np.triu_indices(T.shape[-1], 1)
-    return derivation(np.moveaxis(R_acting, -4, -2)[..., a, b, :, :], T)
+    return covariant(R_acting[:, :, a, b, :], T, None, "ulll")
 
 
 # ---------------------------------------------------------------------------

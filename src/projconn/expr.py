@@ -45,6 +45,7 @@ __all__ = [
     "EvalError",
     "DomainError",
     "UnboundVariableError",
+    "MAX_DEPTH",
     "parse",
     "to_text",
     "evaluate",
@@ -203,10 +204,26 @@ def _tokenize(text: str):
     return tokens
 
 
+# The deepest expression ``parse`` accepts, counted both as nested factors
+# (parentheses, function calls, unary minus; an atom alone is 1) and as tree
+# depth (a leaf is 1).  The parser counts its own depth, so it fails with a
+# ParseError long before Python's recursion limit, and the recursive tree
+# walks (differentiation, evaluation, compilation) stay within it too.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each parse method returns (tree, tree depth)."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
+
+    def check(self, depth: int, pos: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+        return depth
 
     def peek(self):
         return self.tokens[self.pos]
@@ -222,29 +239,35 @@ class _Parser:
             raise ParseError(f"expected {what}", tok[2])
         return tok
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
+    def parse_expr(self):
+        node, depth = self.parse_term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            right = self.parse_term()
+            op, _, pos = self.advance()
+            right, d = self.parse_term()
             node = Add(node, right) if op == "+" else Sub(node, right)
-        return node
+            depth = self.check(max(depth, d) + 1, pos)
+        return node, depth
 
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
+    def parse_term(self):
+        node, depth = self.parse_factor()
         while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            right = self.parse_factor()
+            op, _, pos = self.advance()
+            right, d = self.parse_factor()
             node = Mul(node, right) if op == "*" else Div(node, right)
-        return node
+            depth = self.check(max(depth, d) + 1, pos)
+        return node, depth
 
-    def parse_factor(self) -> Expr:
+    def parse_factor(self):
+        self.nesting += 1
+        self.check(self.nesting, self.peek()[2])
         if self.peek()[0] == "-":
-            self.advance()
-            return Neg(self.parse_factor())
-        node = self.parse_primary()
+            pos = self.advance()[2]
+            arg, depth = self.parse_factor()
+            node, depth = Neg(arg), self.check(depth + 1, pos)
+        else:
+            node, depth = self.parse_primary()
         if self.peek()[0] == "^":
-            self.advance()
+            pos = self.advance()[2]
             sign = 1
             if self.peek()[0] == "-":
                 self.advance()
@@ -252,29 +275,30 @@ class _Parser:
             tok = self.expect("number", "an integer exponent")
             if any(c in tok[1] for c in ".eE"):
                 raise ParseError("exponent must be an integer", tok[2])
-            node = Pow(node, sign * int(tok[1]))
-        return node
+            node, depth = Pow(node, sign * int(tok[1])), self.check(depth + 1, pos)
+        self.nesting -= 1
+        return node, depth
 
-    def parse_primary(self) -> Expr:
+    def parse_primary(self):
         kind, lexeme, pos = self.advance()
         if kind == "number":
             value = float(lexeme)
             if not math.isfinite(value):
                 raise ParseError("number out of range", pos)
-            return Const(value)
+            return Const(value), 1
         if kind == "ident":
             if self.peek()[0] == "(":
                 if lexeme not in FUNCTIONS:
                     raise ParseError(f"unknown function {lexeme!r}", pos)
                 self.advance()
-                arg = self.parse_expr()
+                arg, depth = self.parse_expr()
                 self.expect(")", "')'")
-                return Call(lexeme, arg)
+                return Call(lexeme, arg), self.check(depth + 1, pos)
             if lexeme in FUNCTIONS:
                 raise ParseError(
                     f"function name {lexeme!r} needs an argument list", pos
                 )
-            return Var(lexeme)
+            return Var(lexeme), 1
         if kind == "(":
             node = self.parse_expr()
             self.expect(")", "')'")
@@ -285,7 +309,7 @@ class _Parser:
 def parse(text: str) -> Expr:
     """Parse an expression string, raising ParseError with a 1-based offset."""
     parser = _Parser(text)
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     tok = parser.peek()
     if tok[0] != "eof":
         raise ParseError("unexpected trailing input", tok[2])

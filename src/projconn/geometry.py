@@ -288,6 +288,8 @@ def _parse_json_document(text: str) -> dict:
         data = json.loads(text, object_pairs_hook=_unique_members)
     except json.JSONDecodeError as err:
         raise SpecError(f"invalid JSON document: {err}") from err
+    except RecursionError:
+        raise SpecError("invalid JSON document: nested too deeply") from None
     if not isinstance(data, dict):
         raise SpecError("JSON document must be an object")
     doc: dict = {"g": {}, "xi": {}, "phi": {}, "box": {}}

@@ -25,7 +25,6 @@ import numpy as np
 from .geometry import ManifoldSpec, SpecError, sample
 from .connections import check_parallel_unit_xi, covariant
 from .curvature import (
-    derivation,
     derivation_all_frames,
     jet,
     lam_scale,
@@ -249,7 +248,7 @@ def _semisymmetry_columns(spec, j) -> dict:
     rr = derivation_all_frames(Rt, Rt)
     rho = -2.0 * (n - 1) / (n + 1.0) * pi
     shift = _curvature_shift(pi, eye)
-    applied = derivation(np.einsum("sa,slabm->sblm", xi, Rt), Rt)  # R~(xi, e_b) . R~
+    applied = covariant(np.einsum("sa,slabm->slbm", xi, Rt), Rt, None, "ulll")  # R~(xi, e_b) . R~
     rhs_20 = -lam * (
         np.einsum("sz,slbuv->sblzuv", pi, Rt)
         + np.einsum("su,slzbv->sblzuv", pi, Rt)

@@ -11,7 +11,7 @@ import pytest
 
 from projconn.catalog import CHARTS
 from projconn.cli import main
-from projconn.expr import point_text
+from projconn.expr import MAX_DEPTH, point_text
 from projconn.geometry import load_spec, sample
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -310,6 +310,44 @@ _OVERFLOWING_CHART = (CHARTS / "euclidean3.manifold").read_text(
     encoding="utf-8").replace("g[0][0] = 1", "g[0][0] = 1 + log(x - 1e999)")
 
 
+def _deep_chart(entry: str) -> str:
+    """euclidean3 with g[1][1] = entry and xi = d_z, so that an entry in x
+    leaves the field parallel and every check passing."""
+    return (CHARTS / "euclidean3.manifold").read_text(encoding="utf-8").replace(
+        "g[1][1] = 1", f"g[1][1] = {entry}").replace(
+        "xi[0] = 1", "xi[0] = 0").replace("xi[2] = 0", "xi[2] = 1")
+
+
+def _quotient_chain(levels: int) -> str:
+    inner = "x"
+    for _ in range(levels):
+        inner = f"2+0.1*x/({inner})"
+    return f"1+0.1*x/({inner})"
+
+
+# shape -> (entry of size k, the largest k that parses).  An atom is depth 1;
+# each parenthesis, call, unary minus and operator node adds one.
+_DEEP_ENTRIES = {
+    "parens": (lambda k: "(" * k + "1 + 0.1*x^2" + ")" * k, MAX_DEPTH - 1),
+    "sum": (lambda k: "1" + " + 0.001*x" * k, MAX_DEPTH - 2),
+    "product": (lambda k: "(2 + x)" + "*1.001" * k, MAX_DEPTH - 2),
+    "sin": (lambda k: "2 + " + "sin(" * k + "x" + ")" * k, MAX_DEPTH - 2),
+    "neg": (lambda k: "2 + " + "-" * k + "x", MAX_DEPTH - 2),
+    "quotient": (_quotient_chain, (MAX_DEPTH - 4) // 2),
+}
+
+
+@pytest.mark.parametrize("shape", _DEEP_ENTRIES)
+def test_entry_at_the_depth_limit_verifies_and_evaluates(tmp_path, capsys, shape):
+    entry, k = _DEEP_ENTRIES[shape]
+    path = tmp_path / "deep.manifold"
+    path.write_text(_deep_chart(entry(k)), encoding="utf-8")
+    assert run_cli(capsys, "verify", "--file", str(path))[0] == 0
+    code, out, _ = run_cli(capsys, "eval", "--file", str(path), "--tensor", "riemann_tilde",
+                           "--point", "0.3,0.2,0.1")
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize(
     "args, document, code, message",
     [
@@ -352,13 +390,22 @@ _OVERFLOWING_CHART = (CHARTS / "euclidean3.manifold").read_text(
          "parallel_xi_expected must be true or false"),
         (["verify"], json.dumps(dict(_JSON_CHART, parallel_xi_expected=0)), 3,
          "parallel_xi_expected must be true or false"),
+        *[(["verify"], _deep_chart(entry(k + 1)), 3, f"nested deeper than {MAX_DEPTH} levels")
+          for entry, k in _DEEP_ENTRIES.values()],
+        (["eval", "--tensor", "gamma", "--point", "0,0,0"],
+         _deep_chart("(" * 2000 + "1" + ")" * 2000), 3, f"nested deeper than {MAX_DEPTH} levels"),
+        (["verify"], json.dumps(dict(_JSON_CHART)).replace(
+            '[["1", "0"], ["0", "1"]]', "[" * 50000 + "]" * 50000), 3,
+         "invalid JSON document: nested too deeply"),
     ],
     ids=["samples_zero", "samples_negative", "seed_negative", "empty_box", "short_box_pair",
          "g_not_a_list", "coords_not_a_list", "verify_planar_eq17", "eval_planar_projective",
          "tol_nan", "tol_negative", "check_names_none", "dim_not_integral",
          "box_infinite", "box_width_overflows", "verify_number_overflows",
          "eval_number_overflows", "out_is_a_directory", "out_directory_missing",
-         "file_not_utf8", "parallel_flag_null", "parallel_flag_number"],
+         "file_not_utf8", "parallel_flag_null", "parallel_flag_number",
+         *[f"{shape}_past_depth_limit" for shape in _DEEP_ENTRIES], "eval_parens_2000",
+         "json_nested_50000"],
 )
 def test_bad_input_ends_with_a_message(tmp_path, capsys, args, document, code, message):
     args = [arg.replace("{tmp}", str(tmp_path)) for arg in args]

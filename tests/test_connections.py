@@ -342,10 +342,11 @@ _SLOTS = "abcdefgh"  # slot labels; s (sample), m (direction), p (summed) stay f
 
 
 def _covariant_reference(Gamma, T, dT, variance):
-    """The covariant rule as one two-operand einsum per slot: +Gamma[c,m,p] for
-    an upper slot c, -Gamma[p,m,c] for a lower one."""
+    """The slot-action rule as one two-operand einsum per slot: +Gamma[c,m,p] for
+    an upper slot c, -Gamma[p,m,c] for a lower one, over a stack m of any
+    length; no partials (dT None) is the bare action."""
     idx = _SLOTS[: len(variance)]
-    out = dT
+    out = 0.0 if dT is None else dT
     for slot, v in enumerate(variance):
         c = idx[slot]
         src = idx[:slot] + "p" + idx[slot + 1:]
@@ -356,20 +357,24 @@ def _covariant_reference(Gamma, T, dT, variance):
     return out
 
 
-@pytest.mark.parametrize("variance", ["l", "u", "ll", "ul", "lu", "ulll"])
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("variance", ["l", "u", "ll", "ul", "lu", "lul", "ulll"])
+@pytest.mark.parametrize("n", [3, 5, 8])
 def test_covariant_matches_per_slot_reference(n, variance):
     # Gamma with no symmetry in (direction, argument), so that swapping its
-    # middle slots changes the result
+    # middle slots changes the result.  The same rule is the curvature
+    # derivation: a stack of the n(n-1)/2 frames R(e_a, e_b), no partials.
     rng = np.random.default_rng(7 * n + len(variance))
     rank = len(variance)
-    Gamma = rng.normal(size=(4, n, n, n))
-    assert np.max(np.abs(Gamma - Gamma.transpose(0, 1, 3, 2))) > 0.1
     T = rng.normal(size=(4,) + (n,) * rank)
-    dT = rng.normal(size=(4,) + (n,) * (rank + 1))
-    np.testing.assert_allclose(covariant(Gamma, T, dT, tuple(variance)),
-                               _covariant_reference(Gamma, T, dT, variance),
-                               rtol=0, atol=1e-12)
+    for k in (n, n * (n - 1) // 2):
+        Gamma = rng.normal(size=(4, n, k, n))
+        if k == n:
+            assert np.max(np.abs(Gamma - Gamma.transpose(0, 1, 3, 2))) > 0.1
+        dT = rng.normal(size=(4, k) + (n,) * rank)
+        for partials in (dT, None):
+            np.testing.assert_allclose(covariant(Gamma, T, partials, tuple(variance)),
+                                       _covariant_reference(Gamma, T, partials, variance),
+                                       rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

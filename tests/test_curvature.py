@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from projconn.connections import LEVI_CIVITA, PROJECTIVE, covariant
-from projconn import cli, curvature, theorems
+from projconn import cli, connections, curvature, theorems
 from projconn.catalog import builtin, catalog_names
 from projconn.curvature import (
-    derivation,
     derivation_all_frames,
     jet,
     lam_scale,
@@ -210,9 +209,14 @@ def _endomorphism(spec, point, X, Y, conn):
     return np.einsum("labm,a,b->lm", R, X, Y)
 
 
+def _act(A, T):
+    """A . T at one point: ``covariant`` with no partials and a stack of one."""
+    return covariant(A[None, :, None, :], T[None], None, "ulll")[0, 0]
+
+
 def test_derivation_annihilates_when_curvature_zero(euclidean3):
     T = np.random.default_rng(3).normal(size=(3, 3, 3, 3))
-    out = derivation(_endomorphism(euclidean3, ORIGIN, E1, E2, LEVI_CIVITA), T)
+    out = _act(_endomorphism(euclidean3, ORIGIN, E1, E2, LEVI_CIVITA), T)
     np.testing.assert_allclose(out, 0.0)
 
 
@@ -228,7 +232,7 @@ def test_derivation_matches_field_closed_form_flat(euclidean3):
         Rt = jet(euclidean3, [point], 2).pr.R[0]
         pi = np.array([1.0, 0.0, 0.0])
         X = s.frames[idx, 0]
-        applied = derivation(_endomorphism(euclidean3, point, E1, X, PROJECTIVE), Rt)
+        applied = _act(_endomorphism(euclidean3, point, E1, X, PROJECTIVE), Rt)
         rhs = -lam * (
             np.einsum("z,lbuv,b->lzuv", pi, Rt, X)
             + np.einsum("u,lzbv,b->lzuv", pi, Rt, X)
@@ -245,7 +249,7 @@ def test_derivation_self_annihilation_flat(euclidean3):
     s = sample(euclidean3, 30, seed=127)
     worst = 0.0
     for point in s.points:
-        Rt = jet(euclidean3, [point], 2).pr.R[0]
+        Rt = jet(euclidean3, [point], 2).pr.R
         worst = max(worst, float(np.max(np.abs(derivation_all_frames(Rt, Rt)))))
     assert worst <= 1e-9
 
@@ -303,7 +307,8 @@ def test_derivation_pairs_keep_the_maximum_of_all_frames(n, conn):
     for R in j.connection(conn).R:
         everything = np.max(np.abs(_all_frames_definition(R, T)))
         assert everything > 0.1
-        assert np.max(np.abs(derivation_all_frames(R, T))) == pytest.approx(everything, rel=1e-14)
+        frames = derivation_all_frames(R[None], T[None])
+        assert np.max(np.abs(frames)) == pytest.approx(everything, rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -313,16 +318,16 @@ def test_eq20_field_action_matches_definition(monkeypatch, n):
     spec, j = _chart_curvatures(n)
     actions = []
 
-    def recording(A, T):
-        out = derivation(A, T)
-        actions.append((T, out))
+    def recording(A, T, dT, variance):
+        out = covariant(A, T, dT, variance)
+        actions.append((T, dT, variance, out))
         return out
 
-    monkeypatch.setattr(theorems, "derivation", recording)
+    monkeypatch.setattr(theorems, "covariant", recording)
     theorems._semisymmetry_columns(spec, j)
-    [(T, applied)] = actions
+    [(T, dT, variance, applied)] = actions
     Rt = j.pr.R
-    assert T is Rt
+    assert T is Rt and dT is None and variance == "ulll"
     expected = np.stack([
         np.einsum("ablzuv,a->blzuv", _all_frames_definition(r, r), x) for r, x in zip(Rt, j.xi)
     ])
@@ -339,8 +344,7 @@ def test_derivation_apply_matches_definition(cylinder, n, conn):
     T, X, Y = rng.normal(size=(n,) * 4), rng.normal(size=n), rng.normal(size=n)
     A = _endomorphism(spec, point, X, Y, conn)
     assert np.max(np.abs(A)) > 0.1
-    np.testing.assert_allclose(derivation(A, T),
-                               _derivation_definition(A, T), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_act(A, T), _derivation_definition(A, T), rtol=0, atol=1e-12)
 
 
 RICCI_CHARTS = list(catalog_names()) + ["warped_fixed"]
@@ -352,24 +356,27 @@ def ricci_identity_gap(name: str, conn: str) -> tuple[float, float]:
         D_a D_b C - D_b D_a C + T^p_ab D_p C = R(e_a, e_b) . C,
 
     with T^p_ab = Gamma[p,a,b] - Gamma[p,b,a], over seeded samples of a chart
-    of ``RICCI_CHARTS``; and the largest |R . C| it is measured against.  One
-    identity pins the slot signs of ``covariant``, the torsion sign, the
-    (i, j) order of R and the slot mapping of ``curvature.derivation``."""
+    of ``RICCI_CHARTS``; and the largest |R . C| it is measured against.  Both
+    sides are ``covariant``: D with the connection, R . C with the frames
+    R(e_a, e_b) as its stack and no partials.  So one identity pins its one
+    slot mapping, its slot signs, the torsion sign and the (i, j) order of R."""
     spec = load_spec(WARPED_CHART) if name == "warped_fixed" else builtin(name).spec
     n = spec.n
     points = sample(spec, 1 if n > 5 else 8, seed=n).points
+    s = len(points)
     cj = jet(spec, points, 2).connection(conn)
     Gamma, dGamma = cj.Gamma, cj.dGamma
+    # looked up on the module, where tests/test_mutation.py patches its mutant
+    act = connections.covariant
     # no slot symmetry, and constant: its partials vanish
     C = np.random.default_rng(500 + n).normal(size=(n,) * 4)
-    C = np.broadcast_to(C, (len(points),) + C.shape)
-    DC = covariant(Gamma, C, 0.0, "ulll")
-    dDC = np.stack([covariant(dGamma[:, a], C, 0.0, "ulll") for a in range(n)], axis=1)
-    DDC = covariant(Gamma, DC, dDC, "lulll")
+    C = np.broadcast_to(C, (s,) + C.shape)
+    DC = act(Gamma, C, None, "ulll")
+    dDC = np.stack([act(dGamma[:, a], C, None, "ulll") for a in range(n)], axis=1)
+    DDC = act(Gamma, DC, dDC, "lulll")
     torsion = Gamma - Gamma.swapaxes(2, 3)
     lhs = DDC - DDC.swapaxes(1, 2) + np.einsum("spab,splzuv->sablzuv", torsion, DC)
-    # looked up on the module, where tests/test_mutation.py patches its mutant
-    rhs = curvature.derivation(np.moveaxis(cj.R, 1, 3), C)
+    rhs = act(cj.R.reshape(s, n, n * n, n), C, None, "ulll").reshape(lhs.shape)
     return float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(rhs)))
 
 

@@ -29,9 +29,12 @@ MUTANTS = {
         "a = n / (n + 1.0)\n    b = -1.0 / (n + 1.0)",
         "b = n / (n + 1.0)\n    a = -1.0 / (n + 1.0)",
     ),
+    # a connection's direction and argument swapped; a stack of another
+    # length than n has no such swap
     "covariant_gamma_slots_swapped": (
         "catalog", (connections, curvature, theorems), "covariant",
-        "s, n = Gamma.shape[:2]\n", "s, n = Gamma.shape[:2]\n    Gamma = Gamma.swapaxes(2, 3)\n",
+        "s, n, k = Gamma.shape[:3]\n",
+        "s, n, k = Gamma.shape[:3]\n    if k == n:\n        Gamma = Gamma.swapaxes(2, 3)\n",
     ),
     "eq11d_term_dropped": ("catalog", (), "_curvature_columns", "+ (2.0 / (n + 1)) * pi_R", ""),
     "eq20_term_dropped": (
@@ -44,10 +47,12 @@ MUTANTS = {
     "gssf_star2_term_dropped": (
         "catalog", (), "_gssf_columns", '+ 2.0 * np.einsum("sij,slk->slijk", A, phi)', "",
     ),
-    # the subtracted z-slot and u-slot terms land in each other's slots
+    # the terms of the second and third slots (z and u of a (1,3) tensor)
+    # land in each other's slots; a tensor of rank 2 or less has no swap
     "derivation_slots_swapped": (
-        "ricci_identity", (curvature, theorems), "derivation",
-        "-1, slot)", "-1, {-3: -2, -2: -3}.get(slot, slot))",
+        "ricci_identity", (connections, curvature, theorems), "covariant",
+        "np.moveaxis(term, -1, slot + 1)",
+        "np.moveaxis(term, -1, 1 + (slot if len(variance) < 3 else {2: 3, 3: 2}.get(slot, slot)))",
     ),
 }
 
