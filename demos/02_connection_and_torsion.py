@@ -27,7 +27,7 @@ def main():
 
     e1 = np.array([1.0, 0.0, 0.0])
     e2 = np.array([0.0, 1.0, 0.0])
-    T = torsion_components(spec, origin)
+    T = torsion_components(j)[0]
     print("torsion T(X, Y) = pi(Y) X - pi(X) Y")
     print(f"  T(e1, e2) = {np.einsum('kij,i,j->k', T, e1, e2)}")
     print(f"  T(X, X)   = {np.einsum('kij,i,j->k', T, e2, e2)}")
@@ -35,8 +35,8 @@ def main():
 
     print("non-metricity, closed form vs direct differentiation")
     closed, direct = (
-        float(np.einsum("ijk,i,j,k->", Q, e1, e1, e1))
-        for Q in nonmetricity_components(spec, origin)
+        float(np.einsum("ijk,i,j,k->", Q[0], e1, e1, e1))
+        for Q in nonmetricity_components(j)
     )
     print(f"  (grad~_xi g)(xi, xi): closed {closed:+.6f}, "
           f"direct {direct:+.6f}, discrepancy {abs(closed - direct):.1e}")

@@ -19,7 +19,6 @@ from .connections import (
     ConnectionCoeffs,
     check_parallel_unit_xi,
     connection_at,
-    covariant_derivative,
 )
 from .curvature import (
     Jet,

@@ -155,16 +155,16 @@ def _component_lines(label: str, array: np.ndarray, index_names: str) -> list[st
     return lines
 
 
-def _nonmetricity(spec, point, j):
-    closed, direct = nonmetricity_components(spec, point)
-    return direct, {"two_path_discrepancy": float(np.max(np.abs(closed - direct)))}
+def _nonmetricity(spec, j):
+    closed, direct = nonmetricity_components(j)
+    return direct[0], {"two_path_discrepancy": float(np.max(np.abs(closed - direct)))}
 
 
-def _ricci(spec, point, j):
+def _ricci(spec, j):
     return j.lc.S[0], {"scalar_curvature": float(ricci_shifts(j)[0][0])}
 
 
-def _ricci_tilde(spec, point, j):
+def _ricci_tilde(spec, j):
     return j.pr.S[0], {
         "scalar_curvature": float(ricci_shifts(j)[1][0]),
         "lambda": lam_scale(spec.n),
@@ -176,22 +176,21 @@ def _projective(spec, cj):
     return cj.P[0], {}
 
 
-# tensor id -> (order of the one-sample jet it reads, or None for an
-# independent reference route; index labels; reader of (array, extras) from
-# the spec, the point and that jet)
+# tensor id -> (order of the one-sample jet it reads, index labels, reader
+# of (array, extras) from the spec and that jet)
 _TENSORS = {
-    "gamma": (1, "kij", lambda spec, point, j: (j.lc.Gamma[0], {})),
-    "gamma_tilde": (1, "kij", lambda spec, point, j: (j.pr.Gamma[0], {})),
-    "torsion": (None, "kij", lambda spec, point, j: (torsion_components(spec, point), {})),
-    "nonmetricity": (None, "ijk", _nonmetricity),
-    "riemann": (2, "lijk", lambda spec, point, j: (j.lc.R[0], {})),
-    "riemann_tilde": (2, "lijk", lambda spec, point, j: (j.pr.R[0], {})),
+    "gamma": (1, "kij", lambda spec, j: (j.lc.Gamma[0], {})),
+    "gamma_tilde": (1, "kij", lambda spec, j: (j.pr.Gamma[0], {})),
+    "torsion": (0, "kij", lambda spec, j: (torsion_components(j)[0], {})),
+    "nonmetricity": (1, "ijk", _nonmetricity),
+    "riemann": (2, "lijk", lambda spec, j: (j.lc.R[0], {})),
+    "riemann_tilde": (2, "lijk", lambda spec, j: (j.pr.R[0], {})),
     "ricci": (2, "jk", _ricci),
     "ricci_tilde": (2, "jk", _ricci_tilde),
-    "theta": (1, "ij", lambda spec, point, j: (theta_beta(j)[0][0], {})),
-    "beta": (1, "ij", lambda spec, point, j: (theta_beta(j)[1][0], {})),
-    "projective": (2, "lijk", lambda spec, point, j: _projective(spec, j.lc)),
-    "projective_tilde": (2, "lijk", lambda spec, point, j: _projective(spec, j.pr)),
+    "theta": (1, "ij", lambda spec, j: (theta_beta(j)[0][0], {})),
+    "beta": (1, "ij", lambda spec, j: (theta_beta(j)[1][0], {})),
+    "projective": (2, "lijk", lambda spec, j: _projective(spec, j.lc)),
+    "projective_tilde": (2, "lijk", lambda spec, j: _projective(spec, j.pr)),
 }
 
 TENSOR_IDS = tuple(_TENSORS)
@@ -202,8 +201,7 @@ def _eval_tensor(spec, tensor: str, point):
     if tensor not in _TENSORS:
         raise _UsageError(f"unknown tensor id {tensor!r}; known: {', '.join(TENSOR_IDS)}")
     order, labels, read = _TENSORS[tensor]
-    j = None if order is None else jet(spec, [point], order)
-    array, extras = read(spec, point, j)
+    array, extras = read(spec, jet(spec, [point], order))
     return array, labels, extras
 
 

@@ -1,6 +1,6 @@
 """Connection coefficients: the metric (Levi-Civita) connection and the
 projective semi-symmetric connection built from it, plus torsion,
-non-metricity and covariant derivatives, batched and of the chart tables.
+non-metricity and covariant derivatives, all batched over sample sets.
 
 Slot convention, fixed once and used by every downstream tensor: in
 ``Gamma[k, i, j]`` the index i is the direction of differentiation and j the
@@ -38,8 +38,6 @@ __all__ = [
     "torsion_components",
     "nonmetricity_components",
     "covariant",
-    "covariant_derivative",
-    "parallel_unit_xi_residuals",
     "check_parallel_unit_xi",
 ]
 
@@ -63,8 +61,9 @@ class ConnectionCoeffs:
 # coefficient construction
 
 
-def _lc_pieces(mj: MetricJet, order: int):
-    """Christoffel data from metric jets, batched over the leading sample axis.
+def _lc_pieces(mj: MetricJet):
+    """Christoffel data from metric jets, batched over the leading sample axis,
+    with as many partials as the jet carries metric partials beyond the first.
 
     C[l,i,j] = (d_i g_jl + d_j g_il - d_l g_ij)/2, Gamma = G_inv @ C, and the
     exact derivative chain using d(G_inv) = -G_inv dG G_inv.  Every product
@@ -77,9 +76,9 @@ def _lc_pieces(mj: MetricJet, order: int):
     C = 0.5 * (dG.transpose(0, 3, 1, 2) + dG.transpose(0, 3, 2, 1) - dG)
     C_flat = C.reshape(s, n, n * n)
     Gamma = (G_inv @ C_flat).reshape((s,) + (n,) * 3)
-    if order < 1:
-        return Gamma, None, None
     d2G = mj.d2G
+    if d2G is None:
+        return Gamma, None, None
     Gi = G_inv[:, None]  # broadcast over the derivative axis
     Gi_dG = Gi @ dG
     dGinv = -(Gi_dG @ Gi)
@@ -87,9 +86,9 @@ def _lc_pieces(mj: MetricJet, order: int):
     dC_flat = dC.reshape(s, n, n, n * n)  # [s, m, l, i*j]
     dGamma = (dGinv.reshape(s, n * n, n) @ C_flat).reshape((s,) + (n,) * 4)
     dGamma += (Gi @ dC_flat).reshape(dGamma.shape)
-    if order < 2:
-        return Gamma, dGamma, None
     d3G = mj.d3G
+    if d3G is None:
+        return Gamma, dGamma, None
     d2Ginv = -(
         dGinv[:, :, None] @ (dG @ Gi)[:, None]
         + G_inv[:, None, None] @ d2G @ G_inv[:, None, None]
@@ -125,10 +124,10 @@ def _projective_shift(mj: MetricJet, lc):
     )
 
 
-def coefficient_jets(mj: MetricJet, order: int) -> dict[str, tuple]:
+def coefficient_jets(mj: MetricJet) -> dict[str, tuple]:
     """(Gamma, dGamma, d2Gamma) of both connections, batched like the metric
-    jet, with derivative arrays up to `order` (the metric jet needs order + 1)."""
-    lc = _lc_pieces(mj, order)
+    jet, with derivative arrays up to one order below the jet's (None beyond)."""
+    lc = _lc_pieces(mj)
     return {LEVI_CIVITA: lc, PROJECTIVE: _projective_shift(mj, lc)}
 
 
@@ -138,7 +137,7 @@ def connection_at(spec: ManifoldSpec, kind: str, point, order: int = 1) -> Conne
     if kind not in (LEVI_CIVITA, PROJECTIVE):
         raise ValueError(f"unknown connection kind {kind!r}")
     mj = metric_jet(spec, [point], order + 1)
-    pieces = coefficient_jets(mj, order)[kind]
+    pieces = coefficient_jets(mj)[kind]
     return ConnectionCoeffs(
         kind, tuple(mj.points[0].tolist()),
         *(None if a is None else a[0] for a in pieces),
@@ -149,30 +148,28 @@ def connection_at(spec: ManifoldSpec, kind: str, point, order: int = 1) -> Conne
 # torsion and non-metricity
 
 
-def torsion_components(spec: ManifoldSpec, point) -> np.ndarray:
-    """Torsion of the projective connection as the (1,2) array
-    T[k,i,j] = pi_j delta^k_i - pi_i delta^k_j."""
-    pi = metric_jet(spec, [point], order=0).pi[0]
-    eye = np.eye(spec.n)
-    return np.einsum("ki,j->kij", eye, pi) - np.einsum("kj,i->kij", eye, pi)
+def torsion_components(j) -> np.ndarray:
+    """Torsion of the projective connection at each sample of a jet, as the
+    (1,2) arrays T[s,k,i,j] = pi_j delta^k_i - pi_i delta^k_j."""
+    eye = np.eye(j.pi.shape[1])
+    return np.einsum("ki,sj->skij", eye, j.pi) - np.einsum("kj,si->skij", eye, j.pi)
 
 
-def nonmetricity_components(spec: ManifoldSpec, point):
-    """(0,3) arrays Q[i,j,k] of the metric's covariant derivative under the
-    projective connection: the closed form and the direct differentiation."""
-    mj = metric_jet(spec, [point], order=1)
-    G, dG, pi = mj.G[0], mj.dG[0], mj.pi[0]
-    Gamma = coefficient_jets(mj, 0)[PROJECTIVE][0][0]
-    n = spec.n
+def nonmetricity_components(j):
+    """(0,3) arrays Q[s,i,j,k] of the metric's covariant derivative under the
+    projective connection, at each sample of a jet of order 1 or more
+    (``curvature.jet``): the closed form and the direct differentiation."""
+    G, pi, Gamma = j.G, j.pi, j.pr.Gamma
+    n = G.shape[1]
     closed = (
-        2.0 * np.einsum("i,jk->ijk", pi, G)
-        - n * np.einsum("j,ik->ijk", pi, G)
-        - n * np.einsum("k,ij->ijk", pi, G)
+        2.0 * np.einsum("si,sjk->sijk", pi, G)
+        - n * np.einsum("sj,sik->sijk", pi, G)
+        - n * np.einsum("sk,sij->sijk", pi, G)
     ) / (n + 1.0)
     direct = (
-        dG
-        - np.einsum("mij,mk->ijk", Gamma, G)
-        - np.einsum("mik,jm->ijk", Gamma, G)
+        j.dG
+        - np.einsum("smij,smk->sijk", Gamma, G)
+        - np.einsum("smik,sjm->sijk", Gamma, G)
     )
     return closed, direct
 
@@ -216,38 +213,8 @@ def covariant(Gamma: np.ndarray, T: np.ndarray, dT: np.ndarray | None, variance)
     return out
 
 
-# chart table -> the variance of its slots
-_VARIANCE = {"g": "ll", "xi": "u", "pi": "l", "phi": "ul"}
-
-
-def covariant_derivative(spec: ManifoldSpec, name: str, conn_kind: str, point) -> np.ndarray:
-    """Covariant derivative of the chart table ``name`` ("g", "xi", "pi" or
-    "phi") at a point: ``covariant`` at one sample, on the table's exact
-    partials.  The result has one extra lower index, prepended: out[m, ...]
-    is the derivative along the m-th coordinate."""
-    if name not in _VARIANCE or (name == "phi" and spec.phi is None):
-        raise ValueError(f"chart {spec.name!r} has no table {name!r} to differentiate")
-    Gamma = connection_at(spec, conn_kind, point, order=0).Gamma
-    T, dT = (spec.tables.values(name, k, [point]) for k in (0, 1))
-    return covariant(Gamma[None], T, dT, _VARIANCE[name])[0]
-
-
 # ---------------------------------------------------------------------------
 # the parallel-unit-field gate
-
-
-def parallel_unit_xi_residuals(spec: ManifoldSpec, samples) -> tuple[float, float]:
-    """Max over samples of the componentwise |grad pi| (Levi-Civita) and of
-    |g(xi,xi) - 1|."""
-    nabla_max = 0.0
-    unit_max = 0.0
-    for lo, hi in samples.chunks():
-        mj = metric_jet(spec, samples.points[lo:hi], order=1)
-        nabla_pi = covariant(_lc_pieces(mj, 0)[0], mj.pi, mj.dpi, "l")
-        unit = np.einsum("si,si->s", mj.pi, mj.xi) - 1.0
-        nabla_max = max(nabla_max, float(np.max(np.abs(nabla_pi))))
-        unit_max = max(unit_max, float(np.max(np.abs(unit))))
-    return nabla_max, unit_max
 
 
 def check_parallel_unit_xi(
@@ -260,7 +227,14 @@ def check_parallel_unit_xi(
     stay clean), while a chart that declares parallel xi and fails is a
     genuine failure.
     """
-    nabla_max, unit_max = parallel_unit_xi_residuals(spec, samples)
+    nabla_max = 0.0  # max over samples of the componentwise |grad pi|
+    unit_max = 0.0  # and of |g(xi,xi) - 1|
+    for lo, hi in samples.chunks():
+        mj = metric_jet(spec, samples.points[lo:hi], order=1)
+        nabla_pi = covariant(_lc_pieces(mj)[0], mj.pi, mj.dpi, "l")
+        unit = np.einsum("si,si->s", mj.pi, mj.xi) - 1.0
+        nabla_max = max(nabla_max, float(np.max(np.abs(nabla_pi))))
+        unit_max = max(unit_max, float(np.max(np.abs(unit))))
     residual = max(nabla_max, unit_max)
     measured_parallel = residual <= tolerance
     if measured_parallel:

@@ -167,7 +167,7 @@ def jet(spec: ManifoldSpec, points, order: int) -> Jet:
     mj = metric_jet(spec, points, order)
     if order < 1:
         return Jet(**vars(mj))
-    coeffs = coefficient_jets(mj, order - 1)
+    coeffs = coefficient_jets(mj)
     return Jet(
         **vars(mj),
         lc=_connection_jet(mj.G, *coeffs[LEVI_CIVITA]),
@@ -237,26 +237,22 @@ def derivation_all_frames(R_acting: np.ndarray, T: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# at one point: the closed-form reference
+# the closed-form reference
 
 
-def rtilde_closed_form(spec: ManifoldSpec, point, X, Y, Z) -> np.ndarray:
+def rtilde_closed_form(spec: ManifoldSpec, j: Jet, X, Y, Z) -> np.ndarray:
     """Independent route to the projective connection's curvature on a
-    parallel-unit-field chart: R(X,Y)Z + lam {pi(X)pi(Z) Y - pi(Y)pi(Z) X}."""
+    parallel-unit-field chart: R(X,Y)Z + lam {pi(X)pi(Z) Y - pi(Y)pi(Z) X}
+    at each sample of a jet of order 2 or more, with X, Y and Z of shape
+    (S, n), one vector per sample."""
     if not spec.parallel_xi_expected:
         raise GateError(
             f"chart {spec.name!r} declares a non-parallel field; the closed "
             "form requires the parallel-unit-field hypothesis"
         )
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    j = jet(spec, [point], 2)
-    pi = j.pi[0]
-    lam = lam_scale(spec.n)
-    base = np.einsum("lijk,i,j,k->l", j.lc.R[0], X, Y, Z)
-    px, py, pz = float(pi @ X), float(pi @ Y), float(pi @ Z)
-    return base + lam * (px * pz * Y - py * pz * X)
+    base = np.einsum("slijk,si,sj,sk->sl", j.lc.R, X, Y, Z)
+    px, py, pz = (np.einsum("si,si->s", j.pi, V)[:, None] for V in (X, Y, Z))
+    return base + lam_scale(spec.n) * (px * pz * Y - py * pz * X)
 
 
 # ---------------------------------------------------------------------------

@@ -385,47 +385,61 @@ def to_text(e: Expr) -> str:
 # evaluation
 
 
-def evaluate(e: Expr, env: dict) -> float:
-    """Evaluate at the bindings in env (coordinate name -> float), IEEE double."""
+def evaluate(e: Expr, env: dict, memo: dict | None = None) -> float:
+    """Evaluate at the bindings in env (coordinate name -> float), IEEE double.
+
+    ``memo`` maps node identity to the node and its value, so a subtree
+    shared within one tree, or across the calls given the same memo, is
+    evaluated once.  A memo belongs to one ``env``: the values it holds are
+    those at env's bindings.
+    """
     if isinstance(e, Const):
         return e.value
+    if memo is None:
+        memo = {}
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
     if isinstance(e, Var):
         try:
-            return env[e.name]
+            value = env[e.name]
         except KeyError:
             raise UnboundVariableError(f"unbound variable {e.name!r}", e) from None
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, env)
-    if isinstance(e, Add):
-        return evaluate(e.left, env) + evaluate(e.right, env)
-    if isinstance(e, Sub):
-        return evaluate(e.left, env) - evaluate(e.right, env)
-    if isinstance(e, Mul):
-        return evaluate(e.left, env) * evaluate(e.right, env)
-    if isinstance(e, Div):
-        denom = evaluate(e.right, env)
+    elif isinstance(e, Neg):
+        value = -evaluate(e.arg, env, memo)
+    elif isinstance(e, Add):
+        value = evaluate(e.left, env, memo) + evaluate(e.right, env, memo)
+    elif isinstance(e, Sub):
+        value = evaluate(e.left, env, memo) - evaluate(e.right, env, memo)
+    elif isinstance(e, Mul):
+        value = evaluate(e.left, env, memo) * evaluate(e.right, env, memo)
+    elif isinstance(e, Div):
+        denom = evaluate(e.right, env, memo)
         if denom == 0.0:
             raise DomainError("division by zero", e)
-        return evaluate(e.left, env) / denom
-    if isinstance(e, Pow):
-        base = evaluate(e.base, env)
+        value = evaluate(e.left, env, memo) / denom
+    elif isinstance(e, Pow):
+        base = evaluate(e.base, env, memo)
         if base == 0.0 and e.exponent < 0:
             raise DomainError("zero raised to a negative power", e)
         try:
-            return float(base ** e.exponent)
+            value = float(base ** e.exponent)
         except OverflowError:
             raise DomainError("overflow in power", e) from None
-    if isinstance(e, Call):
-        arg = evaluate(e.arg, env)
+    elif isinstance(e, Call):
+        arg = evaluate(e.arg, env, memo)
         if e.func == "log" and arg <= 0.0:
             raise DomainError("log of a non-positive value", e)
         if e.func == "sqrt" and arg < 0.0:
             raise DomainError("sqrt of a negative value", e)
         try:
-            return FUNCTIONS[e.func](arg)
+            value = FUNCTIONS[e.func](arg)
         except (ValueError, OverflowError):
             raise DomainError(f"domain error in {e.func}", e) from None
-    raise TypeError(f"not an expression node: {e!r}")
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    memo[id(e)] = (e, value)  # holding e keeps its identity from being reused
+    return value
 
 
 def point_text(point) -> str:
@@ -594,8 +608,9 @@ class CompiledTable:
 
     def _evaluate_at(self, point) -> list[float]:
         env = dict(zip(self.coords, point.tolist()))
+        memo = {}  # shared by the trees, which share subtrees
         try:
-            return [evaluate(tree, env) for tree in self.trees]
+            return [evaluate(tree, env, memo) for tree in self.trees]
         except EvalError as err:
             raise type(err)(f"{err.reason} at {point_text(point)}", err.subexpr) from None
 

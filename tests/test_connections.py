@@ -11,7 +11,6 @@ from projconn.connections import (
     check_parallel_unit_xi,
     connection_at,
     covariant,
-    covariant_derivative,
     nonmetricity_components,
     torsion_components,
 )
@@ -127,49 +126,43 @@ def test_projective_symmetric_part_identity(cylinder):
         assert np.max(np.abs(sym_pr - (sym_lc + sym_extra))) <= 1e-14
 
 
-def _torsion(spec, point, X, Y):
-    """T(X, Y) as the contraction of ``torsion_components``."""
-    return np.einsum("kij,i,j->k", torsion_components(spec, point), X, Y)
+def _torsion(j, X, Y):
+    """T(X, Y) per sample, X and Y one vector per sample, as the contraction
+    of ``torsion_components``."""
+    return np.einsum("skij,si,sj->sk", torsion_components(j), X, Y)
 
 
 def _nonmetricity(spec, point, X, Y, Z):
     """Q(X, Y, Z) from the closed form and from direct differentiation."""
     return tuple(
-        float(np.einsum("ijk,i,j,k->", Q, X, Y, Z))
-        for Q in nonmetricity_components(spec, point)
+        float(np.einsum("ijk,i,j,k->", Q[0], X, Y, Z))
+        for Q in nonmetricity_components(jet(spec, [point], 1))
     )
 
 
 def test_torsion_hand_values(euclidean3):
-    origin = (0.0, 0.0, 0.0)
-    e1 = np.array([1.0, 0.0, 0.0])
-    e2 = np.array([0.0, 1.0, 0.0])
-    np.testing.assert_allclose(_torsion(euclidean3, origin, e1, e2), -e2)
-    np.testing.assert_allclose(_torsion(euclidean3, origin, e2, e2), 0.0)
+    j = jet(euclidean3, [(0.0, 0.0, 0.0)], 0)
+    e1 = np.array([[1.0, 0.0, 0.0]])
+    e2 = np.array([[0.0, 1.0, 0.0]])
+    np.testing.assert_allclose(_torsion(j, e1, e2), -e2)
+    np.testing.assert_allclose(_torsion(j, e2, e2), 0.0)
     # T(xi, Y) = pi(Y) xi - Y
-    np.testing.assert_allclose(_torsion(euclidean3, origin, e1, e2), -e2)
+    np.testing.assert_allclose(_torsion(j, e1, e2), -e2)
 
 
 def test_torsion_antisymmetry_random(cylinder):
     s = sample(cylinder, 10, seed=37)
-    for idx in range(s.count):
-        point = s.points[idx]
-        X, Y = s.frames[idx, 0], s.frames[idx, 1]
-        t_xy = _torsion(cylinder, point, X, Y)
-        t_yx = _torsion(cylinder, point, Y, X)
-        np.testing.assert_allclose(t_xy, -t_yx, atol=1e-14)
-        np.testing.assert_allclose(
-            _torsion(cylinder, point, X, X), 0.0, atol=1e-14
-        )
+    j = jet(cylinder, s.points, 0)
+    X, Y = s.frames[:, 0], s.frames[:, 1]
+    np.testing.assert_allclose(_torsion(j, X, Y), -_torsion(j, Y, X), atol=1e-14)
+    np.testing.assert_allclose(_torsion(j, X, X), 0.0, atol=1e-14)
 
 
 def test_torsion_matches_antisymmetric_coefficients(cylinder):
-    s = sample(cylinder, 50, seed=41)
-    for point in s.points:
-        pr = connection_at(cylinder, PROJECTIVE, point, order=0)
-        # Gamma[k,i,j] - Gamma[k,j,i] contracts against X^i Y^j as T(X,Y)
-        antisym = pr.Gamma - pr.Gamma.transpose(0, 2, 1)
-        assert np.max(np.abs(antisym - torsion_components(cylinder, point))) <= 1e-12
+    j = jet(cylinder, sample(cylinder, 50, seed=41).points, 1)
+    # Gamma[k,i,j] - Gamma[k,j,i] contracts against X^i Y^j as T(X,Y)
+    antisym = j.pr.Gamma - j.pr.Gamma.transpose(0, 1, 3, 2)
+    assert np.max(np.abs(antisym - torsion_components(j))) <= 1e-12
 
 
 def test_nonmetricity_hand_value(euclidean3):
@@ -191,54 +184,47 @@ def test_nonmetricity_two_path_agreement(name, request):
     from projconn.catalog import builtin
 
     spec = builtin(name).spec
-    s = sample(spec, 100, seed=43)
-    worst = 0.0
-    for point in s.points:
-        closed, direct = nonmetricity_components(spec, point)
-        worst = max(worst, float(np.max(np.abs(closed - direct))))
-    assert worst <= 1e-11
+    closed, direct = nonmetricity_components(jet(spec, sample(spec, 100, seed=43).points, 1))
+    assert np.max(np.abs(closed - direct)) <= 1e-11
 
 
-def test_covariant_derivative_of_form_projective(euclidean3):
-    value = covariant_derivative(euclidean3, "pi", PROJECTIVE, (0, 0, 0))
+def test_covariant_of_form_projective(euclidean3):
+    j = jet(euclidean3, [(0, 0, 0)], 1)
+    value = covariant(j.pr.Gamma, j.pi, j.dpi, "l")[0]
     # (grad~ pi)(X, Y) = -(n-1)/(n+1) pi(X) pi(Y); at (xi, xi) with n=3: -1/2
     assert value[0, 0] == pytest.approx(-0.5)
     assert value.shape == (3, 3)
 
 
-def test_covariant_derivative_of_field_projective(euclidean3):
-    value = covariant_derivative(euclidean3, "xi", PROJECTIVE, (0, 0, 0))
+def test_covariant_of_field_projective(euclidean3):
+    point = (0, 0, 0)
+    j = jet(euclidean3, [point], 1)
+    value = covariant(j.pr.Gamma, j.xi, euclidean3.tables.values("xi", 1, [point]), "u")[0]
     # grad~_X xi = (n X - pi(X) xi)/(n+1); along e2 with n=3 that is (3/4) e2
     np.testing.assert_allclose(value[1], [0.0, 0.75, 0.0])
 
 
-def test_covariant_derivative_metric_matches_nonmetricity(cylinder):
-    point = (1.2, 0.7, 0.1)
-    value = covariant_derivative(cylinder, "g", PROJECTIVE, point)
-    _, direct = nonmetricity_components(cylinder, point)
+def test_covariant_metric_matches_nonmetricity(cylinder):
+    j = jet(cylinder, [(1.2, 0.7, 0.1)], 1)
+    value = covariant(j.pr.Gamma, j.G, j.dG, "ll")
+    _, direct = nonmetricity_components(j)
     np.testing.assert_allclose(value, direct, atol=1e-14)
 
 
-def test_covariant_derivative_parallel_form_on_catalog(euclidean3, cylinder):
+def test_covariant_parallel_form_on_catalog(euclidean3, cylinder):
     for spec in (euclidean3, cylinder):
-        s = sample(spec, 20, seed=51)
-        for point in s.points:
-            value = covariant_derivative(spec, "pi", LEVI_CIVITA, point)
-            assert np.max(np.abs(value)) <= 1e-11
+        j = jet(spec, sample(spec, 20, seed=51).points, 1)
+        value = covariant(j.lc.Gamma, j.pi, j.dpi, "l")
+        assert np.max(np.abs(value)) <= 1e-11
 
 
-def test_covariant_derivative_of_structure_on_cosymplectic_chart(gssf1):
+def test_covariant_of_structure_on_cosymplectic_chart(gssf1):
     # gssf_c1 is cosymplectic: phi is parallel under the metric connection
-    for point in sample(gssf1, 10, seed=53).points:
-        value = covariant_derivative(gssf1, "phi", LEVI_CIVITA, point)
-        assert value.shape == (gssf1.n,) * 3
-        assert np.max(np.abs(value)) <= 1e-12
-
-
-@pytest.mark.parametrize("name", ["phi", "f", "Rlow"])
-def test_covariant_derivative_names_a_missing_table(euclidean3, name):
-    with pytest.raises(ValueError, match=f"no table '{name}'"):
-        covariant_derivative(euclidean3, name, LEVI_CIVITA, (0, 0, 0))
+    points = sample(gssf1, 10, seed=53).points
+    phi, dphi = (gssf1.tables.values("phi", k, points) for k in (0, 1))
+    value = covariant(jet(gssf1, points, 1).lc.Gamma, phi, dphi, "ul")
+    assert value.shape == (10,) + (gssf1.n,) * 3
+    assert np.max(np.abs(value)) <= 1e-12
 
 
 def test_geodesic_spray_difference_is_radial(cylinder):
@@ -326,18 +312,6 @@ def test_covariant_projective_on_parallel_field(name):
     np.testing.assert_allclose(along, expected, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("name", ["cylinder_s2xr", "gssf_c1", "warped"])
-@pytest.mark.parametrize("kind", [LEVI_CIVITA, PROJECTIVE])
-def test_covariant_derivative_is_the_batched_rule_at_one_sample(name, kind):
-    spec = _chart(name)
-    s = sample(spec, 12, seed=97)
-    j = jet(spec, s.points, 1)
-    batched = covariant(j.connection(kind).Gamma, j.G, j.dG, "ll")
-    for row, point in zip(batched, s.points):
-        value = covariant_derivative(spec, "g", kind, point)
-        np.testing.assert_allclose(value, row, rtol=1e-13, atol=1e-15)
-
-
 _SLOTS = "abcdefgh"  # slot labels; s (sample), m (direction), p (summed) stay free
 
 
@@ -420,7 +394,7 @@ def _lc_gaps(mj):
     """Per piece, the largest difference of connections._lc_pieces from the
     reference, relative to the reference's largest entry."""
     want = _lc_reference(mj.G_inv, mj.dG, mj.d2G, mj.d3G)
-    got = connections._lc_pieces(mj, 2)
+    got = connections._lc_pieces(mj)
     return [float(np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(b)))) for a, b in zip(got, want)]
 
 
@@ -428,11 +402,13 @@ def _lc_gaps(mj):
 def test_lc_pieces_match_reference(n):
     mj = _random_metric_jet(n)
     assert max(_lc_gaps(mj)) <= 1e-12
-    # the lower orders are the same rule cut short
-    Gamma, dGamma, _ = connections._lc_pieces(mj, 2)
-    assert connections._lc_pieces(mj, 0)[1:] == (None, None)
-    np.testing.assert_array_equal(connections._lc_pieces(mj, 0)[0], Gamma)
-    np.testing.assert_array_equal(connections._lc_pieces(mj, 1)[1], dGamma)
+    # the lower orders, jets without d3G or d2G, are the same rule cut short
+    Gamma, dGamma, _ = connections._lc_pieces(mj)
+    order1 = connections._lc_pieces(SimpleNamespace(**(vars(mj) | {"d3G": None})))
+    order0 = connections._lc_pieces(SimpleNamespace(**(vars(mj) | {"d2G": None, "d3G": None})))
+    assert order1[2] is None and order0[1:] == (None, None)
+    np.testing.assert_array_equal(order0[0], Gamma)
+    np.testing.assert_array_equal(order1[1], dGamma)
 
 
 # slot-swap mutants of _lc_pieces: G_inv's slots swapped in Gamma and in

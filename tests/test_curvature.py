@@ -55,36 +55,31 @@ def test_cylinder_lowered_curvature_hand_values(cylinder):
 
 
 def test_closed_form_orthogonal_arguments_reduce_to_metric_curvature(cylinder):
-    point = (1.1, 2.0, 0.3)
+    j = jet(cylinder, [(1.1, 2.0, 0.3)], 2)
     # all arguments orthogonal to the distinguished field
-    value = rtilde_closed_form(cylinder, point, E1, E2, E1)
-    base = np.einsum(
-        "lijk,i,j,k->l", jet(cylinder, [point], 2).lc.R[0], E1, E2, E1
-    )
-    np.testing.assert_allclose(value, base, atol=1e-15)
+    value = rtilde_closed_form(cylinder, j, E1[None], E2[None], E1[None])
+    base = np.einsum("lijk,i,j,k->l", j.lc.R[0], E1, E2, E1)
+    np.testing.assert_allclose(value[0], base, atol=1e-15)
 
 
 def test_closed_form_flat_substitution(euclidean3):
-    value = rtilde_closed_form(euclidean3, ORIGIN, E1, E2, E1)
-    np.testing.assert_allclose(value, lam_scale(3) * E2, atol=1e-15)
+    j = jet(euclidean3, [ORIGIN], 2)
+    value = rtilde_closed_form(euclidean3, j, E1[None], E2[None], E1[None])
+    np.testing.assert_allclose(value[0], lam_scale(3) * E2, atol=1e-15)
 
 
 def test_closed_form_two_path_oracle(cylinder):
     s = sample(cylinder, 100, seed=97)
-    worst = 0.0
-    for idx in range(s.count):
-        point = s.points[idx]
-        Rt = jet(cylinder, [point], 2).pr.R[0]
-        X, Y, Z = s.frames[idx, 0], s.frames[idx, 1], s.frames[idx, 2]
-        direct = np.einsum("lijk,i,j,k->l", Rt, X, Y, Z)
-        closed = rtilde_closed_form(cylinder, point, X, Y, Z)
-        worst = max(worst, float(np.max(np.abs(direct - closed))))
-    assert worst <= 1e-9
+    j = jet(cylinder, s.points, 2)
+    X, Y, Z = s.frames[:, 0], s.frames[:, 1], s.frames[:, 2]
+    direct = np.einsum("slijk,si,sj,sk->sl", j.pr.R, X, Y, Z)
+    closed = rtilde_closed_form(cylinder, j, X, Y, Z)
+    assert np.max(np.abs(direct - closed)) <= 1e-9
 
 
 def test_closed_form_gate(sphere):
     with pytest.raises(GateError):
-        rtilde_closed_form(sphere, (0.7, 1.0, 2.0), E1, E2, E3)
+        rtilde_closed_form(sphere, jet(sphere, [(0.7, 1.0, 2.0)], 2), E1[None], E2[None], E3[None])
 
 
 def test_theta_beta_flat_values(euclidean3):

@@ -345,6 +345,40 @@ def test_compiled_table_shares_subexpressions():
         assert row.tolist() == pytest.approx([p + math.sin(p), math.sin(p), 2.5], rel=1e-15)
 
 
+class _CountingEnv(dict):
+    """Bindings that count their lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, name):
+        self.lookups += 1
+        return super().__getitem__(name)
+
+
+def test_scalar_walk_evaluates_a_shared_subtree_once(monkeypatch):
+    e = ex.Var("x")
+    for _ in range(16):
+        e = ex.Add(e, e)  # 2**16 paths from the root down to x
+    env = _CountingEnv(x=0.75)
+    assert ex.evaluate(e, env) == 2.0**16 * 0.75
+    assert env.lookups == 1
+    # a table's first single-point evaluation walks all its trees with one memo
+    lookups = []
+    walk = ex.evaluate
+
+    def counting(node, env, memo=None):
+        if isinstance(node, ex.Var) and id(node) not in (memo or {}):
+            lookups.append(node.name)
+        return walk(node, env, memo)
+
+    monkeypatch.setattr(ex, "evaluate", counting)
+    table = np.empty(2, dtype=object)
+    table[:] = [e, ex.Add(e, ex.Const(1.0))]
+    got = ex.CompiledTable(table, ("x",)).values([[0.75]])
+    assert got.tolist() == [[2.0**16 * 0.75, 2.0**16 * 0.75 + 1.0]]
+    assert lookups == ["x"]
+
+
 def test_diff_memo_shares_without_changing_structure():
     memo = {}
     for tree, _ in seeded_pairs(50, seed=11):
