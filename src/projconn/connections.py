@@ -189,22 +189,26 @@ def covariant(Gamma: np.ndarray, T: np.ndarray, dT: np.ndarray | None, variance)
     bare action, and ``variance`` marks each slot 'u' or 'l'.  The result is
     ``out[s,m,...] = dT[s,m,...]`` plus Gamma[c,m,p] T[..p..] per upper slot
     and minus Gamma[p,m,c] T[..p..] per lower slot.  Each slot's term is one
-    stacked matrix product: Gamma as [s, m*c, p] times T for a first upper
-    slot, else T with that slot last times Gamma as [s, m, p, c], negated for
-    a lower slot.
+    stacked matrix product that lands in output order, so the slots add
+    contiguously: with T viewed as [s, 1, before, p, after], the term is
+    [s, m, 1, c, p] @ T, the stack Gamma[c,m,p] or -Gamma[p,m,c].  The last
+    slot of a tensor of rank 2 or more is T as [s, 1, before, p] times the
+    stack as [s, m, p, c] instead, one product per m rather than a column
+    per (m, before).
     """
     s, n, k = Gamma.shape[:3]
+    rank = len(variance)
     out = None
-    for slot, v in enumerate(variance, start=1):
-        if slot == 1 and v == "u":
-            A = Gamma.transpose(0, 2, 1, 3).reshape(s, k * n, n)  # [s, (m, c), p]
-            term = (A @ T.reshape(s, n, -1)).reshape((s, k) + T.shape[1:])
-        else:
+    for slot, v in enumerate(variance):
+        if slot == rank - 1 and rank > 1:
             # [s, m, p, c] = Gamma[s,c,m,p] or -Gamma[s,p,m,c]
             stack = Gamma.transpose(0, 2, 3, 1) if v == "u" else -Gamma.transpose(0, 2, 1, 3)
-            T_p = np.moveaxis(T, slot, -1)  # [s, ..., p]
-            term = (T_p.reshape(s, 1, -1, n) @ stack).reshape((s, k) + T_p.shape[1:])
-            term = np.moveaxis(term, -1, slot + 1)  # [s, m, ..., c, ...]
+            term = T.reshape(s, 1, -1, n) @ stack
+        else:
+            # [s, m, 1, c, p] = Gamma[s,c,m,p] or -Gamma[s,p,m,c]
+            stack = Gamma.transpose(0, 2, 1, 3) if v == "u" else -Gamma.transpose(0, 2, 3, 1)
+            term = stack[:, :, None] @ T.reshape(s, 1, n**slot, n, -1)
+        term = term.reshape((s, k) + T.shape[1:])
         if out is None:
             out = term if dT is None else dT + term
         else:

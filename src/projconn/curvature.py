@@ -29,6 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import geometry
 from .geometry import GateError, ManifoldSpec, MetricJet, metric_jet
 from .connections import LEVI_CIVITA, PROJECTIVE, coefficient_jets, covariant
 
@@ -226,14 +227,22 @@ def projective_tensor(R: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 
 def derivation_all_frames(R_acting: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """The curvature acting as a derivation on a (1,3) tensor, for every
-    coordinate frame a < b: out[s,p,l,z,u,v] = (R(e_a, e_b) . T)[l,z,u,v]
-    for the p-th pair of ``np.triu_indices(n, 1)``, with R(e_a, e_b)[l,m] =
-    R[s,l,a,b,m].  This is ``covariant`` with no partials and the frames as
-    its stack.  Since R(e_b, e_a) = -R(e_a, e_b), these n(n-1)/2 frames carry
-    every value of the n^2 up to sign."""
+    """Per sample, the largest |(R(e_a, e_b) . T)[l,z,u,v]| of the curvature
+    acting as a derivation on a (1,3) tensor, over every coordinate frame
+    a < b, with R(e_a, e_b)[l,m] = R[s,l,a,b,m].  Since R(e_b, e_a) =
+    -R(e_a, e_b), these n(n-1)/2 frames carry every value of the n^2 up to
+    sign.  The frames are ``covariant`` with no partials and a block of them
+    as its stack, each block's output at most ``geometry.CHUNK_BYTES``; the
+    maximum is folded in block by block."""
     a, b = np.triu_indices(T.shape[-1], 1)
-    return covariant(R_acting[:, :, a, b, :], T, None, "ulll")
+    block = max(1, geometry.CHUNK_BYTES // T.nbytes)
+    worst = None
+    for lo in range(0, len(a), block):
+        frames = covariant(R_acting[:, :, a[lo:lo + block], b[lo:lo + block]], T, None, "ulll")
+        np.abs(frames, out=frames)
+        top = frames.reshape(len(frames), -1).max(axis=1)
+        worst = top if worst is None else np.maximum(worst, top, out=worst)
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,9 @@ class DimensionError(Exception):
 # Samples are walked in chunks: the largest run of samples at n^6 float64
 # values each that fits this many bytes, and at least one sample.  The jet's
 # dR and nabla R and the smlijk contractions of the curvature family hold n^5
-# values per sample; the largest per-sample array is the a < b derivation
-# stack, n^4 n(n-1)/2 values (0.9 MiB at n = 8).
+# values per sample.  The a < b curvature-derivation frames, n^4 n(n-1)/2
+# values per sample, are built in blocks of frames of at most this many
+# bytes (``curvature.derivation_all_frames``).
 CHUNK_BYTES = 512 * 1024
 
 
@@ -223,7 +224,9 @@ class SampleSet:
     def chunks(self) -> list[tuple[int, int]]:
         """(start, stop) ranges walking the samples in order, each as long
         as CHUNK_BYTES allows at n^6 float64 values per sample: n times the
-        n^5 values of dR, nabla R and the smlijk contractions."""
+        n^5 values of dR, nabla R and the smlijk contractions, which bounds
+        the n^5 tensors alive per sample.  No frame tensor is sized here:
+        the derivation frames are blocked to CHUNK_BYTES on their own."""
         n = self.points.shape[1]
         size = max(1, CHUNK_BYTES // (8 * n**6))
         return [(lo, min(lo + size, self.count)) for lo in range(0, self.count, size)]

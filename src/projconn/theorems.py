@@ -245,7 +245,6 @@ def _semisymmetry_columns(spec, j) -> dict:
     lam = lam_scale(n)
     eye = np.eye(n)
     pi, xi, Rt = j.pi, j.xi, j.pr.R
-    rr = derivation_all_frames(Rt, Rt)
     rho = -2.0 * (n - 1) / (n + 1.0) * pi
     shift = _curvature_shift(pi, eye)
     applied = covariant(np.einsum("sa,slabm->slbm", xi, Rt), Rt, None, "ulll")  # R~(xi, e_b) . R~
@@ -256,7 +255,7 @@ def _semisymmetry_columns(spec, j) -> dict:
     ) + 2.0 * lam * lam * np.einsum("sb,slzuv->sblzuv", pi, shift)
     return {
         "max_R": _max_abs(j.lc.R),
-        "def4_1_flat": _max_abs(rr),
+        "def4_1_flat": derivation_all_frames(Rt, Rt),
         "eq20": _max_abs(applied - rhs_20),
         "eq21": _max_abs(Rt - lam * shift),
         "cor4_3": _max_abs(j.pr.nabla_R - np.einsum("sm,slijk->smlijk", rho, Rt)),
@@ -277,7 +276,7 @@ def _rp_columns(spec, j) -> dict:
     d_ii = np.einsum("sl,slijk->sijk", pi, Pt) - (
         np.einsum("sj,sik->sijk", pi, S) - np.einsum("si,sjk->sijk", pi, S)
     ) / (n - 1.0)
-    rp = _max_abs(derivation_all_frames(j.pr.R, Pt))
+    rp = derivation_all_frames(j.pr.R, Pt)
     max_S = _max_abs(S)
     part_i, part_ii = _max_abs(d_i), _max_abs(d_ii)
     return {

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from projconn.connections import LEVI_CIVITA, PROJECTIVE, covariant
-from projconn import cli, connections, curvature, theorems
+from projconn import cli, connections, curvature, geometry, theorems
 from projconn.catalog import builtin, catalog_names
 from projconn.curvature import (
     derivation_all_frames,
@@ -277,12 +277,46 @@ def _all_frames_definition(R, T):
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_derivation_all_frames_matches_definition(n):
+    # the per-sample maxima are those of the a < b frames that ``covariant``
+    # builds in one piece, and those frames are the definition's
     rng = np.random.default_rng(100 + n)
     R = rng.normal(size=(2,) + (n,) * 4)  # two samples on a leading axis
     T = rng.normal(size=(2,) + (n,) * 4)
     a, b = np.triu_indices(n, 1)
+    frames = covariant(R[:, :, a, b], T, None, "ulll")
     expected = np.stack([_all_frames_definition(r, t)[a, b] for r, t in zip(R, T)])
-    np.testing.assert_allclose(derivation_all_frames(R, T), expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(frames, expected, rtol=0, atol=1e-12)
+    axes = tuple(range(1, frames.ndim))
+    worst = derivation_all_frames(R, T)
+    assert worst.shape == (2,)
+    assert np.array_equal(worst, np.max(np.abs(frames), axis=axes))
+    np.testing.assert_allclose(worst, np.max(np.abs(expected), axis=axes), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_derivation_maxima_do_not_depend_on_the_block_size(monkeypatch, n):
+    # one frame per block, the default budget, and one block for every frame
+    rng = np.random.default_rng(600 + n)
+    R = rng.normal(size=(2,) + (n,) * 4)
+    T = rng.normal(size=(2,) + (n,) * 4)
+    pairs = n * (n - 1) // 2
+    blocks = []
+
+    def counting(*args):
+        blocks.append(args[0].shape[2])
+        return covariant(*args)
+
+    monkeypatch.setattr(curvature, "covariant", counting)
+    maxima = {}
+    for budget in (1, geometry.CHUNK_BYTES, pairs * T.nbytes):
+        monkeypatch.setattr(geometry, "CHUNK_BYTES", budget)
+        blocks.clear()
+        maxima[budget] = derivation_all_frames(R, T)
+        assert sum(blocks) == pairs
+        assert max(blocks) * T.nbytes <= max(budget, T.nbytes)
+    assert len(blocks) == 1
+    first, *rest = maxima.values()
+    assert all(np.array_equal(first, other) for other in rest)
 
 
 def _chart_curvatures(n):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from projconn import connections, geometry
+from projconn import connections, curvature, geometry, theorems
 from projconn import expr as ex
 from projconn.catalog import builtin
 from projconn.curvature import jet
@@ -23,6 +23,24 @@ def test_chunk_sizes_follow_the_byte_budget():
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
         sizes[n] = chunks[0][1] - chunks[0][0]
     assert sizes == {3: 89, 4: 16, 8: 1}
+
+
+def test_no_covariant_output_exceeds_the_byte_budget(monkeypatch):
+    # at n = 8 a chunk is one sample, and the 28 curvature-derivation frames
+    # of R~ . R~ and R~ . P~ would take 0.9 MB: they are built in blocks
+    act = connections.covariant
+    sizes = []
+
+    def recording(*args):
+        out = act(*args)
+        sizes.append(out.nbytes)
+        return out
+
+    for module in (connections, curvature, theorems):
+        monkeypatch.setattr(module, "covariant", recording)
+    reports = run_checks(builtin("euclidean8").spec, count=2, seed=42)
+    assert any(r.check_id == "def4_1_flat" and r.passed for r in reports)
+    assert sizes and max(sizes) <= geometry.CHUNK_BYTES
 
 
 @pytest.mark.parametrize("name", ["cylinder_s2xr", "gssf_c1", "sphere3_bad_xi", "euclidean4"])

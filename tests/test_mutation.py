@@ -51,8 +51,10 @@ MUTANTS = {
     # land in each other's slots; a tensor of rank 2 or less has no swap
     "derivation_slots_swapped": (
         "ricci_identity", (connections, curvature, theorems), "covariant",
-        "np.moveaxis(term, -1, slot + 1)",
-        "np.moveaxis(term, -1, 1 + (slot if len(variance) < 3 else {2: 3, 3: 2}.get(slot, slot)))",
+        "term = term.reshape((s, k) + T.shape[1:])\n",
+        "term = term.reshape((s, k) + T.shape[1:])\n"
+        "        if rank >= 3 and slot in (1, 2):\n"
+        "            term = term.swapaxes(3, 4)\n",
     ),
 }
 
