@@ -15,11 +15,7 @@ from .geometry import (
     metric_at,
     sample,
 )
-from .connections import (
-    ConnectionCoeffs,
-    check_parallel_unit_xi,
-    connection_at,
-)
+from .connections import ConnectionCoeffs, connection_at
 from .curvature import (
     Jet,
     NullityFit,

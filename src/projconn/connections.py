@@ -1,6 +1,7 @@
 """Connection coefficients: the metric (Levi-Civita) connection and the
 projective semi-symmetric connection built from it, plus torsion,
-non-metricity and covariant derivatives, all batched over sample sets.
+non-metricity, covariant derivatives and the parallel-unit-field gate's
+measurement, all batched over sample sets.
 
 Slot convention, fixed once and used by every downstream tensor: in
 ``Gamma[k, i, j]`` the index i is the direction of differentiation and j the
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ManifoldSpec, MetricJet, metric_jet
-from .report import CheckReport
 
 __all__ = [
     "LEVI_CIVITA",
@@ -221,60 +221,14 @@ def covariant(Gamma: np.ndarray, T: np.ndarray, dT: np.ndarray | None, variance)
 # the parallel-unit-field gate
 
 
-def check_parallel_unit_xi(
-    spec: ManifoldSpec, samples, tolerance: float = 1e-8
-) -> CheckReport:
-    """Gate check: xi must be a unit field parallel under Levi-Civita.
-
-    The report also verifies the chart's declared flag: a declared negative
-    control that indeed fails the gate is marked skipped (so suite exit codes
-    stay clean), while a chart that declares parallel xi and fails is a
-    genuine failure.
-    """
-    nabla_max = 0.0  # max over samples of the componentwise |grad pi|
-    unit_max = 0.0  # and of |g(xi,xi) - 1|
+def check_parallel_unit_xi(spec: ManifoldSpec, samples) -> tuple[np.ndarray, np.ndarray]:
+    """The gate's measurement, from an order-1 pass of its own over the
+    samples: per sample, the largest componentwise |grad pi| under
+    Levi-Civita and |g(xi,xi) - 1|.  ``theorems`` judges and reports it."""
+    nabla, unit = [], []
     for lo, hi in samples.chunks():
         mj = metric_jet(spec, samples.points[lo:hi], order=1)
         nabla_pi = covariant(_lc_pieces(mj)[0], mj.pi, mj.dpi, "l")
-        unit = np.einsum("si,si->s", mj.pi, mj.xi) - 1.0
-        nabla_max = max(nabla_max, float(np.max(np.abs(nabla_pi))))
-        unit_max = max(unit_max, float(np.max(np.abs(unit))))
-    residual = max(nabla_max, unit_max)
-    measured_parallel = residual <= tolerance
-    if measured_parallel:
-        passed = spec.parallel_xi_expected
-        skipped = False
-        if passed:
-            notes = f"max |grad pi| = {nabla_max:.2e}, max |g(xi,xi)-1| = {unit_max:.2e}"
-        else:
-            notes = (
-                "declared parallel_xi_expected=false but the field measures "
-                f"parallel (residual {residual:.2e})"
-            )
-    elif not spec.parallel_xi_expected:
-        passed = False
-        skipped = True
-        notes = (
-            f"gate residual {residual:.2e} exceeds {tolerance:.0e}; consistent "
-            "with the declared negative control, gated checks are skipped"
-        )
-    else:
-        passed = False
-        skipped = False
-        notes = (
-            f"declared parallel unit field fails the gate: max |grad pi| = "
-            f"{nabla_max:.2e}, max |g(xi,xi)-1| = {unit_max:.2e}"
-        )
-    return CheckReport(
-        check_id="parallel_unit_xi",
-        manifold=spec.name,
-        samples=samples.count,
-        seed=samples.seed,
-        residual_max=residual,
-        residual_mean=residual,
-        tolerance=tolerance,
-        passed=passed,
-        gate_status="passed" if measured_parallel else "failed",
-        skipped=skipped,
-        notes=notes,
-    )
+        nabla.append(np.max(np.abs(nabla_pi), axis=(1, 2)))
+        unit.append(np.abs(np.einsum("si,si->s", mj.pi, mj.xi) - 1.0))
+    return np.concatenate(nabla), np.concatenate(unit)

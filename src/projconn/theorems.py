@@ -9,7 +9,9 @@ numerically from the sampled metric curvature and skip with an observational
 note when it does not hold, so the contrapositive direction of the
 flat-if-and-only-if theorems stays visible in the reports.  Both decisions
 are made in ``_reports``, from the premise table ``_PREMISES`` and the
-per-check table ``_SHAPES``.
+per-check table ``_SHAPES``; the gate's own report is judged in
+``_gate_report`` from the measurement ``connections.check_parallel_unit_xi``
+returns.
 
 Default tolerances scale with the derivative order of the identity:
 1e-10 for purely algebraic consequences of the curvature arrays, 1e-9 when
@@ -420,6 +422,47 @@ def _reports(family, spec, samples, cols, tolerances, gate_report) -> list[Check
     return reports
 
 
+def _gate_report(spec, samples, tolerances) -> CheckReport:
+    """The ``parallel_unit_xi`` report from the gate's per-sample measurement.
+
+    The report also verifies the chart's declared flag: a declared negative
+    control that indeed fails the gate is marked skipped (so suite exit codes
+    stay clean), while a chart that declares parallel xi and fails, or
+    declares the negative control and measures parallel, is a genuine
+    failure.
+    """
+    nabla, unit = check_parallel_unit_xi(spec, samples)
+    nabla_max, unit_max = float(np.max(nabla)), float(np.max(unit))
+    residual = max(nabla_max, unit_max)
+    tol = _tol("parallel_unit_xi", tolerances)
+    measured_parallel = residual <= tol
+    declared = spec.parallel_xi_expected
+    if measured_parallel and declared:
+        notes = f"max |grad pi| = {nabla_max:.2e}, max |g(xi,xi)-1| = {unit_max:.2e}"
+    elif measured_parallel:
+        notes = ("declared parallel_xi_expected=false but the field measures "
+                 f"parallel (residual {residual:.2e})")
+    elif not declared:
+        notes = (f"gate residual {residual:.2e} exceeds {tol:.0e}; consistent "
+                 "with the declared negative control, gated checks are skipped")
+    else:
+        notes = ("declared parallel unit field fails the gate: max |grad pi| = "
+                 f"{nabla_max:.2e}, max |g(xi,xi)-1| = {unit_max:.2e}")
+    return CheckReport(
+        check_id="parallel_unit_xi",
+        manifold=spec.name,
+        samples=samples.count,
+        seed=samples.seed,
+        residual_max=residual,
+        residual_mean=residual,
+        tolerance=tol,
+        passed=measured_parallel and declared,
+        gate_status="passed" if measured_parallel else "failed",
+        skipped=not (measured_parallel or declared),
+        notes=notes,
+    )
+
+
 # ---------------------------------------------------------------------------
 # orchestration
 
@@ -486,9 +529,7 @@ def run_checks(
                 f"chart {spec.name!r} is missing the structure fields "
                 "(phi, f1, f2, f3) required by the almost-contact checks"
             )
-    gate = check_parallel_unit_xi(
-        spec, samples, tolerance=_tol("parallel_unit_xi", tolerances)
-    )
+    gate = _gate_report(spec, samples, tolerances)
     running = [
         family for family in families
         if gate.gate_status == "passed"

@@ -11,7 +11,7 @@ import pytest
 from projconn import expr as ex
 from projconn.catalog import builtin
 from projconn.cli import main as cli_main
-from projconn.connections import PROJECTIVE, check_parallel_unit_xi
+from projconn.connections import PROJECTIVE
 from projconn.curvature import (
     jet,
     lam_scale,
@@ -186,7 +186,7 @@ def test_criterion_09_parser_and_derivatives():
 
 def test_criterion_10_negative_control(capsys):
     spec = builtin("sphere3_bad_xi").spec
-    gate = check_parallel_unit_xi(spec, sample(spec, SAMPLES, SEED))
+    gate = run_checks(spec, sample(spec, SAMPLES, SEED), selected=["parallel_unit_xi"])[0]
     reports = run_checks(spec, count=SAMPLES, seed=SEED)
     gated = [r for r in reports if REGISTRY[r.check_id][2]]
     all_skipped = all(r.skipped for r in gated)

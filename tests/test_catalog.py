@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 
 from projconn.catalog import CHARTS, builtin, catalog_names
-from projconn.connections import PROJECTIVE, check_parallel_unit_xi
+from projconn.connections import PROJECTIVE
 from projconn.curvature import lam_scale, nullity_fit
 from projconn.geometry import load_spec, sample
+from projconn.theorems import run_checks
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -71,14 +72,14 @@ def test_builtin_equals_loaded_document():
 @pytest.mark.parametrize("name", catalog_names())
 def test_declared_gate_flags_verified(name):
     spec = builtin(name).spec
-    report = check_parallel_unit_xi(spec, sample(spec, 40, seed=5))
+    report = run_checks(spec, sample(spec, 40, seed=5), selected=["parallel_unit_xi"])[0]
     measured_parallel = report.gate_status == "passed"
     assert measured_parallel == spec.parallel_xi_expected
 
 
 def test_gate_failure_magnitude_on_sphere():
     spec = builtin("sphere3_bad_xi").spec
-    report = check_parallel_unit_xi(spec, sample(spec, 40, seed=5))
+    report = run_checks(spec, sample(spec, 40, seed=5), selected=["parallel_unit_xi"])[0]
     assert report.residual_max > 0.1
 
 

@@ -8,7 +8,6 @@ from projconn import connections
 from projconn.connections import (
     LEVI_CIVITA,
     PROJECTIVE,
-    check_parallel_unit_xi,
     connection_at,
     covariant,
     nonmetricity_components,
@@ -17,6 +16,7 @@ from projconn.connections import (
 from projconn.catalog import builtin, catalog_names
 from projconn.curvature import jet
 from projconn.geometry import load_spec, metric_at, sample
+from projconn.theorems import run_checks
 from mutants import mutant
 from test_jet import WARPED_CHART
 
@@ -250,14 +250,14 @@ def test_geodesic_spray_difference_is_radial(cylinder):
 
 def test_gate_passes_on_parallel_charts(euclidean3, cylinder):
     for spec in (euclidean3, cylinder):
-        report = check_parallel_unit_xi(spec, sample(spec, 30, seed=71))
+        report = run_checks(spec, sample(spec, 30, seed=71), selected=["parallel_unit_xi"])[0]
         assert report.passed
         assert report.gate_status == "passed"
         assert report.residual_max <= 1e-12
 
 
 def test_gate_fails_on_sphere_control(sphere):
-    report = check_parallel_unit_xi(sphere, sample(sphere, 30, seed=71))
+    report = run_checks(sphere, sample(sphere, 30, seed=71), selected=["parallel_unit_xi"])[0]
     assert report.gate_status == "failed"
     assert report.residual_max > 0.1
     assert report.skipped  # declared negative control
@@ -268,7 +268,7 @@ def test_gate_flags_inconsistent_declaration(sphere):
     from dataclasses import replace
 
     lying = replace(sphere, parallel_xi_expected=True, _tables=None)
-    report = check_parallel_unit_xi(lying, sample(lying, 10, seed=71))
+    report = run_checks(lying, sample(lying, 10, seed=71), selected=["parallel_unit_xi"])[0]
     assert not report.passed
     assert not report.skipped
 
