@@ -35,6 +35,7 @@ __all__ = [
     "ConnectionCoeffs",
     "connection_at",
     "coefficient_jets",
+    "wedge",
     "torsion_components",
     "nonmetricity_components",
     "covariant",
@@ -148,11 +149,18 @@ def connection_at(spec: ManifoldSpec, kind: str, point, order: int = 1) -> Conne
 # torsion and non-metricity
 
 
+def wedge(A: np.ndarray) -> np.ndarray:
+    """W(A)[s,l,i,j,...] = delta^l_i A[s,j,...] - delta^l_j A[s,i,...], for A
+    with a leading sample axis: the torsion is W(pi), the Ricci term of the
+    projective tensor W(S), the curvature shift -W(pi pi)."""
+    eye = np.eye(A.shape[1])
+    return np.einsum("li,sj...->slij...", eye, A) - np.einsum("lj,si...->slij...", eye, A)
+
+
 def torsion_components(j) -> np.ndarray:
     """Torsion of the projective connection at each sample of a jet, as the
     (1,2) arrays T[s,k,i,j] = pi_j delta^k_i - pi_i delta^k_j."""
-    eye = np.eye(j.pi.shape[1])
-    return np.einsum("ki,sj->skij", eye, j.pi) - np.einsum("kj,si->skij", eye, j.pi)
+    return wedge(j.pi)
 
 
 def nonmetricity_components(j):

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import GateError, ManifoldSpec, MetricJet, metric_jet
-from .connections import LEVI_CIVITA, PROJECTIVE, coefficient_jets, covariant
+from .connections import LEVI_CIVITA, PROJECTIVE, coefficient_jets, covariant, wedge
 
 __all__ = [
     "ConnectionJet",
@@ -218,12 +218,8 @@ def ricci_contraction(R: np.ndarray) -> np.ndarray:
 
 def projective_tensor(R: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Weyl projective curvature P[l,i,j,k] = R[l,i,j,k] -
-    (S[j,k] d^l_i - S[i,k] d^l_j)/(n-1), over any leading axes."""
-    n = R.shape[-1]
-    eye = np.eye(n)
-    return R - (
-        np.einsum("...jk,li->...lijk", S, eye) - np.einsum("...ik,lj->...lijk", S, eye)
-    ) / (n - 1.0)
+    (S[j,k] d^l_i - S[i,k] d^l_j)/(n-1), batched over a leading sample axis."""
+    return R - wedge(S) / (R.shape[-1] - 1.0)
 
 
 def derivation_all_frames(R_acting: np.ndarray, T: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from collections import defaultdict
 import numpy as np
 
 from .geometry import ManifoldSpec, SpecError, sample
-from .connections import check_parallel_unit_xi, covariant
+from .connections import check_parallel_unit_xi, covariant, wedge
 from .curvature import (
     derivation_all_frames,
     jet,
@@ -108,18 +108,14 @@ def _max_abs(arr: np.ndarray) -> np.ndarray:
     return np.max(np.abs(arr), axis=tuple(range(1, arr.ndim)))
 
 
-def _curvature_shift(pi: np.ndarray, eye: np.ndarray) -> np.ndarray:
+def _curvature_shift(pi: np.ndarray) -> np.ndarray:
     """pi_i pi_k d^l_j - pi_j pi_k d^l_i, the curvature shift per unit lam."""
-    return np.einsum("si,sk,lj->slijk", pi, pi, eye) - np.einsum(
-        "sj,sk,li->slijk", pi, pi, eye
-    )
+    return -wedge(pi[:, :, None] * pi[:, None])
 
 
-def _nullity_defect(j, Rt: np.ndarray, lam: float, eye: np.ndarray) -> np.ndarray:
+def _nullity_defect(j, Rt: np.ndarray, lam: float) -> np.ndarray:
     """R~(X,Y)xi - lam {pi(X) Y - pi(Y) X} in components."""
-    return np.einsum("slijk,sk->slij", Rt, j.xi) - lam * (
-        np.einsum("si,lj->slij", j.pi, eye) - np.einsum("sj,li->slij", j.pi, eye)
-    )
+    return np.einsum("slijk,sk->slij", Rt, j.xi) + lam * wedge(j.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +129,7 @@ def _curvature_columns(spec, j) -> dict:
     G, pi, xi = j.G, j.pi, j.xi
     R, Rt, Rtlow = j.lc.R, j.pr.R, j.pr.Rlow
     nabla_Rt = j.pr.nabla_R
-    shift = _curvature_shift(pi, eye)
+    shift = _curvature_shift(pi)
     pi_R = np.einsum("sm,slijk->smlijk", pi, R)
     cols = {"eq9_two_path": _max_abs(Rt - (R + lam * shift))}
     cols["thm2_1_i"] = _max_abs(Rtlow + np.einsum("sijkl->sjikl", Rtlow))
@@ -175,7 +171,7 @@ def _curvature_columns(spec, j) -> dict:
         * np.einsum("sm,slijk->smlijk", pi, shift)
     )
     cols["eq11d"] = _max_abs(nabla_Rt - rhs_11d)
-    cols["eq12"] = _max_abs(_nullity_defect(j, Rt, lam, eye))
+    cols["eq12"] = _max_abs(_nullity_defect(j, Rt, lam))
     d1 = np.einsum("slijk,si->sljk", Rt, xi) - lam * (
         np.einsum("sk,lj->sljk", pi, eye) - np.einsum("sj,sk,sl->sljk", pi, pi, xi)
     )
@@ -221,7 +217,6 @@ def _projective_columns(spec, j) -> dict:
     least-squares fit of the sampled curvature to K times the unit pattern;
     the fit sums and the lowered curvature are kept per chunk for that."""
     lam = lam_scale(spec.n)
-    eye = np.eye(spec.n)
     R, Rt, P, Pt = j.lc.R, j.pr.R, j.lc.P, j.pr.P
     pattern = _space_form_pattern(j.G)
     coincidence = _max_abs(Pt - P)
@@ -232,9 +227,7 @@ def _projective_columns(spec, j) -> dict:
         "fit_num": np.sum(j.lc.Rlow * pattern, axis=(1, 2, 3, 4)),
         "fit_den": np.sum(pattern * pattern, axis=(1, 2, 3, 4)),
         "eq17": coincidence,
-        "eq10b": np.maximum(
-            _max_abs(Rt - (P + lam * _curvature_shift(j.pi, eye))), coincidence
-        ),
+        "eq10b": np.maximum(_max_abs(Rt - (P + lam * _curvature_shift(j.pi))), coincidence),
         "thm3_3_p_flat": _max_abs(P),
     }
 
@@ -245,10 +238,9 @@ def _semisymmetry_columns(spec, j) -> dict:
     contrapositive direction of the flat-iff-semi-symmetric theorem."""
     n = spec.n
     lam = lam_scale(n)
-    eye = np.eye(n)
     pi, xi, Rt = j.pi, j.xi, j.pr.R
     rho = -2.0 * (n - 1) / (n + 1.0) * pi
-    shift = _curvature_shift(pi, eye)
+    shift = _curvature_shift(pi)
     applied = covariant(np.einsum("sa,slabm->slbm", xi, Rt), Rt, None, "ulll")  # R~(xi, e_b) . R~
     rhs_20 = -lam * (
         np.einsum("sz,slbuv->sblzuv", pi, Rt)
@@ -311,14 +303,14 @@ def _gssf_columns(spec, j) -> dict:
     )
     A = np.einsum("sim,smk->sik", G, phi)  # A[i,k] = g(d_i, phi d_k)
     rhs = (
-        f1 * (np.einsum("sjk,li->slijk", G, eye) - np.einsum("sik,lj->slijk", G, eye))
+        f1 * wedge(G)
         + f2 * (
             np.einsum("sik,slj->slijk", A, phi)
             - np.einsum("sjk,sli->slijk", A, phi)
             + 2.0 * np.einsum("sij,slk->slijk", A, phi)
         )
         + f3 * (
-            _curvature_shift(pi, eye)
+            _curvature_shift(pi)
             + np.einsum("sik,sj,sl->slijk", G, pi, xi)
             - np.einsum("sjk,si,sl->slijk", G, pi, xi)
         )
@@ -329,7 +321,7 @@ def _gssf_columns(spec, j) -> dict:
         ),
         "gssf_star2": _max_abs(R - rhs),
         "gssf_star3": _max_abs(np.einsum("slijk,sk->slij", R, xi)),
-        "gssf_star4": _max_abs(_nullity_defect(j, j.pr.R, lam, eye)),
+        "gssf_star4": _max_abs(_nullity_defect(j, j.pr.R, lam)),
     }
 
 

@@ -165,6 +165,17 @@ def test_torsion_matches_antisymmetric_coefficients(cylinder):
     assert np.max(np.abs(antisym - torsion_components(j))) <= 1e-12
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (2, 3, 3), (1, 4, 4, 4)])
+def test_wedge_matches_its_definition(shape):
+    A = np.random.default_rng(5).normal(size=shape)
+    s, n = shape[:2]
+    expected = np.zeros((s, n) + shape[1:2] + shape[1:])
+    for l in range(n):
+        expected[:, l, l] += A
+        expected[:, l, :, l] -= A
+    assert np.array_equal(connections.wedge(A), expected)
+
+
 def test_nonmetricity_hand_value(euclidean3):
     xi = np.array([1.0, 0.0, 0.0])
     closed, direct = _nonmetricity(euclidean3, (0.0, 0.0, 0.0), xi, xi, xi)
