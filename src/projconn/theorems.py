@@ -38,35 +38,35 @@ from .report import CheckReport
 __all__ = ["REGISTRY", "CHECK_IDS", "run_checks"]
 
 
-# check id -> (default tolerance, family, needs parallel gate, needs n > 2)
-REGISTRY: dict[str, tuple[float, str, bool, bool]] = {
-    "parallel_unit_xi": (1e-8, "gate", False, False),
-    "eq9_two_path": (1e-9, "curvature", True, False),
-    "thm2_1_i": (1e-10, "curvature", True, False),
-    "thm2_1_ii": (1e-9, "curvature", True, False),
-    "thm2_1_iii": (1e-9, "curvature", True, False),
-    "thm2_1_iv": (1e-10, "curvature", True, False),
-    "thm2_1_v": (1e-8, "curvature", True, False),
-    "eq11d": (1e-8, "curvature", True, False),
-    "eq12": (1e-9, "curvature", True, False),
-    "lem2_4": (1e-9, "curvature", True, False),
-    "eq10": (1e-10, "ricci", True, False),
-    "eq11": (1e-12, "ricci", True, False),
-    "eq15": (1e-9, "ricci", True, False),
-    "lem2_6": (1e-9, "ricci", True, False),
-    "eq17": (1e-9, "projective", True, True),
-    "eq10b": (1e-10, "projective", True, True),
-    "thm3_3_p_flat": (1e-10, "projective", False, True),
-    "def4_1_flat": (1e-9, "semisymmetry", True, False),
-    "eq20": (1e-9, "semisymmetry", True, False),
-    "eq21": (1e-10, "semisymmetry", True, False),
-    "cor4_3": (1e-9, "semisymmetry", True, False),
-    "eq5_3": (1e-9, "rp", True, True),
-    "thm5_1_flat": (1e-9, "rp", True, True),
-    "gssf_star1": (1e-10, "gssf", False, False),
-    "gssf_star2": (1e-9, "gssf", False, False),
-    "gssf_star3": (1e-10, "gssf", False, False),
-    "gssf_star4": (1e-9, "gssf", False, False),
+# check id -> (default tolerance, family, needs parallel gate)
+REGISTRY: dict[str, tuple[float, str, bool]] = {
+    "parallel_unit_xi": (1e-8, "gate", False),
+    "eq9_two_path": (1e-9, "curvature", True),
+    "thm2_1_i": (1e-10, "curvature", True),
+    "thm2_1_ii": (1e-9, "curvature", True),
+    "thm2_1_iii": (1e-9, "curvature", True),
+    "thm2_1_iv": (1e-10, "curvature", True),
+    "thm2_1_v": (1e-8, "curvature", True),
+    "eq11d": (1e-8, "curvature", True),
+    "eq12": (1e-9, "curvature", True),
+    "lem2_4": (1e-9, "curvature", True),
+    "eq10": (1e-10, "ricci", True),
+    "eq11": (1e-12, "ricci", True),
+    "eq15": (1e-9, "ricci", True),
+    "lem2_6": (1e-9, "ricci", True),
+    "eq17": (1e-9, "projective", True),
+    "eq10b": (1e-10, "projective", True),
+    "thm3_3_p_flat": (1e-10, "projective", False),
+    "def4_1_flat": (1e-9, "semisymmetry", True),
+    "eq20": (1e-9, "semisymmetry", True),
+    "eq21": (1e-10, "semisymmetry", True),
+    "cor4_3": (1e-9, "semisymmetry", True),
+    "eq5_3": (1e-9, "rp", True),
+    "thm5_1_flat": (1e-9, "rp", True),
+    "gssf_star1": (1e-10, "gssf", False),
+    "gssf_star2": (1e-9, "gssf", False),
+    "gssf_star3": (1e-10, "gssf", False),
+    "gssf_star4": (1e-9, "gssf", False),
 }
 
 CHECK_IDS = tuple(REGISTRY)
@@ -472,6 +472,9 @@ _FAMILY_RUNNERS = {
 # family -> jet order its contractions need
 _FAMILIES = {"curvature": 3, "ricci": 3, "projective": 2, "semisymmetry": 3, "rp": 2, "gssf": 2}
 
+# families built on the projective tensor, which needs n > 2
+_NEEDS_N_ABOVE_TWO = {"projective", "rp"}
+
 
 def _family_ids(family: str) -> list[str]:
     return [cid for cid, meta in REGISTRY.items() if meta[1] == family]
@@ -506,15 +509,14 @@ def run_checks(
     if selected is not None:
         wanted = set(selected)
     else:
-        wanted = set(REGISTRY)
-        if spec.phi is None:
-            wanted -= {cid for cid, meta in REGISTRY.items() if meta[1] == "gssf"}
+        inapplicable = {"gssf"} if spec.phi is None else set()
         if spec.n <= 2:
-            wanted -= {cid for cid, meta in REGISTRY.items() if meta[3]}
+            inapplicable |= _NEEDS_N_ABOVE_TWO
+        wanted = {cid for cid, meta in REGISTRY.items() if meta[1] not in inapplicable}
     families = [family for family in _FAMILIES
                 if any(REGISTRY[cid][1] == family for cid in wanted)]
     for family in families:
-        if any(REGISTRY[cid][3] for cid in _family_ids(family)):
+        if family in _NEEDS_N_ABOVE_TWO:
             spec.require_dimension_above_two()
         if family == "gssf" and None in (spec.phi, spec.f1, spec.f2, spec.f3):
             raise SpecError(
