@@ -424,8 +424,8 @@ def _gate_report(spec, samples, tolerances) -> CheckReport:
     failure.
     """
     nabla, unit = check_parallel_unit_xi(spec, samples)
-    nabla_max, unit_max = float(np.max(nabla)), float(np.max(unit))
-    residual = max(nabla_max, unit_max)
+    residuals = np.maximum(nabla, unit)
+    nabla_max, unit_max, residual = (float(np.max(a)) for a in (nabla, unit, residuals))
     tol = _tol("parallel_unit_xi", tolerances)
     measured_parallel = residual <= tol
     declared = spec.parallel_xi_expected
@@ -446,7 +446,7 @@ def _gate_report(spec, samples, tolerances) -> CheckReport:
         samples=samples.count,
         seed=samples.seed,
         residual_max=residual,
-        residual_mean=residual,
+        residual_mean=float(np.mean(residuals)),
         tolerance=tol,
         passed=measured_parallel and declared,
         gate_status="passed" if measured_parallel else "failed",

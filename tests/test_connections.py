@@ -275,6 +275,17 @@ def test_gate_fails_on_sphere_control(sphere):
     assert not report.passed
 
 
+def test_gate_measures_per_sample(sphere):
+    nabla, unit = connections.check_parallel_unit_xi(sphere, sample(sphere, 30, seed=71))
+    assert nabla.shape == unit.shape == (30,)
+    assert np.all(nabla >= 0.0) and np.all(unit >= 0.0)
+
+
+def test_connections_builds_no_report():
+    # the gate's report is judged and built in theorems
+    assert not hasattr(connections, "CheckReport")
+
+
 def test_gate_flags_inconsistent_declaration(sphere):
     from dataclasses import replace
 

@@ -1,9 +1,12 @@
 import json
 import re
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from projconn.catalog import builtin
+from projconn.connections import check_parallel_unit_xi
 from projconn.geometry import SpecError, sample
 from projconn.theorems import (
     CHECK_IDS,
@@ -79,6 +82,31 @@ def test_sphere_gate_report_is_negative_control(sphere_reports):
     assert gate.residual_max > 0.1
     assert gate.skipped
     assert not gate.passed
+
+
+def test_gate_mean_is_the_mean_over_samples(sphere):
+    samples = sample(sphere, 200, 42)
+    gate = run_checks(sphere, samples, selected=["parallel_unit_xi"])[0]
+    nabla, unit = check_parallel_unit_xi(sphere, samples)
+    assert gate.residual_max == float(np.max(np.maximum(nabla, unit)))
+    assert gate.residual_mean == float(np.mean(np.maximum(nabla, unit)))
+    assert gate.residual_max == pytest.approx(0.937, abs=5e-4)
+    assert gate.residual_mean == pytest.approx(0.596, abs=5e-4)
+    assert "max=9.37e-01 mean=5.96e-01" in gate.human_line()
+
+
+def test_negative_control_that_measures_parallel_fails(euclidean3):
+    declared_false = replace(euclidean3, parallel_xi_expected=False, _tables=None)
+    reports = _by_id(run_checks(declared_false, count=10, seed=42))
+    gate = reports["parallel_unit_xi"]
+    assert gate.gate_status == "passed"
+    assert not gate.passed
+    assert not gate.skipped
+    assert gate.notes.startswith(
+        "declared parallel_xi_expected=false but the field measures parallel")
+    for cid, report in reports.items():
+        if REGISTRY[cid][2]:
+            assert report.gate_status == "passed" and not report.skipped, cid
 
 
 def test_sphere_projective_flatness_still_verified(sphere_reports):
