@@ -440,19 +440,11 @@ def _gate_report(spec, samples, tolerances) -> CheckReport:
     else:
         notes = ("declared parallel unit field fails the gate: max |grad pi| = "
                  f"{nabla_max:.2e}, max |g(xi,xi)-1| = {unit_max:.2e}")
-    return CheckReport(
-        check_id="parallel_unit_xi",
-        manifold=spec.name,
-        samples=samples.count,
-        seed=samples.seed,
-        residual_max=residual,
-        residual_mean=float(np.mean(residuals)),
-        tolerance=tol,
-        passed=measured_parallel and declared,
-        gate_status="passed" if measured_parallel else "failed",
-        skipped=not (measured_parallel or declared),
-        notes=notes,
-    )
+    return CheckReport("parallel_unit_xi", spec.name, samples.count, samples.seed,
+                       residual, float(np.mean(residuals)), tol,
+                       passed=measured_parallel and declared,
+                       gate_status="passed" if measured_parallel else "failed",
+                       skipped=not (measured_parallel or declared), notes=notes)
 
 
 # ---------------------------------------------------------------------------
