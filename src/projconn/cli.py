@@ -324,8 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse takes "-0.3,0.2,0.1" after "--point" for an option, so the pair is joined
+    words = list(sys.argv[1:] if argv is None else argv)
+    for k in range(len(words) - 1, 0, -1):
+        if words[k - 1] == "--point":
+            words[k - 1:k + 1] = ["--point=" + words[k]]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(words)
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     handlers = {"list": _cmd_list, "eval": _cmd_eval, "verify": _cmd_verify}

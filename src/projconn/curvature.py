@@ -90,6 +90,19 @@ class Jet(MetricJet):
             raise ValueError(f"unknown connection kind {kind!r}")
         return self.lc if kind == LEVI_CIVITA else self.pr
 
+    @cached_property
+    def shift(self) -> np.ndarray:
+        """pi_i pi_k d^l_j - pi_j pi_k d^l_i, the curvature shift per unit lam;
+        like ``nullity_defect`` and ``ConnectionJet.P``, built on first use
+        and kept, so every family that reads it shares one copy."""
+        return -wedge(self.pi[:, :, None] * self.pi[:, None])
+
+    @cached_property
+    def nullity_defect(self) -> np.ndarray:
+        """R~(X,Y)xi - lam {pi(X) Y - pi(Y) X} in components."""
+        lam = lam_scale(self.G.shape[1])
+        return np.einsum("slijk,sk->slij", self.pr.R, self.xi) + lam * wedge(self.pi)
+
 
 @dataclass
 class QuasiEinsteinFit:

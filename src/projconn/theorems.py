@@ -11,7 +11,8 @@ flat-if-and-only-if theorems stays visible in the reports.  Both decisions
 are made in ``_reports``, from the premise table ``_PREMISES`` and the
 per-check table ``_SHAPES``; the gate's own report is judged in
 ``_gate_report`` from the measurement ``connections.check_parallel_unit_xi``
-returns.
+returns.  Every residual is ``_residual``: per sample, the largest |entry|
+over the defects a check names.
 
 Default tolerances scale with the derivative order of the identity:
 1e-10 for purely algebraic consequences of the curvature arrays, 1e-9 when
@@ -21,6 +22,7 @@ one more derivative enters, 1e-8 for third-derivative identities.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import reduce
 
 import numpy as np
 
@@ -103,19 +105,11 @@ def _report(check_id, spec, samples, residuals, tolerances, gate_status,
     )
 
 
-def _max_abs(arr: np.ndarray) -> np.ndarray:
-    """Per-sample max |entry| of an array with a leading sample axis."""
-    return np.max(np.abs(arr), axis=tuple(range(1, arr.ndim)))
-
-
-def _curvature_shift(pi: np.ndarray) -> np.ndarray:
-    """pi_i pi_k d^l_j - pi_j pi_k d^l_i, the curvature shift per unit lam."""
-    return -wedge(pi[:, :, None] * pi[:, None])
-
-
-def _nullity_defect(j, Rt: np.ndarray, lam: float) -> np.ndarray:
-    """R~(X,Y)xi - lam {pi(X) Y - pi(Y) X} in components."""
-    return np.einsum("slijk,sk->slij", Rt, j.xi) + lam * wedge(j.pi)
+def _residual(*defects: np.ndarray) -> np.ndarray:
+    """The residual rule of every check: per sample, the largest |entry| over
+    all the defects given, each with a leading sample axis.  A per-sample
+    column counts as its own entries, so residuals compose."""
+    return reduce(np.maximum, (np.max(np.abs(d), axis=tuple(range(1, d.ndim))) for d in defects))
 
 
 # ---------------------------------------------------------------------------
@@ -129,25 +123,18 @@ def _curvature_columns(spec, j) -> dict:
     G, pi, xi = j.G, j.pi, j.xi
     R, Rt, Rtlow = j.lc.R, j.pr.R, j.pr.Rlow
     nabla_Rt = j.pr.nabla_R
-    shift = _curvature_shift(pi)
     pi_R = np.einsum("sm,slijk->smlijk", pi, R)
-    cols = {"eq9_two_path": _max_abs(Rt - (R + lam * shift))}
-    cols["thm2_1_i"] = _max_abs(Rtlow + np.einsum("sijkl->sjikl", Rtlow))
-    defect_ii = lam * (
-        np.einsum("si,sk,sjl->sijkl", pi, pi, G)
-        - np.einsum("sj,sk,sil->sijkl", pi, pi, G)
-        + np.einsum("si,sl,sjk->sijkl", pi, pi, G)
-        - np.einsum("sj,sl,sik->sijkl", pi, pi, G)
+    cols = {"eq9_two_path": _residual(Rt - (R + lam * j.shift))}
+    cols["thm2_1_i"] = _residual(Rtlow + np.einsum("sijkl->sjikl", Rtlow))
+    # the lam-terms of (ii) and (iii) are slot swaps of pi_a pi_b g_cd
+    ppG = np.einsum("sa,sb,scd->sabcd", pi, pi, G)
+    ikjl, jkil = np.einsum("sikjl->sijkl", ppG), np.einsum("sjkil->sijkl", ppG)
+    iljk, jlik = np.einsum("siljk->sijkl", ppG), np.einsum("sjlik->sijkl", ppG)
+    cols["thm2_1_ii"] = _residual(
+        Rtlow + np.einsum("sijkl->sijlk", Rtlow) - lam * (ikjl - jkil + iljk - jlik)
     )
-    cols["thm2_1_ii"] = _max_abs(Rtlow + np.einsum("sijkl->sijlk", Rtlow) - defect_ii)
-    defect_iii = lam * (
-        np.einsum("si,sl,sjk->sijkl", pi, pi, G)
-        - np.einsum("sj,sk,sil->sijkl", pi, pi, G)
-    )
-    cols["thm2_1_iii"] = _max_abs(Rtlow - np.einsum("sijkl->sklij", Rtlow) - defect_iii)
-    cols["thm2_1_iv"] = _max_abs(
-        Rt + np.einsum("slxyz->slzxy", Rt) + np.einsum("slxyz->slyzx", Rt)
-    )
+    cols["thm2_1_iii"] = _residual(Rtlow - np.einsum("sijkl->sklij", Rtlow) - lam * (iljk - jkil))
+    cols["thm2_1_iv"] = _residual(Rt + np.einsum("slxyz->slzxy", Rt) + np.einsum("slxyz->slyzx", Rt))
     cyclic = (
         nabla_Rt
         + np.einsum("siljmk->smlijk", nabla_Rt)
@@ -158,7 +145,7 @@ def _curvature_columns(spec, j) -> dict:
         + np.einsum("si,sljmk->smlijk", pi, R)
         + np.einsum("sj,slmik->smlijk", pi, R)
     )
-    cols["thm2_1_v"] = _max_abs(cyclic - rhs_v)
+    cols["thm2_1_v"] = _residual(cyclic - rhs_v)
     rhs_11d = (
         j.lc.nabla_R
         + (2.0 / (n + 1)) * pi_R
@@ -168,10 +155,10 @@ def _curvature_columns(spec, j) -> dict:
             + np.einsum("sk,slijm->smlijk", pi, R)
         )
         - (2.0 * lam * (n - 1) / (n + 1))
-        * np.einsum("sm,slijk->smlijk", pi, shift)
+        * np.einsum("sm,slijk->smlijk", pi, j.shift)
     )
-    cols["eq11d"] = _max_abs(nabla_Rt - rhs_11d)
-    cols["eq12"] = _max_abs(_nullity_defect(j, Rt, lam))
+    cols["eq11d"] = _residual(nabla_Rt - rhs_11d)
+    cols["eq12"] = _residual(j.nullity_defect)
     d1 = np.einsum("slijk,si->sljk", Rt, xi) - lam * (
         np.einsum("sk,lj->sljk", pi, eye) - np.einsum("sj,sk,sl->sljk", pi, pi, xi)
     )
@@ -179,8 +166,8 @@ def _curvature_columns(spec, j) -> dict:
         np.einsum("sk,si,sl->slik", pi, pi, xi) - np.einsum("sk,li->slik", pi, eye)
     )
     d3 = np.einsum("sl,slijk->sijk", pi, Rt)
-    cols["part_i"], cols["part_ii"], cols["part_iii"] = _max_abs(d1), _max_abs(d2), _max_abs(d3)
-    cols["lem2_4"] = np.maximum.reduce([cols["part_i"], cols["part_ii"], cols["part_iii"]])
+    cols["part_i"], cols["part_ii"], cols["part_iii"] = _residual(d1), _residual(d2), _residual(d3)
+    cols["lem2_4"] = _residual(cols["part_i"], cols["part_ii"], cols["part_iii"])
     return cols
 
 
@@ -202,33 +189,31 @@ def _ricci_columns(spec, j) -> dict:
     return {
         "eq10": ricci_residual,
         "eq11": scalar_residual,
-        "eq15": _max_abs(nabla_St - nabla_S),
-        "lem2_6": np.maximum(_max_abs(codazzi), _max_abs(cyclic(nabla_St) - cyclic(nabla_S))),
+        "eq15": _residual(nabla_St - nabla_S),
+        "lem2_6": _residual(codazzi, cyclic(nabla_St) - cyclic(nabla_S)),
     }
-
-
-def _space_form_pattern(G: np.ndarray) -> np.ndarray:
-    """g_jk g_il - g_ik g_jl: the lowered curvature of unit constant curvature."""
-    return np.einsum("sjk,sil->sijkl", G, G) - np.einsum("sik,sjl->sijkl", G, G)
 
 
 def _projective_columns(spec, j) -> dict:
     """The space-form premise of ``thm3_3_p_flat`` is detected by a
-    least-squares fit of the sampled curvature to K times the unit pattern;
-    the fit sums and the lowered curvature are kept per chunk for that."""
+    least-squares fit of the sampled curvature to K times the unit pattern
+    g_jk g_il - g_ik g_jl.  The fit sums are kept per chunk, and so are the
+    lowered curvature and the pattern for the fit residual: both exactly
+    antisymmetric in (i, j), so their i < j half carries every |entry|."""
     lam = lam_scale(spec.n)
-    R, Rt, P, Pt = j.lc.R, j.pr.R, j.lc.P, j.pr.P
-    pattern = _space_form_pattern(j.G)
-    coincidence = _max_abs(Pt - P)
+    R, Rt, P, Pt, G, Rlow = j.lc.R, j.pr.R, j.lc.P, j.pr.P, j.G, j.lc.Rlow
+    pattern = np.einsum("sjk,sil->sijkl", G, G) - np.einsum("sik,sjl->sijkl", G, G)
+    half = np.triu_indices(spec.n, 1)
+    coincidence = _residual(Pt - P)
     return {
-        "max_R": _max_abs(R),
-        "Rlow": j.lc.Rlow,
-        "G": j.G,
-        "fit_num": np.sum(j.lc.Rlow * pattern, axis=(1, 2, 3, 4)),
+        "max_R": _residual(R),
+        "Rlow": Rlow[:, half[0], half[1]],
+        "pattern": pattern[:, half[0], half[1]],
+        "fit_num": np.sum(Rlow * pattern, axis=(1, 2, 3, 4)),
         "fit_den": np.sum(pattern * pattern, axis=(1, 2, 3, 4)),
         "eq17": coincidence,
-        "eq10b": np.maximum(_max_abs(Rt - (P + lam * _curvature_shift(j.pi))), coincidence),
-        "thm3_3_p_flat": _max_abs(P),
+        "eq10b": _residual(Rt - (P + lam * j.shift), coincidence),
+        "thm3_3_p_flat": _residual(P),
     }
 
 
@@ -240,19 +225,18 @@ def _semisymmetry_columns(spec, j) -> dict:
     lam = lam_scale(n)
     pi, xi, Rt = j.pi, j.xi, j.pr.R
     rho = -2.0 * (n - 1) / (n + 1.0) * pi
-    shift = _curvature_shift(pi)
     applied = covariant(np.einsum("sa,slabm->slbm", xi, Rt), Rt, None, "ulll")  # R~(xi, e_b) . R~
     rhs_20 = -lam * (
         np.einsum("sz,slbuv->sblzuv", pi, Rt)
         + np.einsum("su,slzbv->sblzuv", pi, Rt)
         + np.einsum("sv,slzub->sblzuv", pi, Rt)
-    ) + 2.0 * lam * lam * np.einsum("sb,slzuv->sblzuv", pi, shift)
+    ) + 2.0 * lam * lam * np.einsum("sb,slzuv->sblzuv", pi, j.shift)
     return {
-        "max_R": _max_abs(j.lc.R),
+        "max_R": _residual(j.lc.R),
         "def4_1_flat": derivation_all_frames(Rt, Rt),
-        "eq20": _max_abs(applied - rhs_20),
-        "eq21": _max_abs(Rt - lam * shift),
-        "cor4_3": _max_abs(j.pr.nabla_R - np.einsum("sm,slijk->smlijk", rho, Rt)),
+        "eq20": _residual(applied - rhs_20),
+        "eq21": _residual(Rt - lam * j.shift),
+        "cor4_3": _residual(j.pr.nabla_R - np.einsum("sm,slijk->smlijk", rho, Rt)),
     }
 
 
@@ -271,16 +255,15 @@ def _rp_columns(spec, j) -> dict:
         np.einsum("sj,sik->sijk", pi, S) - np.einsum("si,sjk->sijk", pi, S)
     ) / (n - 1.0)
     rp = derivation_all_frames(j.pr.R, Pt)
-    max_S = _max_abs(S)
-    part_i, part_ii = _max_abs(d_i), _max_abs(d_ii)
+    max_S, part_i, part_ii = _residual(S), _residual(d_i), _residual(d_ii)
     return {
         "part_i": part_i,
         "part_ii": part_ii,
-        "eq5_3": np.maximum(part_i, part_ii),
-        "max_R": _max_abs(R),
+        "eq5_3": _residual(part_i, part_ii),
+        "max_R": _residual(R),
         "max_RP": rp,
         "max_S": max_S,
-        "thm5_1_flat": np.maximum.reduce([rp, max_S, _max_abs(Pt - R), _max_abs(Pt - P)]),
+        "thm5_1_flat": _residual(rp, max_S, Pt - R, Pt - P),
     }
 
 
@@ -289,15 +272,13 @@ def _gssf_columns(spec, j) -> dict:
     the structure identities, the three-term curvature shape with the
     chart's coefficient functions, the annihilation of the field by the
     curvature, and the nullity form of the projective curvature."""
-    n = spec.n
-    lam = lam_scale(n)
-    eye = np.eye(n)
+    eye = np.eye(spec.n)
     G, pi, xi, R = j.G, j.pi, j.xi, j.lc.R
     phi = spec.tables.values("phi", 0, j.points)
     f1, f2, f3 = spec.tables.values("f", 0, j.points).T[:, :, None, None, None, None]
     square = np.einsum("sim,smj->sij", phi, phi) + eye - np.einsum("si,sj->sij", xi, pi)
     kills_field = np.einsum("sij,sj->si", phi, xi)
-    unit = np.abs(np.einsum("si,si->s", pi, xi) - 1.0)
+    unit = np.einsum("si,si->s", pi, xi) - 1.0
     compat = np.einsum("sab,sai,sbj->sij", G, phi, phi) - (
         G - np.einsum("si,sj->sij", pi, pi)
     )
@@ -310,18 +291,16 @@ def _gssf_columns(spec, j) -> dict:
             + 2.0 * np.einsum("sij,slk->slijk", A, phi)
         )
         + f3 * (
-            _curvature_shift(pi)
+            j.shift
             + np.einsum("sik,sj,sl->slijk", G, pi, xi)
             - np.einsum("sjk,si,sl->slijk", G, pi, xi)
         )
     )
     return {
-        "gssf_star1": np.maximum.reduce(
-            [_max_abs(square), _max_abs(kills_field), unit, _max_abs(compat)]
-        ),
-        "gssf_star2": _max_abs(R - rhs),
-        "gssf_star3": _max_abs(np.einsum("slijk,sk->slij", R, xi)),
-        "gssf_star4": _max_abs(_nullity_defect(j, j.pr.R, lam)),
+        "gssf_star1": _residual(square, kills_field, unit, compat),
+        "gssf_star2": _residual(R - rhs),
+        "gssf_star3": _residual(np.einsum("slijk,sk->slij", R, xi)),
+        "gssf_star4": _residual(j.nullity_defect),
     }
 
 
@@ -343,8 +322,8 @@ def _observed(cols) -> dict:
         den = float(np.sum(cols["fit_den"]))
         K = seen["K"] = float(np.sum(cols["fit_num"])) / den if den > 0 else 0.0
         seen["space_form_fit_residual"] = max(
-            float(np.max(np.abs(Rlow - K * _space_form_pattern(G))))
-            for Rlow, G in zip(cols["Rlow"], cols["G"])
+            float(np.max(_residual(Rlow - K * pattern)))
+            for Rlow, pattern in zip(cols["Rlow"], cols["pattern"])
         )
     return seen
 
@@ -424,7 +403,7 @@ def _gate_report(spec, samples, tolerances) -> CheckReport:
     failure.
     """
     nabla, unit = check_parallel_unit_xi(spec, samples)
-    residuals = np.maximum(nabla, unit)
+    residuals = _residual(nabla, unit)
     nabla_max, unit_max, residual = (float(np.max(a)) for a in (nabla, unit, residuals))
     tol = _tol("parallel_unit_xi", tolerances)
     measured_parallel = residual <= tol

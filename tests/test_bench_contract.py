@@ -1,10 +1,12 @@
 """The benchmark under bench/ drives projconn through names it looks up at
 run time: the tracer wraps module-level functions, the family runners and
 ``ChartTables.values`` / ``ChartTables.table``, and the worker counts the
-nodes of the order-3 g table.  A change to those names would only show when
-the benchmark runs (as a per-layer metric reading 0); these tests show it
-here."""
+nodes of the order-3 g table and reads per-family self time under the keys
+of ``theorems._FAMILY_RUNNERS``.  A change to those names would only show
+when the benchmark runs (as a per-layer metric reading 0); these tests show
+it here."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -12,6 +14,7 @@ import types
 from pathlib import Path
 
 import projconn
+from projconn import theorems
 from projconn.geometry import ChartTables
 from projconn.catalog import builtin
 from projconn.theorems import run_checks
@@ -70,3 +73,14 @@ def test_worker_reads_only_spans_that_exist():
         func = getattr(module, attr, None)
         assert isinstance(func, types.FunctionType), name
         assert func.__module__ == module.__name__, name
+
+
+def test_worker_reads_only_families_that_run():
+    # a renamed family would read 0 in tracer.family_self, with no error
+    tree = ast.parse((BENCH / "worker.py").read_text(encoding="utf-8"))
+    loops = [node for node in ast.walk(tree)
+             if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple)
+             and "tracer.family_self" in ast.unparse(node)]
+    families = {name for loop in loops for name in ast.literal_eval(loop.iter)}
+    assert len(families) >= 5, sorted(families)
+    assert families <= set(theorems._FAMILY_RUNNERS), sorted(families - set(theorems._FAMILY_RUNNERS))

@@ -71,6 +71,17 @@ def test_eval_json_payload(capsys):
     assert payload["lambda"] == pytest.approx(-9.0 / 16.0)
 
 
+def test_eval_point_with_negative_first_coordinate(capsys):
+    # argparse alone reads "-0.3,0.2,0.1" as an option and exits 2
+    spaced = run_cli(capsys, "eval", "--manifold", "euclidean3", "--tensor", "riemann_tilde",
+                     "--point", "-0.3,0.2,0.1", "--json")
+    joined = run_cli(capsys, "eval", "--manifold", "euclidean3", "--tensor", "riemann_tilde",
+                     "--point=-0.3,0.2,0.1", "--json")
+    assert spaced == joined
+    assert spaced[0] == 0
+    assert json.loads(spaced[1])["point"] == [-0.3, 0.2, 0.1]
+
+
 def test_eval_unknown_tensor_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "eval", "--manifold", "euclidean3",

@@ -1,5 +1,6 @@
-"""The sample-set jet: chunking leaves every report unchanged, and its
-tensors agree with an independent SymPy derivation from the chart strings."""
+"""The sample-set jet: chunking and sample order leave every report
+unchanged, and its tensors agree with an independent SymPy derivation from
+the chart strings."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from projconn import connections, curvature, geometry, theorems
 from projconn import expr as ex
 from projconn.catalog import builtin
 from projconn.curvature import jet
-from projconn.geometry import load_spec, sample
+from projconn.geometry import SampleSet, load_spec, sample
 from projconn.theorems import run_checks
 from mutants import mutant
 
@@ -48,18 +49,21 @@ def test_reports_do_not_depend_on_chunking(name, monkeypatch):
     spec = builtin(name).spec
     samples = sample(spec, 100, seed=42)
     default = run_checks(spec, samples=samples)
+    reversed_samples = SampleSet(samples.seed, samples.points[::-1], samples.frames[::-1])
+    runs = [run_checks(spec, samples=reversed_samples)]
     monkeypatch.setattr(geometry, "CHUNK_BYTES", 1)
     assert len(samples.chunks()) == 100
-    single = run_checks(spec, samples=samples)
-    assert [r.check_id for r in single] == [r.check_id for r in default]
-    for a, b in zip(default, single):
-        assert (a.passed, a.skipped, a.gate_status) == (b.passed, b.skipped, b.gate_status)
-        if a.residual_max is not None:
-            assert abs(a.residual_max - b.residual_max) <= 1e-14, a.check_id
-            assert abs(a.residual_mean - b.residual_mean) <= 1e-14, a.check_id
-        assert set(a.extras) == set(b.extras)
-        for key in a.extras:
-            assert abs(a.extras[key] - b.extras[key]) <= 1e-14 * max(1.0, abs(a.extras[key]))
+    runs.append(run_checks(spec, samples=samples))
+    for run in runs:
+        assert [r.check_id for r in run] == [r.check_id for r in default]
+        for a, b in zip(default, run):
+            assert (a.passed, a.skipped, a.gate_status) == (b.passed, b.skipped, b.gate_status)
+            if a.residual_max is not None:
+                assert abs(a.residual_max - b.residual_max) <= 1e-14, a.check_id
+                assert abs(a.residual_mean - b.residual_mean) <= 1e-14, a.check_id
+            assert set(a.extras) == set(b.extras)
+            for key in a.extras:
+                assert abs(a.extras[key] - b.extras[key]) <= 1e-14 * max(1.0, abs(a.extras[key]))
 
 
 def _sympy_tensors(spec):

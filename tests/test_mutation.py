@@ -1,5 +1,6 @@
-"""Every engine mutant is killed: it fails a check on some catalog chart, or
-it breaks the Ricci identity of ``test_curvature.ricci_identity_gap``.
+"""Every engine mutant is killed: it fails a check on some catalog chart or
+on the warped test chart, or it breaks the Ricci identity of
+``test_curvature.ricci_identity_gap``.
 
 Each mutant is rebuilt from the rule's source (``mutants.mutant``) and
 monkeypatched in wherever the rule is looked up: the family runners through
@@ -14,10 +15,13 @@ from projconn.connections import LEVI_CIVITA, PROJECTIVE
 from projconn.theorems import run_checks
 from mutants import mutant
 from test_curvature import RICCI_CHARTS, ricci_identity_gap
+from test_jet import _warped_failures
 
 # name -> (killed by, modules that bind the rule by name, rule, old source,
 # new source).  A mutant is killed by a FAIL of run_checks on some "catalog"
-# chart, or by the "ricci_identity": the derivation reaches verdicts on flat
+# chart; or on the "warped" chart of test_jet, for a coefficient that depends
+# on n, since the catalog is flat at n >= 4 and the coefficient is exact at
+# n = 3; or by the "ricci_identity": the derivation reaches verdicts on flat
 # charts only, where the slot mapping does not show.  A family runner is
 # patched in theorems._FAMILY_RUNNERS instead of in a binding module.
 MUTANTS = {
@@ -37,6 +41,17 @@ MUTANTS = {
         "s, n, k = Gamma.shape[:3]\n    if k == n:\n        Gamma = Gamma.swapaxes(2, 3)\n",
     ),
     "eq11d_term_dropped": ("catalog", (), "_curvature_columns", "+ (2.0 / (n + 1)) * pi_R", ""),
+    "eq11d_coefficient_n_over_n_plus_1": (
+        "warped", (), "_curvature_columns", "(n / (n + 1.0))", "0.75",
+    ),
+    "eq11d_coefficient_2_over_n_plus_1": (
+        "warped", (), "_curvature_columns", "(2.0 / (n + 1))", "0.5",
+    ),
+    "eq5_3_part_i_over_n_minus_1": (
+        "warped", (), "_rp_columns",
+        'np.einsum("sjk,sl->sljk", S, xi)\n    ) / (n - 1.0)',
+        'np.einsum("sjk,sl->sljk", S, xi)\n    ) / 2.0',
+    ),
     "eq20_term_dropped": (
         "catalog", (), "_semisymmetry_columns", '+ np.einsum("su,slzbv->sblzuv", pi, Rt)', "",
     ),
@@ -85,6 +100,12 @@ def _patch(monkeypatch, name):
 def test_mutant_fails_a_catalog_chart(monkeypatch, name):
     _patch(monkeypatch, name)
     assert _failing_charts()
+
+
+@pytest.mark.parametrize("name", [m for m in MUTANTS if MUTANTS[m][0] == "warped"])
+def test_mutant_fails_the_warped_chart(monkeypatch, name):
+    _patch(monkeypatch, name)
+    assert _warped_failures()[1]
 
 
 @pytest.mark.parametrize("name", [m for m in MUTANTS if MUTANTS[m][0] == "ricci_identity"])
