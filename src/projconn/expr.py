@@ -747,14 +747,30 @@ def diff(e: Expr, var: str, memo: dict | None = None) -> Expr:
     return result
 
 
-def partials(table: np.ndarray, coords: Sequence[str], memo: dict) -> np.ndarray:
-    """The first partials of an object table of trees, with the derivative
-    axis first: out[m, ...] = d table[...] / d coords[m].  Every entry is
-    differentiated through the one ``memo`` (see ``diff``)."""
-    out = np.empty((len(coords),) + table.shape, dtype=object)
-    for m, coord in enumerate(coords):
-        for idx in np.ndindex(table.shape):
-            out[(m,) + idx] = diff(table[idx], coord, memo)
+def partials(table: np.ndarray, coords: Sequence[str], memo: dict, axes: int) -> np.ndarray:
+    """The first partials of an object table of trees whose first ``axes``
+    axes are derivative axes, with the new derivative axis first:
+    out[m, ...] = d table[...] / d coords[m].
+
+    Partials commute, so each derivative multi-index is differentiated once,
+    in sorted order: for a sorted (m, *rest), out[m, *rest] is table[rest]
+    differentiated by coords[m], and every other permutation of it holds
+    that sub-array's trees.  A table whose derivative axes are symmetric
+    thus extends to one that is too.  Every entry is differentiated through
+    the one ``memo`` (see ``diff``).
+    """
+    n = len(coords)
+    out = np.empty((n,) + table.shape, dtype=object)
+    base = table.shape[axes:]
+    for index in np.ndindex((n,) * (axes + 1)):
+        key = tuple(sorted(index))
+        if index != key:  # the sorted permutation comes first in this order
+            out[index] = out[key]
+            continue
+        m, *rest = index
+        part = table[tuple(rest)]
+        for idx in np.ndindex(base):
+            out[index + idx] = diff(part[idx], coords[m], memo)
     return out
 
 

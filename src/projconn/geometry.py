@@ -74,7 +74,9 @@ class ChartTables:
     """Per-spec cache of symbolically differentiated component tables.
 
     Tables are object arrays of Expr; the table of order k has shape
-    (n,)*k + base_shape with derivative axes first.  Building is idempotent,
+    (n,)*k + base_shape with derivative axes first, and every permutation of
+    its derivative axes holds the same trees (``expr.partials``, which takes
+    each mixed partial once).  Building is idempotent,
     so concurrent lazy fills at worst recompute.  ``values`` evaluates a
     table on a batch of points through its compiled program.
     """
@@ -118,7 +120,7 @@ class ChartTables:
         if cached is not None:
             return cached
         out = self._cache[key] = ex.partials(
-            self.table(name, order - 1), self.coords, self._diff_memo
+            self.table(name, order - 1), self.coords, self._diff_memo, order - 1
         )
         return out
 

@@ -1,6 +1,7 @@
 """Every engine mutant is killed: it fails a check on some catalog chart or
 on the warped test chart, or it breaks the Ricci identity of
-``test_curvature.ricci_identity_gap``.
+``test_curvature.ricci_identity_gap``, or it moves a chart table off the
+SymPy oracle of ``test_jet.warped_table_mismatches``.
 
 Each mutant is rebuilt from the rule's source (``mutants.mutant``) and
 monkeypatched in wherever the rule is looked up: the family runners through
@@ -10,20 +11,25 @@ and the shared rules in every module that binds them."""
 import pytest
 
 from projconn import connections, curvature, theorems
+from projconn import expr as ex
 from projconn.catalog import builtin, catalog_names
 from projconn.connections import LEVI_CIVITA, PROJECTIVE
 from projconn.theorems import run_checks
 from mutants import mutant
 from test_curvature import RICCI_CHARTS, ricci_identity_gap
-from test_jet import _warped_failures
+from test_jet import _warped_failures, warped_table_mismatches
 
 # name -> (killed by, modules that bind the rule by name, rule, old source,
 # new source).  A mutant is killed by a FAIL of run_checks on some "catalog"
 # chart; or on the "warped" chart of test_jet, for a coefficient that depends
 # on n, since the catalog is flat at n >= 4 and the coefficient is exact at
-# n = 3; or by the "ricci_identity": the derivation reaches verdicts on flat
-# charts only, where the slot mapping does not show.  A family runner is
-# patched in theorems._FAMILY_RUNNERS instead of in a binding module.
+# n = 3, or for a mixed partial, since the catalog's curved charts depend on
+# one coordinate; or by the "ricci_identity": the derivation reaches verdicts
+# on flat charts only, where the slot mapping does not show; or by the
+# "table_oracle", for a wrong table whose derivative axes stay symmetric:
+# such a jet is the jet of some (polynomial) metric, so no identity checked
+# at a point can see it.  A family runner is patched in
+# theorems._FAMILY_RUNNERS instead of in a binding module.
 MUTANTS = {
     "wrong_lambda": (
         "catalog", (curvature, theorems), "lam_scale", "-(n * n)", "-(n * n + 1)",
@@ -71,6 +77,15 @@ MUTANTS = {
         "        if rank >= 3 and slot in (1, 2):\n"
         "            term = term.swapaxes(3, 4)\n",
     ),
+    # a permutation of a sorted multi-index gets the table one order down
+    "partials_permutation_not_differentiated": (
+        "warped", (ex,), "partials", "out[index] = out[key]", "out[index] = table[key[1:]]",
+    ),
+    # a sorted multi-index differentiated by its last coordinate, not its first
+    "partials_sorted_index_by_last_coordinate": (
+        "table_oracle", (ex,), "partials",
+        "diff(part[idx], coords[m], memo)", "diff(part[idx], coords[index[-1]], memo)",
+    ),
 }
 
 
@@ -117,3 +132,9 @@ def test_mutant_breaks_the_ricci_identity(monkeypatch, name):
         for gap, scale in [ricci_identity_gap(chart, conn) for conn in (LEVI_CIVITA, PROJECTIVE)]
     )
     assert worst > 1e-3
+
+
+@pytest.mark.parametrize("name", [m for m in MUTANTS if MUTANTS[m][0] == "table_oracle"])
+def test_mutant_fails_the_table_oracle(monkeypatch, name):
+    _patch(monkeypatch, name)
+    assert warped_table_mismatches()
