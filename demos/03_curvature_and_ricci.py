@@ -29,7 +29,8 @@ def main():
     spec = builtin("cylinder_s2xr").spec
     point = (np.pi / 2, 1.0, 0.0)
     j = jet(spec, [point], 2)
-    r, r_tilde, ricci_residual, scalar_residual = (float(v[0]) for v in ricci_shifts(j))
+    r, r_tilde, ricci_defect, scalar_defect = (v[0] for v in ricci_shifts(j))
+    ricci_residual, scalar_residual = np.max(np.abs(ricci_defect)), abs(scalar_defect)
     print("sphere-times-line chart at the equator")
     print(f"  Ricci (metric)  diag = {np.round(np.diag(j.lc.S[0]), 6)},  scalar = {r:.4f}")
     print(f"  Ricci (shifted) diag = {np.round(np.diag(j.pr.S[0]), 6)},  "

@@ -103,6 +103,16 @@ class Jet(MetricJet):
         lam = lam_scale(self.G.shape[1])
         return np.einsum("slijk,sk->slij", self.pr.R, self.xi) + lam * wedge(self.pi)
 
+    @cached_property
+    def xi_Rt(self) -> np.ndarray:
+        """R~(xi, e_j) as [s,l,j,k] = R~[s,l,i,j,k] xi^i."""
+        return np.einsum("slijk,si->sljk", self.pr.R, self.xi)
+
+    @cached_property
+    def pi_shift(self) -> np.ndarray:
+        """pi_m times the curvature shift, as [s,m,l,i,j,k]."""
+        return np.einsum("sm,slijk->smlijk", self.pi, self.shift)
+
 
 @dataclass
 class QuasiEinsteinFit:
@@ -191,15 +201,14 @@ def jet(spec: ManifoldSpec, points, order: int) -> Jet:
 
 def ricci_shifts(j: Jet):
     """Per sample: the scalar curvatures r and r~ of both connections and
-    the residuals of the shift identities S~ = S - lam (n-1) pi x pi and
-    r~ = r - lam (n-1)."""
+    the defects S~ - (S - c pi x pi) and r~ - (r - c) of the shift
+    identities, with c = lam (n-1)."""
     n = j.G.shape[1]
     c = lam_scale(n) * (n - 1)
     r = np.einsum("sjk,sjk->s", j.G_inv, j.lc.S)
     r_tilde = np.einsum("sjk,sjk->s", j.G_inv, j.pr.S)
-    shift = j.lc.S - c * np.einsum("sj,sk->sjk", j.pi, j.pi)
-    ricci_residual = np.max(np.abs(j.pr.S - shift), axis=(1, 2))
-    return r, r_tilde, ricci_residual, np.abs(r_tilde - (r - c))
+    shifted = j.lc.S - c * np.einsum("sj,sk->sjk", j.pi, j.pi)
+    return r, r_tilde, j.pr.S - shifted, r_tilde - (r - c)
 
 
 def theta_beta(j: Jet) -> tuple[np.ndarray, np.ndarray]:

@@ -627,6 +627,10 @@ def const(value: float) -> Const:
     return Const(float(value))
 
 
+# the zero and one that derivatives and simplifications return, shared
+_ZERO, _ONE = Const(0.0), Const(1.0)
+
+
 def add(a: Expr, b: Expr) -> Expr:
     if _is_const(a, 0.0):
         return b
@@ -649,7 +653,7 @@ def _sub(a: Expr, b: Expr) -> Expr:
 
 def mul(a: Expr, b: Expr) -> Expr:
     if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return Const(0.0)
+        return _ZERO
     if _is_const(a, 1.0):
         return b
     if _is_const(b, 1.0):
@@ -661,7 +665,7 @@ def mul(a: Expr, b: Expr) -> Expr:
 
 def _div(a: Expr, b: Expr) -> Expr:
     if _is_const(a, 0.0):
-        return Const(0.0)
+        return _ZERO
     if _is_const(b, 1.0):
         return a
     if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
@@ -679,7 +683,7 @@ def _neg(a: Expr) -> Expr:
 
 def _pow(base: Expr, exponent: int) -> Expr:
     if exponent == 0:
-        return Const(1.0)
+        return _ONE
     if exponent == 1:
         return base
     if isinstance(base, Const):
@@ -710,9 +714,9 @@ def diff(e: Expr, var: str, memo: dict | None = None) -> Expr:
     structurally the same with or without it.
     """
     if isinstance(e, Const):
-        return Const(0.0)
+        return _ZERO
     if isinstance(e, Var):
-        return Const(1.0 if e.name == var else 0.0)
+        return _ONE if e.name == var else _ZERO
     if memo is None:
         memo = {}
     key = (id(e), var)

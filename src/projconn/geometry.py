@@ -84,13 +84,8 @@ class ChartTables:
     def __init__(self, spec: "ManifoldSpec"):
         self.coords = spec.coords
         n = len(spec.coords)
-        g = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                g[i, j] = spec.g[i][j]
-        xi = np.empty((n,), dtype=object)
-        for i in range(n):
-            xi[i] = spec.xi[i]
+        g = np.array(spec.g, dtype=object)
+        xi = np.array(spec.xi, dtype=object)
         pi = np.empty((n,), dtype=object)
         for i in range(n):
             acc = ex.const(0.0)
@@ -99,11 +94,7 @@ class ChartTables:
             pi[i] = acc
         self._base = {"g": g, "xi": xi, "pi": pi}
         if spec.phi is not None:
-            phi = np.empty((n, n), dtype=object)
-            for i in range(n):
-                for j in range(n):
-                    phi[i, j] = spec.phi[i][j]
-            self._base["phi"] = phi
+            self._base["phi"] = np.array(spec.phi, dtype=object)
         if None not in (spec.f1, spec.f2, spec.f3):
             self._base["f"] = np.array([spec.f1, spec.f2, spec.f3], dtype=object)
         self._cache: dict[tuple[str, int], np.ndarray] = {}

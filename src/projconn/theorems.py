@@ -112,6 +112,25 @@ def _residual(*defects: np.ndarray) -> np.ndarray:
     return reduce(np.maximum, (np.max(np.abs(d), axis=tuple(range(1, d.ndim))) for d in defects))
 
 
+def _cyclic(T: np.ndarray, a: int, b: int, c: int) -> np.ndarray:
+    """The cyclic sum T[x,y,z] + T[y,z,x] + T[z,x,y] over the axes (a, b, c)
+    of T, from two transposed views, summed in that order."""
+    bca, cab = list(range(T.ndim)), list(range(T.ndim))
+    bca[a], bca[b], bca[c] = c, a, b
+    cab[a], cab[b], cab[c] = b, c, a
+    return T + T.transpose(bca) + T.transpose(cab)
+
+
+def _pi_in_lower_slots(pi: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """pi_i T[l,m,j,k] + pi_j T[l,i,m,k] + pi_k T[l,i,j,m] as [s,m,l,i,j,k]:
+    the bracket of eq. (11d) with T = R and of eq. (20) with T = R~."""
+    return (
+        np.einsum("si,slmjk->smlijk", pi, T)
+        + np.einsum("sj,slimk->smlijk", pi, T)
+        + np.einsum("sk,slijm->smlijk", pi, T)
+    )
+
+
 # ---------------------------------------------------------------------------
 # per-chunk contractions: each maps one jet to per-sample columns
 
@@ -134,32 +153,17 @@ def _curvature_columns(spec, j) -> dict:
         Rtlow + np.einsum("sijkl->sijlk", Rtlow) - lam * (ikjl - jkil + iljk - jlik)
     )
     cols["thm2_1_iii"] = _residual(Rtlow - np.einsum("sijkl->sklij", Rtlow) - lam * (iljk - jkil))
-    cols["thm2_1_iv"] = _residual(Rt + np.einsum("slxyz->slzxy", Rt) + np.einsum("slxyz->slyzx", Rt))
-    cyclic = (
-        nabla_Rt
-        + np.einsum("siljmk->smlijk", nabla_Rt)
-        + np.einsum("sjlmik->smlijk", nabla_Rt)
-    )
-    rhs_v = 2.0 * (
-        pi_R
-        + np.einsum("si,sljmk->smlijk", pi, R)
-        + np.einsum("sj,slmik->smlijk", pi, R)
-    )
-    cols["thm2_1_v"] = _residual(cyclic - rhs_v)
+    cols["thm2_1_iv"] = _residual(_cyclic(Rt, 2, 3, 4))
+    cols["thm2_1_v"] = _residual(_cyclic(nabla_Rt, 1, 3, 4) - 2.0 * _cyclic(pi_R, 1, 3, 4))
     rhs_11d = (
         j.lc.nabla_R
         + (2.0 / (n + 1)) * pi_R
-        - (n / (n + 1.0)) * (
-            np.einsum("si,slmjk->smlijk", pi, R)
-            + np.einsum("sj,slimk->smlijk", pi, R)
-            + np.einsum("sk,slijm->smlijk", pi, R)
-        )
-        - (2.0 * lam * (n - 1) / (n + 1))
-        * np.einsum("sm,slijk->smlijk", pi, j.shift)
+        - (n / (n + 1.0)) * _pi_in_lower_slots(pi, R)
+        - (2.0 * lam * (n - 1) / (n + 1)) * j.pi_shift
     )
     cols["eq11d"] = _residual(nabla_Rt - rhs_11d)
     cols["eq12"] = _residual(j.nullity_defect)
-    d1 = np.einsum("slijk,si->sljk", Rt, xi) - lam * (
+    d1 = j.xi_Rt - lam * (
         np.einsum("sk,lj->sljk", pi, eye) - np.einsum("sj,sk,sl->sljk", pi, pi, xi)
     )
     d2 = np.einsum("slijk,sj->slik", Rt, xi) - lam * (
@@ -175,22 +179,18 @@ def _ricci_columns(spec, j) -> dict:
     """Both Ricci tensors are differentiated with the metric connection: that
     is the reading under which the shift identity differentiates to an exact
     statement, since the shift term is parallel together with the field."""
-    _, _, ricci_residual, scalar_residual = ricci_shifts(j)
+    _, _, ricci_defect, scalar_defect = ricci_shifts(j)
     Gamma = j.lc.Gamma
     nabla_S = covariant(Gamma, j.lc.S, ricci_contraction(j.lc.dR), "ll")
     nabla_St = covariant(Gamma, j.pr.S, ricci_contraction(j.pr.dR), "ll")
-
-    def cyclic(T):
-        return T + np.einsum("sjkm->smjk", T) + np.einsum("skmj->smjk", T)
-
     codazzi = (nabla_St - np.einsum("smjk->sjmk", nabla_St)) - (
         nabla_S - np.einsum("smjk->sjmk", nabla_S)
     )
     return {
-        "eq10": ricci_residual,
-        "eq11": scalar_residual,
+        "eq10": _residual(ricci_defect),
+        "eq11": _residual(scalar_defect),
         "eq15": _residual(nabla_St - nabla_S),
-        "lem2_6": _residual(codazzi, cyclic(nabla_St) - cyclic(nabla_S)),
+        "lem2_6": _residual(codazzi, _cyclic(nabla_St, 1, 2, 3) - _cyclic(nabla_S, 1, 2, 3)),
     }
 
 
@@ -223,14 +223,10 @@ def _semisymmetry_columns(spec, j) -> dict:
     contrapositive direction of the flat-iff-semi-symmetric theorem."""
     n = spec.n
     lam = lam_scale(n)
-    pi, xi, Rt = j.pi, j.xi, j.pr.R
+    pi, Rt = j.pi, j.pr.R
     rho = -2.0 * (n - 1) / (n + 1.0) * pi
-    applied = covariant(np.einsum("sa,slabm->slbm", xi, Rt), Rt, None, "ulll")  # R~(xi, e_b) . R~
-    rhs_20 = -lam * (
-        np.einsum("sz,slbuv->sblzuv", pi, Rt)
-        + np.einsum("su,slzbv->sblzuv", pi, Rt)
-        + np.einsum("sv,slzub->sblzuv", pi, Rt)
-    ) + 2.0 * lam * lam * np.einsum("sb,slzuv->sblzuv", pi, j.shift)
+    applied = covariant(j.xi_Rt, Rt, None, "ulll")  # R~(xi, e_m) . R~
+    rhs_20 = -lam * _pi_in_lower_slots(pi, Rt) + 2.0 * lam * lam * j.pi_shift
     return {
         "max_R": _residual(j.lc.R),
         "def4_1_flat": derivation_all_frames(Rt, Rt),

@@ -58,8 +58,12 @@ MUTANTS = {
         'np.einsum("sjk,sl->sljk", S, xi)\n    ) / (n - 1.0)',
         'np.einsum("sjk,sl->sljk", S, xi)\n    ) / 2.0',
     ),
+    # the bracket eq11d and eq20 share
     "eq20_term_dropped": (
-        "catalog", (), "_semisymmetry_columns", '+ np.einsum("su,slzbv->sblzuv", pi, Rt)', "",
+        "catalog", (theorems,), "_pi_in_lower_slots", '+ np.einsum("sj,slimk->smlijk", pi, T)', "",
+    ),
+    "cyclic_permutation_repeated": (
+        "catalog", (theorems,), "_cyclic", "cab[a], cab[b], cab[c] = b, c, a", "cab = bca",
     ),
     "cor4_3_term_dropped": (
         "catalog", (), "_semisymmetry_columns",
