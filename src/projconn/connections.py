@@ -17,8 +17,9 @@ The combined coefficient of the projective semi-symmetric connection is
                                  - 1/(n+1) pi_i delta^k_j
 
 equivalently built from the 1-form pair phi = pi/2 and
-psi = (n-1)/(2(n+1)) pi.  All coefficient derivatives come from symbolic
-partials of the metric and of pi, never from numeric differencing.
+psi = (n-1)/(2(n+1)) pi.  The Levi-Civita Gamma solves G Gamma = C, C the
+first-kind symbol; every derivative comes from symbolic partials of the
+metric and of pi, never from numeric differencing.
 """
 
 from __future__ import annotations
@@ -62,48 +63,41 @@ class ConnectionCoeffs:
 # coefficient construction
 
 
+def _first_kind(D: np.ndarray) -> np.ndarray:
+    """The first-kind Christoffel rule over the last three axes of a table of
+    metric partials, C[.., l, i, j] = (D[.., i, j, l] + D[.., j, i, l] -
+    D[.., l, i, j])/2: C from dG, and its partials from d2G and d3G."""
+    M = D.swapaxes(-1, -2).swapaxes(-2, -3)  # M[.., l, i, j] = D[.., i, j, l]
+    return 0.5 * (M + M.swapaxes(-1, -2) - D)
+
+
 def _lc_pieces(mj: MetricJet):
     """Christoffel data from metric jets, batched over the leading sample axis,
     with as many partials as the jet carries metric partials beyond the first.
 
-    C[l,i,j] = (d_i g_jl + d_j g_il - d_l g_ij)/2, Gamma = G_inv @ C, and the
-    exact derivative chain using d(G_inv) = -G_inv dG G_inv.  Every product
-    contracts over l as one stacked matrix product, with C and its partials
-    viewed as [.., l, i*j].  The two mixed terms of d_p d_m Gamma are one
-    product W[m,p] = d_p G_inv d_m C, taken in both (p, m) orders.
+    Gamma solves G Gamma = C, and its partials solve that equation
+    differentiated, so no partial of G_inv is taken:
+
+        d_m Gamma = G_inv (d_m C - d_m G Gamma),
+        d_p d_m Gamma = G_inv (d_p d_m C - d_p d_m G Gamma
+                               - d_m G d_p Gamma - d_p G d_m Gamma).
+
+    Every product is a stacked matrix product on [.., l, i*j] views.  The
+    two mixed terms are one product, mixed[p, m], and its (p, m) transpose.
     """
-    G_inv, dG = mj.G_inv, mj.dG
+    G_inv, dG, d2G, d3G = mj.G_inv, mj.dG, mj.d2G, mj.d3G
     s, n = G_inv.shape[:2]
-    C = 0.5 * (dG.transpose(0, 3, 1, 2) + dG.transpose(0, 3, 2, 1) - dG)
-    C_flat = C.reshape(s, n, n * n)
-    Gamma = (G_inv @ C_flat).reshape((s,) + (n,) * 3)
-    d2G = mj.d2G
-    if d2G is None:
-        return Gamma, None, None
-    Gi = G_inv[:, None]  # broadcast over the derivative axis
-    Gi_dG = Gi @ dG
-    dGinv = -(Gi_dG @ Gi)
-    dC = 0.5 * (d2G.transpose(0, 1, 4, 2, 3) + d2G.transpose(0, 1, 4, 3, 2) - d2G)
-    dC_flat = dC.reshape(s, n, n, n * n)  # [s, m, l, i*j]
-    dGamma = (dGinv.reshape(s, n * n, n) @ C_flat).reshape((s,) + (n,) * 4)
-    dGamma += (Gi @ dC_flat).reshape(dGamma.shape)
-    d3G = mj.d3G
-    if d3G is None:
-        return Gamma, dGamma, None
-    d2Ginv = -(
-        dGinv[:, :, None] @ (dG @ Gi)[:, None]
-        + G_inv[:, None, None] @ d2G @ G_inv[:, None, None]
-        + Gi_dG[:, None] @ dGinv[:, :, None]
-    )
-    d2C = 0.5 * (
-        d3G.transpose(0, 1, 2, 5, 3, 4) + d3G.transpose(0, 1, 2, 5, 4, 3) - d3G
-    )
-    W = (dGinv[:, None] @ dC_flat[:, :, None]).reshape((s,) + (n,) * 5)
-    d2Gamma = (d2Ginv.reshape(s, n**3, n) @ C_flat).reshape(W.shape)
-    d2Gamma += (Gi @ d2C.reshape(s, n * n, n, n * n)).reshape(W.shape)
-    d2Gamma += W
-    d2Gamma += W.transpose(0, 2, 1, 3, 4, 5)
-    return Gamma, dGamma, d2Gamma
+    Gamma = G_inv @ _first_kind(dG).reshape(s, n, n * n)
+    dGamma = d2Gamma = None
+    if d2G is not None:
+        rhs = _first_kind(d2G).reshape(s, n, n, n * n) - dG @ Gamma[:, None]
+        dGamma = G_inv[:, None] @ rhs
+    if d3G is not None:
+        mixed = dG[:, None] @ dGamma[:, :, None]  # [s, p, m, l, i*j]
+        rhs = _first_kind(d3G).reshape(s, n, n, n, n * n) - d2G @ Gamma[:, None, None]
+        d2Gamma = G_inv[:, None, None] @ (rhs - mixed - mixed.transpose(0, 2, 1, 3, 4))
+    pieces = (Gamma, dGamma, d2Gamma)
+    return tuple(None if a is None else a.reshape(a.shape[:-1] + (n, n)) for a in pieces)
 
 
 def _projective_shift(mj: MetricJet, lc):

@@ -449,16 +449,7 @@ def point_text(point) -> str:
 
 _BINARY_UFUNCS = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
 _COMMUTATIVE = (np.add, np.multiply)  # exact in IEEE arithmetic, so operands may swap
-_CALL_UFUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-}
+_CALL_UFUNCS = {name: getattr(np, name) for name in FUNCTIONS}
 
 
 def _compile(trees, coords: tuple[str, ...]):

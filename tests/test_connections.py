@@ -433,17 +433,25 @@ def test_lc_pieces_match_reference(n):
     np.testing.assert_array_equal(order1[1], dGamma)
 
 
-# slot-swap mutants of _lc_pieces: G_inv's slots swapped in Gamma and in
-# dGamma, and the two mixed terms of d2Gamma taken in one (p, m) order
+# mutants of the Levi-Civita chain, as (rule, old source, new source):
+# G_inv's slots swapped in the solves for Gamma and dGamma, the two mixed
+# terms of d2Gamma taken in one (p, m) order, and the first-kind rule with
+# its two D terms equal or its axes moved to the wrong place
 LC_MUTANTS = {
-    "gamma": ("(G_inv @ C_flat)", "(G_inv.swapaxes(-1, -2) @ C_flat)"),
-    "dgamma": ("(Gi @ dC_flat)", "(Gi.swapaxes(-1, -2) @ dC_flat)"),
-    "d2gamma_mixed_order": ("d2Gamma += W.transpose(0, 2, 1, 3, 4, 5)", "d2Gamma += W"),
+    "gamma": ("_lc_pieces", "G_inv @ _first_kind(dG)", "G_inv.swapaxes(-1, -2) @ _first_kind(dG)"),
+    "dgamma": ("_lc_pieces", "G_inv[:, None] @ rhs", "G_inv[:, None].swapaxes(-1, -2) @ rhs"),
+    "d2gamma_mixed_order": (
+        "_lc_pieces", "- mixed - mixed.transpose(0, 2, 1, 3, 4)", "- mixed - mixed",
+    ),
+    "first_kind_terms_equal": ("_first_kind", "M + M.swapaxes(-1, -2) - D", "M + M - D"),
+    "first_kind_axis_moved": (
+        "_first_kind", "D.swapaxes(-1, -2).swapaxes(-2, -3)", "D.swapaxes(-1, -2)",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", LC_MUTANTS)
 def test_lc_reference_catches_slot_swaps(monkeypatch, name):
-    monkeypatch.setattr(connections, "_lc_pieces",
-                        mutant(connections._lc_pieces, *LC_MUTANTS[name]))
+    rule, old, new = LC_MUTANTS[name]
+    monkeypatch.setattr(connections, rule, mutant(getattr(connections, rule), old, new))
     assert max(_lc_gaps(_random_metric_jet(5))) > 1e-3

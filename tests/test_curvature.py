@@ -99,13 +99,9 @@ def test_theta_symmetric_on_parallel_charts(euclidean3, cylinder):
             assert np.max(np.abs(beta)) <= 1e-12
 
 
-@pytest.mark.parametrize("name", ["euclidean3", "cylinder_s2xr", "sphere3_bad_xi"])
-def test_difference_tensor_reconstruction(name):
-    # two-path oracle: coordinate curvature of the shifted connection equals
-    # the metric curvature plus the theta/beta terms, on every chart
-    # (including the non-parallel control, where beta is nonzero)
-    from projconn.catalog import builtin
-
+def _reconstruction_gap(name):
+    """Largest |R~ - (R + theta/beta terms)| over 25 seeded points of a
+    catalog chart."""
     spec = builtin(name).spec
     s = sample(spec, 25, seed=103)
     eye = np.eye(spec.n)
@@ -113,7 +109,7 @@ def test_difference_tensor_reconstruction(name):
     for point in s.points:
         j = jet(spec, [point], 2)
         R, Rt = j.lc.R[0], j.pr.R[0]
-        theta, beta = (t[0] for t in theta_beta(j))
+        theta, beta = (t[0] for t in curvature.theta_beta(j))
         recon = (
             R
             + np.einsum("ij,lk->lijk", beta, eye)
@@ -121,7 +117,28 @@ def test_difference_tensor_reconstruction(name):
             - np.einsum("jk,li->lijk", theta, eye)
         )
         worst = max(worst, float(np.max(np.abs(Rt - recon))))
-    assert worst <= 1e-9
+    return worst
+
+
+@pytest.mark.parametrize(
+    "name", ["euclidean3", "cylinder_s2xr", "sphere3_bad_xi", "polar_r2xr2", "euclidean5"]
+)
+def test_difference_tensor_reconstruction(name):
+    # two-path oracle: coordinate curvature of the shifted connection equals
+    # the metric curvature plus the theta/beta terms, on every chart
+    # (including the non-parallel control, where beta is nonzero), at n = 3
+    # and above
+    assert _reconstruction_gap(name) <= 1e-9
+
+
+# theta's coefficient n/(n+1) replaced by its value at n = 3
+THETA_BETA_MUTANT = ("a_coef = n / (n + 1.0)", "a_coef = 0.75")
+
+
+@pytest.mark.parametrize("name", ["polar_r2xr2", "euclidean5"])
+def test_reconstruction_catches_n3_theta_coefficient(monkeypatch, name):
+    monkeypatch.setattr(curvature, "theta_beta", mutant(curvature.theta_beta, *THETA_BETA_MUTANT))
+    assert _reconstruction_gap(name) > 1e-3
 
 
 def test_ricci_cylinder_hand_values(cylinder):

@@ -169,9 +169,9 @@ def test_warped_chart_passes_every_check():
 
 
 def test_warped_chart_catches_mixed_d2gamma_order(monkeypatch):
-    # the two mixed terms d_p G_inv d_m C and d_m G_inv d_p C taken in one order
+    # the two mixed terms d_m G d_p Gamma and d_p G d_m Gamma taken in one order
     wrong = mutant(connections._lc_pieces,
-                   "d2Gamma += W.transpose(0, 2, 1, 3, 4, 5)", "d2Gamma += W")
+                   "- mixed - mixed.transpose(0, 2, 1, 3, 4)", "- mixed - mixed")
     monkeypatch.setattr(connections, "_lc_pieces", wrong)
     assert "thm2_1_v" in _warped_failures()[1]
 

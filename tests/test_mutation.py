@@ -10,7 +10,7 @@ and the shared rules in every module that binds them."""
 
 import pytest
 
-from projconn import connections, curvature, theorems
+from projconn import cli, connections, curvature, theorems
 from projconn import expr as ex
 from projconn.catalog import builtin, catalog_names
 from projconn.connections import LEVI_CIVITA, PROJECTIVE
@@ -57,6 +57,31 @@ MUTANTS = {
         "warped", (), "_rp_columns",
         'np.einsum("sjk,sl->sljk", S, xi)\n    ) / (n - 1.0)',
         'np.einsum("sjk,sl->sljk", S, xi)\n    ) / 2.0',
+    ),
+    # n-dependent factors replaced by their values at n = 3; each multiplies
+    # a term that does not vanish on flat charts, so the catalog's charts at
+    # n >= 4 kill them
+    "ricci_shift_c_at_n3": (
+        "catalog", (curvature, theorems, cli), "ricci_shifts",
+        "c = lam_scale(n) * (n - 1)", "c = lam_scale(n) * 2",
+    ),
+    "projective_tensor_over_2": (
+        "catalog", (curvature,), "projective_tensor", "/ (R.shape[-1] - 1.0)", "/ 2.0",
+    ),
+    "cor4_3_rho_at_n3": (
+        "catalog", (), "_semisymmetry_columns",
+        "rho = -2.0 * (n - 1) / (n + 1.0) * pi", "rho = -1.0 * pi",
+    ),
+    "eq11d_shift_coefficient_at_n3": (
+        "catalog", (), "_curvature_columns",
+        "(2.0 * lam * (n - 1) / (n + 1))", "(2.0 * lam * 2 / (n + 1))",
+    ),
+    "lambda_at_n3": (
+        "catalog", (curvature, theorems), "lam_scale",
+        "-(n * n) / float((n + 1) * (n + 1))", "-0.5625",
+    ),
+    "projective_shift_a_at_n3": (
+        "catalog", (connections,), "_projective_shift", "a = n / (n + 1.0)", "a = 0.75",
     ),
     # the bracket eq11d and eq20 share
     "eq20_term_dropped": (
