@@ -18,6 +18,12 @@ bytes.  Only the names of ``catalog_names()`` are entries.  They are:
   tilted constant field 0.6 d_z + 0.8 d_w.  Flat, but its Christoffel
   symbols do not vanish, so the flat closed forms see non-zero connection
   data and rounding.
+* ``warped_r3xr``: a curved 3-metric times a line, field along the line;
+  the 3x3 block mixes exp, cosh, sinh, sqrt, log and sin, off-diagonal
+  entries included, and depends on all three coordinates.  It is the
+  catalog's curved chart of dimension above 3, where a coefficient that
+  depends on n but is right at n = 3 shows, and its mixed partials are not
+  symmetric by accident.
 * ``sphere3_bad_xi``: round 3-sphere with a normalized coordinate field, the
   negative control: the field is unit but not parallel, so gated checks must
   skip.
@@ -65,6 +71,10 @@ _PROVENANCE = {
         "flat plane in polar coordinates times a flat plane, constant unit "
         "field 0.6 d_z + 0.8 d_w; flat with non-vanishing Christoffel symbols"
     ),
+    "warped_r3xr": (
+        "curved 3-metric of transcendental entries times a line, field along "
+        "the line; parallel and unit, curvature depends on x, y and z"
+    ),
     "sphere3_bad_xi": (
         "round 3-sphere with a normalized coordinate field: unit but not "
         "parallel (negative control for the gate)"
@@ -80,6 +90,7 @@ _CORE_NAMES = (
     "gssf_c1",
     "gssf_c4",
     "polar_r2xr2",
+    "warped_r3xr",
     "sphere3_bad_xi",
 )
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import catalog, expr, geometry, theorems
 from .connections import nonmetricity_components, torsion_components
-from .curvature import jet, lam_scale, ricci_shifts, theta_beta
+from .curvature import jet, lam_scale, scalar_curvature, theta_beta
 from .geometry import DimensionError, NotSPDError, SpecError
 
 __all__ = ["main", "run"]
@@ -161,12 +161,12 @@ def _nonmetricity(spec, j):
 
 
 def _ricci(spec, j):
-    return j.lc.S[0], {"scalar_curvature": float(ricci_shifts(j)[0][0])}
+    return j.lc.S[0], {"scalar_curvature": float(scalar_curvature(j.G_inv, j.lc.S)[0])}
 
 
 def _ricci_tilde(spec, j):
     return j.pr.S[0], {
-        "scalar_curvature": float(ricci_shifts(j)[1][0]),
+        "scalar_curvature": float(scalar_curvature(j.G_inv, j.pr.S)[0]),
         "lambda": lam_scale(spec.n),
     }
 

@@ -35,7 +35,6 @@ __all__ = [
     "PROJECTIVE",
     "ConnectionCoeffs",
     "connection_at",
-    "coefficient_jets",
     "wedge",
     "torsion_components",
     "nonmetricity_components",
@@ -102,7 +101,8 @@ def _lc_pieces(mj: MetricJet):
 
 def _projective_shift(mj: MetricJet, lc):
     """Add n/(n+1) pi_j d^k_i - 1/(n+1) pi_i d^k_j, and its partials from
-    the symbolic partials of pi, to the Levi-Civita pieces."""
+    the symbolic partials of pi, to the Levi-Civita pieces; a partial of pi
+    is read only where its piece is present."""
     n = mj.G.shape[1]
     a = n / (n + 1.0)
     b = -1.0 / (n + 1.0)
@@ -114,16 +114,9 @@ def _projective_shift(mj: MetricJet, lc):
         )
 
     return tuple(
-        None if piece is None else piece + shift(p)
-        for piece, p in zip(lc, (mj.pi, mj.dpi, mj.d2pi))
+        None if piece is None else piece + shift(getattr(mj, p))
+        for piece, p in zip(lc, ("pi", "dpi", "d2pi"))
     )
-
-
-def coefficient_jets(mj: MetricJet) -> dict[str, tuple]:
-    """(Gamma, dGamma, d2Gamma) of both connections, batched like the metric
-    jet, with derivative arrays up to one order below the jet's (None beyond)."""
-    lc = _lc_pieces(mj)
-    return {LEVI_CIVITA: lc, PROJECTIVE: _projective_shift(mj, lc)}
 
 
 def connection_at(spec: ManifoldSpec, kind: str, point, order: int = 1) -> ConnectionCoeffs:
@@ -132,7 +125,9 @@ def connection_at(spec: ManifoldSpec, kind: str, point, order: int = 1) -> Conne
     if kind not in (LEVI_CIVITA, PROJECTIVE):
         raise ValueError(f"unknown connection kind {kind!r}")
     mj = metric_jet(spec, [point], order + 1)
-    pieces = coefficient_jets(mj)[kind]
+    pieces = _lc_pieces(mj)
+    if kind == PROJECTIVE:
+        pieces = _projective_shift(mj, pieces)
     return ConnectionCoeffs(
         kind, tuple(mj.points[0].tolist()),
         *(None if a is None else a[0] for a in pieces),

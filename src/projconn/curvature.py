@@ -3,9 +3,9 @@ Ricci data, the theta/beta difference tensors, projective curvature, the
 curvature-as-derivation action, quasi-Einstein decomposition and nullity
 fitting.
 
-``jet`` builds all of it for a batch of points at once, as arrays with a
-leading sample axis; a point query is the one-sample call ``jet(spec,
-[point], order)``.
+``jet`` gives all of it for a batch of points at once, as arrays with a
+leading sample axis, each built on its first read; a point query is the
+one-sample call ``jet(spec, [point], order)`` and builds only what it reads.
 
 Sign conventions (fixed here, validated by the flat-space two-path check):
 
@@ -29,9 +29,9 @@ from functools import cached_property
 
 import numpy as np
 
-from . import geometry
-from .geometry import GateError, ManifoldSpec, MetricJet, metric_jet
-from .connections import LEVI_CIVITA, PROJECTIVE, coefficient_jets, covariant, wedge
+from . import connections, geometry
+from .geometry import GateError, ManifoldSpec, MetricJet
+from .connections import LEVI_CIVITA, PROJECTIVE, covariant, wedge
 
 __all__ = [
     "ConnectionJet",
@@ -42,6 +42,7 @@ __all__ = [
     "jet",
     "rtilde_closed_form",
     "theta_beta",
+    "scalar_curvature",
     "ricci_shifts",
     "ricci_contraction",
     "projective_tensor",
@@ -59,31 +60,87 @@ def lam_scale(n: int) -> float:
 @dataclass
 class ConnectionJet:
     """One connection at a batch of points, every array with a leading
-    sample axis; arrays beyond the jet's order are None."""
+    sample axis: its coefficients, and the curvature data built from them
+    on first read and kept, so every family that reads one shares one copy.
+    Arrays beyond the jet's order are None."""
 
+    G: np.ndarray  # the metric, which lowers R
     Gamma: np.ndarray  # Gamma[s,k,i,j]
     dGamma: np.ndarray | None = None  # dGamma[s,m,k,i,j]
     d2Gamma: np.ndarray | None = None  # d2Gamma[s,p,m,k,i,j]
-    R: np.ndarray | None = None  # R[s,l,i,j,k]
-    Rlow: np.ndarray | None = None  # Rlow[s,i,j,k,l] = g[l,m] R[s,m,i,j,k]
-    S: np.ndarray | None = None  # S[s,j,k] = R[s,i,i,j,k]
-    dR: np.ndarray | None = None  # dR[s,m,l,i,j,k] = d_m R[l,i,j,k]
-    nabla_R: np.ndarray | None = None  # nabla_R[s,m,l,i,j,k] = (D_m R)[l,i,j,k]
+
+    @cached_property
+    def R(self) -> np.ndarray | None:
+        """R[s,l,i,j,k]."""
+        return None if self.dGamma is None else _riemann_components(self.Gamma, self.dGamma)
+
+    @cached_property
+    def Rlow(self) -> np.ndarray | None:
+        """Rlow[s,i,j,k,l] = g[l,m] R[s,m,i,j,k]."""
+        return None if self.R is None else np.einsum("slm,smijk->sijkl", self.G, self.R)
+
+    @cached_property
+    def S(self) -> np.ndarray | None:
+        """S[s,j,k] = R[s,i,i,j,k]."""
+        return None if self.R is None else ricci_contraction(self.R)
+
+    @cached_property
+    def dR(self) -> np.ndarray | None:
+        """dR[s,m,l,i,j,k] = d_m R[l,i,j,k]."""
+        if self.d2Gamma is None:
+            return None
+        return _riemann_partials(self.Gamma, self.dGamma, self.d2Gamma)
+
+    @cached_property
+    def nabla_R(self) -> np.ndarray | None:
+        """nabla_R[s,m,l,i,j,k] = (D_m R)[l,i,j,k]."""
+        return None if self.dR is None else covariant(self.Gamma, self.R, self.dR, "ulll")
 
     @cached_property
     def P(self) -> np.ndarray:
-        """The Weyl projective curvature P[s,l,i,j,k] of R and S, built on
-        first use and kept, so every family that reads it shares one copy."""
+        """The Weyl projective curvature P[s,l,i,j,k] of R and S."""
         return projective_tensor(self.R, self.S)
 
 
-@dataclass
 class Jet(MetricJet):
     """The metric jet of a batch of points plus both connections (from
-    order 1): everything the identity checks contract."""
+    order 1): everything the identity checks contract.  Like the metric's
+    fields, each connection and each tensor below is built on first read
+    and kept, so a point query builds only what it reads and a chunk of
+    ``run_checks`` builds each tensor once."""
 
-    lc: ConnectionJet | None = None
-    pr: ConnectionJet | None = None
+    @cached_property
+    def lc(self) -> ConnectionJet | None:
+        """The Levi-Civita connection, from ``connections._lc_pieces``."""
+        if self.order < 1:
+            return None
+        return ConnectionJet(self.G, *connections._lc_pieces(self))
+
+    @cached_property
+    def pr(self) -> ConnectionJet | None:
+        """The projective connection: the Levi-Civita coefficients shifted
+        by ``connections._projective_shift``."""
+        if self.order < 1:
+            return None
+        lc = self.lc
+        return ConnectionJet(
+            self.G, *connections._projective_shift(self, (lc.Gamma, lc.dGamma, lc.d2Gamma))
+        )
+
+    def complete(self) -> Jet:
+        """Build the metric's fields, then each connection's coefficients,
+        R, Rlow, S, dR and nabla_R, now, and return the jet; the shared
+        tensors below stay lazy.  ``run_checks`` reads them all.  Built
+        before the checks' temporaries rather than among them, a chunk's
+        arrays reuse the memory the last chunk freed instead of faulting in
+        fresh pages (a quarter of the page faults and 8% less time on an
+        n = 4 chart)."""
+        for name in ("xi", "G_inv", "pi", "dG", "d2G", "d3G", "dpi", "d2pi"):
+            getattr(self, name)
+        for cj in (self.lc, self.pr):
+            for name in ("R", "Rlow", "S", "dR", "nabla_R"):
+                getattr(cj, name)
+        return self
 
     def connection(self, kind: str) -> ConnectionJet:
         if kind not in (LEVI_CIVITA, PROJECTIVE):
@@ -92,9 +149,7 @@ class Jet(MetricJet):
 
     @cached_property
     def shift(self) -> np.ndarray:
-        """pi_i pi_k d^l_j - pi_j pi_k d^l_i, the curvature shift per unit lam;
-        like ``nullity_defect`` and ``ConnectionJet.P``, built on first use
-        and kept, so every family that reads it shares one copy."""
+        """pi_i pi_k d^l_j - pi_j pi_k d^l_i, the curvature shift per unit lam."""
         return -wedge(self.pi[:, :, None] * self.pi[:, None])
 
     @cached_property
@@ -167,36 +222,21 @@ def _riemann_partials(
     return _antisymmetrised(d2Gamma.transpose(0, 1, 3, 2, 4, 5), quad)
 
 
-def _connection_jet(G, Gamma, dGamma, d2Gamma) -> ConnectionJet:
-    cj = ConnectionJet(Gamma, dGamma, d2Gamma)
-    if dGamma is not None:
-        cj.R = _riemann_components(Gamma, dGamma)
-        cj.Rlow = np.einsum("slm,smijk->sijkl", G, cj.R)
-        cj.S = ricci_contraction(cj.R)
-    if d2Gamma is not None:
-        cj.dR = _riemann_partials(Gamma, dGamma, d2Gamma)
-        cj.nabla_R = covariant(Gamma, cj.R, cj.dR, "ulll")
-    return cj
-
-
 def jet(spec: ManifoldSpec, points, order: int) -> Jet:
     """Everything the identities contract, at a batch of points, as arrays
-    with a leading sample axis.
+    with a leading sample axis, each built on its first read (``Jet``).
 
     `order` counts metric derivatives: 0 gives G, G_inv, xi and pi; 1 adds
     both connections' Gamma; 2 adds dGamma, R, Rlow and the Ricci tensor S;
-    3 adds d2Gamma, dR and nabla_R.  Every chart table is evaluated once per
-    sample.
+    3 adds d2Gamma, dR and nabla_R.  Every chart table read is evaluated
+    once per sample.
     """
-    mj = metric_jet(spec, points, order)
-    if order < 1:
-        return Jet(**vars(mj))
-    coeffs = coefficient_jets(mj)
-    return Jet(
-        **vars(mj),
-        lc=_connection_jet(mj.G, *coeffs[LEVI_CIVITA]),
-        pr=_connection_jet(mj.G, *coeffs[PROJECTIVE]),
-    )
+    return Jet(spec, points, order)
+
+
+def scalar_curvature(G_inv: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Per sample, the scalar curvature g^jk S_jk of a Ricci tensor."""
+    return np.einsum("sjk,sjk->s", G_inv, S)
 
 
 def ricci_shifts(j: Jet):
@@ -205,8 +245,8 @@ def ricci_shifts(j: Jet):
     identities, with c = lam (n-1)."""
     n = j.G.shape[1]
     c = lam_scale(n) * (n - 1)
-    r = np.einsum("sjk,sjk->s", j.G_inv, j.lc.S)
-    r_tilde = np.einsum("sjk,sjk->s", j.G_inv, j.pr.S)
+    r = scalar_curvature(j.G_inv, j.lc.S)
+    r_tilde = scalar_curvature(j.G_inv, j.pr.S)
     shifted = j.lc.S - c * np.einsum("sj,sk->sjk", j.pi, j.pi)
     return r, r_tilde, j.pr.S - shifted, r_tilde - (r - c)
 

@@ -23,7 +23,9 @@ canonical normalization).
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -306,8 +308,22 @@ class _Parser:
         raise ParseError("expected a number, name, or '('", pos)
 
 
+# An entry that is one unsigned number token of the grammar, blanks around it
+# allowed: most metric entries of a chart are such constants.
+_NUMBER = re.compile(r"\s*(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s*", re.ASCII)
+
+
 def parse(text: str) -> Expr:
-    """Parse an expression string, raising ParseError with a 1-based offset."""
+    """Parse an expression string, raising ParseError with a 1-based offset.
+
+    An entry that is a single finite number becomes its constant without
+    the tokenizer; everything else, an out-of-range number included, goes
+    through the parser."""
+    number = _NUMBER.fullmatch(text)
+    if number is not None:
+        value = float(number.group(1))
+        if math.isfinite(value):
+            return Const(value)
     parser = _Parser(text)
     node, _ = parser.parse_expr()
     tok = parser.peek()
@@ -393,40 +409,24 @@ def evaluate(e: Expr, env: dict, memo: dict | None = None) -> float:
     evaluated once.  A memo belongs to one ``env``: the values it holds are
     those at env's bindings.
     """
-    if isinstance(e, Const):
+    kind = type(e)
+    if kind is Const:
         return e.value
     if memo is None:
         memo = {}
     hit = memo.get(id(e))
     if hit is not None:
         return hit[1]
-    if isinstance(e, Var):
+    if kind is Mul:  # most nodes of a differentiated table are products
+        value = evaluate(e.left, env, memo) * evaluate(e.right, env, memo)
+    elif kind is Add:
+        value = evaluate(e.left, env, memo) + evaluate(e.right, env, memo)
+    elif kind is Var:
         try:
             value = env[e.name]
         except KeyError:
             raise UnboundVariableError(f"unbound variable {e.name!r}", e) from None
-    elif isinstance(e, Neg):
-        value = -evaluate(e.arg, env, memo)
-    elif isinstance(e, Add):
-        value = evaluate(e.left, env, memo) + evaluate(e.right, env, memo)
-    elif isinstance(e, Sub):
-        value = evaluate(e.left, env, memo) - evaluate(e.right, env, memo)
-    elif isinstance(e, Mul):
-        value = evaluate(e.left, env, memo) * evaluate(e.right, env, memo)
-    elif isinstance(e, Div):
-        denom = evaluate(e.right, env, memo)
-        if denom == 0.0:
-            raise DomainError("division by zero", e)
-        value = evaluate(e.left, env, memo) / denom
-    elif isinstance(e, Pow):
-        base = evaluate(e.base, env, memo)
-        if base == 0.0 and e.exponent < 0:
-            raise DomainError("zero raised to a negative power", e)
-        try:
-            value = float(base ** e.exponent)
-        except OverflowError:
-            raise DomainError("overflow in power", e) from None
-    elif isinstance(e, Call):
+    elif kind is Call:
         arg = evaluate(e.arg, env, memo)
         if e.func == "log" and arg <= 0.0:
             raise DomainError("log of a non-positive value", e)
@@ -436,6 +436,23 @@ def evaluate(e: Expr, env: dict, memo: dict | None = None) -> float:
             value = FUNCTIONS[e.func](arg)
         except (ValueError, OverflowError):
             raise DomainError(f"domain error in {e.func}", e) from None
+    elif kind is Pow:
+        base = evaluate(e.base, env, memo)
+        if base == 0.0 and e.exponent < 0:
+            raise DomainError("zero raised to a negative power", e)
+        try:
+            value = float(base ** e.exponent)
+        except OverflowError:
+            raise DomainError("overflow in power", e) from None
+    elif kind is Sub:
+        value = evaluate(e.left, env, memo) - evaluate(e.right, env, memo)
+    elif kind is Div:
+        denom = evaluate(e.right, env, memo)
+        if denom == 0.0:
+            raise DomainError("division by zero", e)
+        value = evaluate(e.left, env, memo) / denom
+    elif kind is Neg:
+        value = -evaluate(e.arg, env, memo)
     else:
         raise TypeError(f"not an expression node: {e!r}")
     memo[id(e)] = (e, value)  # holding e keeps its identity from being reused
@@ -610,10 +627,6 @@ class CompiledTable:
 # differentiation (with light simplification)
 
 
-def _is_const(e: Expr, value: float | None = None) -> bool:
-    return isinstance(e, Const) and (value is None or e.value == value)
-
-
 def const(value: float) -> Const:
     return Const(float(value))
 
@@ -621,53 +634,65 @@ def const(value: float) -> Const:
 # the zero and one that derivatives and simplifications return, shared
 _ZERO, _ONE = Const(0.0), Const(1.0)
 
+# The simplifying constructors below read the value of a constant operand as
+# x or y, None for any other node.
+
 
 def add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0.0):
+    x = a.value if type(a) is Const else None
+    y = b.value if type(b) is Const else None
+    if x == 0.0:
         return b
-    if _is_const(b, 0.0):
+    if y == 0.0:
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
+    if x is not None and y is not None:
+        return Const(x + y)
     return Add(a, b)
 
 
 def _sub(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 0.0):
+    x = a.value if type(a) is Const else None
+    y = b.value if type(b) is Const else None
+    if y == 0.0:
         return a
-    if _is_const(a, 0.0):
+    if x == 0.0:
         return _neg(b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
+    if x is not None and y is not None:
+        return Const(x - y)
     return Sub(a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
+    x = a.value if type(a) is Const else None
+    y = b.value if type(b) is Const else None
+    if x == 0.0 or y == 0.0:
         return _ZERO
-    if _is_const(a, 1.0):
+    if x == 1.0:
         return b
-    if _is_const(b, 1.0):
+    if y == 1.0:
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
+    if x is not None and y is not None:
+        return Const(x * y)
     return Mul(a, b)
 
 
 def _div(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0.0):
+    x = a.value if type(a) is Const else None
+    y = b.value if type(b) is Const else None
+    if x == 0.0:
         return _ZERO
-    if _is_const(b, 1.0):
+    if y == 1.0:
         return a
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
-        return Const(a.value / b.value)
+    if x is not None and y is not None and y != 0.0:
+        return Const(x / y)
     return Div(a, b)
 
 
 def _neg(a: Expr) -> Expr:
-    if isinstance(a, Const):
+    kind = type(a)
+    if kind is Const:
         return Const(-a.value)
-    if isinstance(a, Neg):
+    if kind is Neg:
         return a.arg
     return Neg(a)
 
@@ -677,7 +702,7 @@ def _pow(base: Expr, exponent: int) -> Expr:
         return _ONE
     if exponent == 1:
         return base
-    if isinstance(base, Const):
+    if type(base) is Const:
         try:
             return Const(float(base.value ** exponent))
         except (OverflowError, ZeroDivisionError):
@@ -686,7 +711,7 @@ def _pow(base: Expr, exponent: int) -> Expr:
 
 
 def _call(func: str, arg: Expr) -> Expr:
-    if isinstance(arg, Const):
+    if type(arg) is Const:
         try:
             return Const(FUNCTIONS[func](arg.value))
         except (ValueError, OverflowError):
@@ -704,9 +729,10 @@ def diff(e: Expr, var: str, memo: dict | None = None) -> Expr:
     differentiated once and its derivative is shared in turn.  The result is
     structurally the same with or without it.
     """
-    if isinstance(e, Const):
+    kind = type(e)
+    if kind is Const:
         return _ZERO
-    if isinstance(e, Var):
+    if kind is Var:
         return _ONE if e.name == var else _ZERO
     if memo is None:
         memo = {}
@@ -714,28 +740,28 @@ def diff(e: Expr, var: str, memo: dict | None = None) -> Expr:
     hit = memo.get(key)
     if hit is not None:
         return hit[1]
-    if isinstance(e, Neg):
-        result = _neg(diff(e.arg, var, memo))
-    elif isinstance(e, Add):
-        result = add(diff(e.left, var, memo), diff(e.right, var, memo))
-    elif isinstance(e, Sub):
-        result = _sub(diff(e.left, var, memo), diff(e.right, var, memo))
-    elif isinstance(e, Mul):
+    if kind is Mul:  # most nodes of a differentiated table are products
         result = add(
             mul(diff(e.left, var, memo), e.right),
             mul(e.left, diff(e.right, var, memo)),
         )
-    elif isinstance(e, Div):
+    elif kind is Add:
+        result = add(diff(e.left, var, memo), diff(e.right, var, memo))
+    elif kind is Call:
+        result = _diff_call(e, diff(e.arg, var, memo))
+    elif kind is Pow:
+        du = diff(e.base, var, memo)
+        result = mul(mul(Const(float(e.exponent)), _pow(e.base, e.exponent - 1)), du)
+    elif kind is Sub:
+        result = _sub(diff(e.left, var, memo), diff(e.right, var, memo))
+    elif kind is Div:
         numerator = _sub(
             mul(diff(e.left, var, memo), e.right),
             mul(e.left, diff(e.right, var, memo)),
         )
         result = _div(numerator, _pow(e.right, 2))
-    elif isinstance(e, Pow):
-        du = diff(e.base, var, memo)
-        result = mul(mul(Const(float(e.exponent)), _pow(e.base, e.exponent - 1)), du)
-    elif isinstance(e, Call):
-        result = _diff_call(e, diff(e.arg, var, memo))
+    elif kind is Neg:
+        result = _neg(diff(e.arg, var, memo))
     else:
         raise TypeError(f"not an expression node: {e!r}")
     memo[key] = (e, result)  # holding e keeps its identity from being reused
@@ -747,25 +773,23 @@ def partials(table: np.ndarray, coords: Sequence[str], memo: dict, axes: int) ->
     axes are derivative axes, with the new derivative axis first:
     out[m, ...] = d table[...] / d coords[m].
 
-    Partials commute, so each derivative multi-index is differentiated once,
-    in sorted order: for a sorted (m, *rest), out[m, *rest] is table[rest]
-    differentiated by coords[m], and every other permutation of it holds
-    that sub-array's trees.  A table whose derivative axes are symmetric
-    thus extends to one that is too.  Every entry is differentiated through
-    the one ``memo`` (see ``diff``).
+    Partials commute, so each derivative multi-index is differentiated once:
+    the sorted ones, (m, *rest) with m <= rest[0] <= ..., are walked in
+    lexicographic order, out[m, *rest] is table[rest] differentiated by
+    coords[m], and every permutation of the multi-index holds that
+    sub-array's trees.  A table whose derivative axes are symmetric thus
+    extends to one that is too.  Every entry is differentiated through the
+    one ``memo`` (see ``diff``).
     """
     n = len(coords)
     out = np.empty((n,) + table.shape, dtype=object)
-    base = table.shape[axes:]
-    for index in np.ndindex((n,) * (axes + 1)):
-        key = tuple(sorted(index))
-        if index != key:  # the sorted permutation comes first in this order
-            out[index] = out[key]
-            continue
+    for index in itertools.combinations_with_replacement(range(n), axes + 1):
         m, *rest = index
-        part = table[tuple(rest)]
-        for idx in np.ndindex(base):
-            out[index + idx] = diff(part[idx], coords[m], memo)
+        var = coords[m]
+        part = out[index]
+        part.reshape(-1)[:] = [diff(e, var, memo) for e in table[tuple(rest)].reshape(-1).tolist()]
+        for perm in set(itertools.permutations(index)) - {index}:
+            out[perm] = part
     return out
 
 
@@ -793,16 +817,15 @@ def _diff_call(e: Call, du: Expr) -> Expr:
 
 def variables(e: Expr) -> set[str]:
     """All variable names occurring in the tree."""
-    if isinstance(e, Var):
+    kind = type(e)
+    if kind is Var:
         return {e.name}
-    if isinstance(e, (Const,)):
+    if kind is Const:
         return set()
-    if isinstance(e, Neg):
+    if kind is Neg or kind is Call:
         return variables(e.arg)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return variables(e.left) | variables(e.right)
-    if isinstance(e, Pow):
+    if kind is Pow:
         return variables(e.base)
-    if isinstance(e, Call):
-        return variables(e.arg)
+    if kind in _BINARY_UFUNCS:
+        return variables(e.left) | variables(e.right)
     raise TypeError(f"not an expression node: {e!r}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -181,25 +182,6 @@ class MetricValue:
     dG: np.ndarray | None = None
     d2G: np.ndarray | None = None
     d3G: np.ndarray | None = None
-
-
-@dataclass
-class MetricJet:
-    """Metric data at a batch of points, every array with a leading sample
-    axis.  The metric's partials are present up to the order asked, the
-    first partials of pi from order 1 and its second partials from order 3
-    (what the connection coefficients one order below need)."""
-
-    points: np.ndarray  # (S, n)
-    G: np.ndarray  # (S, n, n)
-    G_inv: np.ndarray
-    xi: np.ndarray  # (S, n)
-    pi: np.ndarray  # (S, n), pi = G xi
-    dG: np.ndarray | None = None  # (S, n, n, n)
-    d2G: np.ndarray | None = None
-    d3G: np.ndarray | None = None
-    dpi: np.ndarray | None = None  # (S, n, n), dpi[s, m, i] = d_m pi_i
-    d2pi: np.ndarray | None = None
 
 
 @dataclass
@@ -480,33 +462,59 @@ def _require_spd(G: np.ndarray, points: np.ndarray) -> None:
             raise NotSPDError(f"metric is not positive definite at {ex.point_text(point)}")
 
 
-def metric_jet(spec: ManifoldSpec, points, order: int = 1) -> MetricJet:
-    """The metric stage of the sample-set jet: every table the order needs,
-    evaluated once on the whole batch, with a leading sample axis.
+def _table_field(name: str, order: int, lowest: int) -> cached_property:
+    """A ``MetricJet`` field: the chart table (name, order) on the jet's
+    points, evaluated on first read and kept; None below the jet order
+    ``lowest``."""
 
+    def read(self):
+        return self.tables.values(name, order, self.points) if self.order >= lowest else None
+
+    return cached_property(read)
+
+
+class MetricJet:
+    """Metric data at a batch of points, every array with a leading sample
+    axis.  The metric's partials are present up to the order asked, the
+    first partials of pi from order 1 and its second partials from order 3
+    (what the connection coefficients one order below need); a field
+    beyond the order is None.
+
+    G is evaluated, and certified symmetric positive definite, when the jet
+    is made.  Every other field is built on its first read and kept, so a
+    caller evaluates only the tables it reads, each once on the whole batch.
     Symbolic partials make the derivative arrays exact up to rounding in the
     final arithmetic.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
 
-    def table(name: str, k: int, needed: bool = True):
-        return spec.tables.values(name, k, points) if needed else None
+    def __init__(self, spec: ManifoldSpec, points, order: int):
+        self.tables = spec.tables
+        self.points = np.atleast_2d(np.asarray(points, dtype=float))  # (S, n)
+        self.order = order
+        self.G = self.tables.values("g", 0, self.points)  # (S, n, n)
+        _require_spd(self.G, self.points)
 
-    G = table("g", 0)
-    _require_spd(G, points)
-    xi = table("xi", 0)
-    return MetricJet(
-        points=points,
-        G=G,
-        G_inv=np.linalg.inv(G),
-        xi=xi,
-        pi=np.einsum("sij,sj->si", G, xi),
-        dG=table("g", 1, order >= 1),
-        d2G=table("g", 2, order >= 2),
-        d3G=table("g", 3, order >= 3),
-        dpi=table("pi", 1, order >= 1),
-        d2pi=table("pi", 2, order >= 3),
-    )
+    xi = _table_field("xi", 0, 0)  # (S, n)
+    dG = _table_field("g", 1, 1)  # (S, n, n, n)
+    d2G = _table_field("g", 2, 2)
+    d3G = _table_field("g", 3, 3)
+    dpi = _table_field("pi", 1, 1)  # (S, n, n), dpi[s, m, i] = d_m pi_i
+    d2pi = _table_field("pi", 2, 3)
+
+    @cached_property
+    def G_inv(self) -> np.ndarray:
+        return np.linalg.inv(self.G)
+
+    @cached_property
+    def pi(self) -> np.ndarray:
+        """(S, n), pi = G xi."""
+        return np.einsum("sij,sj->si", self.G, self.xi)
+
+
+def metric_jet(spec: ManifoldSpec, points, order: int = 1) -> MetricJet:
+    """The metric stage of the sample-set jet at a batch of points, its
+    tables evaluated as they are read (``MetricJet``)."""
+    return MetricJet(spec, points, order)
 
 
 def metric_at(spec: ManifoldSpec, point, order: int = 1) -> MetricValue:

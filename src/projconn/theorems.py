@@ -500,7 +500,7 @@ def run_checks(
     if running:
         order = max(_FAMILIES[family] for family in running)
         for lo, hi in samples.chunks():
-            j = jet(spec, samples.points[lo:hi], order)
+            j = jet(spec, samples.points[lo:hi], order).complete()
             for family in running:
                 for key, col in _FAMILY_RUNNERS[family](spec, j).items():
                     columns[family][key].append(col)

@@ -1,20 +1,25 @@
 """The benchmark under bench/ drives projconn through names it looks up at
 run time: the tracer wraps module-level functions, the family runners and
-``ChartTables.values`` / ``ChartTables.table``, and the worker counts the
-nodes of the order-3 g table and reads per-family self time under the keys
-of ``theorems._FAMILY_RUNNERS``.  A change to those names would only show
-when the benchmark runs (as a per-layer metric reading 0); these tests show
-it here."""
+``ChartTables.values`` / ``ChartTables.table``; the worker counts the
+nodes of the chart tables, reads per-family self time under the keys of
+``theorems._FAMILY_RUNNERS``, and runs its point queries and verifications
+through ``cli._eval_tensor``, ``cli.TENSOR_IDS``, ``load_spec`` and
+``run_checks``.  A change to those names would only show when the benchmark
+runs (as a per-layer metric reading 0, or as failed operations); these
+tests show it here, and pin the size of the workloads' expression trees."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import re
 import types
 from pathlib import Path
 
 import projconn
+import projconn.cli
 from projconn import theorems
+from projconn.expr import CompiledTable
 from projconn.geometry import ChartTables
 from projconn.catalog import builtin
 from projconn.theorems import run_checks
@@ -84,3 +89,48 @@ def test_worker_reads_only_families_that_run():
     families = {name for loop in loops for name in ast.literal_eval(loop.iter)}
     assert len(families) >= 5, sorted(families)
     assert families <= set(theorems._FAMILY_RUNNERS), sorted(families - set(theorems._FAMILY_RUNNERS))
+
+
+def _bench_on_path(monkeypatch):
+    """The worker, with bench/ importable as the worker's own imports need."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    return _bench_module("worker")
+
+
+# expression nodes of the g and pi tables of orders 0-3 over each workload's
+# charts, at seed 101; the expr layer must keep the trees it builds
+WORKLOAD_TABLE_NODES = {"small_curved": 6330, "flat_highdim": 42120, "warped_transcendental": 8790}
+
+
+def test_workload_tables_keep_their_trees(monkeypatch):
+    worker = _bench_on_path(monkeypatch)
+    from workloads import WARPED, WORKLOADS
+
+    for workload, nodes in WORKLOAD_TABLE_NODES.items():
+        specs = [worker.load_chart(projconn, name, 101) for name in WORKLOADS[workload]]
+        total = sum(
+            worker.count_nodes(tree)
+            for spec in specs
+            for table in ("g", "pi")
+            for order in range(4)
+            for tree in spec.tables.table(table, order).reshape(-1)
+        )
+        assert total == nodes, workload
+    warped = worker.load_chart(projconn, WARPED, 101)
+    programs = [CompiledTable(warped.tables.table("g", k), warped.coords) for k in range(4)]
+    assert [p.operations for p in programs] == [37, 78, 165, 329]
+
+
+def test_worker_queries_and_verifies(monkeypatch):
+    worker = _bench_on_path(monkeypatch)
+    from workloads import QUERY_CHARTS, WORKLOADS
+
+    queries = worker.Queries(projconn, 101)
+    queries.run(0.0, at_least=1)  # one round: every tensor id on every query chart
+    assert len(queries.windows) == len(QUERY_CHARTS) * len(projconn.cli.TENSOR_IDS)
+    assert queries.errors == []  # a query that raised or gave a non-finite array
+    names = [name for charts in WORKLOADS.values() for name in charts]
+    charts = worker.set_up(projconn, names, 101, 2)
+    for reports in worker.verify(projconn, charts):
+        assert reports and all(r.passed or r.skipped for r in reports)
+        assert len(json.loads(worker.serialise(reports))) == len(reports)

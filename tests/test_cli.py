@@ -174,7 +174,7 @@ def test_unknown_manifold_lists_the_catalog(capsys, command, name):
     assert err == (
         f"error: unknown catalog entry '{name}'; known: euclidean3, euclidean4, "
         "euclidean5, euclidean8, cylinder_s2xr, gssf_c1, gssf_c4, polar_r2xr2, "
-        "sphere3_bad_xi\n"
+        "warped_r3xr, sphere3_bad_xi\n"
     )
 
 

@@ -18,7 +18,6 @@ from projconn.curvature import jet
 from projconn.geometry import load_spec, metric_at, sample
 from projconn.theorems import run_checks
 from mutants import mutant
-from test_jet import WARPED_CHART
 
 ZERO_FIELD_3D = """
 name = flat_no_field
@@ -299,13 +298,9 @@ def test_gate_flags_inconsistent_declaration(sphere):
 # the batched covariant derivative
 
 
-def _chart(name):
-    return load_spec(WARPED_CHART) if name == "warped" else builtin(name).spec
-
-
-@pytest.mark.parametrize("name", [*catalog_names(), "warped"])
+@pytest.mark.parametrize("name", catalog_names())
 def test_covariant_levi_civita_is_metric_compatible(name):
-    spec = _chart(name)
+    spec = builtin(name).spec
     j = jet(spec, sample(spec, 40, seed=83).points, 1)
     nabla_g = covariant(j.lc.Gamma, j.G, j.dG, "ll")
     assert nabla_g.shape == (40,) + (spec.n,) * 3
@@ -316,7 +311,7 @@ def test_covariant_levi_civita_is_metric_compatible(name):
     "name", [n for n in catalog_names() if builtin(n).spec.parallel_xi_expected]
 )
 def test_covariant_projective_on_parallel_field(name):
-    spec = _chart(name)
+    spec = builtin(name).spec
     n = spec.n
     s = sample(spec, 40, seed=89)
     j = jet(spec, s.points, 1)

@@ -18,7 +18,6 @@ from projconn.curvature import (
 )
 from projconn.geometry import DimensionError, GateError, load_spec, metric_at, sample
 from mutants import mutant
-from test_jet import WARPED_CHART
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -393,7 +392,7 @@ def test_derivation_apply_matches_definition(cylinder, n, conn):
     np.testing.assert_allclose(_act(A, T), _derivation_definition(A, T), rtol=0, atol=1e-12)
 
 
-RICCI_CHARTS = list(catalog_names()) + ["warped_fixed"]
+RICCI_CHARTS = list(catalog_names())
 
 
 def ricci_identity_gap(name: str, conn: str) -> tuple[float, float]:
@@ -406,7 +405,7 @@ def ricci_identity_gap(name: str, conn: str) -> tuple[float, float]:
     sides are ``covariant``: D with the connection, R . C with the frames
     R(e_a, e_b) as its stack and no partials.  So one identity pins its one
     slot mapping, its slot signs, the torsion sign and the (i, j) order of R."""
-    spec = load_spec(WARPED_CHART) if name == "warped_fixed" else builtin(name).spec
+    spec = builtin(name).spec
     n = spec.n
     points = sample(spec, 1 if n > 5 else 8, seed=n).points
     s = len(points)

@@ -114,6 +114,29 @@ def test_parse_rejects_a_number_out_of_range(text, position):
     assert err.value.position == position
 
 
+def _parser_alone(text: str) -> ex.Expr:
+    """The recursive-descent parser, without parse's shortcut for an entry
+    that is one number."""
+    parser = ex._Parser(text)
+    tree, _ = parser.parse_expr()
+    assert parser.peek()[0] == "eof"
+    return tree
+
+
+@pytest.mark.parametrize("text", ["1", " 2.5e3 ", "0.25", "7E-2", "1e+3"])
+def test_a_lone_number_parses_as_the_parser_would(text):
+    assert ex.parse(text) == _parser_alone(text)
+
+
+def test_what_is_not_one_unsigned_number_takes_the_parser():
+    assert ex.parse("-1") == ex.Neg(ex.Const(1.0))
+    assert ex.parse("inf") == ex.Var("inf")
+    for text, message in (("1.", "malformed number"), ("1e999", "number out of range")):
+        with pytest.raises(ex.ParseError, match=message) as err:
+            ex.parse(text)
+        assert err.value.position == 1
+
+
 def test_parse_fractional_exponent_rejected():
     with pytest.raises(ex.ParseError):
         ex.parse("x^2.5")

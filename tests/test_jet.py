@@ -1,6 +1,6 @@
-"""The sample-set jet: chunking and sample order leave every report
-unchanged, and its tensors agree with an independent SymPy derivation from
-the chart strings."""
+"""The sample-set jet: a point query builds only what it reads, chunking and
+sample order leave every report unchanged, and its tensors agree with an
+independent SymPy derivation from the chart strings."""
 
 import functools
 import itertools
@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from projconn import connections, curvature, geometry, theorems
+from projconn import cli, connections, curvature, geometry, theorems
 from projconn import expr as ex
 from projconn.catalog import builtin
 from projconn.curvature import jet
-from projconn.geometry import SampleSet, load_spec, sample
+from projconn.geometry import SampleSet, sample
 from projconn.theorems import run_checks
 from mutants import mutant
 
@@ -71,6 +71,53 @@ def test_reports_do_not_depend_on_chunking(name, monkeypatch):
                 assert abs(a.extras[key] - b.extras[key]) <= 1e-14 * max(1.0, abs(a.extras[key]))
 
 
+def _counting(monkeypatch, owner, name: str) -> list:
+    """The argument tuples of every call of ``owner.name``, which still runs."""
+    calls = []
+    rule = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+G_TABLES = [("g", 0), ("g", 1), ("g", 2)]
+
+
+@pytest.mark.parametrize("tensor, tables, shifts", [
+    ("gamma", G_TABLES[:2], 0),
+    ("riemann", G_TABLES, 0),
+    ("ricci", G_TABLES, 0),
+    ("projective", G_TABLES, 0),
+    ("gamma_tilde", G_TABLES[:2] + [("xi", 0)], 1),
+])
+def test_point_query_builds_only_what_it_reads(monkeypatch, tensor, tables, shifts):
+    # only the tilde tensor reads xi and builds the projective connection,
+    # and its order-1 query needs no partial of pi
+    reads = _counting(monkeypatch, geometry.ChartTables, "values")
+    shifted = _counting(monkeypatch, connections, "_projective_shift")
+    array, _, _ = cli._eval_tensor(builtin("warped_r3xr").spec, tensor, (0.1, -0.2, 0.3, 0.0))
+    assert np.all(np.isfinite(array))
+    assert [(name, k) for _, name, k, _ in reads] == tables
+    assert len(shifted) == shifts
+
+
+def test_run_checks_builds_each_table_and_curvature_once_per_chunk(monkeypatch):
+    reads = _counting(monkeypatch, geometry.ChartTables, "values")
+    riemann = _counting(monkeypatch, curvature, "_riemann_components")
+    spec = builtin("cylinder_s2xr").spec
+    samples = sample(spec, 200, seed=42)
+    run_checks(spec, samples=samples)
+    chunks = len(samples.chunks())
+    assert chunks == 3
+    assert len(riemann) == 2 * chunks  # R and R~
+    # the gate reads g, xi, dg and dpi; the jet g, xi, dg, d2g, d3g, dpi, d2pi
+    assert len(reads) == 11 * chunks
+
+
 def _sympy_tensors(spec):
     """G_inv, Gamma, R and nabla R of both connections as functions of the
     point, derived with sympy.diff from the chart's expression strings."""
@@ -125,39 +172,17 @@ def test_jet_matches_sympy_oracle(name):
             assert np.max(np.abs(values[s] - expected)) <= 1e-12 * scale, (key, s)
 
 
-# (x, y, z) x t with g_tt = 1 and xi = d_t, the 3x3 block mixing exp, cosh,
-# sinh, sqrt, log and sin with off-diagonal terms; SPD on the box by
-# diagonal dominance.  No catalog chart has transcendental coefficients.
-WARPED_CHART = """
-name = warped_fixed
-dim = 4
-coords = x, y, z, t
-g[0][0] = 3.21 + exp(1.27*x)*sqrt(1 + y^2)/cosh(0.97*z)
-g[0][1] = 0.3*sinh(1.02*x*y)
-g[0][2] = 0.28*sin(x*z)*exp(y)
-g[0][3] = 0
-g[1][1] = 3.07 + cosh(1.2*y)*log(2 + x*z)
-g[1][2] = 0.29*cos(x + y*z)
-g[1][3] = 0
-g[2][2] = 3.48 + sin(1.32*x + y)*exp(-1.04*z)
-g[2][3] = 0
-g[3][3] = 1
-xi[0] = 0
-xi[1] = 0
-xi[2] = 0
-xi[3] = 1
-box[0] = -0.5, 0.5
-box[1] = -0.5, 0.5
-box[2] = -0.5, 0.5
-box[3] = -0.5, 0.5
-"""
+# The catalog's curved chart of dimension 4: (x, y, z) x t with g_tt = 1 and
+# xi = d_t, the 3x3 block mixing exp, cosh, sinh, sqrt, log and sin with
+# off-diagonal terms.
+WARPED = "warped_r3xr"
 
 
-# The catalog's curved charts have metrics of one coordinate, on which
+# The catalog's other curved charts have metrics of one coordinate, on which
 # d_p d_m Gamma comes out symmetric in (p, m) whatever the order of its mixed
 # terms; this chart's metric depends on x, y and z.
 def _warped_failures():
-    reports = run_checks(load_spec(WARPED_CHART), count=10, seed=42)
+    reports = run_checks(builtin(WARPED).spec, count=10, seed=42)
     return reports, {r.check_id for r in reports if not (r.passed or r.skipped)}
 
 
@@ -180,7 +205,7 @@ def test_warped_chart_catches_mixed_d2gamma_order(monkeypatch):
 def _warped_table_oracle():
     """The g and pi tables of orders 0-3 of the warped chart as functions of
     the point, derived with sympy.derive_by_array from the chart strings."""
-    spec = load_spec(WARPED_CHART)
+    spec = builtin(WARPED).spec
     n = spec.n
     x = sp.symbols(spec.coords)
     names = dict(zip(spec.coords, x))
@@ -204,7 +229,7 @@ def warped_table_mismatches():
     """(name, order, sample) of every g or pi table of a freshly loaded
     warped chart that differs from the SymPy oracle by more than 1e-12
     relative, at three seeded points."""
-    spec = load_spec(WARPED_CHART)
+    spec = builtin(WARPED).spec
     points = sample(spec, 3, seed=2024).points
     bad = []
     for (name, order), oracle in _warped_table_oracle().items():
@@ -226,7 +251,7 @@ def test_derivative_tables_are_symmetric(name):
     # each mixed partial is taken once: every permutation of a derivative
     # multi-index holds the same trees, so the jet's arrays are exactly
     # symmetric in their derivative axes
-    spec = load_spec(WARPED_CHART) if name == "warped" else builtin(name).spec
+    spec = builtin(WARPED if name == "warped" else name).spec
     n = spec.n
     for table_name in ("g", "pi"):
         for order in (2, 3):

@@ -1,5 +1,5 @@
 """Every engine mutant is killed: it fails a check on some catalog chart or
-on the warped test chart, or it breaks the Ricci identity of
+on the catalog's warped chart at more samples, or it breaks the Ricci identity of
 ``test_curvature.ricci_identity_gap``, or it moves a chart table off the
 SymPy oracle of ``test_jet.warped_table_mismatches``.
 
@@ -10,7 +10,7 @@ and the shared rules in every module that binds them."""
 
 import pytest
 
-from projconn import cli, connections, curvature, theorems
+from projconn import connections, curvature, theorems
 from projconn import expr as ex
 from projconn.catalog import builtin, catalog_names
 from projconn.connections import LEVI_CIVITA, PROJECTIVE
@@ -21,11 +21,12 @@ from test_jet import _warped_failures, warped_table_mismatches
 
 # name -> (killed by, modules that bind the rule by name, rule, old source,
 # new source).  A mutant is killed by a FAIL of run_checks on some "catalog"
-# chart; or on the "warped" chart of test_jet, for a coefficient that depends
-# on n, since the catalog is flat at n >= 4 and the coefficient is exact at
-# n = 3, or for a mixed partial, since the catalog's curved charts depend on
-# one coordinate; or by the "ricci_identity": the derivation reaches verdicts
-# on flat charts only, where the slot mapping does not show; or by the
+# chart, at 6 samples: warped_r3xr is curved at n = 4, so a coefficient that
+# depends on n but is exact at n = 3 shows there.  A wrong mixed partial is
+# killed on the "warped" chart, warped_r3xr at 10 samples, the one catalog
+# chart whose metric depends on more than one coordinate.  The others are
+# killed by the "ricci_identity": the derivation reaches verdicts on flat
+# charts only, where the slot mapping does not show; or by the
 # "table_oracle", for a wrong table whose derivative axes stay symmetric:
 # such a jet is the jet of some (polynomial) metric, so no identity checked
 # at a point can see it.  A family runner is patched in
@@ -48,13 +49,13 @@ MUTANTS = {
     ),
     "eq11d_term_dropped": ("catalog", (), "_curvature_columns", "+ (2.0 / (n + 1)) * pi_R", ""),
     "eq11d_coefficient_n_over_n_plus_1": (
-        "warped", (), "_curvature_columns", "(n / (n + 1.0))", "0.75",
+        "catalog", (), "_curvature_columns", "(n / (n + 1.0))", "0.75",
     ),
     "eq11d_coefficient_2_over_n_plus_1": (
-        "warped", (), "_curvature_columns", "(2.0 / (n + 1))", "0.5",
+        "catalog", (), "_curvature_columns", "(2.0 / (n + 1))", "0.5",
     ),
     "eq5_3_part_i_over_n_minus_1": (
-        "warped", (), "_rp_columns",
+        "catalog", (), "_rp_columns",
         'np.einsum("sjk,sl->sljk", S, xi)\n    ) / (n - 1.0)',
         'np.einsum("sjk,sl->sljk", S, xi)\n    ) / 2.0',
     ),
@@ -62,7 +63,7 @@ MUTANTS = {
     # a term that does not vanish on flat charts, so the catalog's charts at
     # n >= 4 kill them
     "ricci_shift_c_at_n3": (
-        "catalog", (curvature, theorems, cli), "ricci_shifts",
+        "catalog", (curvature, theorems), "ricci_shifts",
         "c = lam_scale(n) * (n - 1)", "c = lam_scale(n) * 2",
     ),
     "projective_tensor_over_2": (
@@ -108,12 +109,12 @@ MUTANTS = {
     ),
     # a permutation of a sorted multi-index gets the table one order down
     "partials_permutation_not_differentiated": (
-        "warped", (ex,), "partials", "out[index] = out[key]", "out[index] = table[key[1:]]",
+        "warped", (ex,), "partials", "out[perm] = part", "out[perm] = table[tuple(rest)]",
     ),
     # a sorted multi-index differentiated by its last coordinate, not its first
     "partials_sorted_index_by_last_coordinate": (
         "table_oracle", (ex,), "partials",
-        "diff(part[idx], coords[m], memo)", "diff(part[idx], coords[index[-1]], memo)",
+        "var = coords[m]", "var = coords[index[-1]]",
     ),
 }
 
