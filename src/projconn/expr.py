@@ -4,13 +4,18 @@ Grammar (EBNF):
 
     expr    := term (('+' | '-') term)*
     term    := factor (('*' | '/') factor)*
-    factor  := '-' factor | primary ('^' integer)?
+    factor  := '-' factor | primary ('^' '-'? digit+)?
     primary := number | ident | ident '(' expr ')' | '(' expr ')'
+    number  := digit+ ('.' digit+)? (('e' | 'E') ('+' | '-')? digit+)?
+    ident   := letter (letter | digit)*
 
-'+', '-', '*' and '/' associate to the left; '^' takes a literal integer
-exponent and binds tighter than unary minus.  Identifiers are ASCII words
-naming either a coordinate or one of the built-in functions (sin, cos, tan,
-exp, log, sqrt, sinh, cosh).
+A digit is one of the ASCII '0' to '9' (``DIGITS``), a letter one of the
+ASCII 'A' to 'Z', 'a' to 'z' and '_' (``LETTERS``): any other character, a
+superscript or a non-Latin digit or letter included, is a ParseError.  '+',
+'-', '*' and '/' associate to the left, with the precedence of
+``_OPERATORS``; '^' takes a literal integer exponent and binds tighter than
+unary minus.  An identifier names either a coordinate or one of the built-in
+functions (sin, cos, tan, exp, log, sqrt, sinh, cosh).
 
 Trees are immutable, so they can be shared freely between threads and
 evaluated concurrently.  ``evaluate`` walks one tree at one point;
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -153,15 +158,40 @@ FUNCTIONS = {
 }
 
 
+_Operator = namedtuple("_Operator", "symbol precedence ufunc")
+
+# The binary operators: how each is written, how tightly it binds (see
+# ``_precedence``) and the ufunc that computes it.  The parser, the printer,
+# the compiler and ``variables`` read this table.
+_OPERATORS = {
+    Add: _Operator("+", 1, np.add),
+    Sub: _Operator("-", 1, np.subtract),
+    Mul: _Operator("*", 2, np.multiply),
+    Div: _Operator("/", 2, np.divide),
+}
+_BY_SYMBOL = {op.symbol: (kind, op.precedence) for kind, op in _OPERATORS.items()}
+
+
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 
+# The digits and the letters of the grammar, ASCII only.  The tokenizer and
+# the chart loader's coordinate names and key indices all read these.
+DIGITS = "0123456789"
+LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
+_DIGIT = frozenset(DIGITS)
+_LETTER = frozenset(LETTERS)
+_WORD = _DIGIT | _LETTER
+_SYMBOLS = frozenset("^()").union(_BY_SYMBOL)
 
-_OPERATORS = set("+-*/^()")
+
+def is_name(text: str) -> bool:
+    """Whether the text is one identifier of the grammar."""
+    return text[:1] in _LETTER and _WORD.issuperset(text)
 
 
 def _tokenize(text: str):
-    """Yield (kind, lexeme, 1-based position) triples, ending with EOF."""
+    """(kind, lexeme, 1-based position) triples, ending with EOF."""
     tokens = []
     i = 0
     length = len(text)
@@ -171,33 +201,33 @@ def _tokenize(text: str):
             i += 1
             continue
         start = i
-        if ch.isdigit():
+        if ch in _DIGIT:
             i += 1
-            while i < length and text[i].isdigit():
+            while i < length and text[i] in _DIGIT:
                 i += 1
             if i < length and text[i] == ".":
                 i += 1
-                if i >= length or not text[i].isdigit():
+                if i >= length or text[i] not in _DIGIT:
                     raise ParseError("malformed number", start + 1)
-                while i < length and text[i].isdigit():
+                while i < length and text[i] in _DIGIT:
                     i += 1
             if i < length and text[i] in "eE":
                 j = i + 1
                 if j < length and text[j] in "+-":
                     j += 1
-                if j < length and text[j].isdigit():
+                if j < length and text[j] in _DIGIT:
                     i = j + 1
-                    while i < length and text[i].isdigit():
+                    while i < length and text[i] in _DIGIT:
                         i += 1
             tokens.append(("number", text[start:i], start + 1))
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _LETTER:
             i += 1
-            while i < length and (text[i].isalnum() or text[i] == "_"):
+            while i < length and text[i] in _WORD:
                 i += 1
             tokens.append(("ident", text[start:i], start + 1))
             continue
-        if ch in _OPERATORS:
+        if ch in _SYMBOLS:
             tokens.append((ch, ch, start + 1))
             i += 1
             continue
@@ -215,10 +245,10 @@ MAX_DEPTH = 100
 
 
 class _Parser:
-    """Recursive descent; each parse method returns (tree, tree depth)."""
+    """Recursive descent over tokens; each parse method returns (tree, tree depth)."""
 
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+    def __init__(self, tokens: list):
+        self.tokens = tokens
         self.pos = 0
         self.nesting = 0
 
@@ -241,23 +271,19 @@ class _Parser:
             raise ParseError(f"expected {what}", tok[2])
         return tok
 
-    def parse_expr(self):
-        node, depth = self.parse_term()
-        while self.peek()[0] in ("+", "-"):
-            op, _, pos = self.advance()
-            right, d = self.parse_term()
-            node = Add(node, right) if op == "+" else Sub(node, right)
-            depth = self.check(max(depth, d) + 1, pos)
-        return node, depth
-
-    def parse_term(self):
+    def parse_expr(self, level: int = 1):
+        """Factors joined by binary operators of precedence ``level`` or
+        above, each associating to the left: an operand to the right of an
+        operator takes only the operators that bind tighter."""
         node, depth = self.parse_factor()
-        while self.peek()[0] in ("*", "/"):
-            op, _, pos = self.advance()
-            right, d = self.parse_factor()
-            node = Mul(node, right) if op == "*" else Div(node, right)
+        while True:
+            kind, precedence = _BY_SYMBOL.get(self.peek()[0], (None, 0))
+            if precedence < level:
+                return node, depth
+            pos = self.advance()[2]
+            right, d = self.parse_expr(precedence + 1)
+            node = kind(node, right)
             depth = self.check(max(depth, d) + 1, pos)
-        return node, depth
 
     def parse_factor(self):
         self.nesting += 1
@@ -308,23 +334,18 @@ class _Parser:
         raise ParseError("expected a number, name, or '('", pos)
 
 
-# An entry that is one unsigned number token of the grammar, blanks around it
-# allowed: most metric entries of a chart are such constants.
-_NUMBER = re.compile(r"\s*(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s*", re.ASCII)
-
-
 def parse(text: str) -> Expr:
     """Parse an expression string, raising ParseError with a 1-based offset.
 
-    An entry that is a single finite number becomes its constant without
-    the tokenizer; everything else, an out-of-range number included, goes
-    through the parser."""
-    number = _NUMBER.fullmatch(text)
-    if number is not None:
-        value = float(number.group(1))
+    An entry that is one finite number token, as most metric entries of a
+    chart are, becomes its constant without the parser; everything else, an
+    out-of-range number included, goes through it."""
+    tokens = _tokenize(text)
+    if len(tokens) == 2 and tokens[0][0] == "number":
+        value = float(tokens[0][1])
         if math.isfinite(value):
             return Const(value)
-    parser = _Parser(text)
+    parser = _Parser(tokens)
     node, _ = parser.parse_expr()
     tok = parser.peek()
     if tok[0] != "eof":
@@ -335,21 +356,17 @@ def parse(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 # printing
 
-# precedence levels: +- (1), */ (2), unary - (3), ^ (4), atoms (9)
-
 
 def _precedence(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return 1
-    if isinstance(e, (Mul, Div)):
-        return 2
-    if isinstance(e, Neg):
+    """How tightly the printed form of e binds: a binary operator's
+    precedence, 3 for unary minus (a negative constant prints with one), 4
+    for '^' and 9 for an atom."""
+    op = _OPERATORS.get(type(e))
+    if op is not None:
+        return op.precedence
+    if isinstance(e, Neg) or isinstance(e, Const) and e.value < 0:
         return 3
-    if isinstance(e, Const) and e.value < 0:
-        return 3
-    if isinstance(e, Pow):
-        return 4
-    return 9
+    return 4 if isinstance(e, Pow) else 9
 
 
 def format_number(value: float) -> str:
@@ -359,7 +376,9 @@ def format_number(value: float) -> str:
     return repr(value)
 
 
-def _render(e: Expr) -> str:
+def to_text(e: Expr) -> str:
+    """Render with minimal parentheses; parse(to_text(t)) evaluates equal to t,
+    and is structurally equal for parser-produced trees."""
     if isinstance(e, Const):
         if e.value < 0:
             return "-" + format_number(-e.value)
@@ -367,34 +386,22 @@ def _render(e: Expr) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):
-        inner = _render(e.arg) if _precedence(e.arg) >= 3 else f"({_render(e.arg)})"
-        return "-" + inner
-    if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
-        left = _render(e.left)
-        right = _render(e.right) if _precedence(e.right) > 1 else f"({_render(e.right)})"
-        if right.startswith("-"):
+        inner = to_text(e.arg)
+        return "-" + (inner if _precedence(e.arg) >= 3 else f"({inner})")
+    op = _OPERATORS.get(type(e))
+    if op is not None:
+        left, right = to_text(e.left), to_text(e.right)
+        if _precedence(e.left) < op.precedence:
+            left = f"({left})"
+        if _precedence(e.right) <= op.precedence or right.startswith("-"):
             right = f"({right})"
-        return f"{left}{op}{right}"
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        left = _render(e.left) if _precedence(e.left) >= 2 else f"({_render(e.left)})"
-        right = _render(e.right) if _precedence(e.right) > 2 else f"({_render(e.right)})"
-        if right.startswith("-"):
-            right = f"({right})"
-        return f"{left}{op}{right}"
+        return f"{left}{op.symbol}{right}"
     if isinstance(e, Pow):
-        base = _render(e.base) if _precedence(e.base) == 9 else f"({_render(e.base)})"
-        return f"{base}^{e.exponent}"
+        base = to_text(e.base)
+        return (base if _precedence(e.base) == 9 else f"({base})") + f"^{e.exponent}"
     if isinstance(e, Call):
-        return f"{e.func}({_render(e.arg)})"
+        return f"{e.func}({to_text(e.arg)})"
     raise TypeError(f"not an expression node: {e!r}")
-
-
-def to_text(e: Expr) -> str:
-    """Render with minimal parentheses; parse(to_text(t)) evaluates equal to t,
-    and is structurally equal for parser-produced trees."""
-    return _render(e)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +471,6 @@ def point_text(point) -> str:
     return "(" + ", ".join(repr(float(x)) for x in point) + ")"
 
 
-_BINARY_UFUNCS = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
 _COMMUTATIVE = (np.add, np.multiply)  # exact in IEEE arithmetic, so operands may swap
 _CALL_UFUNCS = {name: getattr(np, name) for name in FUNCTIONS}
 
@@ -521,8 +527,8 @@ def _compile(trees, coords: tuple[str, ...]):
                 operand = emit(np.power, visit(e.base), constant(float(e.exponent)))
             elif kind is Call:
                 operand = emit(_CALL_UFUNCS[e.func], visit(e.arg))
-            elif kind in _BINARY_UFUNCS:
-                operand = emit(_BINARY_UFUNCS[kind], visit(e.left), visit(e.right))
+            elif kind in _OPERATORS:
+                operand = emit(_OPERATORS[kind].ufunc, visit(e.left), visit(e.right))
             else:
                 raise TypeError(f"not an expression node: {e!r}")
             seen[id(e)] = operand
@@ -826,6 +832,6 @@ def variables(e: Expr) -> set[str]:
         return variables(e.arg)
     if kind is Pow:
         return variables(e.base)
-    if kind in _BINARY_UFUNCS:
+    if kind in _OPERATORS:
         return variables(e.left) | variables(e.right)
     raise TypeError(f"not an expression node: {e!r}")

@@ -211,16 +211,10 @@ class SampleSet:
 # loading
 
 
-_INDEXED_2 = re.compile(r"^(g|phi)\[(\d+)\]\[(\d+)\]$")
-_INDEXED_1 = re.compile(r"^(xi|box)\[(\d+)\]$")
-_IDENT = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
-
-
-def _parse_expr(text: str, context: str) -> ex.Expr:
-    try:
-        return ex.parse(text)
-    except ex.ParseError as err:
-        raise SpecError(f"{context}: {err}") from err
+# A key index is ASCII digits, the digits of the expression grammar.
+_INDEX = rf"\[([{ex.DIGITS}]+)\]"
+_INDEXED_2 = re.compile(rf"(g|phi){_INDEX}{_INDEX}")
+_INDEXED_1 = re.compile(rf"(xi|box){_INDEX}")
 
 
 def _parse_kv_document(text: str) -> dict:
@@ -234,8 +228,8 @@ def _parse_kv_document(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        m2 = _INDEXED_2.match(key)
-        m1 = _INDEXED_1.match(key)
+        m2 = _INDEXED_2.fullmatch(key)
+        m1 = _INDEXED_1.fullmatch(key)
         if m2:
             slot, index = doc[m2.group(1)], (int(m2.group(2)), int(m2.group(3)))
         elif m1:
@@ -324,19 +318,22 @@ def _build_spec(doc: dict) -> ManifoldSpec:
     if len(coords) != n:
         raise SpecError(f"dim={n} but coords lists {len(coords)} names")
     for c in coords:
-        if not _IDENT.match(c):
+        if not ex.is_name(c):
             raise SpecError(f"invalid coordinate name {c!r}")
         if c in ex.FUNCTIONS:
             raise SpecError(f"coordinate name {c!r} shadows a function")
     if len(set(coords)) != n:
         raise SpecError("duplicate coordinate names")
 
-    def check_vars(tree: ex.Expr, context: str):
+    def entry(text: str, context: str) -> ex.Expr:
+        """A g, xi, phi or f entry: parsed, and in the chart's coordinates."""
+        try:
+            tree = ex.parse(text)
+        except ex.ParseError as err:
+            raise SpecError(f"{context}: {err}") from err
         unknown = ex.variables(tree) - set(coords)
         if unknown:
-            raise SpecError(
-                f"{context} uses unknown coordinate(s) {sorted(unknown)}"
-            )
+            raise SpecError(f"{context} uses unknown coordinate(s) {sorted(unknown)}")
         return tree
 
     g_entries = doc.get("g", {})
@@ -345,7 +342,7 @@ def _build_spec(doc: dict) -> ManifoldSpec:
             raise SpecError(f"metric index g[{i}][{j}] outside dimension {n}")
     g_rows: list[list[ex.Expr | None]] = [[None] * n for _ in range(n)]
     for (i, j), text in g_entries.items():
-        g_rows[i][j] = check_vars(_parse_expr(text, f"g[{i}][{j}]"), f"g[{i}][{j}]")
+        g_rows[i][j] = entry(text, f"g[{i}][{j}]")
     for i in range(n):
         for j in range(i, n):
             upper, lower = g_rows[i][j], g_rows[j][i]
@@ -364,10 +361,7 @@ def _build_spec(doc: dict) -> ManifoldSpec:
     xi_entries = doc.get("xi", {})
     if set(xi_entries) != set(range(n)):
         raise SpecError(f"xi must provide exactly indices 0..{n - 1}")
-    xi = tuple(
-        check_vars(_parse_expr(xi_entries[i], f"xi[{i}]"), f"xi[{i}]")
-        for i in range(n)
-    )
+    xi = tuple(entry(xi_entries[i], f"xi[{i}]") for i in range(n))
 
     box_entries = doc.get("box", {})
     if set(box_entries) != set(range(n)):
@@ -391,22 +385,12 @@ def _build_spec(doc: dict) -> ManifoldSpec:
         if set(phi_entries) != {(i, j) for i in range(n) for j in range(n)}:
             raise SpecError("phi must provide all n*n entries when present")
         phi = tuple(
-            tuple(
-                check_vars(
-                    _parse_expr(phi_entries[(i, j)], f"phi[{i}][{j}]"),
-                    f"phi[{i}][{j}]",
-                )
-                for j in range(n)
-            )
+            tuple(entry(phi_entries[(i, j)], f"phi[{i}][{j}]") for j in range(n))
             for i in range(n)
         )
 
-    fs = {}
-    for key in ("f1", "f2", "f3"):
-        if doc.get(key) is not None:
-            fs[key] = check_vars(_parse_expr(str(doc[key]), key), key)
-        else:
-            fs[key] = None
+    fs = {key: None if doc.get(key) is None else entry(str(doc[key]), key)
+          for key in ("f1", "f2", "f3")}
 
     parallel = doc.get("parallel_xi_expected", True)
     if isinstance(parallel, str) and parallel.lower() in ("true", "false"):
@@ -422,9 +406,7 @@ def _build_spec(doc: dict) -> ManifoldSpec:
         box=tuple(box),
         parallel_xi_expected=parallel,
         phi=phi,
-        f1=fs["f1"],
-        f2=fs["f2"],
-        f3=fs["f3"],
+        **fs,
     )
 
 

@@ -321,6 +321,18 @@ _OVERFLOWING_CHART = (CHARTS / "euclidean3.manifold").read_text(
     encoding="utf-8").replace("g[0][0] = 1", "g[0][0] = 1 + log(x - 1e999)")
 
 
+def _euclidean3_with(old: str, new: str) -> str:
+    return (CHARTS / "euclidean3.manifold").read_text(encoding="utf-8").replace(old, new)
+
+
+def test_superscript_entry_exits_3_with_one_line(tmp_path, capsys):
+    path = tmp_path / "chart.manifold"
+    path.write_text(_euclidean3_with("g[1][1] = 1", "g[1][1] = ²"), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--file", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: cannot load manifold file: g[1][1]: unexpected character '²' (at character 1)\n"
+
+
 def _deep_chart(entry: str) -> str:
     """euclidean3 with g[1][1] = entry and xi = d_z, so that an entry in x
     leaves the field parallel and every check passing."""
@@ -397,6 +409,11 @@ def test_entry_at_the_depth_limit_verifies_and_evaluates(tmp_path, capsys, shape
         (["list", "--out", "{tmp}/missing/list.txt"], None, 3, "cannot write --out file"),
         (["verify"], b"\xff" + (CHARTS / "euclidean3.manifold").read_bytes(), 3,
          "cannot load manifold file: 'utf-8' codec can't decode"),
+        (["verify"], _euclidean3_with("g[0][0] = 1", "g[0][0] = 1 + x^²"), 3,
+         "g[0][0]: unexpected character '²' (at character 7)"),
+        (["eval", "--tensor", "gamma", "--point", "0,0,0"],
+         _euclidean3_with("g[0][0] = 1", "g[0][0] = 1 + ٣*x^2"), 3,
+         "g[0][0]: unexpected character '٣' (at character 5)"),
         (["verify"], json.dumps(dict(_JSON_CHART, parallel_xi_expected=None)), 3,
          "parallel_xi_expected must be true or false"),
         (["verify"], json.dumps(dict(_JSON_CHART, parallel_xi_expected=0)), 3,
@@ -414,7 +431,8 @@ def test_entry_at_the_depth_limit_verifies_and_evaluates(tmp_path, capsys, shape
          "tol_nan", "tol_negative", "check_names_none", "dim_not_integral",
          "box_infinite", "box_width_overflows", "verify_number_overflows",
          "eval_number_overflows", "out_is_a_directory", "out_directory_missing",
-         "file_not_utf8", "parallel_flag_null", "parallel_flag_number",
+         "file_not_utf8", "superscript_exponent", "arabic_indic_digit", "parallel_flag_null",
+         "parallel_flag_number",
          *[f"{shape}_past_depth_limit" for shape in _DEEP_ENTRIES], "eval_parens_2000",
          "json_nested_50000"],
 )

@@ -117,7 +117,7 @@ def test_parse_rejects_a_number_out_of_range(text, position):
 def _parser_alone(text: str) -> ex.Expr:
     """The recursive-descent parser, without parse's shortcut for an entry
     that is one number."""
-    parser = ex._Parser(text)
+    parser = ex._Parser(ex._tokenize(text))
     tree, _ = parser.parse_expr()
     assert parser.peek()[0] == "eof"
     return tree
@@ -137,6 +137,13 @@ def test_what_is_not_one_unsigned_number_takes_the_parser():
         assert err.value.position == 1
 
 
+@pytest.mark.parametrize("text, position", [("x^²", 3), ("1+٣", 3), ("θ", 1)])
+def test_parse_rejects_a_digit_or_letter_outside_ascii(text, position):
+    with pytest.raises(ex.ParseError, match="unexpected character") as err:
+        ex.parse(text)
+    assert err.value.position == position
+
+
 def test_parse_fractional_exponent_rejected():
     with pytest.raises(ex.ParseError):
         ex.parse("x^2.5")
@@ -146,6 +153,20 @@ def test_parse_fractional_exponent_rejected():
 def test_round_trip_is_structural_identity(text):
     tree = ex.parse(text)
     assert ex.parse(ex.to_text(tree)) == tree
+
+
+def test_printer_writes_the_corpus_back_verbatim():
+    # reports and error messages show this text: no parenthesis is added,
+    # and every number but 2.5e3 (printed 2500) is written as in the corpus
+    reprinted = {text: ex.to_text(ex.parse(text)) for text in ROUND_TRIP_CORPUS}
+    assert {text: out for text, out in reprinted.items() if out != text} == {"2.5e3": "2500"}
+
+
+def test_seeded_trees_print_and_parse_back():
+    rng = np.random.default_rng(2201)
+    for _ in range(2000):
+        tree = random_expr(rng, 5)
+        assert ex.parse(ex.to_text(tree)) == tree, ex.to_text(tree)
 
 
 def test_eval_simple():

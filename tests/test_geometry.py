@@ -72,6 +72,18 @@ def test_unknown_key_rejected():
         load_spec(FLAT_2D + "bogus = 1\n")
 
 
+@pytest.mark.parametrize("key", ["g[٠][٠]", "xi[١]", "phi[٠][١]"])
+def test_key_index_outside_ascii_is_unknown(key):
+    with pytest.raises(SpecError, match=re.escape(f"unknown key {key!r}")):
+        load_spec(FLAT_2D + f"{key} = 1\n")
+
+
+@pytest.mark.parametrize("coords", ["θ, v", "u, v²", "1u, v"])
+def test_coordinate_name_outside_ascii_rejected(coords):
+    with pytest.raises(SpecError, match="invalid coordinate name"):
+        load_spec(FLAT_2D.replace("coords = u, v", f"coords = {coords}"))
+
+
 @pytest.mark.parametrize("extra, key", [
     ("g[1][1] = 2\n", "g[1][1]"),
     ("xi[0] = 0\n", "xi[0]"),

@@ -1,13 +1,17 @@
 """Every engine mutant is killed: it fails a check on some catalog chart or
 on the catalog's warped chart at more samples, or it breaks the Ricci identity of
 ``test_curvature.ricci_identity_gap``, or it moves a chart table off the
-SymPy oracle of ``test_jet.warped_table_mismatches``.
+SymPy oracle of ``test_jet.warped_table_mismatches``, or it changes which
+gated checks fail on the ungated control (``_ungated_failures``).
 
 Each mutant is rebuilt from the rule's source (``mutants.mutant``) and
 monkeypatched in wherever the rule is looked up: the family runners through
 ``theorems._FAMILY_RUNNERS``, which holds the function objects themselves,
 and the shared rules in every module that binds them."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from projconn import connections, curvature, theorems
@@ -29,8 +33,10 @@ from test_jet import _warped_failures, warped_table_mismatches
 # charts only, where the slot mapping does not show; or by the
 # "table_oracle", for a wrong table whose derivative axes stay symmetric:
 # such a jet is the jet of some (polynomial) metric, so no identity checked
-# at a point can see it.  A family runner is patched in
-# theorems._FAMILY_RUNNERS instead of in a binding module.
+# at a point can see it; or by the "ungated" control, for a check that can
+# no longer fail anywhere, such as one comparing a tensor with itself.  A
+# family runner is patched in theorems._FAMILY_RUNNERS instead of in a
+# binding module.
 MUTANTS = {
     "wrong_lambda": (
         "catalog", (curvature, theorems), "lam_scale", "-(n * n)", "-(n * n + 1)",
@@ -98,6 +104,16 @@ MUTANTS = {
     "gssf_star2_term_dropped": (
         "catalog", (), "_gssf_columns", '+ 2.0 * np.einsum("sij,slk->slijk", A, phi)', "",
     ),
+    # the Codazzi antisymmetrisation of lem2_6 swaps the wrong pair of slots
+    # of nabla S~
+    "codazzi_slots_swapped": (
+        "catalog", (), "_ricci_columns",
+        'np.einsum("smjk->sjmk", nabla_St)', 'np.einsum("smjk->smkj", nabla_St)',
+    ),
+    "eq15_compared_with_itself": (
+        "ungated", (), "_ricci_columns",
+        "_residual(nabla_St - nabla_S)", "_residual(nabla_St - nabla_St)",
+    ),
     # the terms of the second and third slots (z and u of a (1,3) tensor)
     # land in each other's slots; a tensor of rank 2 or less has no swap
     "derivation_slots_swapped": (
@@ -117,6 +133,31 @@ MUTANTS = {
         "var = coords[m]", "var = coords[index[-1]]",
     ),
 }
+
+
+# The gated checks that FAIL on sphere3_bad_xi, whose field is not
+# parallel, once the gate lets them run; the others (thm2_1_i, thm2_1_v,
+# eq11 and thm3_3_p_flat) hold there, and the flat-premise checks skip.
+UNGATED_FAILURES = {
+    "eq9_two_path", "thm2_1_ii", "thm2_1_iii", "thm2_1_iv",
+    "eq11d", "eq12", "lem2_4",
+    "eq10", "eq15", "lem2_6",
+    "eq17", "eq5_3",
+}
+
+
+def _ungated_failures(monkeypatch) -> set[str]:
+    """The checks that FAIL on sphere3_bad_xi declared parallel, with the
+    gate's measurement patched to zeros, at 50 samples."""
+    spec = replace(builtin("sphere3_bad_xi").spec, parallel_xi_expected=True, _tables=None)
+    monkeypatch.setattr(theorems, "check_parallel_unit_xi",
+                        lambda spec, samples: (np.zeros(samples.count), np.zeros(samples.count)))
+    reports = run_checks(spec, count=50, seed=42)
+    return {r.check_id for r in reports if not (r.passed or r.skipped)}
+
+
+def test_gated_checks_fail_without_the_gate(monkeypatch):
+    assert _ungated_failures(monkeypatch) == UNGATED_FAILURES
 
 
 def _failing_charts() -> list[str]:
@@ -168,3 +209,9 @@ def test_mutant_breaks_the_ricci_identity(monkeypatch, name):
 def test_mutant_fails_the_table_oracle(monkeypatch, name):
     _patch(monkeypatch, name)
     assert warped_table_mismatches()
+
+
+@pytest.mark.parametrize("name", [m for m in MUTANTS if MUTANTS[m][0] == "ungated"])
+def test_mutant_changes_the_ungated_failures(monkeypatch, name):
+    _patch(monkeypatch, name)
+    assert _ungated_failures(monkeypatch) != UNGATED_FAILURES
