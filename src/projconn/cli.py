@@ -56,7 +56,7 @@ def _load_manifold(args) -> geometry.ManifoldSpec:
 
 def _parse_point(text: str, spec) -> tuple[float, ...]:
     try:
-        point = tuple(float(p) for p in text.split(","))
+        point = tuple(expr.read_number(p) for p in text.split(","))
     except ValueError:
         raise _UsageError(f"--point must be comma separated reals, got {text!r}") from None
     if len(point) != spec.n:
@@ -77,9 +77,9 @@ def _parse_tolerances(pairs) -> dict:
         if key not in theorems.REGISTRY:
             raise _UsageError(f"unknown check id in --tol: {key!r}")
         try:
-            overrides[key] = float(value)
+            overrides[key] = expr.read_number(value)
         except ValueError:
-            raise _UsageError(f"--tol value for {key!r} is not a number") from None
+            raise _UsageError(f"--tol value for {key!r} is not a number, got {value!r}") from None
         if not math.isfinite(overrides[key]) or overrides[key] < 0:
             raise _UsageError(f"--tol value for {key!r} must be finite and non-negative, got {value}")
     return overrides

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ManifoldSpec, MetricJet, metric_jet
+from .geometry import ManifoldSpec, MetricJet, TableStore, metric_jet
 
 __all__ = [
     "LEVI_CIVITA",
@@ -218,13 +218,19 @@ def covariant(Gamma: np.ndarray, T: np.ndarray, dT: np.ndarray | None, variance)
 # the parallel-unit-field gate
 
 
-def check_parallel_unit_xi(spec: ManifoldSpec, samples) -> tuple[np.ndarray, np.ndarray]:
+def check_parallel_unit_xi(
+    spec: ManifoldSpec, samples, store: TableStore | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The gate's measurement, from an order-1 pass of its own over the
     samples: per sample, the largest componentwise |grad pi| under
-    Levi-Civita and |g(xi,xi) - 1|.  ``theorems`` judges and reports it."""
+    Levi-Civita and |g(xi,xi) - 1|.  ``theorems`` judges and reports it.
+    The tables are read from ``store``, which a verification shares with
+    its chunk walk, or from a store of the gate's own."""
+    if store is None:
+        store = TableStore(spec, samples)
     nabla, unit = [], []
     for lo, hi in samples.chunks():
-        mj = metric_jet(spec, samples.points[lo:hi], order=1)
+        mj = metric_jet(spec, samples.points[lo:hi], 1, store.rows(lo, hi))
         nabla_pi = covariant(_lc_pieces(mj)[0], mj.pi, mj.dpi, "l")
         nabla.append(np.max(np.abs(nabla_pi), axis=(1, 2)))
         unit.append(np.abs(np.einsum("si,si->s", mj.pi, mj.xi) - 1.0))

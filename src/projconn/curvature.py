@@ -222,16 +222,17 @@ def _riemann_partials(
     return _antisymmetrised(d2Gamma.transpose(0, 1, 3, 2, 4, 5), quad)
 
 
-def jet(spec: ManifoldSpec, points, order: int) -> Jet:
+def jet(spec: ManifoldSpec, points, order: int, rows=None) -> Jet:
     """Everything the identities contract, at a batch of points, as arrays
     with a leading sample axis, each built on its first read (``Jet``).
 
     `order` counts metric derivatives: 0 gives G, G_inv, xi and pi; 1 adds
     both connections' Gamma; 2 adds dGamma, R, Rlow and the Ricci tensor S;
     3 adds d2Gamma, dR and nabla_R.  Every chart table read is evaluated
-    once per sample.
+    once per sample: on the points, or, when ``rows`` is a
+    ``TableStore.rows`` reader, by that store.
     """
-    return Jet(spec, points, order)
+    return Jet(spec, points, order, rows)
 
 
 def scalar_curvature(G_inv: np.ndarray, S: np.ndarray) -> np.ndarray:

@@ -15,7 +15,9 @@ superscript or a non-Latin digit or letter included, is a ParseError.  '+',
 '-', '*' and '/' associate to the left, with the precedence of
 ``_OPERATORS``; '^' takes a literal integer exponent and binds tighter than
 unary minus.  An identifier names either a coordinate or one of the built-in
-functions (sin, cos, tan, exp, log, sqrt, sinh, cosh).
+functions (sin, cos, tan, exp, log, sqrt, sinh, cosh).  A number written
+outside an expression (a dimension, a box bound, a point coordinate) is an
+optional sign and one number token (``read_number``).
 
 Trees are immutable, so they can be shared freely between threads and
 evaluated concurrently.  ``evaluate`` walks one tree at one point;
@@ -54,6 +56,7 @@ __all__ = [
     "UnboundVariableError",
     "MAX_DEPTH",
     "parse",
+    "read_number",
     "to_text",
     "evaluate",
     "CompiledTable",
@@ -190,6 +193,29 @@ def is_name(text: str) -> bool:
     return text[:1] in _LETTER and _WORD.issuperset(text)
 
 
+def _number_end(text: str, start: int) -> int:
+    """Where the number token that starts with the digit at ``start`` ends."""
+    i = start + 1
+    length = len(text)
+    while i < length and text[i] in _DIGIT:
+        i += 1
+    if i < length and text[i] == ".":
+        i += 1
+        if i >= length or text[i] not in _DIGIT:
+            raise ParseError("malformed number", start + 1)
+        while i < length and text[i] in _DIGIT:
+            i += 1
+    if i < length and text[i] in "eE":
+        j = i + 1
+        if j < length and text[j] in "+-":
+            j += 1
+        if j < length and text[j] in _DIGIT:
+            i = j + 1
+            while i < length and text[i] in _DIGIT:
+                i += 1
+    return i
+
+
 def _tokenize(text: str):
     """(kind, lexeme, 1-based position) triples, ending with EOF."""
     tokens = []
@@ -202,23 +228,7 @@ def _tokenize(text: str):
             continue
         start = i
         if ch in _DIGIT:
-            i += 1
-            while i < length and text[i] in _DIGIT:
-                i += 1
-            if i < length and text[i] == ".":
-                i += 1
-                if i >= length or text[i] not in _DIGIT:
-                    raise ParseError("malformed number", start + 1)
-                while i < length and text[i] in _DIGIT:
-                    i += 1
-            if i < length and text[i] in "eE":
-                j = i + 1
-                if j < length and text[j] in "+-":
-                    j += 1
-                if j < length and text[j] in _DIGIT:
-                    i = j + 1
-                    while i < length and text[i] in _DIGIT:
-                        i += 1
+            i = _number_end(text, start)
             tokens.append(("number", text[start:i], start + 1))
             continue
         if ch in _LETTER:
@@ -351,6 +361,21 @@ def parse(text: str) -> Expr:
     if tok[0] != "eof":
         raise ParseError("unexpected trailing input", tok[2])
     return node
+
+
+def read_number(text: str) -> float:
+    """A number written outside an expression, such as a dimension, a box
+    bound or a point coordinate: an optional sign, then one number token of
+    the grammar.  ValueError for any other text."""
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    try:
+        whole = digits[:1] in _DIGIT and _number_end(digits, 0) == len(digits)
+    except ParseError:
+        whole = False
+    if not whole:
+        raise ValueError(f"not a number: {text!r}")
+    return float(body)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ __all__ = [
     "MetricValue",
     "MetricJet",
     "SampleSet",
+    "TableStore",
     "load_spec",
     "metric_jet",
     "metric_at",
@@ -63,7 +64,11 @@ class DimensionError(Exception):
 # dR and nabla R and the smlijk contractions of the curvature family hold n^5
 # values per sample.  The a < b curvature-derivation frames, n^4 n(n-1)/2
 # values per sample, are built in blocks of frames of at most this many
-# bytes (``curvature.derivation_all_frames``).
+# bytes (``curvature.derivation_all_frames``).  A verification's chart
+# tables are evaluated in blocks of whole chunks of at most this many bytes
+# per table, and at least one chunk (``TableStore``): every table is one
+# block at n = 3, the order-3 metric partials are 64 samples at n = 4 and
+# 2 at n = 8.
 CHUNK_BYTES = 512 * 1024
 
 
@@ -207,6 +212,47 @@ class SampleSet:
         return [(lo, min(lo + size, self.count)) for lo in range(0, self.count, size)]
 
 
+class TableStore:
+    """The chart tables of one verification on its sample set, evaluated a
+    block of whole chunks at a time and read a chunk at a time, so that the
+    gate's pass and the chunk walk share one evaluation of each block.
+
+    A table's block holds as many whole chunks (``SampleSet.chunks``) as
+    keep it within CHUNK_BYTES, and at least one.  Only the latest block of
+    each table is kept, so a store holds at most one block per table at any
+    n.  Blocks are evaluated by ``ChartTables.values``, which names the
+    first point of the block that its scalar walk fails at.
+    """
+
+    def __init__(self, spec: ManifoldSpec, samples: SampleSet):
+        self.tables = spec.tables
+        self.points = samples.points
+        self.chunk = samples.chunks()[0][1]
+        self._blocks: dict[tuple[str, int], tuple[int, np.ndarray]] = {}
+
+    def span(self, name: str, order: int) -> int:
+        """Samples per block of the table (name, order)."""
+        per_chunk = 8 * self.tables.table(name, order).size * self.chunk
+        return self.chunk * max(1, CHUNK_BYTES // per_chunk)
+
+    def rows(self, lo: int, hi: int):
+        """The reader of the chunk lo..hi: (name, order) -> a view of the
+        table's rows for those samples, from the block that holds them."""
+
+        def read(name: str, order: int) -> np.ndarray:
+            key = (name, order)
+            start, block = self._blocks.get(key, (0, None))
+            if block is None or not start <= lo < start + len(block):
+                self._blocks.pop(key, None)  # freed before its successor is made
+                span = self.span(name, order)
+                start = lo - lo % span  # chunks start at multiples of the chunk size
+                block = self.tables.values(name, order, self.points[start:start + span])
+                self._blocks[key] = (start, block)
+            return block[lo - start:hi - start]
+
+        return read
+
+
 # ---------------------------------------------------------------------------
 # loading
 
@@ -302,11 +348,12 @@ def _build_spec(doc: dict) -> ManifoldSpec:
     if "coords" not in doc:
         raise SpecError("missing required key 'coords'")
     try:
-        n = int(doc["dim"])
-        if n != float(doc["dim"]):
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
-        raise SpecError("'dim' must be an integer") from None
+        n = ex.read_number(str(doc["dim"]))
+    except ValueError:
+        n = None
+    if n is None or not n.is_integer():
+        raise SpecError(f"'dim' must be an integer, got {doc['dim']!r}")
+    n = int(n)
     if n < 2:
         raise SpecError("'dim' must be at least 2")
 
@@ -372,9 +419,9 @@ def _build_spec(doc: dict) -> ManifoldSpec:
         if len(parts) != 2:
             raise SpecError(f"box[{i}] must be 'lo, hi'")
         try:
-            lo, hi = float(parts[0]), float(parts[1])
+            lo, hi = ex.read_number(parts[0]), ex.read_number(parts[1])
         except ValueError:
-            raise SpecError(f"box[{i}] bounds must be numbers") from None
+            raise SpecError(f"box[{i}] bounds must be numbers, got {box_entries[i]!r}") from None
         if not np.isfinite(hi - lo):
             raise SpecError(f"box[{i}] bounds and their difference must be finite")
         box.append((lo, hi))
@@ -446,11 +493,11 @@ def _require_spd(G: np.ndarray, points: np.ndarray) -> None:
 
 def _table_field(name: str, order: int, lowest: int) -> cached_property:
     """A ``MetricJet`` field: the chart table (name, order) on the jet's
-    points, evaluated on first read and kept; None below the jet order
+    points, read on first access and kept; None below the jet order
     ``lowest``."""
 
     def read(self):
-        return self.tables.values(name, order, self.points) if self.order >= lowest else None
+        return self._rows(name, order) if self.order >= lowest else None
 
     return cached_property(read)
 
@@ -462,18 +509,27 @@ class MetricJet:
     (what the connection coefficients one order below need); a field
     beyond the order is None.
 
-    G is evaluated, and certified symmetric positive definite, when the jet
-    is made.  Every other field is built on its first read and kept, so a
-    caller evaluates only the tables it reads, each once on the whole batch.
+    G is read, and certified symmetric positive definite, when the jet is
+    made.  Every other field is built on its first read and kept, so a
+    caller reads only the tables it needs, each once on the whole batch.
+    ``rows`` reads a table's rows for the batch: by default each table is
+    evaluated on the jet's points (``ChartTables.values``); a chunk of a
+    verification reads views of its ``TableStore``'s blocks instead.
     Symbolic partials make the derivative arrays exact up to rounding in the
     final arithmetic.
     """
 
-    def __init__(self, spec: ManifoldSpec, points, order: int):
-        self.tables = spec.tables
+    def __init__(self, spec: ManifoldSpec, points, order: int, rows=None):
         self.points = np.atleast_2d(np.asarray(points, dtype=float))  # (S, n)
         self.order = order
-        self.G = self.tables.values("g", 0, self.points)  # (S, n, n)
+        if rows is None:
+            tables, points = spec.tables, self.points  # no reference back to the jet
+
+            def rows(name: str, k: int) -> np.ndarray:
+                return tables.values(name, k, points)
+
+        self._rows = rows
+        self.G = rows("g", 0)  # (S, n, n)
         _require_spd(self.G, self.points)
 
     xi = _table_field("xi", 0, 0)  # (S, n)
@@ -493,10 +549,10 @@ class MetricJet:
         return np.einsum("sij,sj->si", self.G, self.xi)
 
 
-def metric_jet(spec: ManifoldSpec, points, order: int = 1) -> MetricJet:
+def metric_jet(spec: ManifoldSpec, points, order: int = 1, rows=None) -> MetricJet:
     """The metric stage of the sample-set jet at a batch of points, its
-    tables evaluated as they are read (``MetricJet``)."""
-    return MetricJet(spec, points, order)
+    tables read as they are needed (``MetricJet``)."""
+    return MetricJet(spec, points, order, rows)
 
 
 def metric_at(spec: ManifoldSpec, point, order: int = 1) -> MetricValue:
@@ -524,7 +580,11 @@ def sample(spec: ManifoldSpec, count: int, seed: int) -> SampleSet:
 
     Vector components are uniform in [-1, 1]; a vector is redrawn while its
     Euclidean norm is below 1e-3.  The draw order is fixed (point, then its
-    four vectors), so a seed reproduces the set bit-for-bit.
+    four vectors), so a seed reproduces the set bit-for-bit.  Every row is
+    drawn in one call and scaled as ``Generator.uniform`` scales it
+    (lo + (hi - lo) u); a short vector's row is dropped, the rows after it
+    move up one place and one more row is drawn at the end, which is the
+    stream a draw per vector consumes.
     """
     if count < 1:
         raise ValueError("sample count must be at least 1")
@@ -535,13 +595,16 @@ def sample(spec: ManifoldSpec, count: int, seed: int) -> SampleSet:
     n = spec.n
     lows = np.array([lo for lo, _ in spec.box])
     highs = np.array([hi for _, hi in spec.box])
-    points = np.empty((count, n))
-    frames = np.empty((count, 4, n))
-    for s in range(count):
-        points[s] = rng.uniform(lows, highs)
-        for v in range(4):
-            vec = rng.uniform(-1.0, 1.0, size=n)
-            while float(np.linalg.norm(vec)) < 1e-3:
-                vec = rng.uniform(-1.0, 1.0, size=n)
-            frames[s, v] = vec
+    rows = rng.random((count, 5, n))  # per sample: its point, then its four vectors
+    while True:
+        frames = -1.0 + 2.0 * rows[:, 1:]
+        short = np.flatnonzero(np.linalg.norm(frames, axis=2) < 1e-3)
+        if not short.size:
+            break
+        dropped = 5 * (short[0] // 4) + 1 + short[0] % 4
+        stream = rows.reshape(5 * count, n)
+        rows = np.concatenate(
+            (stream[:dropped], stream[dropped + 1:], rng.random((1, n)))
+        ).reshape(count, 5, n)
+    points = lows + (highs - lows) * rows[:, 0]
     return SampleSet(seed=seed, points=points, frames=frames)

@@ -26,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 
-from .geometry import ManifoldSpec, SpecError, sample
+from .geometry import ManifoldSpec, SpecError, TableStore, sample
 from .connections import check_parallel_unit_xi, covariant, wedge
 from .curvature import (
     derivation_all_frames,
@@ -389,7 +389,7 @@ def _reports(family, spec, samples, cols, tolerances, gate_report) -> list[Check
     return reports
 
 
-def _gate_report(spec, samples, tolerances) -> CheckReport:
+def _gate_report(spec, samples, store, tolerances) -> CheckReport:
     """The ``parallel_unit_xi`` report from the gate's per-sample measurement.
 
     The report also verifies the chart's declared flag: a declared negative
@@ -398,7 +398,7 @@ def _gate_report(spec, samples, tolerances) -> CheckReport:
     declares the negative control and measures parallel, is a genuine
     failure.
     """
-    nabla, unit = check_parallel_unit_xi(spec, samples)
+    nabla, unit = check_parallel_unit_xi(spec, samples, store)
     residuals = _residual(nabla, unit)
     nabla_max, unit_max, residual = (float(np.max(a)) for a in (nabla, unit, residuals))
     tol = _tol("parallel_unit_xi", tolerances)
@@ -462,7 +462,9 @@ def run_checks(
     Every family with a selected check runs whole; its checks are reported
     only when selected.  The gate runs once, at its tolerance in
     ``tolerances``; the families then walk the samples in order, in chunks,
-    sharing one jet per chunk at the highest order they need.  A family
+    sharing one jet per chunk at the highest order they need.  The gate's
+    pass and every chunk's jet read the chart tables from one
+    ``TableStore``, which evaluates each block of them once.  A family
     whose checks are all gated does not run when the gate fails.
     Deterministic: the same spec, seed, count and tolerance map produce
     byte-identical serialized reports.
@@ -490,7 +492,8 @@ def run_checks(
                 f"chart {spec.name!r} is missing the structure fields "
                 "(phi, f1, f2, f3) required by the almost-contact checks"
             )
-    gate = _gate_report(spec, samples, tolerances)
+    store = TableStore(spec, samples)
+    gate = _gate_report(spec, samples, store, tolerances)
     running = [
         family for family in families
         if gate.gate_status == "passed"
@@ -500,7 +503,7 @@ def run_checks(
     if running:
         order = max(_FAMILIES[family] for family in running)
         for lo, hi in samples.chunks():
-            j = jet(spec, samples.points[lo:hi], order).complete()
+            j = jet(spec, samples.points[lo:hi], order, store.rows(lo, hi)).complete()
             for family in running:
                 for key, col in _FAMILY_RUNNERS[family](spec, j).items():
                     columns[family][key].append(col)

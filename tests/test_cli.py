@@ -252,6 +252,24 @@ def test_evaluation_error_exits_3_naming_point_and_subexpression(tmp_path, capsy
     )
 
 
+def test_derivative_domain_error_at_a_late_sample_names_it(tmp_path, capsys):
+    # g is finite everywhere, but its x-partial divides by zero where x = a,
+    # the x coordinate of sample 150 of 200: in the second of three chunks,
+    # which share one block of each table
+    spec = load_spec(CHARTS / "euclidean3.manifold")
+    samples = sample(spec, 200, seed=42)
+    a = float(samples.points[150, 0])
+    assert a > 0.0 and np.count_nonzero(samples.points[:, 0] == a) == 1
+    assert samples.chunks()[1][0] <= 150 < samples.chunks()[1][1]
+    path = tmp_path / "kink.manifold"
+    path.write_text(_euclidean3_with("g[0][0] = 1", f"g[0][0] = 2 + sqrt((x - {a!r})^2)"),
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--file", str(path))
+    assert (code, out) == (3, "")
+    assert err == (f"error: division by zero at {point_text(samples.points[150])} "
+                   f"in '2*(x-{a!r})/(2*sqrt((x-{a!r})^2))'\n")
+
+
 def test_not_spd_message_prints_plain_floats(tmp_path, capsys):
     path = tmp_path / "not_spd.manifold"
     path.write_text(BAD_LOG_CHART.replace("exp(2*log(x))", "x - 0.5"), encoding="utf-8")
@@ -325,6 +343,40 @@ def _euclidean3_with(old: str, new: str) -> str:
     return (CHARTS / "euclidean3.manifold").read_text(encoding="utf-8").replace(old, new)
 
 
+_EVAL_GAMMA = ["eval", "--manifold", "euclidean3", "--tensor", "gamma"]
+
+
+@pytest.mark.parametrize("args, document, code, message", [
+    (["verify"], _euclidean3_with("dim = 3", "dim = ٣"), 3,
+     "cannot load manifold file: 'dim' must be an integer, got '٣'"),
+    (["verify"], _euclidean3_with("box[0] = -1, 1", "box[0] = -١, 1_0"), 3,
+     "cannot load manifold file: box[0] bounds must be numbers, got '-١, 1_0'"),
+    ([*_EVAL_GAMMA, "--point", "٠.1,0,0"], None, 2,
+     "--point must be comma separated reals, got '٠.1,0,0'"),
+    ([*_EVAL_GAMMA, "--point", "1_0e-1,0,0"], None, 2,
+     "--point must be comma separated reals, got '1_0e-1,0,0'"),
+    (["verify", "--manifold", "euclidean3", "--tol", "eq17=1_0"], None, 2,
+     "--tol value for 'eq17' is not a number, got '1_0'"),
+], ids=["dim", "box", "point_digit", "point_separator", "tol"])
+def test_numbers_outside_expressions_follow_the_number_rule(
+    tmp_path, capsys, args, document, code, message
+):
+    if document is not None:
+        path = tmp_path / "chart.manifold"
+        path.write_text(document, encoding="utf-8")
+        args = [*args, "--file", str(path)]
+    returned, out, err = run_cli(capsys, *args)
+    assert (returned, out, err) == (code, "", f"error: {message}\n")
+
+
+def test_ascii_numbers_outside_expressions_still_load(tmp_path, capsys):
+    path = tmp_path / "chart.manifold"
+    path.write_text(_euclidean3_with("box[0] = -1, 1", "box[0] = -1e0, +1.0"), encoding="utf-8")
+    assert load_spec(path).box[0] == (-1.0, 1.0)
+    code, out, _ = run_cli(capsys, *_EVAL_GAMMA, "--point", "+1e-1,0,-0.0", "--json")
+    assert code == 0 and json.loads(out)["point"] == [0.1, 0.0, -0.0]
+
+
 def test_superscript_entry_exits_3_with_one_line(tmp_path, capsys):
     path = tmp_path / "chart.manifold"
     path.write_text(_euclidean3_with("g[1][1] = 1", "g[1][1] = ²"), encoding="utf-8")
@@ -390,6 +442,8 @@ def test_entry_at_the_depth_limit_verifies_and_evaluates(tmp_path, capsys, shape
         (["eval", "--tensor", "projective", "--point", "0,0"], json.dumps(_JSON_CHART), 3,
          "operation requires dimension > 2"),
         (["verify", "--manifold", "euclidean3", "--tol", "eq17=nan"], None, 2,
+         "--tol value for 'eq17' is not a number, got 'nan'"),
+        (["verify", "--manifold", "euclidean3", "--tol", "eq17=1e400"], None, 2,
          "--tol value for 'eq17' must be finite and non-negative"),
         (["verify", "--manifold", "euclidean3", "--tol", "eq17=-1"], None, 2,
          "--tol value for 'eq17' must be finite and non-negative"),
@@ -398,6 +452,9 @@ def test_entry_at_the_depth_limit_verifies_and_evaluates(tmp_path, capsys, shape
         (["verify"], json.dumps(dict(_JSON_CHART, dim=2.7)), 3, "'dim' must be an integer"),
         (["verify"], (CHARTS / "euclidean3.manifold").read_text(encoding="utf-8")
          .replace("box[0] = -1, 1", "box[0] = -1, inf"), 3,
+         "box[0] bounds must be numbers, got '-1, inf'"),
+        (["verify"], (CHARTS / "euclidean3.manifold").read_text(encoding="utf-8")
+         .replace("box[0] = -1, 1", "box[0] = -1, 1e400"), 3,
          "box[0] bounds and their difference must be finite"),
         (["verify"], (CHARTS / "euclidean3.manifold").read_text(encoding="utf-8")
          .replace("box[0] = -1, 1", "box[0] = -1e308, 1e308"), 3,
@@ -428,8 +485,8 @@ def test_entry_at_the_depth_limit_verifies_and_evaluates(tmp_path, capsys, shape
     ],
     ids=["samples_zero", "samples_negative", "seed_negative", "empty_box", "short_box_pair",
          "g_not_a_list", "coords_not_a_list", "verify_planar_eq17", "eval_planar_projective",
-         "tol_nan", "tol_negative", "check_names_none", "dim_not_integral",
-         "box_infinite", "box_width_overflows", "verify_number_overflows",
+         "tol_nan", "tol_overflows", "tol_negative", "check_names_none", "dim_not_integral",
+         "box_infinite", "box_overflows", "box_width_overflows", "verify_number_overflows",
          "eval_number_overflows", "out_is_a_directory", "out_directory_missing",
          "file_not_utf8", "superscript_exponent", "arabic_indic_digit", "parallel_flag_null",
          "parallel_flag_number",

@@ -137,6 +137,22 @@ def test_what_is_not_one_unsigned_number_takes_the_parser():
         assert err.value.position == 1
 
 
+@pytest.mark.parametrize("text, value", [
+    ("3", 3.0), (" -0.25 ", -0.25), ("+7E-2", 0.07), ("-0", -0.0), ("1e400", math.inf),
+])
+def test_a_number_outside_an_expression_is_a_sign_and_one_number_token(text, value):
+    assert ex.read_number(text) == value
+    assert math.copysign(1.0, ex.read_number(text)) == math.copysign(1.0, value)
+
+
+@pytest.mark.parametrize("text", ["٣", "-١", "1_0", "1_0e-1", "٠.1", "- 1", "+-1", ".5", "5.",
+                                  "1e", "inf", "nan", "0x1", "1 2", "", "-"])
+def test_other_numbers_outside_an_expression_are_rejected(text):
+    # float() takes most of these: any Unicode decimal digit, '_' separators
+    with pytest.raises(ValueError, match="not a number"):
+        ex.read_number(text)
+
+
 @pytest.mark.parametrize("text, position", [("x^²", 3), ("1+٣", 3), ("θ", 1)])
 def test_parse_rejects_a_digit_or_letter_outside_ascii(text, position):
     with pytest.raises(ex.ParseError, match="unexpected character") as err:

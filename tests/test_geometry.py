@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from projconn import geometry
 from projconn.catalog import builtin, catalog_names, entry_document
 from projconn.geometry import (
     NotSPDError,
@@ -195,6 +196,61 @@ def test_frames_have_minimum_norm(euclidean3):
     s = sample(euclidean3, 200, seed=11)
     norms = np.linalg.norm(s.frames, axis=2)
     assert norms.min() >= 1e-3
+
+
+class _Stream:
+    """A stand-in for ``np.random.default_rng(seed)``: its doubles come from
+    a given list, in order, however many a call asks for."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.used = 0
+
+    def random(self, size):
+        count = int(np.prod(size))
+        assert self.used + count <= len(self.values), "stream exhausted"
+        self.used += count
+        return np.array(self.values[self.used - count:self.used]).reshape(size)
+
+
+def _sequential_sample(lows, highs, count, values):
+    """The draw rule one vector at a time: a point, then four vectors, each
+    drawn again while its norm is below 1e-3; and the doubles it used."""
+    stream = iter(values)
+    used = 0
+
+    def draw(lo, hi):
+        nonlocal used
+        used += len(lows)
+        return lo + (hi - lo) * np.array([next(stream) for _ in lows])
+
+    points, frames = [], []
+    for _ in range(count):
+        points.append(draw(lows, highs))
+        for _ in range(4):
+            vec = draw(-1.0, 1.0)
+            while float(np.linalg.norm(vec)) < 1e-3:
+                vec = draw(-1.0, 1.0)
+            frames.append(vec)
+    return np.array(points), np.array(frames).reshape(count, 4, len(lows)), used
+
+
+def test_short_vectors_are_redrawn_as_one_vector_at_a_time(cylinder, monkeypatch):
+    n, count = cylinder.n, 6
+    values = np.random.default_rng(5).random(5 * count * n + 3 * n).tolist()
+    short = [0.5] * n  # the zero vector once scaled to [-1, 1]
+    # sample 1's second vector is short, and so is the row drawn in its place;
+    # the last sample's last vector is short, so one more row is drawn at the end
+    for row in (7, 8, 5 * count - 1 + 2):
+        values[row * n:(row + 1) * n] = short
+    stream = _Stream(values)
+    monkeypatch.setattr(geometry.np.random, "default_rng", lambda seed: stream)
+    got = sample(cylinder, count, seed=0)
+    lows, highs = (np.array(bounds) for bounds in zip(*cylinder.box))
+    points, frames, used = _sequential_sample(lows, highs, count, values)
+    assert used == stream.used == 5 * count * n + 3 * n
+    assert np.array_equal(got.points, points)
+    assert np.array_equal(got.frames, frames)
 
 
 @pytest.mark.parametrize("name", catalog_names())

@@ -4,6 +4,7 @@ independent SymPy derivation from the chart strings."""
 
 import functools
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -105,7 +106,7 @@ def test_point_query_builds_only_what_it_reads(monkeypatch, tensor, tables, shif
     assert len(shifted) == shifts
 
 
-def test_run_checks_builds_each_table_and_curvature_once_per_chunk(monkeypatch):
+def test_run_checks_reads_each_table_once_per_block(monkeypatch):
     reads = _counting(monkeypatch, geometry.ChartTables, "values")
     riemann = _counting(monkeypatch, curvature, "_riemann_components")
     spec = builtin("cylinder_s2xr").spec
@@ -113,9 +114,46 @@ def test_run_checks_builds_each_table_and_curvature_once_per_chunk(monkeypatch):
     run_checks(spec, samples=samples)
     chunks = len(samples.chunks())
     assert chunks == 3
-    assert len(riemann) == 2 * chunks  # R and R~
-    # the gate reads g, xi, dg and dpi; the jet g, xi, dg, d2g, d3g, dpi, d2pi
-    assert len(reads) == 11 * chunks
+    assert len(riemann) == 2 * chunks  # R and R~, once per chunk
+    # at n = 3 every table's block is the whole sample set: the gate reads g,
+    # dg, xi and dpi, and the walk reads them again from the store and adds
+    # d2g, d3g and d2pi
+    assert [(name, k, len(points)) for _, name, k, points in reads] == [
+        ("g", 0, 200), ("g", 1, 200), ("xi", 0, 200), ("pi", 1, 200),
+        ("g", 2, 200), ("g", 3, 200), ("pi", 2, 200),
+    ]
+
+
+def _whole_set(store, name, order):
+    return len(store.points)
+
+
+def _one_chunk(store, name, order):
+    return store.chunk
+
+
+@pytest.mark.parametrize("name", ["cylinder_s2xr", "sphere3_bad_xi", "warped_r3xr"])
+def test_reports_do_not_depend_on_table_blocks(name, monkeypatch):
+    spec = builtin(name).spec
+    samples = sample(spec, 200, seed=42)
+    reads = _counting(monkeypatch, geometry.ChartTables, "values")
+    documents, evaluations = [], []
+    for span in (geometry.TableStore.span, _one_chunk, _whole_set):
+        monkeypatch.setattr(geometry.TableStore, "span", span)
+        reads.clear()
+        reports = run_checks(spec, samples=samples)
+        documents.append(json.dumps([r.to_dict() for r in reports], indent=2))
+        evaluations.append(len(reads))
+    assert documents[1] == documents[0] and documents[2] == documents[0]
+    # The gate reads 4 tables; the walk reads 7 at order 3, or 5 at order 2
+    # when the gate fails and only the ungated projective check runs.  With
+    # one chunk per block, the layout before blocks, the walk evaluates the
+    # gate's tables again.
+    chunks = len(samples.chunks())
+    walk = 5 if name == "sphere3_bad_xi" else 7
+    assert evaluations[1:] == [(4 + walk) * chunks, walk]
+    # g's order-3 block is 64 samples at n = 4, four of the 16-sample chunks
+    assert evaluations[0] == (walk + 3 if name == "warped_r3xr" else walk)
 
 
 def _sympy_tensors(spec):

@@ -151,7 +151,8 @@ def _ungated_failures(monkeypatch) -> set[str]:
     gate's measurement patched to zeros, at 50 samples."""
     spec = replace(builtin("sphere3_bad_xi").spec, parallel_xi_expected=True, _tables=None)
     monkeypatch.setattr(theorems, "check_parallel_unit_xi",
-                        lambda spec, samples: (np.zeros(samples.count), np.zeros(samples.count)))
+                        lambda spec, samples, store: (np.zeros(samples.count),
+                                                      np.zeros(samples.count)))
     reports = run_checks(spec, count=50, seed=42)
     return {r.check_id for r in reports if not (r.passed or r.skipped)}
 
