@@ -68,6 +68,14 @@ def _parse_point(text: str, spec) -> tuple[float, ...]:
     return point
 
 
+def _parse_integer(option: str, text: str) -> int:
+    """An integer option: an optional sign and ASCII digits, nothing else."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not digits or not set(digits) <= set(expr.DIGITS):
+        raise _UsageError(f"{option} must be an integer, got {text!r}")
+    return int(text)
+
+
 def _parse_tolerances(pairs) -> dict:
     overrides = {}
     for pair in pairs or ():
@@ -240,10 +248,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise _UsageError(f"--samples must be at least 1, got {args.samples}")
-    if args.seed < 0:
-        raise _UsageError(f"--seed must be non-negative, got {args.seed}")
+    count = _parse_integer("--samples", args.samples)
+    if count < 1:
+        raise _UsageError(f"--samples must be at least 1, got {count}")
+    seed = _parse_integer("--seed", args.seed)
+    if seed < 0:
+        raise _UsageError(f"--seed must be non-negative, got {seed}")
     spec = _load_manifold(args)
     tolerances = _parse_tolerances(args.tol)
     selected = None
@@ -252,7 +262,7 @@ def _cmd_verify(args) -> int:
         if not selected:
             raise _UsageError(f"--check names no check: {args.check!r}")
     try:
-        samples = geometry.sample(spec, args.samples, args.seed)
+        samples = geometry.sample(spec, count, seed)
     except ValueError as err:  # an empty sampling box
         raise _InputError(f"chart {spec.name!r}: {err}") from err
     try:
@@ -270,7 +280,7 @@ def _cmd_verify(args) -> int:
         text = json.dumps([r.to_dict() for r in reports], indent=2)
     else:
         header = (
-            f"verification of {spec.name}: samples={args.samples} seed={args.seed}"
+            f"verification of {spec.name}: samples={count} seed={seed}"
         )
         text = "\n".join([header] + [r.human_line() for r in reports])
     _emit(text, args.out)
@@ -310,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification checks")
     _add_manifold_options(p_verify)
-    p_verify.add_argument("--samples", type=int, default=200)
-    p_verify.add_argument("--seed", type=int, default=42)
+    p_verify.add_argument("--samples", default="200")
+    p_verify.add_argument("--seed", default="42")
     p_verify.add_argument(
         "--check", help="comma separated check ids (default: all applicable)"
     )

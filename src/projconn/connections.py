@@ -102,19 +102,33 @@ def _lc_pieces(mj: MetricJet):
 def _projective_shift(mj: MetricJet, lc):
     """Add n/(n+1) pi_j d^k_i - 1/(n+1) pi_i d^k_j, and its partials from
     the symbolic partials of pi, to the Levi-Civita pieces; a partial of pi
-    is read only where its piece is present."""
+    is read only where its piece is present.
+
+    The shift lives on the (k = i) and (k = j) diagonals of [.., k, i, j],
+    so a copy of each piece takes it through writable diagonal views: the
+    copy is C-ordered, so (k = i) and (k = i = j) are strided slices of
+    reshapes of it.  Where the two meet (k = i = j) the piece gets a p_k +
+    b p_k summed first, so every entry is rounded as the dense sum of the
+    two terms would be."""
     n = mj.G.shape[1]
     a = n / (n + 1.0)
     b = -1.0 / (n + 1.0)
-    eye = np.eye(n)
 
-    def shift(p):
-        return a * np.einsum("ki,...j->...kij", eye, p) + b * np.einsum(
-            "kj,...i->...kij", eye, p
-        )
+    def shifted(piece, p):
+        ap, bp = a * p, b * p
+        out = piece.copy()
+        lead = out.shape[:-3]
+        kkj = out.reshape(lead + (n * n, n))[..., :: n + 1, :]  # out[.., k, k, j]
+        kkk = out.reshape(lead + (n**3,))[..., :: n * n + n + 1]  # out[.., k, k, k]
+        both = kkk + (ap + bp)
+        kkj += ap[..., None, :]
+        kik = np.einsum("...kik->...ki", out)  # out[.., k, i, k]
+        kik += bp[..., None, :]
+        kkk[...] = both
+        return out
 
     return tuple(
-        None if piece is None else piece + shift(getattr(mj, p))
+        None if piece is None else shifted(piece, getattr(mj, p))
         for piece, p in zip(lc, ("pi", "dpi", "d2pi"))
     )
 
@@ -218,6 +232,10 @@ def covariant(Gamma: np.ndarray, T: np.ndarray, dT: np.ndarray | None, variance)
 # the parallel-unit-field gate
 
 
+# the tables an order-1 metric jet reads for Gamma and grad pi, in read order
+_GATE_TABLES = (("g", 0), ("g", 1), ("xi", 0), ("pi", 1))
+
+
 def check_parallel_unit_xi(
     spec: ManifoldSpec, samples, store: TableStore | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -225,11 +243,13 @@ def check_parallel_unit_xi(
     samples: per sample, the largest componentwise |grad pi| under
     Levi-Civita and |g(xi,xi) - 1|.  ``theorems`` judges and reports it.
     The tables are read from ``store``, which a verification shares with
-    its chunk walk, or from a store of the gate's own."""
+    its chunk walk, or from a store of the gate's own.  The pass reads
+    only g, dg, xi and dpi, so it steps through the store's blocks of
+    those four (``TableStore.walk``), not through the n^6-sized chunks."""
     if store is None:
         store = TableStore(spec, samples)
     nabla, unit = [], []
-    for lo, hi in samples.chunks():
+    for lo, hi in store.walk(_GATE_TABLES):
         mj = metric_jet(spec, samples.points[lo:hi], 1, store.rows(lo, hi))
         nabla_pi = covariant(_lc_pieces(mj)[0], mj.pi, mj.dpi, "l")
         nabla.append(np.max(np.abs(nabla_pi), axis=(1, 2)))

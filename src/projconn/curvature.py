@@ -1,6 +1,7 @@
 """Curvature tensors for both connections and everything derived from them:
 Ricci data, the theta/beta difference tensors, projective curvature, the
-curvature-as-derivation action, quasi-Einstein decomposition and nullity
+curvature acting as a derivation (the frame maxima of R~.R~ and R~.P~, from
+one walk over the frames), quasi-Einstein decomposition and nullity
 fitting.
 
 ``jet`` gives all of it for a batch of points at once, as arrays with a
@@ -164,6 +165,12 @@ class Jet(MetricJet):
         return np.einsum("slijk,si->sljk", self.pr.R, self.xi)
 
     @cached_property
+    def derivation_maxima(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per sample, max |R~.R~| and max |R~.P~| over the curvature
+        frames, from one walk over them (``derivation_all_frames``)."""
+        return derivation_all_frames(self.pr.R, self.pr.R, self.pr.S)
+
+    @cached_property
     def pi_shift(self) -> np.ndarray:
         """pi_m times the curvature shift, as [s,m,l,i,j,k]."""
         return np.einsum("sm,slijk->smlijk", self.pi, self.shift)
@@ -285,23 +292,47 @@ def projective_tensor(R: np.ndarray, S: np.ndarray) -> np.ndarray:
     return R - wedge(S) / (R.shape[-1] - 1.0)
 
 
-def derivation_all_frames(R_acting: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Per sample, the largest |(R(e_a, e_b) . T)[l,z,u,v]| of the curvature
-    acting as a derivation on a (1,3) tensor, over every coordinate frame
-    a < b, with R(e_a, e_b)[l,m] = R[s,l,a,b,m].  Since R(e_b, e_a) =
-    -R(e_a, e_b), these n(n-1)/2 frames carry every value of the n^2 up to
-    sign.  The frames are ``covariant`` with no partials and a block of them
-    as its stack, each block's output at most ``geometry.CHUNK_BYTES``; the
-    maximum is folded in block by block."""
-    a, b = np.triu_indices(T.shape[-1], 1)
+def derivation_all_frames(
+    R_acting: np.ndarray, T: np.ndarray, S: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per sample, the largest |(R(e_a, e_b) . T)[l,z,u,v]| and the largest
+    |(R(e_a, e_b) . P)[l,z,u,v]| for P = T - W(S)/(n-1), of the curvature
+    acting as a derivation on a (1,3) tensor T and on a (0,2) tensor S, over
+    every coordinate frame a < b, with R(e_a, e_b)[l,m] = R[s,l,a,b,m].  With
+    T = R~ and S = S~ these are the maxima of R~.R~ and R~.P~.  Since
+    R(e_b, e_a) = -R(e_a, e_b), these n(n-1)/2 frames carry every value of
+    the n^2 up to sign.
+
+    The frames are ``covariant`` with no partials and a block of them as its
+    stack, each block's output at most ``geometry.CHUNK_BYTES``.  A
+    derivation annihilates delta, so D.W(S) = W(D.S): each block of D.T
+    becomes D.P in place, D.S (a two-slot ``covariant``) over n-1 taken off
+    its (l = z) diagonal and put on its (l = u) diagonal.  Both maxima are
+    folded in block by block, so the frames are built once."""
+    n = T.shape[-1]
+    a, b = np.triu_indices(n, 1)
     block = max(1, geometry.CHUNK_BYTES // T.nbytes)
-    worst = None
+    worst_T = worst_P = None
     for lo in range(0, len(a), block):
-        frames = covariant(R_acting[:, :, a[lo:lo + block], b[lo:lo + block]], T, None, "ulll")
+        frames_at = R_acting[:, :, a[lo:lo + block], b[lo:lo + block]]
+        frames = covariant(frames_at, T, None, "ulll")  # [s, frame, l, z, u, v]
+        axes = tuple(range(1, frames.ndim))  # the frames need not be C-ordered
+        # max |D.T| with no copy, since D.P needs the signs; the abs makes a
+        # maximum of -0.0 read 0.0, as the abs of the frames would
+        top_T = np.abs(np.maximum(frames.max(axis=axes), -frames.min(axis=axes)))
+        ds = covariant(frames_at, S, None, "ll") / (n - 1.0)  # [s, frame, u, v]
+        on_z = np.einsum("skiiuv->skiuv", frames)  # frames[s, k, i, i, u, v]
+        on_z -= ds[:, :, None]
+        on_u = np.einsum("skiziv->skziv", frames)  # frames[s, k, i, z, i, v]
+        on_u += ds[:, :, :, None]
         np.abs(frames, out=frames)
-        top = frames.reshape(len(frames), -1).max(axis=1)
-        worst = top if worst is None else np.maximum(worst, top, out=worst)
-    return worst
+        top_P = frames.max(axis=axes)
+        if worst_T is None:
+            worst_T, worst_P = top_T, top_P
+        else:
+            np.maximum(worst_T, top_T, out=worst_T)
+            np.maximum(worst_P, top_P, out=worst_P)
+    return worst_T, worst_P
 
 
 # ---------------------------------------------------------------------------

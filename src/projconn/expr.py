@@ -598,6 +598,8 @@ class CompiledTable:
         self.template = np.array([e.value if isinstance(e, Const) else 0.0 for e in flat])
         index = [k for k, e in enumerate(flat) if not isinstance(e, Const)]
         self.trees = [flat[k] for k in index]
+        if not self.trees:  # every values() of a constant table is a view of it
+            self.template.flags.writeable = False
         self.index = np.array(index, dtype=np.intp)
         self._program = None
         self._evaluated = False
@@ -608,19 +610,26 @@ class CompiledTable:
         return len(self._compiled()[0])
 
     def values(self, points) -> np.ndarray:
-        """The table at each of the (S, n) points, shape (S,) + table shape."""
+        """The table at each of the (S, n) points, shape (S,) + table shape.
+        A table with no varying entry is its template broadcast over the
+        points: a read-only view with a zero sample stride, not a copy per
+        point."""
         points = np.asarray(points, dtype=float)
+        if not self.trees:
+            # np.broadcast_to of the read-only template, at a third the cost
+            constant = self.template.reshape(self.shape)
+            return np.ndarray((points.shape[0],) + self.shape, float, constant,
+                              strides=(0,) + constant.strides)
         out = np.empty((points.shape[0], self.template.size))
         out[:] = self.template
-        if self.trees:
-            if len(points) == 1 and not self._evaluated:
-                out[0, self.index] = self._evaluate_at(points[0])
-            else:
-                registers, outputs = self._run(points)
-                out[:, self.index] = registers[outputs].T
-                for s in np.flatnonzero(~np.isfinite(registers).all(axis=0)):
-                    out[s, self.index] = self._evaluate_at(points[s])
-            self._evaluated = True
+        if len(points) == 1 and not self._evaluated:
+            out[0, self.index] = self._evaluate_at(points[0])
+        else:
+            registers, outputs = self._run(points)
+            out[:, self.index] = registers[outputs].T
+            for s in np.flatnonzero(~np.isfinite(registers).all(axis=0)):
+                out[s, self.index] = self._evaluate_at(points[s])
+        self._evaluated = True
         return out.reshape((points.shape[0],) + self.shape)
 
     def _compiled(self):

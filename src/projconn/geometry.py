@@ -64,11 +64,13 @@ class DimensionError(Exception):
 # dR and nabla R and the smlijk contractions of the curvature family hold n^5
 # values per sample.  The a < b curvature-derivation frames, n^4 n(n-1)/2
 # values per sample, are built in blocks of frames of at most this many
-# bytes (``curvature.derivation_all_frames``).  A verification's chart
-# tables are evaluated in blocks of whole chunks of at most this many bytes
-# per table, and at least one chunk (``TableStore``): every table is one
-# block at n = 3, the order-3 metric partials are 64 samples at n = 4 and
-# 2 at n = 8.
+# bytes, one walk over them giving both R~.R~ and R~.P~
+# (``curvature.derivation_all_frames``).  A verification's chart tables are
+# evaluated in blocks of whole chunks of at most this many bytes per table,
+# and at least one chunk (``TableStore``): every table is one block at
+# n = 3, the order-3 metric partials are 64 samples at n = 4 and 2 at
+# n = 8.  The gate's pass steps through the blocks of the four tables it
+# reads (``TableStore.walk``), 128 samples at a time at n = 8.
 CHUNK_BYTES = 512 * 1024
 
 
@@ -234,6 +236,19 @@ class TableStore:
         """Samples per block of the table (name, order)."""
         per_chunk = 8 * self.tables.table(name, order).size * self.chunk
         return self.chunk * max(1, CHUNK_BYTES // per_chunk)
+
+    def walk(self, tables) -> list[tuple[int, int]]:
+        """(start, stop) ranges walking the samples in order, each inside
+        one block of every table (name, order) of ``tables``: the longest
+        steps a pass that reads only those tables can take."""
+        count = len(self.points)
+        spans = [self.span(name, order) for name, order in tables]
+        ranges, lo = [], 0
+        while lo < count:
+            hi = min(count, *(lo - lo % span + span for span in spans))
+            ranges.append((lo, hi))
+            lo = hi
+        return ranges
 
     def rows(self, lo: int, hi: int):
         """The reader of the chunk lo..hi: (name, order) -> a view of the

@@ -28,13 +28,7 @@ import numpy as np
 
 from .geometry import ManifoldSpec, SpecError, TableStore, sample
 from .connections import check_parallel_unit_xi, covariant, wedge
-from .curvature import (
-    derivation_all_frames,
-    jet,
-    lam_scale,
-    ricci_contraction,
-    ricci_shifts,
-)
+from .curvature import jet, lam_scale, ricci_contraction, ricci_shifts
 from .report import CheckReport
 
 __all__ = ["REGISTRY", "CHECK_IDS", "run_checks"]
@@ -229,7 +223,7 @@ def _semisymmetry_columns(spec, j) -> dict:
     rhs_20 = -lam * _pi_in_lower_slots(pi, Rt) + 2.0 * lam * lam * j.pi_shift
     return {
         "max_R": _residual(j.lc.R),
-        "def4_1_flat": derivation_all_frames(Rt, Rt),
+        "def4_1_flat": j.derivation_maxima[0],
         "eq20": _residual(applied - rhs_20),
         "eq21": _residual(Rt - lam * j.shift),
         "cor4_3": _residual(j.pr.nabla_R - np.einsum("sm,slijk->smlijk", rho, Rt)),
@@ -250,7 +244,7 @@ def _rp_columns(spec, j) -> dict:
     d_ii = np.einsum("sl,slijk->sijk", pi, Pt) - (
         np.einsum("sj,sik->sijk", pi, S) - np.einsum("si,sjk->sijk", pi, S)
     ) / (n - 1.0)
-    rp = derivation_all_frames(j.pr.R, Pt)
+    rp = j.derivation_maxima[1]
     max_S, part_i, part_ii = _residual(S), _residual(d_i), _residual(d_ii)
     return {
         "part_i": part_i,

@@ -134,6 +134,16 @@ def test_verify_single_check_json(capsys):
         assert key in rec
 
 
+def test_verify_counts_are_a_sign_and_ascii_digits(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--manifold", "euclidean3",
+        "--samples", "+3", "--seed", "007", "--check", "eq17", "--json",
+    )
+    assert code == 0
+    [rec] = json.loads(out)
+    assert (rec["samples"], rec["seed"]) == (3, 7)
+
+
 def test_verify_json_output_is_byte_identical(capsys):
     _, first, _ = run_cli(
         capsys, "verify", "--manifold", "cylinder_s2xr",
@@ -432,6 +442,16 @@ def test_entry_at_the_depth_limit_verifies_and_evaluates(tmp_path, capsys, shape
          "--samples must be at least 1"),
         (["verify", "--manifold", "euclidean3", "--seed", "-1"], None, 2,
          "--seed must be non-negative"),
+        (["verify", "--manifold", "euclidean3", "--samples", "٣"], None, 2,
+         "--samples must be an integer, got '٣'"),
+        (["verify", "--manifold", "euclidean3", "--seed", "١_0"], None, 2,
+         "--seed must be an integer, got '١_0'"),
+        (["verify", "--manifold", "euclidean3", "--samples", "1_0"], None, 2,
+         "--samples must be an integer, got '1_0'"),
+        (["verify", "--manifold", "euclidean3", "--seed", "4.0"], None, 2,
+         "--seed must be an integer, got '4.0'"),
+        (["verify", "--manifold", "euclidean3", "--samples", " 3"], None, 2,
+         "--samples must be an integer, got ' 3'"),
         (["verify"], (CHARTS / "euclidean3.manifold").read_text(encoding="utf-8")
          .replace("box[2] = -1, 1", "box[2] = 1, -1"), 3, "empty sampling box for coordinate 'z'"),
         (["verify"], json.dumps(dict(_JSON_CHART, box=[[-1], [-1, 1]])), 3, "box[0] must be a pair"),
@@ -483,7 +503,9 @@ def test_entry_at_the_depth_limit_verifies_and_evaluates(tmp_path, capsys, shape
             '[["1", "0"], ["0", "1"]]', "[" * 50000 + "]" * 50000), 3,
          "invalid JSON document: nested too deeply"),
     ],
-    ids=["samples_zero", "samples_negative", "seed_negative", "empty_box", "short_box_pair",
+    ids=["samples_zero", "samples_negative", "seed_negative", "samples_arabic_indic_digit",
+         "seed_arabic_indic_digit_underscore", "samples_underscore", "seed_decimal_point",
+         "samples_space", "empty_box", "short_box_pair",
          "g_not_a_list", "coords_not_a_list", "verify_planar_eq17", "eval_planar_projective",
          "tol_nan", "tol_overflows", "tol_negative", "check_names_none", "dim_not_integral",
          "box_infinite", "box_overflows", "box_width_overflows", "verify_number_overflows",

@@ -450,3 +450,49 @@ def test_lc_reference_catches_slot_swaps(monkeypatch, name):
     rule, old, new = LC_MUTANTS[name]
     monkeypatch.setattr(connections, rule, mutant(getattr(connections, rule), old, new))
     assert max(_lc_gaps(_random_metric_jet(5))) > 1e-3
+
+
+def _dense_projective_shift(mj, lc):
+    """The projective shift as a dense sum: each piece plus a pi_j d^k_i +
+    b pi_i d^k_j, both terms spelled out with the identity matrix."""
+    n = mj.G.shape[1]
+    a, b = n / (n + 1.0), -1.0 / (n + 1.0)
+    eye = np.eye(n)
+    return tuple(
+        None if piece is None else piece + (
+            a * np.einsum("ki,...j->...kij", eye, p) + b * np.einsum("kj,...i->...kij", eye, p)
+        )
+        for piece, p in zip(lc, (mj.pi, mj.dpi, mj.d2pi))
+    )
+
+
+def _same_bits(got, want) -> bool:
+    return all(
+        (x is None and y is None) or (x.shape == y.shape and x.tobytes() == y.tobytes())
+        for x, y in zip(got, want)
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_projective_shift_matches_the_dense_sum_bit_for_bit(n):
+    # the diagonal updates round every entry as the dense sum does, the
+    # triple diagonal k = i = j included; lower orders leave pieces out
+    rng = np.random.default_rng(800 + n)
+    mj = SimpleNamespace(G=np.zeros((2, n, n)), **{
+        name: rng.normal(size=(2,) + (n,) * rank)
+        for name, rank in (("pi", 1), ("dpi", 2), ("d2pi", 3))
+    })
+    lc = tuple(rng.normal(size=(2,) + (n,) * rank) for rank in (3, 4, 5))
+    for pieces in (lc, lc[:2] + (None,), lc[:1] + (None, None)):
+        got = connections._projective_shift(mj, pieces)
+        assert _same_bits(got, _dense_projective_shift(mj, pieces))
+        assert all(a is not b for a, b in zip(got, pieces) if a is not None)
+
+
+@pytest.mark.parametrize("name", ["euclidean8", "warped_r3xr", "cylinder_s2xr"])
+def test_projective_shift_matches_the_dense_sum_on_charts(name):
+    # chart jets hold exact zeros, whose signs the dense sum fixes too
+    spec = builtin(name).spec
+    j = jet(spec, sample(spec, 3, seed=8).points, 3)
+    lc = (j.lc.Gamma, j.lc.dGamma, j.lc.d2Gamma)
+    assert _same_bits((j.pr.Gamma, j.pr.dGamma, j.pr.d2Gamma), _dense_projective_shift(j, lc))

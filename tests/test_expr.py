@@ -405,6 +405,16 @@ def test_compiled_table_shares_subexpressions():
         assert row.tolist() == pytest.approx([p + math.sin(p), math.sin(p), 2.5], rel=1e-15)
 
 
+def test_constant_table_is_a_read_only_broadcast():
+    # no copy per point: one template behind a zero sample stride
+    table = np.empty((2, 2), dtype=object)
+    table[:] = [[ex.Const(1.5), ex.Const(0.0)], [ex.Const(0.0), ex.Const(-2.0)]]
+    got = ex.CompiledTable(table, ("x",)).values(np.zeros((5, 1)))
+    assert got.shape == (5, 2, 2) and got.strides[0] == 0
+    assert not got.flags.writeable
+    assert got.tolist() == [[[1.5, 0.0], [0.0, -2.0]]] * 5
+
+
 class _CountingEnv(dict):
     """Bindings that count their lookups."""
 

@@ -124,6 +124,34 @@ def test_run_checks_reads_each_table_once_per_block(monkeypatch):
     ]
 
 
+def test_gate_walks_the_blocks_of_its_tables(monkeypatch):
+    # at n = 8 a chunk is one sample, but the gate reads only g, dg, xi and
+    # dpi: it steps through dg's 128-sample blocks, the shortest of the four,
+    # and each block is evaluated once, in the gate's read order
+    reads = _counting(monkeypatch, geometry.ChartTables, "values")
+    passes = _counting(monkeypatch, connections, "metric_jet")
+    spec = builtin("euclidean8").spec
+    samples = sample(spec, 200, seed=42)
+    store = geometry.TableStore(spec, samples)
+    assert store.walk(connections._GATE_TABLES) == [(0, 128), (128, 200)]
+    nabla, unit = connections.check_parallel_unit_xi(spec, samples, store)
+    assert nabla.shape == unit.shape == (200,) and len(passes) == 2
+    assert [(name, k, len(points)) for _, name, k, points in reads] == [
+        ("g", 0, 200), ("g", 1, 128), ("xi", 0, 200), ("pi", 1, 200), ("g", 1, 72),
+    ]
+
+
+def test_table_store_walk_stays_inside_every_block():
+    # block spans that do not divide each other: each step ends at the
+    # nearest block end of any table
+    spec = builtin("euclidean3").spec
+    store = geometry.TableStore(spec, sample(spec, 10, seed=1))
+    store.chunk = 1
+    spans = {("g", 0): 3, ("g", 1): 2}
+    store.span = lambda name, order: spans[(name, order)]
+    assert store.walk(spans) == [(0, 2), (2, 3), (3, 4), (4, 6), (6, 8), (8, 9), (9, 10)]
+
+
 def _whole_set(store, name, order):
     return len(store.points)
 

@@ -2,7 +2,9 @@
 on the catalog's warped chart at more samples, or it breaks the Ricci identity of
 ``test_curvature.ricci_identity_gap``, or it moves a chart table off the
 SymPy oracle of ``test_jet.warped_table_mismatches``, or it changes which
-gated checks fail on the ungated control (``_ungated_failures``).
+gated checks fail on the ungated control (``_ungated_failures``), or it
+moves the max |R~.P~| a report names off the definition
+(``test_curvature.reported_max_abs_rp_gap``).
 
 Each mutant is rebuilt from the rule's source (``mutants.mutant``) and
 monkeypatched in wherever the rule is looked up: the family runners through
@@ -20,7 +22,12 @@ from projconn.catalog import builtin, catalog_names
 from projconn.connections import LEVI_CIVITA, PROJECTIVE
 from projconn.theorems import run_checks
 from mutants import mutant
-from test_curvature import RICCI_CHARTS, ricci_identity_gap
+from test_curvature import (
+    RICCI_CHARTS,
+    RP_PIN_CHARTS,
+    reported_max_abs_rp_gap,
+    ricci_identity_gap,
+)
 from test_jet import _warped_failures, warped_table_mismatches
 
 # name -> (killed by, modules that bind the rule by name, rule, old source,
@@ -34,7 +41,9 @@ from test_jet import _warped_failures, warped_table_mismatches
 # "table_oracle", for a wrong table whose derivative axes stay symmetric:
 # such a jet is the jet of some (polynomial) metric, so no identity checked
 # at a point can see it; or by the "ungated" control, for a check that can
-# no longer fail anywhere, such as one comparing a tensor with itself.  A
+# no longer fail anywhere, such as one comparing a tensor with itself; or by
+# the "rp_pin", the max |R~.P~| that thm5_1_flat reports on a non-flat chart
+# held to the definition (``test_curvature.reported_max_abs_rp_gap``).  A
 # family runner is patched in theorems._FAMILY_RUNNERS instead of in a
 # binding module.
 MUTANTS = {
@@ -123,6 +132,13 @@ MUTANTS = {
         "        if rank >= 3 and slot in (1, 2):\n"
         "            term = term.swapaxes(3, 4)\n",
     ),
+    # R~.P~ taken as R~.R~: the W(R~.S~) term dropped.  R~.R~ = R~.P~ = 0 on
+    # flat charts, where thm5_1_flat runs, so only the max |R~.P~| it reports
+    # on a non-flat chart can tell
+    "rp_wedge_term_dropped": (
+        "rp_pin", (curvature,), "derivation_all_frames",
+        '/ (n - 1.0)  # [s, frame, u, v]', '* 0.0  # [s, frame, u, v]',
+    ),
     # a permutation of a sorted multi-index gets the table one order down
     "partials_permutation_not_differentiated": (
         "warped", (ex,), "partials", "out[perm] = part", "out[perm] = table[tuple(rest)]",
@@ -204,6 +220,12 @@ def test_mutant_breaks_the_ricci_identity(monkeypatch, name):
         for gap, scale in [ricci_identity_gap(chart, conn) for conn in (LEVI_CIVITA, PROJECTIVE)]
     )
     assert worst > 1e-3
+
+
+@pytest.mark.parametrize("name", [m for m in MUTANTS if MUTANTS[m][0] == "rp_pin"])
+def test_mutant_moves_the_reported_max_abs_rp(monkeypatch, name):
+    _patch(monkeypatch, name)
+    assert max(reported_max_abs_rp_gap(chart) for chart in RP_PIN_CHARTS) > 1e-3
 
 
 @pytest.mark.parametrize("name", [m for m in MUTANTS if MUTANTS[m][0] == "table_oracle"])
