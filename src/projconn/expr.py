@@ -22,7 +22,8 @@ optional sign and one number token (``read_number``).
 Trees are immutable, so they can be shared freely between threads and
 evaluated concurrently.  ``evaluate`` walks one tree at one point;
 ``CompiledTable`` compiles an array of trees into one straight-line program
-with shared subexpressions and runs it on a whole batch of points.
+with shared subexpressions and runs it on a whole batch of points.  Both
+compute with the ufuncs of ``FUNCTIONS`` and ``_OPERATORS``, x^2 as x*x.
 Differentiation is exact and closed over the node set; only constant
 folding and 0/1 identities are applied to keep derivative trees small (no
 canonical normalization).
@@ -149,16 +150,10 @@ class Call:
 
 Expr = Const | Var | Neg | Add | Sub | Mul | Div | Pow | Call
 
-FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-}
+# The built-in functions, each computed by the ufunc of its name.  The
+# parser, the chart loader, the walk and the compiler all read this table.
+FUNCTIONS = {name: getattr(np, name)
+             for name in ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh")}
 
 
 _Operator = namedtuple("_Operator", "symbol precedence ufunc")
@@ -313,6 +308,8 @@ class _Parser:
             tok = self.expect("number", "an integer exponent")
             if any(c in tok[1] for c in ".eE"):
                 raise ParseError("exponent must be an integer", tok[2])
+            if not math.isfinite(float(tok[1])):  # the evaluators take it as a float
+                raise ParseError("number out of range", tok[2])
             node, depth = Pow(node, sign * int(tok[1])), self.check(depth + 1, pos)
         self.nesting -= 1
         return node, depth
@@ -436,55 +433,62 @@ def to_text(e: Expr) -> str:
 def evaluate(e: Expr, env: dict, memo: dict | None = None) -> float:
     """Evaluate at the bindings in env (coordinate name -> float), IEEE double.
 
+    The arithmetic is ``CompiledTable``'s, so both give the same bits.  A
+    non-finite function or power value is a DomainError, as are log of
+    x <= 0, sqrt of x < 0, division by zero and zero to a negative power.
+
     ``memo`` maps node identity to the node and its value, so a subtree
     shared within one tree, or across the calls given the same memo, is
     evaluated once.  A memo belongs to one ``env``: the values it holds are
     those at env's bindings.
     """
+    with np.errstate(all="ignore"):
+        return _walk(e, env, {} if memo is None else memo)
+
+
+def _walk(e: Expr, env: dict, memo: dict) -> float:
+    """``evaluate`` without its floating-point error state."""
     kind = type(e)
     if kind is Const:
         return e.value
-    if memo is None:
-        memo = {}
     hit = memo.get(id(e))
     if hit is not None:
         return hit[1]
     if kind is Mul:  # most nodes of a differentiated table are products
-        value = evaluate(e.left, env, memo) * evaluate(e.right, env, memo)
+        value = _walk(e.left, env, memo) * _walk(e.right, env, memo)
     elif kind is Add:
-        value = evaluate(e.left, env, memo) + evaluate(e.right, env, memo)
+        value = _walk(e.left, env, memo) + _walk(e.right, env, memo)
     elif kind is Var:
         try:
             value = env[e.name]
         except KeyError:
             raise UnboundVariableError(f"unbound variable {e.name!r}", e) from None
     elif kind is Call:
-        arg = evaluate(e.arg, env, memo)
+        arg = _walk(e.arg, env, memo)
         if e.func == "log" and arg <= 0.0:
             raise DomainError("log of a non-positive value", e)
         if e.func == "sqrt" and arg < 0.0:
             raise DomainError("sqrt of a negative value", e)
-        try:
-            value = FUNCTIONS[e.func](arg)
-        except (ValueError, OverflowError):
-            raise DomainError(f"domain error in {e.func}", e) from None
+        value = float(FUNCTIONS[e.func](arg))
+        if not math.isfinite(value):
+            raise DomainError(f"domain error in {e.func}", e)
     elif kind is Pow:
-        base = evaluate(e.base, env, memo)
+        base = _walk(e.base, env, memo)
         if base == 0.0 and e.exponent < 0:
             raise DomainError("zero raised to a negative power", e)
-        try:
-            value = float(base ** e.exponent)
-        except OverflowError:
-            raise DomainError("overflow in power", e) from None
+        # x*x is the program's np.power(x, 2.0): numpy squares for a scalar 2
+        value = base * base if e.exponent == 2 else float(np.power(base, float(e.exponent)))
+        if not math.isfinite(value):
+            raise DomainError("overflow in power", e)
     elif kind is Sub:
-        value = evaluate(e.left, env, memo) - evaluate(e.right, env, memo)
+        value = _walk(e.left, env, memo) - _walk(e.right, env, memo)
     elif kind is Div:
-        denom = evaluate(e.right, env, memo)
+        denom = _walk(e.right, env, memo)
         if denom == 0.0:
             raise DomainError("division by zero", e)
-        value = evaluate(e.left, env, memo) / denom
+        value = _walk(e.left, env, memo) / denom
     elif kind is Neg:
-        value = -evaluate(e.arg, env, memo)
+        value = -_walk(e.arg, env, memo)
     else:
         raise TypeError(f"not an expression node: {e!r}")
     memo[id(e)] = (e, value)  # holding e keeps its identity from being reused
@@ -497,7 +501,6 @@ def point_text(point) -> str:
 
 
 _COMMUTATIVE = (np.add, np.multiply)  # exact in IEEE arithmetic, so operands may swap
-_CALL_UFUNCS = {name: getattr(np, name) for name in FUNCTIONS}
 
 
 def _compile(trees, coords: tuple[str, ...]):
@@ -551,7 +554,7 @@ def _compile(trees, coords: tuple[str, ...]):
             elif kind is Pow:
                 operand = emit(np.power, visit(e.base), constant(float(e.exponent)))
             elif kind is Call:
-                operand = emit(_CALL_UFUNCS[e.func], visit(e.arg))
+                operand = emit(FUNCTIONS[e.func], visit(e.arg))
             elif kind in _OPERATORS:
                 operand = emit(_OPERATORS[kind].ufunc, visit(e.left), visit(e.right))
             else:
@@ -576,19 +579,21 @@ class CompiledTable:
     Constant entries are baked into a template; the program computes the
     varying ones in a register file with one row per distinct operation and
     one column per point, and one fancy index gathers them.  The program is
-    compiled on first use, except that a first evaluation at a single point
-    walks the trees instead: a chart loaded for one point query would spend
-    longer compiling than walking.
+    compiled on first use.  A single point is walked (``evaluate``) instead:
+    a chart loaded for one point query would spend longer compiling than
+    walking.  The walk computes with the program's ufuncs, so a point's
+    values do not depend on the batch, the chunk or the call history it
+    comes with.
 
-    In IEEE arithmetic every domain error of the scalar ``evaluate`` leaves
-    a non-finite register: division by zero and zero to a negative power give
-    an infinity, log of x <= 0 gives -inf or nan, sqrt of x < 0 gives nan,
-    and overflow in exp, sinh, cosh or a power gives an infinity; an unbound
+    In IEEE arithmetic every domain error of the walk leaves a non-finite
+    register: division by zero and zero to a negative power give an
+    infinity, log of x <= 0 gives -inf or nan, sqrt of x < 0 gives nan, a
+    non-finite function or power value is the walk's error too; an unbound
     variable is a row of nan.  So one mask, the points with a non-finite
-    register, covers them all.  Each masked point is evaluated again by
-    ``evaluate``, which either raises the scalar error, with the point named
-    in its message, or supplies that point's values.  Points are taken in
-    order, so the error is the first the scalar walk would meet.
+    register, covers them all.  Each masked point is walked again, which
+    either raises the walk's error, with the point named in its message, or
+    supplies that point's values.  Points are taken in order, so the error
+    is the first the walk would meet.
     """
 
     def __init__(self, table: np.ndarray, coords: Sequence[str]):
@@ -602,7 +607,6 @@ class CompiledTable:
             self.template.flags.writeable = False
         self.index = np.array(index, dtype=np.intp)
         self._program = None
-        self._evaluated = False
 
     @property
     def operations(self) -> int:
@@ -622,14 +626,13 @@ class CompiledTable:
                               strides=(0,) + constant.strides)
         out = np.empty((points.shape[0], self.template.size))
         out[:] = self.template
-        if len(points) == 1 and not self._evaluated:
+        if len(points) == 1:
             out[0, self.index] = self._evaluate_at(points[0])
         else:
             registers, outputs = self._run(points)
             out[:, self.index] = registers[outputs].T
             for s in np.flatnonzero(~np.isfinite(registers).all(axis=0)):
                 out[s, self.index] = self._evaluate_at(points[s])
-        self._evaluated = True
         return out.reshape((points.shape[0],) + self.shape)
 
     def _compiled(self):
@@ -658,7 +661,8 @@ class CompiledTable:
         env = dict(zip(self.coords, point.tolist()))
         memo = {}  # shared by the trees, which share subtrees
         try:
-            return [evaluate(tree, env, memo) for tree in self.trees]
+            with np.errstate(all="ignore"):
+                return [_walk(tree, env, memo) for tree in self.trees]
         except EvalError as err:
             raise type(err)(f"{err.reason} at {point_text(point)}", err.subexpr) from None
 
@@ -750,15 +754,6 @@ def _pow(base: Expr, exponent: int) -> Expr:
     return Pow(base, exponent)
 
 
-def _call(func: str, arg: Expr) -> Expr:
-    if type(arg) is Const:
-        try:
-            return Const(FUNCTIONS[func](arg.value))
-        except (ValueError, OverflowError):
-            pass
-    return Call(func, arg)
-
-
 def diff(e: Expr, var: str, memo: dict | None = None) -> Expr:
     """Exact partial derivative with respect to the named coordinate.
 
@@ -837,21 +832,21 @@ def _diff_call(e: Call, du: Expr) -> Expr:
     """Chain rule for a built-in function of u, given du."""
     func, u = e.func, e.arg
     if func == "sin":
-        return mul(_call("cos", u), du)
+        return mul(Call("cos", u), du)
     if func == "cos":
-        return _neg(mul(_call("sin", u), du))
+        return _neg(mul(Call("sin", u), du))
     if func == "tan":
-        return _div(du, _pow(_call("cos", u), 2))
+        return _div(du, _pow(Call("cos", u), 2))
     if func == "exp":
-        return mul(_call("exp", u), du)
+        return mul(Call("exp", u), du)
     if func == "log":
         return _div(du, u)
     if func == "sqrt":
-        return _div(du, mul(Const(2.0), _call("sqrt", u)))
+        return _div(du, mul(Const(2.0), Call("sqrt", u)))
     if func == "sinh":
-        return mul(_call("cosh", u), du)
+        return mul(Call("cosh", u), du)
     if func == "cosh":
-        return mul(_call("sinh", u), du)
+        return mul(Call("sinh", u), du)
     raise TypeError(f"not an expression node: {e!r}")
 
 

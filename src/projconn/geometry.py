@@ -553,6 +553,8 @@ class MetricJet:
     d3G = _table_field("g", 3, 3)
     dpi = _table_field("pi", 1, 1)  # (S, n, n), dpi[s, m, i] = d_m pi_i
     d2pi = _table_field("pi", 2, 3)
+    phi = _table_field("phi", 0, 0)  # (S, n, n)
+    f = _table_field("f", 0, 0)  # (S, 3): f1, f2, f3
 
     @cached_property
     def G_inv(self) -> np.ndarray:

@@ -263,9 +263,8 @@ def _gssf_columns(spec, j) -> dict:
     chart's coefficient functions, the annihilation of the field by the
     curvature, and the nullity form of the projective curvature."""
     eye = np.eye(spec.n)
-    G, pi, xi, R = j.G, j.pi, j.xi, j.lc.R
-    phi = spec.tables.values("phi", 0, j.points)
-    f1, f2, f3 = spec.tables.values("f", 0, j.points).T[:, :, None, None, None, None]
+    G, pi, xi, phi, R = j.G, j.pi, j.xi, j.phi, j.lc.R
+    f1, f2, f3 = j.f.T[:, :, None, None, None, None]
     square = np.einsum("sim,smj->sij", phi, phi) + eye - np.einsum("si,sj->sij", xi, pi)
     kills_field = np.einsum("sij,sj->si", phi, xi)
     unit = np.einsum("si,si->s", pi, xi) - 1.0

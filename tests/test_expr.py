@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,7 +108,11 @@ def test_parse_unknown_function():
     assert err.value.position == 3
 
 
-@pytest.mark.parametrize("text, position", [("1e999", 1), ("x - 1e999", 5), ("2*1E+400", 3)])
+@pytest.mark.parametrize("text, position", [
+    ("1e999", 1), ("x - 1e999", 5), ("2*1E+400", 3),
+    pytest.param("x^" + "9" * 400, 3, id="exponent"),
+    pytest.param("x^-" + "9" * 5000, 4, id="exponent_beyond_int_digits"),
+])
 def test_parse_rejects_a_number_out_of_range(text, position):
     with pytest.raises(ex.ParseError, match="number out of range") as err:
         ex.parse(text)
@@ -274,52 +279,6 @@ def test_printer_negative_constant_evaluates_equal():
         )
 
 
-_DERIVATIVE = {
-    "sin": math.cos,
-    "cos": math.sin,  # magnitudes only
-    "tan": lambda a: 1.0 / math.cos(a) ** 2,
-    "exp": math.exp,
-    "log": lambda a: 1.0 / a,
-    "sqrt": lambda a: 0.5 / math.sqrt(a) if a else math.inf,
-    "sinh": math.cosh,
-    "cosh": math.sinh,
-}
-
-
-def _value_and_spread(e, env):
-    """The scalar value of e and a first-order bound on how far it moves, in
-    units of one relative rounding error, when every operation of the walk
-    rounds differently by up to one unit: each operation contributes its own
-    magnitude plus its operands' spreads times its partials."""
-    if isinstance(e, ex.Const):
-        return e.value, 0.0
-    if isinstance(e, ex.Var):
-        return env[e.name], 0.0
-    if isinstance(e, ex.Neg):
-        value, spread = _value_and_spread(e.arg, env)
-        return -value, spread
-    if isinstance(e, ex.Pow):
-        base, spread = _value_and_spread(e.base, env)
-        value = base**e.exponent
-        return value, abs(e.exponent * base ** (e.exponent - 1)) * spread + abs(value)
-    if isinstance(e, ex.Call):
-        arg, spread = _value_and_spread(e.arg, env)
-        value = ex.FUNCTIONS[e.func](arg)
-        carried = abs(_DERIVATIVE[e.func](arg)) * spread if spread else 0.0
-        return value, carried + abs(value)
-    a, sa = _value_and_spread(e.left, env)
-    b, sb = _value_and_spread(e.right, env)
-    if isinstance(e, ex.Add):
-        value, spread = a + b, sa + sb
-    elif isinstance(e, ex.Sub):
-        value, spread = a - b, sa + sb
-    elif isinstance(e, ex.Mul):
-        value, spread = a * b, abs(b) * sa + abs(a) * sb
-    else:
-        value, spread = a / b, sa / abs(b) + abs(a) * sb / b**2
-    return value, spread + abs(value)
-
-
 def _scalar_table(trees, coords, points):
     """The reference: every tree walked at every point in order, the first
     error named at its point."""
@@ -335,13 +294,10 @@ def _scalar_table(trees, coords, points):
 
 
 def _compiled_and_scalar(trees, coords, points):
-    """Evaluate the trees as one compiled table and by the scalar walk; an
-    error must match the walk's in type and message, and values must agree
-    to relative 1e-14 of the larger of the value and its rounding spread.
-    numpy's sin, exp, cosh, ... may differ from libm's by an ulp, and an
-    ill-conditioned tree (cancellation, tan near a pole, trig of a large
-    argument) magnifies that.  Returns the number of values compared, or
-    None when the walk raised."""
+    """Evaluate the trees as one compiled table and by the scalar walk,
+    which share one arithmetic: an error must match the walk's in type and
+    message, and every value must be the walk's bit for bit.  Returns the
+    number of finite values compared, or None when the walk raised."""
     table = np.empty(len(trees), dtype=object)
     table[:] = trees
     try:
@@ -352,18 +308,28 @@ def _compiled_and_scalar(trees, coords, points):
         assert str(batched.value) == str(err)
         return None
     got = ex.CompiledTable(table, coords).values(points)
-    compared = 0
-    for s, point in enumerate(points):
-        env = dict(zip(coords, point.tolist()))
-        for k, tree in enumerate(trees):
-            value, spread = _value_and_spread(tree, env)
-            assert value == expected[s, k] or np.isnan(expected[s, k])
-            if not np.isfinite(value):
-                assert got[s, k] == value or np.isnan(value) and np.isnan(got[s, k])
-                continue
-            compared += 1
-            assert abs(got[s, k] - value) <= 1e-14 * max(abs(value), spread), ex.to_text(tree)
-    return compared
+    assert np.array_equal(got, expected, equal_nan=True)
+    finite = np.isfinite(expected)
+    assert np.array_equal(np.signbit(got[finite]), np.signbit(expected[finite]))
+    return int(finite.sum())
+
+
+@pytest.mark.parametrize("text, x, message", [
+    ("exp(x)", 1000.0, "domain error in exp in 'exp(x)'"),
+    ("sinh(x)", 1000.0, "domain error in sinh in 'sinh(x)'"),
+    ("x^3", 1e200, "overflow in power in 'x^3'"),
+    ("x^2", 1e200, "overflow in power in 'x^2'"),
+    ("log(x)", -1.0, "log of a non-positive value in 'log(x)'"),
+    ("1/x", 0.0, "division by zero in '1/x'"),
+])
+def test_out_of_domain_walk_raises_and_warns_nothing(text, x, message):
+    # the walk computes with numpy's ufuncs, whose overflow would warn
+    # outside its error state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ex.DomainError) as err:
+            ex.evaluate(ex.parse(text), {"x": x})
+    assert str(err.value) == message
 
 
 def test_compiled_table_matches_scalar_walk():
@@ -432,21 +398,28 @@ def test_scalar_walk_evaluates_a_shared_subtree_once(monkeypatch):
     env = _CountingEnv(x=0.75)
     assert ex.evaluate(e, env) == 2.0**16 * 0.75
     assert env.lookups == 1
-    # a table's first single-point evaluation walks all its trees with one memo
+    # every single-point evaluation of a table walks all its trees with one
+    # memo, the second as the first; a batch runs the program instead
     lookups = []
-    walk = ex.evaluate
+    walk = ex._walk
 
-    def counting(node, env, memo=None):
-        if isinstance(node, ex.Var) and id(node) not in (memo or {}):
+    def counting(node, env, memo):
+        if isinstance(node, ex.Var) and id(node) not in memo:
             lookups.append(node.name)
         return walk(node, env, memo)
 
-    monkeypatch.setattr(ex, "evaluate", counting)
+    monkeypatch.setattr(ex, "_walk", counting)
     table = np.empty(2, dtype=object)
     table[:] = [e, ex.Add(e, ex.Const(1.0))]
-    got = ex.CompiledTable(table, ("x",)).values([[0.75]])
-    assert got.tolist() == [[2.0**16 * 0.75, 2.0**16 * 0.75 + 1.0]]
-    assert lookups == ["x"]
+    compiled = ex.CompiledTable(table, ("x",))
+    for _ in range(2):
+        lookups.clear()
+        got = compiled.values([[0.75]])
+        assert got.tolist() == [[2.0**16 * 0.75, 2.0**16 * 0.75 + 1.0]]
+        assert lookups == ["x"]
+    lookups.clear()
+    assert compiled.values([[0.75], [0.75]]).tolist() == got.tolist() * 2
+    assert lookups == []
 
 
 def test_diff_memo_shares_without_changing_structure():

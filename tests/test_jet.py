@@ -12,7 +12,7 @@ import sympy as sp
 
 from projconn import cli, connections, curvature, geometry, theorems
 from projconn import expr as ex
-from projconn.catalog import builtin
+from projconn.catalog import builtin, catalog_names
 from projconn.curvature import jet
 from projconn.geometry import SampleSet, sample
 from projconn.theorems import run_checks
@@ -124,6 +124,20 @@ def test_run_checks_reads_each_table_once_per_block(monkeypatch):
     ]
 
 
+def test_run_checks_reads_phi_and_f_through_the_store(monkeypatch):
+    # gssf_c1 is n = 3: every table is one block, evaluated once, phi and f
+    # as well, though the gssf family reads them in each of the 3 chunks
+    reads = _counting(monkeypatch, geometry.ChartTables, "values")
+    spec = builtin("gssf_c1").spec
+    samples = sample(spec, 200, seed=42)
+    run_checks(spec, samples=samples)
+    assert len(samples.chunks()) == 3
+    assert [(name, k, len(points)) for _, name, k, points in reads] == [
+        ("g", 0, 200), ("g", 1, 200), ("xi", 0, 200), ("pi", 1, 200),
+        ("g", 2, 200), ("g", 3, 200), ("pi", 2, 200), ("phi", 0, 200), ("f", 0, 200),
+    ]
+
+
 def test_gate_walks_the_blocks_of_its_tables(monkeypatch):
     # at n = 8 a chunk is one sample, but the gate reads only g, dg, xi and
     # dpi: it steps through dg's 128-sample blocks, the shortest of the four,
@@ -182,6 +196,47 @@ def test_reports_do_not_depend_on_table_blocks(name, monkeypatch):
     assert evaluations[1:] == [(4 + walk) * chunks, walk]
     # g's order-3 block is 64 samples at n = 4, four of the 16-sample chunks
     assert evaluations[0] == (walk + 3 if name == "warped_r3xr" else walk)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_one_point_jet_is_its_row_of_a_batch(name):
+    # a single point is walked and a batch runs the compiled program; the
+    # two share one arithmetic, so a sample's jet does not depend on the
+    # batch it comes in
+    spec = builtin(name).spec
+    points = sample(spec, 12, seed=5).points
+    batch = jet(spec, points, 3)
+    for k in range(len(points)):
+        one = jet(spec, points[k:k + 1], 3)
+        pairs = [(field, getattr(one, field), getattr(batch, field))
+                 for field in ("G", "dG", "d2G", "d3G", "dpi", "d2pi")]
+        for kind in ("lc", "pr"):
+            pairs += [(f"{kind}.{field}", getattr(getattr(one, kind), field),
+                       getattr(getattr(batch, kind), field))
+                      for field in ("Gamma", "dGamma", "d2Gamma", "R", "S", "dR", "nabla_R")]
+        for field, alone, rows in pairs:
+            assert _same_bits(alone[0], rows[k]), (field, k)
+
+
+def test_one_sample_reports_do_not_depend_on_call_history():
+    # the second run on a chart reads the tables its first run evaluated; a
+    # table evaluated again at one point gives the bits of its first
+    # evaluation
+    for seed in range(20):
+        spec = builtin("warped_r3xr").spec
+        first, second = (
+            json.dumps([r.to_dict() for r in run_checks(spec, count=1, seed=seed)], indent=2)
+            for _ in range(2)
+        )
+        assert first == second, seed
+    for point in sample(spec, 40, seed=3).points:
+        table = ex.CompiledTable(spec.tables.table("g", 3), spec.coords)
+        first = table.values([point])
+        assert _same_bits(table.values([point]), first)
 
 
 def _sympy_tensors(spec):
