@@ -277,7 +277,10 @@ def _cmd_verify(args) -> int:
     except (NotSPDError, SpecError, DimensionError, expr.ExprError) as err:
         raise _InputError(str(err)) from err
     if args.json:
-        text = json.dumps([r.to_dict() for r in reports], indent=2)
+        try:
+            text = json.dumps([r.to_dict() for r in reports], indent=2, allow_nan=False)
+        except ValueError:  # JSON has no non-finite number
+            raise _InputError(f"chart {spec.name!r}: a report holds a non-finite value") from None
     else:
         header = (
             f"verification of {spec.name}: samples={count} seed={seed}"

@@ -588,7 +588,8 @@ class CompiledTable:
     In IEEE arithmetic every domain error of the walk leaves a non-finite
     register: division by zero and zero to a negative power give an
     infinity, log of x <= 0 gives -inf or nan, sqrt of x < 0 gives nan, a
-    non-finite function or power value is the walk's error too; an unbound
+    non-finite function or power value is the walk's error too, and so is
+    a non-finite entry value, such as a product that overflows; an unbound
     variable is a row of nan.  So one mask, the points with a non-finite
     register, covers them all.  Each masked point is walked again, which
     either raises the walk's error, with the point named in its message, or
@@ -658,13 +659,22 @@ class CompiledTable:
         return registers, outputs
 
     def _evaluate_at(self, point) -> list[float]:
+        """The varying entries at one point, walked.  A non-finite entry
+        value is a DomainError too: products alone can overflow."""
         env = dict(zip(self.coords, point.tolist()))
         memo = {}  # shared by the trees, which share subtrees
+        finite = math.isfinite
         try:
             with np.errstate(all="ignore"):
-                return [_walk(tree, env, memo) for tree in self.trees]
+                return [value if finite(value := _walk(tree, env, memo)) else _non_finite(tree)
+                        for tree in self.trees]
         except EvalError as err:
             raise type(err)(f"{err.reason} at {point_text(point)}", err.subexpr) from None
+
+
+def _non_finite(tree: Expr):
+    """The error of an entry whose value is not finite."""
+    raise DomainError("non-finite value", tree)
 
 
 # ---------------------------------------------------------------------------

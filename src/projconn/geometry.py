@@ -172,6 +172,17 @@ class ManifoldSpec:
             self._tables = ChartTables(self)
         return self._tables
 
+    @property
+    def coordinate_free(self) -> bool:
+        """Whether no g, xi, phi or f entry reads a coordinate, so that every
+        table of the chart has the same values at every point.  Read from the
+        entries each time, so a spec made by ``dataclasses.replace`` answers
+        for its own entries; nothing is differentiated."""
+        entries = [*self.xi, self.f1, self.f2, self.f3]
+        for rows in (self.g, self.phi or ()):
+            entries += [e for row in rows for e in row]
+        return not any(ex.variables(e) for e in entries if e is not None)
+
     def require_dimension_above_two(self):
         if self.n <= 2:
             raise DimensionError(

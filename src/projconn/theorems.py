@@ -26,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 
-from .geometry import ManifoldSpec, SpecError, TableStore, sample
+from .geometry import ManifoldSpec, SampleSet, SpecError, TableStore, sample
 from .connections import check_parallel_unit_xi, covariant, wedge
 from .curvature import jet, lam_scale, ricci_contraction, ricci_shifts
 from .report import CheckReport
@@ -382,8 +382,15 @@ def _reports(family, spec, samples, cols, tolerances, gate_report) -> list[Check
     return reports
 
 
-def _gate_report(spec, samples, store, tolerances) -> CheckReport:
-    """The ``parallel_unit_xi`` report from the gate's per-sample measurement.
+def _spread(column: np.ndarray, count: int) -> np.ndarray:
+    """A per-sample column of the walked samples at the sample count: the
+    column itself, or the value of the one walked sample repeated."""
+    return column if len(column) == count else np.repeat(column, count)
+
+
+def _gate_report(spec, samples, nabla, unit, tolerances) -> CheckReport:
+    """The ``parallel_unit_xi`` report from the gate's per-sample measurement
+    |grad pi| and |g(xi,xi) - 1| (``connections.check_parallel_unit_xi``).
 
     The report also verifies the chart's declared flag: a declared negative
     control that indeed fails the gate is marked skipped (so suite exit codes
@@ -391,7 +398,6 @@ def _gate_report(spec, samples, store, tolerances) -> CheckReport:
     declares the negative control and measures parallel, is a genuine
     failure.
     """
-    nabla, unit = check_parallel_unit_xi(spec, samples, store)
     residuals = _residual(nabla, unit)
     nabla_max, unit_max, residual = (float(np.max(a)) for a in (nabla, unit, residuals))
     tol = _tol("parallel_unit_xi", tolerances)
@@ -458,7 +464,13 @@ def run_checks(
     sharing one jet per chunk at the highest order they need.  The gate's
     pass and every chunk's jet read the chart tables from one
     ``TableStore``, which evaluates each block of them once.  A family
-    whose checks are all gated does not run when the gate fails.
+    whose checks are all gated does not run when the gate fails.  On a
+    coordinate-free chart (``ManifoldSpec.coordinate_free``), whose jet is
+    the same at every sample, the gate and the walk run on the first
+    sample only, and each per-sample column (the gate's two and every
+    family's) is its value repeated to the sample count, so means, maxima
+    and the space-form fit sums run over the values a walk of every sample
+    would give.
     Deterministic: the same spec, seed, count and tolerance map produce
     byte-identical serialized reports.
     """
@@ -485,8 +497,13 @@ def run_checks(
                 f"chart {spec.name!r} is missing the structure fields "
                 "(phi, f1, f2, f3) required by the almost-contact checks"
             )
-    store = TableStore(spec, samples)
-    gate = _gate_report(spec, samples, store, tolerances)
+    walked = samples  # a coordinate-free chart has one jet, bit for bit: walk its first sample
+    if spec.coordinate_free:
+        walked = SampleSet(samples.seed, samples.points[:1], samples.frames[:1])
+    store = TableStore(spec, walked)
+    nabla, unit = (_spread(column, samples.count)
+                   for column in check_parallel_unit_xi(spec, walked, store))
+    gate = _gate_report(spec, samples, nabla, unit, tolerances)
     running = [
         family for family in families
         if gate.gate_status == "passed"
@@ -495,17 +512,18 @@ def run_checks(
     columns = {family: defaultdict(list) for family in running}
     if running:
         order = max(_FAMILIES[family] for family in running)
-        for lo, hi in samples.chunks():
-            j = jet(spec, samples.points[lo:hi], order, store.rows(lo, hi)).complete()
+        for lo, hi in walked.chunks():
+            j = jet(spec, walked.points[lo:hi], order, store.rows(lo, hi)).complete()
             for family in running:
                 for key, col in _FAMILY_RUNNERS[family](spec, j).items():
                     columns[family][key].append(col)
     by_id = {"parallel_unit_xi": gate}
     for family in families:
-        # Per-sample values are joined across chunks; per-sample tensors
-        # stay one array per chunk, so they are never copied whole.
+        # Per-sample values are joined across chunks and spread to the
+        # sample count; per-sample tensors stay one array per walked chunk,
+        # so they are never copied whole.
         cols = {
-            key: np.concatenate(parts) if parts[0].ndim == 1 else parts
+            key: _spread(np.concatenate(parts), samples.count) if parts[0].ndim == 1 else parts
             for key, parts in columns.get(family, {}).items()
         }
         for rep in _reports(family, spec, samples, cols, tolerances, gate):

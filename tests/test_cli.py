@@ -356,6 +356,33 @@ def _euclidean3_with(old: str, new: str) -> str:
 _EVAL_GAMMA = ["eval", "--manifold", "euclidean3", "--tensor", "gamma"]
 
 
+_OVERFLOWING_PRODUCT = _euclidean3_with("g[0][0] = 1", "g[0][0] = 1 + x*x*x*x*x*x*x*x").replace(
+    "box[0] = -1, 1", "box[0] = 1e40, 1e41")
+
+
+def test_entry_that_overflows_through_products_exits_3(tmp_path, capsys):
+    # no function or power overflows: the entry's value itself is infinite
+    path = tmp_path / "overflow.manifold"
+    path.write_text(_OVERFLOWING_PRODUCT, encoding="utf-8")
+    entry = "'1+x*x*x*x*x*x*x*x'"
+    code, out, err = run_cli(capsys, "eval", "--file", str(path), "--tensor", "gamma",
+                             "--point", "5e40,0.5,0.5")
+    assert (code, out, err) == (3, "", f"error: non-finite value at (5e+40, 0.5, 0.5) in {entry}\n")
+    first = sample(load_spec(path), 200, seed=42).points[0]
+    code, out, err = run_cli(capsys, "verify", "--file", str(path), "--json")
+    assert (code, out, err) == (3, "", f"error: non-finite value at {point_text(first)} in {entry}\n")
+
+
+def test_verify_json_never_writes_a_non_finite_number(monkeypatch, capsys):
+    from projconn import theorems
+    from projconn.report import CheckReport
+
+    report = CheckReport("eq17", "euclidean3", 1, 42, math.nan, math.nan, 1e-9, False, "passed")
+    monkeypatch.setattr(theorems, "run_checks", lambda *args, **kwargs: [report])
+    code, out, err = run_cli(capsys, "verify", "--manifold", "euclidean3", "--json")
+    assert (code, out, err) == (3, "", "error: chart 'euclidean3': a report holds a non-finite value\n")
+
+
 @pytest.mark.parametrize("args, document, code, message", [
     (["verify"], _euclidean3_with("dim = 3", "dim = ٣"), 3,
      "cannot load manifold file: 'dim' must be an integer, got '٣'"),

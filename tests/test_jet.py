@@ -5,12 +5,13 @@ independent SymPy derivation from the chart strings."""
 import functools
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from projconn import cli, connections, curvature, geometry, theorems
+from projconn import catalog, cli, connections, curvature, geometry, theorems
 from projconn import expr as ex
 from projconn.catalog import builtin, catalog_names
 from projconn.curvature import jet
@@ -48,7 +49,9 @@ def test_no_covariant_output_exceeds_the_byte_budget(monkeypatch):
     assert sizes and max(sizes) <= geometry.CHUNK_BYTES
 
 
-@pytest.mark.parametrize("name", ["cylinder_s2xr", "gssf_c1", "sphere3_bad_xi", "euclidean4"])
+# polar_r2xr2 is the flat n = 4 chart: euclidean4 reads no coordinate, so it
+# walks one sample whatever the chunking
+@pytest.mark.parametrize("name", ["cylinder_s2xr", "gssf_c1", "sphere3_bad_xi", "polar_r2xr2"])
 def test_reports_do_not_depend_on_chunking(name, monkeypatch):
     spec = builtin(name).spec
     samples = sample(spec, 100, seed=42)
@@ -122,6 +125,72 @@ def test_run_checks_reads_each_table_once_per_block(monkeypatch):
         ("g", 0, 200), ("g", 1, 200), ("xi", 0, 200), ("pi", 1, 200),
         ("g", 2, 200), ("g", 3, 200), ("pi", 2, 200),
     ]
+
+
+def test_coordinate_free_chart_walks_one_sample(monkeypatch):
+    reads = _counting(monkeypatch, geometry.ChartTables, "values")
+    passes = _counting(monkeypatch, connections, "metric_jet")
+    riemann = _counting(monkeypatch, curvature, "_riemann_components")
+    spec = builtin("euclidean8").spec
+    assert spec.coordinate_free
+    reports = run_checks(spec, count=200, seed=42)
+    assert {r.samples for r in reports} == {200}
+    assert len(riemann) == 2  # R and R~, of one jet
+    assert [len(points) for _, points, *_ in passes] == [1]  # the gate's one pass
+    assert reads and {len(points) for *_, points in reads} == {1}
+
+
+def test_chart_that_reads_a_coordinate_walks_every_chunk(monkeypatch):
+    riemann = _counting(monkeypatch, curvature, "_riemann_components")
+    spec = builtin("polar_r2xr2").spec
+    samples = sample(spec, 200, seed=42)
+    assert not spec.coordinate_free
+    run_checks(spec, samples=samples)
+    assert len(riemann) == 2 * len(samples.chunks()) == 26
+
+
+def test_coordinate_free_reads_every_entry():
+    # constants spelled as expressions are coordinate-free; a coordinate in
+    # any g, xi, phi or f entry is not, and a replaced spec answers for its
+    # own entries
+    spec = builtin("euclidean3").spec
+    one, x = ex.parse("-(-1)"), ex.parse("1 + 0*x")
+    zeros = tuple((ex.const(0.0),) * 3 for _ in range(3))
+    structured = replace(spec, phi=zeros, f1=ex.parse("sin(1)"), f2=one, f3=one)
+    assert spec.coordinate_free and structured.coordinate_free
+    assert replace(spec, g=((one, *spec.g[0][1:]), *spec.g[1:])).coordinate_free
+    assert not replace(spec, g=((x, *spec.g[0][1:]), *spec.g[1:])).coordinate_free
+    assert not replace(spec, xi=(x, *spec.xi[1:])).coordinate_free
+    assert not replace(structured, phi=((x, *zeros[0][1:]), *zeros[1:])).coordinate_free
+    assert not replace(structured, f3=x).coordinate_free
+    assert not builtin("polar_r2xr2").spec.coordinate_free
+
+
+def _twin(name: str) -> geometry.ManifoldSpec:
+    """The catalog chart with g[0][0] = 1 written as 1 + 0*(first
+    coordinate): the same values at every point, bit for bit, but a chart
+    that reads a coordinate, so it takes the walk over every sample."""
+    spec = builtin(name).spec
+    twin = geometry.load_spec(catalog.entry_document(name).replace(
+        "g[0][0] = 1\n", f"g[0][0] = 1 + 0*{spec.coords[0]}\n"))
+    assert spec.coordinate_free and not twin.coordinate_free
+    return twin
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("euclidean3", (1, 37, 200)),
+    ("euclidean4", (1, 37, 200)),
+    ("euclidean5", (1, 37, 200)),
+    ("euclidean8", (1, 3)),
+], ids=lambda value: value if isinstance(value, str) else "-".join(map(str, value)))
+def test_one_jet_reports_match_the_walk_of_every_sample(name, counts):
+    spec, twin = builtin(name).spec, _twin(name)
+    for count in counts:
+        documents = [
+            json.dumps([r.to_dict() for r in run_checks(chart, count=count, seed=42)], indent=2)
+            for chart in (spec, twin)
+        ]
+        assert documents[0] == documents[1], count
 
 
 def test_run_checks_reads_phi_and_f_through_the_store(monkeypatch):

@@ -162,19 +162,47 @@ UNGATED_FAILURES = {
 }
 
 
-def _ungated_failures(monkeypatch) -> set[str]:
-    """The checks that FAIL on sphere3_bad_xi declared parallel, with the
-    gate's measurement patched to zeros, at 50 samples."""
-    spec = replace(builtin("sphere3_bad_xi").spec, parallel_xi_expected=True, _tables=None)
+# The checks that FAIL on euclidean3 with the rotating unit field
+# xi = cos x d_y + sin x d_z, once the gate lets them run: every gated check
+# but thm2_1_i and eq11, the flat-premise checks included, since the metric
+# is flat.  thm3_3_p_flat holds there.  The metric reads no coordinate, but
+# xi does, so the chart is not coordinate-free and every sample is walked.
+ROTATING_FAILURES = {
+    "eq9_two_path", "thm2_1_ii", "thm2_1_iii", "thm2_1_iv", "thm2_1_v",
+    "eq11d", "eq12", "lem2_4",
+    "eq10", "eq15", "lem2_6",
+    "eq17", "eq10b",
+    "def4_1_flat", "eq20", "eq21", "cor4_3",
+    "eq5_3", "thm5_1_flat",
+}
+
+
+def _ungated_reports(monkeypatch, spec):
+    """The reports of a chart declared parallel, with the gate's measurement
+    patched to zeros, at 50 samples."""
     monkeypatch.setattr(theorems, "check_parallel_unit_xi",
                         lambda spec, samples, store: (np.zeros(samples.count),
                                                       np.zeros(samples.count)))
-    reports = run_checks(spec, count=50, seed=42)
+    return run_checks(replace(spec, parallel_xi_expected=True, _tables=None), count=50, seed=42)
+
+
+def _ungated_failures(monkeypatch) -> set[str]:
+    """The checks that FAIL on sphere3_bad_xi without the gate."""
+    reports = _ungated_reports(monkeypatch, builtin("sphere3_bad_xi").spec)
     return {r.check_id for r in reports if not (r.passed or r.skipped)}
 
 
 def test_gated_checks_fail_without_the_gate(monkeypatch):
     assert _ungated_failures(monkeypatch) == UNGATED_FAILURES
+
+
+def test_flat_premise_checks_fail_on_a_rotating_field(monkeypatch):
+    spec = builtin("euclidean3").spec
+    rotating = replace(spec, xi=(ex.const(0.0), ex.parse("cos(x)"), ex.parse("sin(x)")))
+    assert not rotating.coordinate_free
+    reports = _ungated_reports(monkeypatch, rotating)
+    assert not any(r.skipped for r in reports)
+    assert {r.check_id for r in reports if not r.passed} == ROTATING_FAILURES
 
 
 def _failing_charts() -> list[str]:
