@@ -159,7 +159,7 @@ class ManifoldSpec:
     f2: ex.Expr | None = None
     f3: ex.Expr | None = None
     _tables: ChartTables | None = field(
-        default=None, compare=False, repr=False
+        init=False, default=None, compare=False, repr=False
     )
 
     @property

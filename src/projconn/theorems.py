@@ -126,10 +126,18 @@ def _pi_in_lower_slots(pi: np.ndarray, T: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-chunk contractions: each maps one jet to per-sample columns
+# per-chunk contractions: each maps one jet, and whether its chunk refuted
+# flatness, to per-sample columns
 
 
-def _curvature_columns(spec, j) -> dict:
+def _computes(check_id: str, curved: bool) -> bool:
+    """Whether a chunk computes the column of ``check_id``: every column but
+    those of ``_FLAT_ONLY`` when the chunk refuted flatness, since those
+    checks then skip and their columns reach no report."""
+    return not (curved and check_id in _FLAT_ONLY)
+
+
+def _curvature_columns(spec, j, curved) -> dict:
     n = spec.n
     lam = lam_scale(n)
     eye = np.eye(n)
@@ -169,7 +177,7 @@ def _curvature_columns(spec, j) -> dict:
     return cols
 
 
-def _ricci_columns(spec, j) -> dict:
+def _ricci_columns(spec, j, curved) -> dict:
     """Both Ricci tensors are differentiated with the metric connection: that
     is the reading under which the shift identity differentiates to an exact
     statement, since the shift term is parallel together with the field."""
@@ -188,49 +196,52 @@ def _ricci_columns(spec, j) -> dict:
     }
 
 
-def _projective_columns(spec, j) -> dict:
+def _projective_columns(spec, j, curved) -> dict:
     """The space-form premise of ``thm3_3_p_flat`` is detected by a
     least-squares fit of the sampled curvature to K times the unit pattern
     g_jk g_il - g_ik g_jl.  The fit sums are kept per chunk, and so are the
     lowered curvature and the pattern for the fit residual: both exactly
     antisymmetric in (i, j), so their i < j half carries every |entry|."""
     lam = lam_scale(spec.n)
-    R, Rt, P, Pt, G, Rlow = j.lc.R, j.pr.R, j.lc.P, j.pr.P, j.G, j.lc.Rlow
+    Rt, P, Pt, G, Rlow = j.pr.R, j.lc.P, j.pr.P, j.G, j.lc.Rlow
     pattern = np.einsum("sjk,sil->sijkl", G, G) - np.einsum("sik,sjl->sijkl", G, G)
     half = np.triu_indices(spec.n, 1)
     coincidence = _residual(Pt - P)
-    return {
-        "max_R": _residual(R),
+    cols = {
         "Rlow": Rlow[:, half[0], half[1]],
         "pattern": pattern[:, half[0], half[1]],
         "fit_num": np.sum(Rlow * pattern, axis=(1, 2, 3, 4)),
         "fit_den": np.sum(pattern * pattern, axis=(1, 2, 3, 4)),
         "eq17": coincidence,
-        "eq10b": _residual(Rt - (P + lam * j.shift), coincidence),
         "thm3_3_p_flat": _residual(P),
     }
+    if _computes("eq10b", curved):
+        cols["eq10b"] = _residual(Rt - (P + lam * j.shift), coincidence)
+    return cols
 
 
-def _semisymmetry_columns(spec, j) -> dict:
+def _semisymmetry_columns(spec, j, curved) -> dict:
     """Every check here has the flat premise.  On non-flat charts the checks
     skip but still report the observed max |R| and |R~.R~|: that is the
-    contrapositive direction of the flat-iff-semi-symmetric theorem."""
+    contrapositive direction of the flat-iff-semi-symmetric theorem.  So a
+    chunk that refuted flatness computes the R~.R~ maxima alone."""
     n = spec.n
     lam = lam_scale(n)
     pi, Rt = j.pi, j.pr.R
     rho = -2.0 * (n - 1) / (n + 1.0) * pi
-    applied = covariant(j.xi_Rt, Rt, None, "ulll")  # R~(xi, e_m) . R~
-    rhs_20 = -lam * _pi_in_lower_slots(pi, Rt) + 2.0 * lam * lam * j.pi_shift
-    return {
-        "max_R": _residual(j.lc.R),
-        "def4_1_flat": j.derivation_maxima[0],
-        "eq20": _residual(applied - rhs_20),
-        "eq21": _residual(Rt - lam * j.shift),
-        "cor4_3": _residual(j.pr.nabla_R - np.einsum("sm,slijk->smlijk", rho, Rt)),
-    }
+    cols = {"def4_1_flat": j.derivation_maxima[0]}
+    if _computes("eq20", curved):
+        applied = covariant(j.xi_Rt, Rt, None, "ulll")  # R~(xi, e_m) . R~
+        rhs_20 = -lam * _pi_in_lower_slots(pi, Rt) + 2.0 * lam * lam * j.pi_shift
+        cols["eq20"] = _residual(applied - rhs_20)
+    if _computes("eq21", curved):
+        cols["eq21"] = _residual(Rt - lam * j.shift)
+    if _computes("cor4_3", curved):
+        cols["cor4_3"] = _residual(j.pr.nabla_R - np.einsum("sm,slijk->smlijk", rho, Rt))
+    return cols
 
 
-def _rp_columns(spec, j) -> dict:
+def _rp_columns(spec, j, curved) -> dict:
     """``thm5_1_flat`` joins what flatness gives: R~.P~ = 0, S = 0 and P~
     equal to both R and P.  On non-flat charts it skips but reports the
     observed max |R~.P~| and max |S|."""
@@ -246,18 +257,19 @@ def _rp_columns(spec, j) -> dict:
     ) / (n - 1.0)
     rp = j.derivation_maxima[1]
     max_S, part_i, part_ii = _residual(S), _residual(d_i), _residual(d_ii)
-    return {
+    cols = {
         "part_i": part_i,
         "part_ii": part_ii,
         "eq5_3": _residual(part_i, part_ii),
-        "max_R": _residual(R),
         "max_RP": rp,
         "max_S": max_S,
-        "thm5_1_flat": _residual(rp, max_S, Pt - R, Pt - P),
     }
+    if _computes("thm5_1_flat", curved):
+        cols["thm5_1_flat"] = _residual(rp, max_S, Pt - R, Pt - P)
+    return cols
 
 
-def _gssf_columns(spec, j) -> dict:
+def _gssf_columns(spec, j, curved) -> dict:
     """For charts carrying the almost-contact structure (phi, f1, f2, f3):
     the structure identities, the three-term curvature shape with the
     chart's coefficient functions, the annihilation of the field by the
@@ -317,10 +329,17 @@ def _observed(cols) -> dict:
     return seen
 
 
+def _is_flat(max_abs_R: float) -> bool:
+    """The flat premise, from the largest |R| over some samples.  Over all
+    of them it decides the premise; over one chunk's, a False refutes it
+    for the whole sample set, whose largest |R| is at least the chunk's."""
+    return max_abs_R <= FLAT_DETECTION_TOL
+
+
 # premise -> (whether it holds, from the observed values; why a skip skipped)
 _PREMISES = {
     "flat": (
-        lambda seen: seen["max_abs_R"] <= FLAT_DETECTION_TOL,
+        lambda seen: _is_flat(seen["max_abs_R"]),
         "chart is not flat (max |R| = {max_abs_R:.2e})",
     ),
     "space form": (
@@ -351,6 +370,17 @@ _SHAPES = {
                     "; observed max |R~.P~| = {max_abs_RP:.2e} with max |S| = {max_abs_S:.2e}",
                     (), ("max_abs_R", "max_abs_RP", "max_abs_S")),
 }
+
+# the checks whose column a chunk that refuted flatness does not compute:
+# their premise is flatness and no observed value reads their column
+_FLAT_ONLY = frozenset(
+    cid for cid, shape in _SHAPES.items()
+    if shape[0] == "flat" and cid not in _MAXIMA.values()
+)
+
+# the families with a flat-premise check, whose columns carry max |R|
+_FLAT_PREMISED = frozenset(REGISTRY[cid][1] for cid, shape in _SHAPES.items()
+                           if shape[0] == "flat")
 
 
 def _reports(family, spec, samples, cols, tolerances, gate_report) -> list[CheckReport]:
@@ -385,7 +415,11 @@ def _reports(family, spec, samples, cols, tolerances, gate_report) -> list[Check
 def _spread(column: np.ndarray, count: int) -> np.ndarray:
     """A per-sample column of the walked samples at the sample count: the
     column itself, or the value of the one walked sample repeated."""
-    return column if len(column) == count else np.repeat(column, count)
+    if len(column) == count:
+        return column
+    if len(column) != 1:
+        raise ValueError(f"a column of {len(column)} samples cannot stand for {count}")
+    return np.repeat(column, count)
 
 
 def _gate_report(spec, samples, nabla, unit, tolerances) -> CheckReport:
@@ -471,6 +505,11 @@ def run_checks(
     family's) is its value repeated to the sample count, so means, maxima
     and the space-form fit sums run over the values a walk of every sample
     would give.
+    Once a chunk's max |R| refutes flatness (``_is_flat``), that chunk
+    computes no column of a ``_FLAT_ONLY`` check, whose premise is
+    flatness; the walk joins only the columns every chunk computed.  Whether
+    a check runs is still decided in ``_reports`` alone, and such a check
+    skips there, since a chunk's max |R| bounds the whole set's from below.
     Deterministic: the same spec, seed, count and tolerance map produce
     byte-identical serialized reports.
     """
@@ -510,21 +549,28 @@ def run_checks(
         or not all(REGISTRY[cid][2] for cid in _family_ids(family))
     ]
     columns = {family: defaultdict(list) for family in running}
+    chunks = walked.chunks()
     if running:
         order = max(_FAMILIES[family] for family in running)
-        for lo, hi in walked.chunks():
+        for lo, hi in chunks:
             j = jet(spec, walked.points[lo:hi], order, store.rows(lo, hi)).complete()
+            max_R = _residual(j.lc.R)
+            curved = not _is_flat(float(np.max(max_R)))
             for family in running:
-                for key, col in _FAMILY_RUNNERS[family](spec, j).items():
+                cols = _FAMILY_RUNNERS[family](spec, j, curved)
+                if family in _FLAT_PREMISED:
+                    cols["max_R"] = max_R
+                for key, col in cols.items():
                     columns[family][key].append(col)
     by_id = {"parallel_unit_xi": gate}
     for family in families:
         # Per-sample values are joined across chunks and spread to the
         # sample count; per-sample tensors stay one array per walked chunk,
-        # so they are never copied whole.
+        # so they are never copied whole.  A column some chunk did not
+        # compute belongs to a check whose premise that chunk refuted.
         cols = {
             key: _spread(np.concatenate(parts), samples.count) if parts[0].ndim == 1 else parts
-            for key, parts in columns.get(family, {}).items()
+            for key, parts in columns.get(family, {}).items() if len(parts) == len(chunks)
         }
         for rep in _reports(family, spec, samples, cols, tolerances, gate):
             by_id[rep.check_id] = rep

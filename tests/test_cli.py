@@ -297,7 +297,7 @@ def test_asymmetric_metric_message_prints_plain_floats(euclidean3):
 
     g = [list(row) for row in euclidean3.g]
     g[0][1] = ex.parse("x")
-    spec = replace(euclidean3, g=tuple(tuple(row) for row in g), _tables=None)
+    spec = replace(euclidean3, g=tuple(tuple(row) for row in g))
     with pytest.raises(SpecError, match=r"not symmetric at \(0\.5, 0\.0, 0\.0\)") as err:
         metric_at(spec, np.array([0.5, 0.0, 0.0]))
     assert "np.float64" not in str(err.value)

@@ -288,7 +288,7 @@ def test_connections_builds_no_report():
 def test_gate_flags_inconsistent_declaration(sphere):
     from dataclasses import replace
 
-    lying = replace(sphere, parallel_xi_expected=True, _tables=None)
+    lying = replace(sphere, parallel_xi_expected=True)
     report = run_checks(lying, sample(lying, 10, seed=71), selected=["parallel_unit_xi"])[0]
     assert not report.passed
     assert not report.skipped

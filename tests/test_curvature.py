@@ -443,7 +443,7 @@ def test_eq20_field_action_matches_definition(monkeypatch, n):
         return out
 
     monkeypatch.setattr(theorems, "covariant", recording)
-    theorems._semisymmetry_columns(spec, j)
+    theorems._semisymmetry_columns(spec, j, curved=False)
     [(T, dT, variance, applied)] = actions
     Rt = j.pr.R
     assert T is Rt and dT is None and variance == "ulll"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -5,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from projconn import expr as ex
 from projconn import geometry
 from projconn.catalog import builtin, catalog_names, entry_document
 from projconn.geometry import (
@@ -118,6 +120,20 @@ def test_unknown_coordinate_in_expression_rejected():
 def test_catalog_document_loads_equal_to_builtin():
     spec = load_spec(entry_document("cylinder_s2xr"))
     assert spec == builtin("cylinder_s2xr").spec
+
+
+def test_replaced_spec_reads_its_own_tables():
+    # the table cache is no field of the chart: a spec replaced after the
+    # original built its tables evaluates its own entries
+    spec = builtin("euclidean3").spec
+    assert spec.tables.table("g", 0)[0, 0] == ex.const(1.0)
+    g = [list(row) for row in spec.g]
+    g[0][0] = ex.parse("1 + x*x")
+    replaced = dataclasses.replace(spec, g=tuple(tuple(row) for row in g))
+    assert replaced.tables.values("g", 0, [(2.0, 0.0, 0.0)])[0, 0, 0] == 5.0
+    assert spec.tables.values("g", 0, [(2.0, 0.0, 0.0)])[0, 0, 0] == 1.0
+    with pytest.raises(ValueError, match="_tables"):
+        dataclasses.replace(spec, _tables=None)
 
 
 def test_euclidean_metric_is_identity(euclidean3):

@@ -49,11 +49,33 @@ def test_no_covariant_output_exceeds_the_byte_budget(monkeypatch):
     assert sizes and max(sizes) <= geometry.CHUNK_BYTES
 
 
+# A chart that is flat by detection at some samples only: |R| runs from
+# 1.2e-12 to 3.0e-10, and 33 of 100 samples at seed 42 are within
+# FLAT_DETECTION_TOL.  Walked one sample per chunk, its chunks disagree about
+# flatness.
+PARTLY_FLAT = "\n".join(
+    ["name = partly_flat", "dim = 3", "coords = x, y, z"]
+    + [f"g[{i}][{j}] = {'(1 + 0.000000001*x^3)^2' if (i, j) == (1, 1) else int(i == j)}"
+       for i in range(3) for j in range(i, 3)]
+    + ["xi[0] = 0", "xi[1] = 0", "xi[2] = 1",
+       "box[0] = 0, 0.05", "box[1] = -1, 1", "box[2] = -1, 1"]
+) + "\n"
+
+# the checks whose premise is flatness
+FLAT_PREMISED = [cid for cid, shape in theorems._SHAPES.items() if shape[0] == "flat"]
+
+
+def _chart(name: str) -> geometry.ManifoldSpec:
+    return geometry.load_spec(PARTLY_FLAT) if name == "partly_flat" else builtin(name).spec
+
+
 # polar_r2xr2 is the flat n = 4 chart: euclidean4 reads no coordinate, so it
 # walks one sample whatever the chunking
-@pytest.mark.parametrize("name", ["cylinder_s2xr", "gssf_c1", "sphere3_bad_xi", "polar_r2xr2"])
+@pytest.mark.parametrize(
+    "name", ["cylinder_s2xr", "gssf_c1", "sphere3_bad_xi", "polar_r2xr2", "partly_flat"]
+)
 def test_reports_do_not_depend_on_chunking(name, monkeypatch):
-    spec = builtin(name).spec
+    spec = _chart(name)
     samples = sample(spec, 100, seed=42)
     default = run_checks(spec, samples=samples)
     reversed_samples = SampleSet(samples.seed, samples.points[::-1], samples.frames[::-1])
@@ -73,6 +95,9 @@ def test_reports_do_not_depend_on_chunking(name, monkeypatch):
             assert set(a.extras) == set(b.extras)
             for key in a.extras:
                 assert abs(a.extras[key] - b.extras[key]) <= 1e-14 * max(1.0, abs(a.extras[key]))
+            if name == "partly_flat" and a.check_id in FLAT_PREMISED:
+                # skipped, though the flat chunks computed their columns
+                assert a.skipped and a.to_dict() == b.to_dict(), a.check_id
 
 
 def _counting(monkeypatch, owner, name: str) -> list:
@@ -125,6 +150,60 @@ def test_run_checks_reads_each_table_once_per_block(monkeypatch):
         ("g", 0, 200), ("g", 1, 200), ("xi", 0, 200), ("pi", 1, 200),
         ("g", 2, 200), ("g", 3, 200), ("pi", 2, 200),
     ]
+
+
+@pytest.mark.parametrize("name, chunks, per_chunk", [
+    ("cylinder_s2xr", 3, 1),
+    ("polar_r2xr2", 13, 2),
+])
+def test_curved_chunks_compute_no_flat_premise_column(monkeypatch, name, chunks, per_chunk):
+    # the bracket is eq11d's in every chunk and eq20's in a flat one: the
+    # cylinder's chunks refute flatness, the flat polar chart's do not
+    bracket = _counting(monkeypatch, theorems, "_pi_in_lower_slots")
+    spec = builtin(name).spec
+    samples = sample(spec, 200, seed=42)
+    run_checks(spec, samples=samples)
+    assert len(samples.chunks()) == chunks
+    assert len(bracket) == chunks * per_chunk
+
+
+# per family, the columns its reports read whether or not the chart is flat:
+# every column of _MAXIMA and _observed, and those of the checks without the
+# flat premise
+SHARED_COLUMNS = {
+    "curvature": {"eq9_two_path", "thm2_1_i", "thm2_1_ii", "thm2_1_iii", "thm2_1_iv",
+                  "thm2_1_v", "eq11d", "eq12", "lem2_4", "part_i", "part_ii", "part_iii"},
+    "ricci": {"eq10", "eq11", "eq15", "lem2_6"},
+    "projective": {"max_R", "Rlow", "pattern", "fit_num", "fit_den", "eq17", "thm3_3_p_flat"},
+    "semisymmetry": {"max_R", "def4_1_flat"},
+    "rp": {"part_i", "part_ii", "eq5_3", "max_R", "max_RP", "max_S"},
+}
+
+
+@pytest.mark.parametrize("name, flat", [("cylinder_s2xr", False), ("polar_r2xr2", True)])
+def test_walk_keeps_every_column_a_report_reads(monkeypatch, name, flat):
+    joined = {}
+    reports = theorems._reports
+
+    def recording(family, spec, samples, cols, tolerances, gate_report):
+        joined[family] = set(cols)
+        return reports(family, spec, samples, cols, tolerances, gate_report)
+
+    monkeypatch.setattr(theorems, "_reports", recording)
+    run_checks(builtin(name).spec, count=200, seed=42)
+    flat_only = {"eq10b", "eq20", "eq21", "cor4_3", "thm5_1_flat"}
+    assert flat_only == theorems._FLAT_ONLY
+    assert joined == {
+        family: shared | ({cid for cid in flat_only if theorems.REGISTRY[cid][1] == family}
+                          if flat else set())
+        for family, shared in SHARED_COLUMNS.items()
+    }
+
+
+def test_spread_repeats_one_walked_sample_only():
+    assert theorems._spread(np.array([2.0]), 3).tolist() == [2.0, 2.0, 2.0]
+    with pytest.raises(ValueError, match="2 samples cannot stand for 3"):
+        theorems._spread(np.array([1.0, 2.0]), 3)
 
 
 def test_coordinate_free_chart_walks_one_sample(monkeypatch):

@@ -183,7 +183,7 @@ def _ungated_reports(monkeypatch, spec):
     monkeypatch.setattr(theorems, "check_parallel_unit_xi",
                         lambda spec, samples, store: (np.zeros(samples.count),
                                                       np.zeros(samples.count)))
-    return run_checks(replace(spec, parallel_xi_expected=True, _tables=None), count=50, seed=42)
+    return run_checks(replace(spec, parallel_xi_expected=True), count=50, seed=42)
 
 
 def _ungated_failures(monkeypatch) -> set[str]:

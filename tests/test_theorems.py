@@ -96,7 +96,7 @@ def test_gate_mean_is_the_mean_over_samples(sphere):
 
 
 def test_negative_control_that_measures_parallel_fails(euclidean3):
-    declared_false = replace(euclidean3, parallel_xi_expected=False, _tables=None)
+    declared_false = replace(euclidean3, parallel_xi_expected=False)
     reports = _by_id(run_checks(declared_false, count=10, seed=42))
     gate = reports["parallel_unit_xi"]
     assert gate.gate_status == "passed"
