@@ -19,8 +19,14 @@ functions (sin, cos, tan, exp, log, sqrt, sinh, cosh).  A number written
 outside an expression (a dimension, a box bound, a point coordinate) is an
 optional sign and one number token (``read_number``).
 
-Trees are immutable, so they can be shared freely between threads and
-evaluated concurrently.  ``evaluate`` walks one tree at one point;
+The nodes are plain dataclasses, compared and hashed by their fields, and
+never mutated after construction: no code assigns to a node field.  So a
+tree is shared by identity, between tables (the ``diff`` memo), between
+entries (the walk memo, ``_compile``'s ``seen``) and between threads.  They
+are not frozen, because a frozen dataclass's ``__init__`` sets each field
+through ``object.__setattr__``, which more than doubles the cost of
+building a node; nor slotted, so ``vars`` reads a node's fields.
+``evaluate`` walks one tree at one point;
 ``CompiledTable`` compiles an array of trees into one straight-line program
 with shared subexpressions and runs it on a whole batch of points.  Both
 compute with the ufuncs of ``FUNCTIONS`` and ``_OPERATORS``, x^2 as x*x.
@@ -97,52 +103,52 @@ class UnboundVariableError(EvalError):
     """A variable of the expression has no binding."""
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Const:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Neg:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Add:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Sub:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Mul:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Div:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Pow:
     base: "Expr"
     exponent: int
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Call:
     func: str
     arg: "Expr"

@@ -84,23 +84,15 @@ class ChartTables:
     Tables are object arrays of Expr; the table of order k has shape
     (n,)*k + base_shape with derivative axes first, and every permutation of
     its derivative axes holds the same trees (``expr.partials``, which takes
-    each mixed partial once).  Building is idempotent,
-    so concurrent lazy fills at worst recompute.  ``values`` evaluates a
-    table on a batch of points through its compiled program.
+    each mixed partial once).  The pi table is built on its first read too,
+    so a query that reads no partial of pi builds none of it.  Building is
+    idempotent, so concurrent lazy fills at worst recompute.  ``values``
+    evaluates a table on a batch of points through its compiled program.
     """
 
     def __init__(self, spec: "ManifoldSpec"):
         self.coords = spec.coords
-        n = len(spec.coords)
-        g = np.array(spec.g, dtype=object)
-        xi = np.array(spec.xi, dtype=object)
-        pi = np.empty((n,), dtype=object)
-        for i in range(n):
-            acc = ex.const(0.0)
-            for j in range(n):
-                acc = ex.add(acc, ex.mul(g[i, j], xi[j]))
-            pi[i] = acc
-        self._base = {"g": g, "xi": xi, "pi": pi}
+        self._base = {"g": np.array(spec.g, dtype=object), "xi": np.array(spec.xi, dtype=object)}
         if spec.phi is not None:
             self._base["phi"] = np.array(spec.phi, dtype=object)
         if None not in (spec.f1, spec.f2, spec.f3):
@@ -113,6 +105,8 @@ class ChartTables:
 
     def table(self, name: str, order: int) -> np.ndarray:
         if order == 0:
+            if name == "pi" and "pi" not in self._base:
+                self._base["pi"] = self._pi()
             return self._base[name]
         key = (name, order)
         cached = self._cache.get(key)
@@ -122,6 +116,18 @@ class ChartTables:
             self.table(name, order - 1), self.coords, self._diff_memo, order - 1
         )
         return out
+
+    def _pi(self) -> np.ndarray:
+        """pi_i = sum_j g_ij xi^j, its products over g's and xi's own nodes."""
+        g, xi = self._base["g"], self._base["xi"]
+        n = len(self.coords)
+        pi = np.empty((n,), dtype=object)
+        for i in range(n):
+            acc = ex.const(0.0)
+            for j in range(n):
+                acc = ex.add(acc, ex.mul(g[i, j], xi[j]))
+            pi[i] = acc
+        return pi
 
     def values(self, name: str, order: int, points) -> np.ndarray:
         """The table at each of a batch of points, with a leading sample

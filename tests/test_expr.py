@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -429,3 +430,39 @@ def test_diff_memo_shares_without_changing_structure():
         assert shared == ex.diff(tree, "x")
         if not isinstance(tree, (ex.Const, ex.Var)):
             assert ex.diff(tree, "x", memo) is shared
+
+
+# one node of each class of the ``Expr`` union, in its order
+EVERY_NODE = [ex.Const(2.5), ex.Var("x"), ex.Neg(ex.Var("x")), ex.Add(ex.Var("x"), ex.Const(1.0)),
+              ex.Sub(ex.Var("x"), ex.Var("y")), ex.Mul(ex.Const(3.0), ex.Var("y")),
+              ex.Div(ex.Var("y"), ex.Var("x")), ex.Pow(ex.Var("x"), -2),
+              ex.Call("sin", ex.Var("y"))]
+
+
+def test_every_node_class_is_listed_once():
+    assert tuple(type(node) for node in EVERY_NODE) == ex.Expr.__args__
+
+
+def test_trees_parsed_apart_are_equal_and_hash_equal():
+    # trees are compared and hashed by value, so equal ones built apart can
+    # key one dict entry
+    text = "sin(x)^2*exp(-y)/(1+x) - cosh(y)*sqrt(x)"
+    a, b = ex.parse(text), ex.parse(text)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: "first"}[b] == "first"
+    assert ex.parse(text + "+1") != a
+    for node in EVERY_NODE:
+        twin = type(node)(**vars(node))
+        assert twin is not node and twin == node and hash(twin) == hash(node)
+        assert len({node: 1, twin: 2}) == 1
+
+
+def test_vars_and_fields_read_every_node():
+    # vars() of a node is its fields, each a value or a child node; the
+    # benchmark counts a table's nodes through vars()
+    for node in EVERY_NODE:
+        names = [f.name for f in dataclasses.fields(node)]
+        assert list(vars(node)) == names
+        assert vars(node) == {name: getattr(node, name) for name in names}
+        assert repr(node).startswith(type(node).__name__ + "(")
+    assert vars(EVERY_NODE[3]) == {"left": ex.Var("x"), "right": ex.Const(1.0)}
