@@ -27,9 +27,10 @@ are not frozen, because a frozen dataclass's ``__init__`` sets each field
 through ``object.__setattr__``, which more than doubles the cost of
 building a node; nor slotted, so ``vars`` reads a node's fields.
 ``evaluate`` walks one tree at one point;
-``CompiledTable`` compiles an array of trees into one straight-line program
-with shared subexpressions and runs it on a whole batch of points.  Both
-compute with the ufuncs of ``FUNCTIONS`` and ``_OPERATORS``, x^2 as x*x.
+``CompiledTable`` walks an array of trees at one point, and compiles it
+into one straight-line program with shared subexpressions to run on a
+whole batch of points.  Both compute with the ufuncs of ``FUNCTIONS`` and
+``_OPERATORS``, x^2 as x*x.
 Differentiation is exact and closed over the node set; only constant
 folding and 0/1 identities are applied to keep derivative trees small (no
 canonical normalization).
@@ -37,6 +38,7 @@ canonical normalization).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -350,15 +352,19 @@ class _Parser:
 def parse(text: str) -> Expr:
     """Parse an expression string, raising ParseError with a 1-based offset.
 
-    An entry that is one finite number token, as most metric entries of a
-    chart are, becomes its constant without the parser; everything else, an
-    out-of-range number included, goes through it."""
-    tokens = _tokenize(text)
-    if len(tokens) == 2 and tokens[0][0] == "number":
-        value = float(tokens[0][1])
-        if math.isfinite(value):
-            return Const(value)
-    parser = _Parser(tokens)
+    An entry that is one finite number, with only whitespace around it, as
+    most metric entries of a chart are, becomes its constant before any
+    tokenizing: ``_number_end`` reads it as the tokenizer would, and raises
+    the tokenizer's error for a malformed one.  Everything else, an
+    out-of-range number included, is tokenized and parsed."""
+    start = len(text) - len(text.lstrip())
+    if text[start:start + 1] in _DIGIT:
+        end = _number_end(text, start)
+        if not text[end:].strip():
+            value = float(text[start:end])
+            if math.isfinite(value):
+                return Const(value)
+    parser = _Parser(_tokenize(text))
     node, _ = parser.parse_expr()
     tok = parser.peek()
     if tok[0] != "eof":
@@ -579,17 +585,21 @@ def _compile(trees, coords: tuple[str, ...]):
 
 
 class CompiledTable:
-    """An object array of trees, compiled into a straight-line program over
-    the coordinates and evaluated on a batch of points at a time.
+    """An object array of trees, evaluated at one point by walking its
+    entries or on a batch of points by a compiled straight-line program.
 
-    Constant entries are baked into a template; the program computes the
-    varying ones in a register file with one row per distinct operation and
-    one column per point, and one fancy index gathers them.  The program is
-    compiled on first use.  A single point is walked (``evaluate``) instead:
-    a chart loaded for one point query would spend longer compiling than
-    walking.  The walk computes with the program's ufuncs, so a point's
-    values do not depend on the batch, the chunk or the call history it
-    comes with.
+    A table keeps its shape, its coordinates and its flat list of entries.
+    A single point is walked in one pass over the entries, in order: a
+    ``Const`` gives its value, every other entry is walked (``evaluate``)
+    with one memo shared by the entries, which share subtrees.  A chart
+    loaded for one point query would spend longer compiling than walking.
+    The batch machinery is built, all of it at once, on the first read of
+    two or more points: constant entries are baked into a template, and the
+    program computes the varying ones in a register file with one row per
+    distinct operation and one column per point, and one fancy index
+    gathers them.  The walk computes with the program's ufuncs, so a
+    point's values do not depend on the batch, the chunk or the call
+    history it comes with.
 
     In IEEE arithmetic every domain error of the walk leaves a non-finite
     register: division by zero and zero to a negative power give an
@@ -606,51 +616,53 @@ class CompiledTable:
     def __init__(self, table: np.ndarray, coords: Sequence[str]):
         self.shape = table.shape
         self.coords = tuple(coords)
-        flat = table.reshape(-1).tolist()
-        self.template = np.array([e.value if isinstance(e, Const) else 0.0 for e in flat])
-        index = [k for k, e in enumerate(flat) if not isinstance(e, Const)]
-        self.trees = [flat[k] for k in index]
-        if not self.trees:  # every values() of a constant table is a view of it
-            self.template.flags.writeable = False
-        self.index = np.array(index, dtype=np.intp)
-        self._program = None
+        self.entries = table.reshape(-1).tolist()
+        self._batch = None
 
     @property
     def operations(self) -> int:
         """Instructions in the program: one per distinct operation."""
-        return len(self._compiled()[0])
+        return len(self._batched()[2][0])
 
     def values(self, points) -> np.ndarray:
         """The table at each of the (S, n) points, shape (S,) + table shape.
-        A table with no varying entry is its template broadcast over the
-        points: a read-only view with a zero sample stride, not a copy per
-        point."""
+        One point is a fresh array, walked.  On a batch, a table with no
+        varying entry is its template broadcast over the points: a
+        read-only view with a zero sample stride, not a copy per point."""
         points = np.asarray(points, dtype=float)
-        if not self.trees:
+        if len(points) == 1:
+            return self._evaluate_at(points[0]).reshape((1,) + self.shape)
+        template, index, program = self._batched()
+        if not index.size:
             # np.broadcast_to of the read-only template, at a third the cost
-            constant = self.template.reshape(self.shape)
+            constant = template.reshape(self.shape)
             return np.ndarray((points.shape[0],) + self.shape, float, constant,
                               strides=(0,) + constant.strides)
-        out = np.empty((points.shape[0], self.template.size))
-        out[:] = self.template
-        if len(points) == 1:
-            out[0, self.index] = self._evaluate_at(points[0])
-        else:
-            registers, outputs = self._run(points)
-            out[:, self.index] = registers[outputs].T
-            for s in np.flatnonzero(~np.isfinite(registers).all(axis=0)):
-                out[s, self.index] = self._evaluate_at(points[s])
+        out = np.empty((points.shape[0], template.size))
+        out[:] = template
+        registers, outputs = self._run(program, points)
+        out[:, index] = registers[outputs].T
+        for s in np.flatnonzero(~np.isfinite(registers).all(axis=0)):
+            out[s] = self._evaluate_at(points[s])
         return out.reshape((points.shape[0],) + self.shape)
 
-    def _compiled(self):
-        if self._program is None:
-            self._program = _compile(self.trees, self.coords)
-        return self._program
+    def _batched(self):
+        """The template, the index of the varying entries and their program,
+        built together on first use."""
+        if self._batch is None:
+            entries = self.entries
+            template = np.array([e.value if type(e) is Const else 0.0 for e in entries])
+            index = [k for k, e in enumerate(entries) if type(e) is not Const]
+            if not index:  # every batch of a constant table is a view of it
+                template.flags.writeable = False
+            program = _compile([entries[k] for k in index], self.coords)
+            self._batch = template, np.array(index, dtype=np.intp), program
+        return self._batch
 
-    def _run(self, points: np.ndarray):
-        """The register file after one pass over the points, and the
-        registers holding the varying entries."""
-        code, outputs, count, unbound, constants = self._compiled()
+    def _run(self, program, points: np.ndarray):
+        """The register file after one pass of the program over the points,
+        and the registers holding the varying entries."""
+        code, outputs, count, unbound, constants = program
         registers = np.empty((count, points.shape[0]))
         registers[: len(self.coords)] = points.T
         if unbound:
@@ -664,16 +676,20 @@ class CompiledTable:
                     fn(operands[a], operands[b], out=operands[r])
         return registers, outputs
 
-    def _evaluate_at(self, point) -> list[float]:
-        """The varying entries at one point, walked.  A non-finite entry
-        value is a DomainError too: products alone can overflow."""
+    def _evaluate_at(self, point) -> np.ndarray:
+        """Every entry at one point, in one pass: a constant's value, or the
+        entry walked.  A non-finite walked value is a DomainError too:
+        products alone can overflow."""
         env = dict(zip(self.coords, point.tolist()))
-        memo = {}  # shared by the trees, which share subtrees
+        memo = {}  # shared by the entries, which share subtrees
         finite = math.isfinite
         try:
             with np.errstate(all="ignore"):
-                return [value if finite(value := _walk(tree, env, memo)) else _non_finite(tree)
-                        for tree in self.trees]
+                return np.array([
+                    e.value if type(e) is Const
+                    else value if finite(value := _walk(e, env, memo)) else _non_finite(e)
+                    for e in self.entries
+                ])
         except EvalError as err:
             raise type(err)(f"{err.reason} at {point_text(point)}", err.subexpr) from None
 
@@ -819,6 +835,16 @@ def diff(e: Expr, var: str, memo: dict | None = None) -> Expr:
     return result
 
 
+@functools.cache
+def _multi_indices(n: int, rank: int) -> tuple:
+    """The sorted multi-indices of ``rank`` axes over n coordinates, in
+    lexicographic order, each with its other permutations."""
+    return tuple(
+        (index, tuple(set(itertools.permutations(index)) - {index}))
+        for index in itertools.combinations_with_replacement(range(n), rank)
+    )
+
+
 def partials(table: np.ndarray, coords: Sequence[str], memo: dict, axes: int) -> np.ndarray:
     """The first partials of an object table of trees whose first ``axes``
     axes are derivative axes, with the new derivative axis first:
@@ -834,12 +860,12 @@ def partials(table: np.ndarray, coords: Sequence[str], memo: dict, axes: int) ->
     """
     n = len(coords)
     out = np.empty((n,) + table.shape, dtype=object)
-    for index in itertools.combinations_with_replacement(range(n), axes + 1):
+    for index, perms in _multi_indices(n, axes + 1):
         m, *rest = index
         var = coords[m]
         part = out[index]
         part.reshape(-1)[:] = [diff(e, var, memo) for e in table[tuple(rest)].reshape(-1).tolist()]
-        for perm in set(itertools.permutations(index)) - {index}:
+        for perm in perms:
             out[perm] = part
     return out
 

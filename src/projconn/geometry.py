@@ -87,7 +87,7 @@ class ChartTables:
     each mixed partial once).  The pi table is built on its first read too,
     so a query that reads no partial of pi builds none of it.  Building is
     idempotent, so concurrent lazy fills at worst recompute.  ``values``
-    evaluates a table on a batch of points through its compiled program.
+    evaluates a table on a batch of points (``expr.CompiledTable``).
     """
 
     def __init__(self, spec: "ManifoldSpec"):
@@ -131,8 +131,9 @@ class ChartTables:
 
     def values(self, name: str, order: int, points) -> np.ndarray:
         """The table at each of a batch of points, with a leading sample
-        axis.  Each table is compiled once (``expr.CompiledTable``); an
-        evaluation error names the first point the scalar walk fails at."""
+        axis, through one ``expr.CompiledTable`` per table: one point is
+        walked, and a batch runs the program compiled on the first batch.
+        An evaluation error names the first point the scalar walk fails at."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[1] != len(self.coords):
             raise SpecError(
@@ -401,18 +402,21 @@ def _build_spec(doc: dict) -> ManifoldSpec:
             raise SpecError(f"invalid coordinate name {c!r}")
         if c in ex.FUNCTIONS:
             raise SpecError(f"coordinate name {c!r} shadows a function")
-    if len(set(coords)) != n:
+    names = set(coords)
+    if len(names) != n:
         raise SpecError("duplicate coordinate names")
 
     def entry(text: str, context: str) -> ex.Expr:
-        """A g, xi, phi or f entry: parsed, and in the chart's coordinates."""
+        """A g, xi, phi or f entry: parsed, and in the chart's coordinates
+        (a constant reads none)."""
         try:
             tree = ex.parse(text)
         except ex.ParseError as err:
             raise SpecError(f"{context}: {err}") from err
-        unknown = ex.variables(tree) - set(coords)
-        if unknown:
-            raise SpecError(f"{context} uses unknown coordinate(s) {sorted(unknown)}")
+        if type(tree) is not ex.Const:
+            unknown = ex.variables(tree) - names
+            if unknown:
+                raise SpecError(f"{context} uses unknown coordinate(s) {sorted(unknown)}")
         return tree
 
     g_entries = doc.get("g", {})

@@ -129,9 +129,20 @@ def _parser_alone(text: str) -> ex.Expr:
     return tree
 
 
-@pytest.mark.parametrize("text", ["1", " 2.5e3 ", "0.25", "7E-2", "1e+3"])
+def _outcome(parse, text: str):
+    """The tree parsed, or the ParseError's message and position."""
+    try:
+        return parse(text)
+    except ex.ParseError as err:
+        return str(err), err.position
+
+
+# parse reads a lone number before tokenizing; out of range, malformed or
+# padded, it gives the parser's tree or the parser's error
+@pytest.mark.parametrize("text", ["1", " 2.5e3 ", "0.25", "7E-2", "1e+3", " 2 ", "007", "1e5",
+                                  "1e999", " 1e999 ", "1.", " 1.", "1.e5"])
 def test_a_lone_number_parses_as_the_parser_would(text):
-    assert ex.parse(text) == _parser_alone(text)
+    assert _outcome(ex.parse, text) == _outcome(_parser_alone, text)
 
 
 def test_what_is_not_one_unsigned_number_takes_the_parser():
@@ -370,6 +381,23 @@ def test_compiled_table_shares_subexpressions():
     for point, row in zip([(0.5, 2.0), (1.0, -1.0)], got):
         p = point[0] * point[1]
         assert row.tolist() == pytest.approx([p + math.sin(p), math.sin(p), 2.5], rel=1e-15)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("log(x - 5)", "1/(x - x)"), ("1/(x - x)", "log(x - 5)"),
+])
+def test_one_point_raises_the_first_error_in_flat_order(first, second):
+    # the one-point pass walks the entries in flat order, constants among
+    # them; it raises the first bad entry's error at the point, the error of
+    # a batch that starts at that point
+    table = np.empty((2, 2), dtype=object)
+    table[:] = [[ex.Const(1.0), ex.parse(first)], [ex.parse("x"), ex.parse(second)]]
+    reason = {"log(x - 5)": "log of a non-positive value", "1/(x - x)": "division by zero"}
+    message = f"{reason[first]} at (1.0) in '{ex.to_text(ex.parse(first))}'"
+    for points in ([[1.0]], [[1.0], [6.5]]):
+        with pytest.raises(ex.DomainError) as err:
+            ex.CompiledTable(table, ("x",)).values(points)
+        assert str(err.value) == message and err.value.subexpr == ex.parse(first)
 
 
 def test_constant_table_is_a_read_only_broadcast():

@@ -18,6 +18,7 @@ from projconn.curvature import jet
 from projconn.geometry import SampleSet, sample
 from projconn.theorems import run_checks
 from mutants import mutant
+from test_bench_contract import _bench_module
 
 
 def test_chunk_sizes_follow_the_byte_budget():
@@ -416,6 +417,46 @@ def test_one_point_jet_is_its_row_of_a_batch(name):
                       for field in ("Gamma", "dGamma", "d2Gamma", "R", "S", "dR", "nabla_R")]
         for field, alone, rows in pairs:
             assert _same_bits(alone[0], rows[k]), (field, k)
+
+
+def _every_table(spec) -> list[tuple[str, int]]:
+    """g and pi at orders 0-3, xi, and phi and f where the chart has them."""
+    tables = [(name, k) for name in ("g", "pi") for k in range(4)] + [("xi", 0)]
+    if spec.phi is not None:
+        tables.append(("phi", 0))
+    if spec.f1 is not None:
+        tables.append(("f", 0))
+    return tables
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), "bench_warped_5"])
+def test_one_point_table_is_row_0_of_a_batch(name):
+    # a fresh table walks its entries at one point and runs its compiled
+    # program on two: row 0 of the pair is the point alone, bit for bit
+    if name == "bench_warped_5":
+        spec = geometry.load_spec(_bench_module("workloads").warped_document(5))
+    else:
+        spec = builtin(name).spec
+    for seed in (0, 1):
+        p, q = sample(spec, 2, seed=seed).points
+        for table, k in _every_table(spec):
+            compiled = ex.CompiledTable(spec.tables.table(table, k), spec.coords)
+            alone = compiled.values([p])
+            assert alone.shape == (1,) + compiled.shape
+            assert _same_bits(alone[0], compiled.values([p, q])[0]), (table, k, seed)
+
+
+def test_one_point_read_builds_no_batch_machinery(monkeypatch):
+    compiles = _counting(monkeypatch, ex, "_compile")
+    splits = _counting(monkeypatch, ex.CompiledTable, "_batched")
+    spec = builtin(WARPED).spec
+    point, other = sample(spec, 2, seed=3).points
+    compiled = ex.CompiledTable(spec.tables.table("g", 2), spec.coords)
+    compiled.values([point])
+    assert (len(compiles), len(splits)) == (0, 0)
+    compiled.values([point, other])
+    compiled.values([other, point])
+    assert (len(compiles), len(splits)) == (1, 2)  # built once, on the first batch
 
 
 def test_one_sample_reports_do_not_depend_on_call_history():

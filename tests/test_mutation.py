@@ -139,6 +139,13 @@ MUTANTS = {
         "rp_pin", (curvature,), "derivation_all_frames",
         '/ (n - 1.0)  # [s, frame, u, v]', '* 0.0  # [s, frame, u, v]',
     ),
+    # the two mixed terms of the differentiated G Gamma = C taken as one
+    # (p, m) order twice; eq11d and lem2_6 carry the same d2Gamma into both
+    # sides, so warped_r3xr's thm2_1_v is what fails
+    "lc_d2gamma_mixed_terms_one_order": (
+        "catalog", (connections,), "_lc_pieces",
+        "rhs - mixed - mixed.transpose(0, 2, 1, 3, 4)", "rhs - 2.0 * mixed",
+    ),
     # a permutation of a sorted multi-index gets the table one order down
     "partials_permutation_not_differentiated": (
         "warped", (ex,), "partials", "out[perm] = part", "out[perm] = table[tuple(rest)]",
