@@ -48,6 +48,8 @@ CHARTS = Path(__file__).with_name("charts")
 
 @dataclass
 class CatalogEntry:
+    """A built-in chart: its name, its spec and where its data come from."""
+
     name: str
     spec: ManifoldSpec
     provenance: str

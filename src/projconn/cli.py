@@ -265,6 +265,10 @@ def _cmd_verify(args) -> int:
         samples = geometry.sample(spec, count, seed)
     except ValueError as err:  # an empty sampling box
         raise _InputError(f"chart {spec.name!r}: {err}") from err
+    except MemoryError:
+        raise _InputError(
+            f"--samples {count} is too many: the samples of chart {spec.name!r} do not fit in memory"
+        ) from None
     try:
         reports = theorems.run_checks(
             spec,

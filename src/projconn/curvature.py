@@ -178,6 +178,8 @@ class Jet(MetricJet):
 
 @dataclass
 class QuasiEinsteinFit:
+    """The result of ``quasi_einstein_fit``: S ~ a g + b pi x pi."""
+
     a: float
     b: float
     eigenvalues: np.ndarray
@@ -188,6 +190,9 @@ class QuasiEinsteinFit:
 
 @dataclass
 class NullityFit:
+    """The result of ``nullity_fit``: the fitted nullity constant k and the
+    largest and mean residual of the fit over the sampled frame pairs."""
+
     k: float
     residual: float
     residual_mean: float

@@ -107,51 +107,69 @@ class UnboundVariableError(EvalError):
 
 @dataclass(unsafe_hash=True)
 class Const:
+    """A number."""
+
     value: float
 
 
 @dataclass(unsafe_hash=True)
 class Var:
+    """A coordinate, by name."""
+
     name: str
 
 
 @dataclass(unsafe_hash=True)
 class Neg:
+    """-arg."""
+
     arg: "Expr"
 
 
 @dataclass(unsafe_hash=True)
 class Add:
+    """left + right."""
+
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(unsafe_hash=True)
 class Sub:
+    """left - right."""
+
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(unsafe_hash=True)
 class Mul:
+    """left * right."""
+
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(unsafe_hash=True)
 class Div:
+    """left / right."""
+
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(unsafe_hash=True)
 class Pow:
+    """base ^ exponent, a literal integer exponent."""
+
     base: "Expr"
     exponent: int
 
 
 @dataclass(unsafe_hash=True)
 class Call:
+    """A built-in function of ``FUNCTIONS`` applied to arg."""
+
     func: str
     arg: "Expr"
 

@@ -322,6 +322,16 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_cold_verify_does_not_load_numpy_random():
+    proc = _python("-c", (
+        "import sys; from projconn.cli import main; "
+        "code = main(['verify', '--manifold', 'euclidean3', '--samples', '5', '--json']); "
+        "print(code, 'numpy.random' in sys.modules, file=sys.stderr)"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "0 False"
+
+
 def test_closed_pipe_exits_quietly():
     # No reader at all: the read end is closed before the child starts, so
     # its first flush meets a broken pipe.
@@ -469,6 +479,8 @@ def test_entry_at_the_depth_limit_verifies_and_evaluates(tmp_path, capsys, shape
          "--samples must be at least 1"),
         (["verify", "--manifold", "euclidean3", "--seed", "-1"], None, 2,
          "--seed must be non-negative"),
+        (["verify", "--manifold", "euclidean3", "--samples", "10000000000000"], None, 3,
+         "--samples 10000000000000 is too many"),
         (["verify", "--manifold", "euclidean3", "--samples", "٣"], None, 2,
          "--samples must be an integer, got '٣'"),
         (["verify", "--manifold", "euclidean3", "--seed", "١_0"], None, 2,
@@ -530,7 +542,8 @@ def test_entry_at_the_depth_limit_verifies_and_evaluates(tmp_path, capsys, shape
             '[["1", "0"], ["0", "1"]]', "[" * 50000 + "]" * 50000), 3,
          "invalid JSON document: nested too deeply"),
     ],
-    ids=["samples_zero", "samples_negative", "seed_negative", "samples_arabic_indic_digit",
+    ids=["samples_zero", "samples_negative", "seed_negative", "samples_beyond_memory",
+         "samples_arabic_indic_digit",
          "seed_arabic_indic_digit_underscore", "samples_underscore", "seed_decimal_point",
          "samples_space", "empty_box", "short_box_pair",
          "g_not_a_list", "coords_not_a_list", "verify_planar_eq17", "eval_planar_projective",

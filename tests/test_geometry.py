@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -202,6 +203,48 @@ def test_sampling_count_zero_rejected(cylinder):
         sample(cylinder, 0, seed=1)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1, 2**200 + 7])
+def test_stream_is_numpy_default_rng(seed):
+    # lengths on both sides of the powers of two, and a draw continuing the last
+    for k in (1, 2, 3, 1023, 1024, 1025, 9001):
+        got = geometry.PCG64Stream(seed).random(k)
+        assert got.tobytes() == np.random.default_rng(seed).random(k).tobytes()
+    stream, rng = geometry.PCG64Stream(seed), np.random.default_rng(seed)
+    for shape in ((200, 5, 3), (1, 3), (1, 3), (37, 5, 8), (1, 8)):
+        assert stream.random(shape).tobytes() == rng.random(shape).tobytes()
+
+
+def test_sample_digest_is_the_numpy_streams():
+    # every catalog chart at 43 seeds and three counts; the digest was taken
+    # when sampling drew from np.random.default_rng(seed)
+    digest = hashlib.sha256()
+    for name in catalog_names():
+        spec = builtin(name).spec
+        for seed in range(0, 295, 7):
+            for count in (1, 37, 200):
+                s = sample(spec, count, seed)
+                digest.update(s.points.tobytes())
+                digest.update(s.frames.tobytes())
+    assert digest.hexdigest() == "2b96f73af534683b697ad5beaff7a6ff9e08575611b3672a7ff1f1af0b02ec29"
+
+
+def test_sampling_seed_is_a_non_negative_integer(cylinder):
+    with pytest.raises(ValueError, match="non-negative"):
+        sample(cylinder, 5, seed=-1)
+    for seed in (None, 1.0, "42", (4, 2)):
+        with pytest.raises(TypeError):
+            sample(cylinder, 5, seed=seed)
+    same = sample(cylinder, 5, seed=np.int64(42))
+    assert same.points.tobytes() == sample(cylinder, 5, seed=42).points.tobytes()
+
+
+def test_sampling_count_beyond_memory_fails_before_drawing(cylinder):
+    # 1.2e15 bytes of rows: more than a 48-bit virtual address space holds,
+    # so the allocation fails without touching memory
+    with pytest.raises(MemoryError):
+        sample(cylinder, 10**13, seed=1)
+
+
 def test_sampling_empty_box_rejected():
     empty = FLAT_2D.replace("box[0] = -1, 1", "box[0] = 1, 1")
     with pytest.raises(ValueError, match="empty sampling box"):
@@ -215,7 +258,7 @@ def test_frames_have_minimum_norm(euclidean3):
 
 
 class _Stream:
-    """A stand-in for ``np.random.default_rng(seed)``: its doubles come from
+    """A stand-in for ``geometry.PCG64Stream(seed)``: its doubles come from
     a given list, in order, however many a call asks for."""
 
     def __init__(self, values):
@@ -260,7 +303,7 @@ def test_short_vectors_are_redrawn_as_one_vector_at_a_time(cylinder, monkeypatch
     for row in (7, 8, 5 * count - 1 + 2):
         values[row * n:(row + 1) * n] = short
     stream = _Stream(values)
-    monkeypatch.setattr(geometry.np.random, "default_rng", lambda seed: stream)
+    monkeypatch.setattr(geometry, "PCG64Stream", lambda seed: stream)
     got = sample(cylinder, count, seed=0)
     lows, highs = (np.array(bounds) for bounds in zip(*cylinder.box))
     points, frames, used = _sequential_sample(lows, highs, count, values)
