@@ -44,10 +44,8 @@ def main():
 
     spec = builtin("cylinder_s2xr").spec
     print("shared geodesics on the sphere-times-line chart")
-    samples = sample(spec, 3, seed=2)
-    for idx in range(samples.count):
-        point = samples.points[idx]
-        V = samples.frames[idx, 0]
+    V = np.array([0.6, -0.3, 0.8])  # a velocity, the same at each point
+    for point in sample(spec, 3, seed=2).points:
         j = jet(spec, [point], 1)
         diff = np.einsum("kij,i,j->k", j.pr.Gamma[0] - j.lc.Gamma[0], V, V)
         radial = (float(diff @ V) / float(V @ V)) * V

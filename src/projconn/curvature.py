@@ -191,7 +191,8 @@ class QuasiEinsteinFit:
 @dataclass
 class NullityFit:
     """The result of ``nullity_fit``: the fitted nullity constant k and the
-    largest and mean residual of the fit over the sampled frame pairs."""
+    largest and mean residual of the fit over the coordinate pairs at every
+    sample."""
 
     k: float
     residual: float
@@ -400,7 +401,10 @@ def quasi_einstein_fit(S: np.ndarray, G: np.ndarray, pi: np.ndarray) -> QuasiEin
 
 def nullity_fit(spec: ManifoldSpec, conn_kind: str, samples) -> NullityFit:
     """Scalar least squares for the nullity constant of the distinguished
-    field: R(X,Y)xi ~ k {pi(X) Y - pi(Y) X} over all sampled frame pairs.
+    field: R(X,Y)xi ~ k {pi(X) Y - pi(Y) X} over the coordinate pairs
+    (X, Y) = (e_a, e_b), a < b, at every sample.  Both sides are tensorial,
+    so the coordinate pairs certify the relation for every pair of vectors;
+    the pattern pi_a e_b - pi_b e_a is -W(pi)[:, :, a, b] (``wedge``).
 
     The comparison pattern is oriented so that, for the projective connection
     on a parallel-unit-field chart, the fitted constant equals
@@ -411,23 +415,17 @@ def nullity_fit(spec: ManifoldSpec, conn_kind: str, samples) -> NullityFit:
             "nullity fit for the projective connection needs the "
             "parallel-unit-field hypothesis"
         )
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    first, second = zip(*pairs)
+    a, b = np.triu_indices(spec.n, 1)
     vs, ws = [], []
     for lo, hi in samples.chunks():
         j = jet(spec, samples.points[lo:hi], 2)
-        lhs_all = np.einsum("slijk,sk->slij", j.connection(conn_kind).R, j.xi)
-        X = samples.frames[lo:hi, first]  # (S, pair, n)
-        Y = samples.frames[lo:hi, second]
-        vs.append(np.einsum("slij,spi,spj->spl", lhs_all, X, Y))
-        pi_x = np.einsum("si,spi->sp", j.pi, X)[..., None]
-        pi_y = np.einsum("si,spi->sp", j.pi, Y)[..., None]
-        ws.append(pi_x * Y - pi_y * X)
+        vs.append(np.einsum("slijk,sk->slij", j.connection(conn_kind).R, j.xi)[..., a, b])
+        ws.append(-wedge(j.pi)[..., a, b])  # (S, n, pair)
     v = np.concatenate(vs)
     w = np.concatenate(ws)
     den = float(np.sum(w * w))
     k = float(np.sum(v * w)) / den if den > 0.0 else 0.0
-    residuals = np.max(np.abs(v - k * w), axis=2)
+    residuals = np.max(np.abs(v - k * w), axis=1)
     return NullityFit(
         k=k,
         residual=float(np.max(residuals)),

@@ -1,5 +1,5 @@
 """Manifold charts: metric data with exact symbolic partials, the lowered
-1-form of the unit field, and deterministic point/frame sampling.
+1-form of the unit field, and deterministic point sampling.
 
 Index conventions used package-wide:
 
@@ -213,11 +213,10 @@ class MetricValue:
 
 @dataclass
 class SampleSet:
-    """Deterministic points and tangent frames; same seed, same bits."""
+    """Deterministic points; same seed, same bits."""
 
     seed: int
     points: np.ndarray  # (count, n)
-    frames: np.ndarray  # (count, 4, n)
 
     @property
     def count(self) -> int:
@@ -764,18 +763,13 @@ class PCG64Stream:
 
 
 def sample(spec: ManifoldSpec, count: int, seed: int) -> SampleSet:
-    """Uniform points in the box with 4 tangent vectors per point.
+    """Uniform points in the box.
 
-    Vector components are uniform in [-1, 1]; a vector is redrawn while its
-    Euclidean norm is below 1e-3.  The draw order is fixed (point, then its
-    four vectors), so a seed reproduces the set bit-for-bit.  The doubles
-    are numpy's ``default_rng(seed)`` stream, drawn here (``PCG64Stream``)
-    so that sampling does not import numpy.random; the seed is a
-    non-negative integer.  Every row is drawn in one call and scaled as
-    ``Generator.uniform`` scales it (lo + (hi - lo) u); a short vector's row
-    is dropped, the rows after it move up one place and one more row is
-    drawn from the same stream at the end, which is the stream a draw per
-    vector consumes.  A count whose rows do not fit in memory raises
+    The doubles are numpy's ``default_rng(seed)`` stream, drawn here
+    (``PCG64Stream``) so that sampling does not import numpy.random; the
+    seed is a non-negative integer.  Rows of (count, 5, n) are drawn in one
+    call and row 0 of each is scaled as ``Generator.uniform`` scales it
+    (lo + (hi - lo) u).  A count whose rows do not fit in memory raises
     MemoryError before any draw.
     """
     if count < 1:
@@ -783,20 +777,7 @@ def sample(spec: ManifoldSpec, count: int, seed: int) -> SampleSet:
     for i, (lo, hi) in enumerate(spec.box):
         if not lo < hi:
             raise ValueError(f"empty sampling box for coordinate {spec.coords[i]!r}")
-    rng = PCG64Stream(seed)
-    n = spec.n
+    rows = PCG64Stream(seed).random((count, 5, spec.n))
     lows = np.array([lo for lo, _ in spec.box])
     highs = np.array([hi for _, hi in spec.box])
-    rows = rng.random((count, 5, n))  # per sample: its point, then its four vectors
-    while True:
-        frames = -1.0 + 2.0 * rows[:, 1:]
-        short = np.flatnonzero(np.linalg.norm(frames, axis=2) < 1e-3)
-        if not short.size:
-            break
-        dropped = 5 * (short[0] // 4) + 1 + short[0] % 4
-        stream = rows.reshape(5 * count, n)
-        rows = np.concatenate(
-            (stream[:dropped], stream[dropped + 1:], rng.random((1, n)))
-        ).reshape(count, 5, n)
-    points = lows + (highs - lows) * rows[:, 0]
-    return SampleSet(seed=seed, points=points, frames=frames)
+    return SampleSet(seed=seed, points=lows + (highs - lows) * rows[:, 0])

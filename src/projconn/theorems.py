@@ -538,7 +538,7 @@ def run_checks(
             )
     walked = samples  # a coordinate-free chart has one jet, bit for bit: walk its first sample
     if spec.coordinate_free:
-        walked = SampleSet(samples.seed, samples.points[:1], samples.frames[:1])
+        walked = SampleSet(samples.seed, samples.points[:1])
     store = TableStore(spec, walked)
     nabla, unit = (_spread(column, samples.count)
                    for column in check_parallel_unit_xi(spec, walked, store))

@@ -152,7 +152,7 @@ def test_torsion_hand_values(euclidean3):
 def test_torsion_antisymmetry_random(cylinder):
     s = sample(cylinder, 10, seed=37)
     j = jet(cylinder, s.points, 0)
-    X, Y = s.frames[:, 0], s.frames[:, 1]
+    X, Y = np.random.default_rng(37).uniform(-1.0, 1.0, (2, s.count, 3))
     np.testing.assert_allclose(_torsion(j, X, Y), -_torsion(j, Y, X), atol=1e-14)
     np.testing.assert_allclose(_torsion(j, X, X), 0.0, atol=1e-14)
 
@@ -320,9 +320,9 @@ def test_covariant_projective_on_parallel_field(name):
     nabla_pi = covariant(j.pr.Gamma, j.pi, j.dpi, "l")
     expected = -(n - 1) / (n + 1.0) * np.einsum("sm,si->smi", j.pi, j.pi)
     np.testing.assert_allclose(nabla_pi, expected, rtol=0, atol=1e-12)
-    # grad~_X xi = (n X - pi(X) xi)/(n+1), X each sampled frame vector
+    # grad~_X xi = (n X - pi(X) xi)/(n+1), X four random vectors per sample
     nabla_xi = covariant(j.pr.Gamma, j.xi, dxi, "u")
-    X = s.frames
+    X = np.random.default_rng(89).uniform(-1.0, 1.0, (s.count, 4, n))
     along = np.einsum("svm,smc->svc", X, nabla_xi)
     pi_x = np.einsum("si,svi->sv", j.pi, X)
     expected = (n * X - pi_x[..., None] * j.xi[:, None, :]) / (n + 1.0)

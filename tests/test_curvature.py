@@ -71,7 +71,7 @@ def test_closed_form_flat_substitution(euclidean3):
 def test_closed_form_two_path_oracle(cylinder):
     s = sample(cylinder, 100, seed=97)
     j = jet(cylinder, s.points, 2)
-    X, Y, Z = s.frames[:, 0], s.frames[:, 1], s.frames[:, 2]
+    X, Y, Z = np.random.default_rng(97).uniform(-1.0, 1.0, (3, s.count, 3))
     direct = np.einsum("slijk,si,sj,sk->sl", j.pr.R, X, Y, Z)
     closed = rtilde_closed_form(cylinder, j, X, Y, Z)
     assert np.max(np.abs(direct - closed)) <= 1e-9
@@ -237,13 +237,14 @@ def test_derivation_matches_field_closed_form_flat(euclidean3):
     #                    + 2 lam^2 {pi(Y) Z - pi(Z) Y} pi(X) pi(U)
     lam = lam_scale(3)
     s = sample(euclidean3, 50, seed=113)
+    vectors = np.random.default_rng(113).uniform(-1.0, 1.0, (s.count, 3))
     eye = np.eye(3)
     worst = 0.0
     for idx in range(s.count):
         point = s.points[idx]
         Rt = jet(euclidean3, [point], 2).pr.R[0]
         pi = np.array([1.0, 0.0, 0.0])
-        X = s.frames[idx, 0]
+        X = vectors[idx]
         applied = _act(_endomorphism(euclidean3, point, E1, X, PROJECTIVE), Rt)
         rhs = -lam * (
             np.einsum("z,lbuv,b->lzuv", pi, Rt, X)

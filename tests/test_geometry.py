@@ -186,7 +186,6 @@ def test_sampling_is_deterministic(cylinder):
     a = sample(cylinder, 100, seed=7)
     b = sample(cylinder, 100, seed=7)
     assert np.array_equal(a.points, b.points)
-    assert np.array_equal(a.frames, b.frames)
     c = sample(cylinder, 100, seed=8)
     assert not np.array_equal(a.points, c.points)
 
@@ -224,8 +223,7 @@ def test_sample_digest_is_the_numpy_streams():
             for count in (1, 37, 200):
                 s = sample(spec, count, seed)
                 digest.update(s.points.tobytes())
-                digest.update(s.frames.tobytes())
-    assert digest.hexdigest() == "2b96f73af534683b697ad5beaff7a6ff9e08575611b3672a7ff1f1af0b02ec29"
+    assert digest.hexdigest() == "1240d1fefa4b831e88037a484875290739deacbaec8cf03c55aef569d7964c57"
 
 
 def test_sampling_seed_is_a_non_negative_integer(cylinder):
@@ -249,67 +247,6 @@ def test_sampling_empty_box_rejected():
     empty = FLAT_2D.replace("box[0] = -1, 1", "box[0] = 1, 1")
     with pytest.raises(ValueError, match="empty sampling box"):
         sample(load_spec(empty), 5, seed=1)
-
-
-def test_frames_have_minimum_norm(euclidean3):
-    s = sample(euclidean3, 200, seed=11)
-    norms = np.linalg.norm(s.frames, axis=2)
-    assert norms.min() >= 1e-3
-
-
-class _Stream:
-    """A stand-in for ``geometry.PCG64Stream(seed)``: its doubles come from
-    a given list, in order, however many a call asks for."""
-
-    def __init__(self, values):
-        self.values = list(values)
-        self.used = 0
-
-    def random(self, size):
-        count = int(np.prod(size))
-        assert self.used + count <= len(self.values), "stream exhausted"
-        self.used += count
-        return np.array(self.values[self.used - count:self.used]).reshape(size)
-
-
-def _sequential_sample(lows, highs, count, values):
-    """The draw rule one vector at a time: a point, then four vectors, each
-    drawn again while its norm is below 1e-3; and the doubles it used."""
-    stream = iter(values)
-    used = 0
-
-    def draw(lo, hi):
-        nonlocal used
-        used += len(lows)
-        return lo + (hi - lo) * np.array([next(stream) for _ in lows])
-
-    points, frames = [], []
-    for _ in range(count):
-        points.append(draw(lows, highs))
-        for _ in range(4):
-            vec = draw(-1.0, 1.0)
-            while float(np.linalg.norm(vec)) < 1e-3:
-                vec = draw(-1.0, 1.0)
-            frames.append(vec)
-    return np.array(points), np.array(frames).reshape(count, 4, len(lows)), used
-
-
-def test_short_vectors_are_redrawn_as_one_vector_at_a_time(cylinder, monkeypatch):
-    n, count = cylinder.n, 6
-    values = np.random.default_rng(5).random(5 * count * n + 3 * n).tolist()
-    short = [0.5] * n  # the zero vector once scaled to [-1, 1]
-    # sample 1's second vector is short, and so is the row drawn in its place;
-    # the last sample's last vector is short, so one more row is drawn at the end
-    for row in (7, 8, 5 * count - 1 + 2):
-        values[row * n:(row + 1) * n] = short
-    stream = _Stream(values)
-    monkeypatch.setattr(geometry, "PCG64Stream", lambda seed: stream)
-    got = sample(cylinder, count, seed=0)
-    lows, highs = (np.array(bounds) for bounds in zip(*cylinder.box))
-    points, frames, used = _sequential_sample(lows, highs, count, values)
-    assert used == stream.used == 5 * count * n + 3 * n
-    assert np.array_equal(got.points, points)
-    assert np.array_equal(got.frames, frames)
 
 
 @pytest.mark.parametrize("name", catalog_names())

@@ -79,7 +79,7 @@ def test_reports_do_not_depend_on_chunking(name, monkeypatch):
     spec = _chart(name)
     samples = sample(spec, 100, seed=42)
     default = run_checks(spec, samples=samples)
-    reversed_samples = SampleSet(samples.seed, samples.points[::-1], samples.frames[::-1])
+    reversed_samples = SampleSet(samples.seed, samples.points[::-1])
     runs = [run_checks(spec, samples=reversed_samples)]
     monkeypatch.setattr(geometry, "CHUNK_BYTES", 1)
     assert len(samples.chunks()) == 100
