@@ -15,7 +15,6 @@ independent input, which keeps chart files consistent by construction.
 from __future__ import annotations
 
 import json
-import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -615,169 +614,63 @@ def in_box(spec: ManifoldSpec, point) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# sampling: numpy's default_rng(seed) stream, drawn here
+# sampling: a stateless counter stream
 
-_M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's 128-bit LCG multiplier
-# Elements of one block of a draw: its limb arrays and their temporaries
-# stay in cache.
-_DRAW_BLOCK = 1 << 14
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment, odd: 2**64 / golden ratio
 
 
-def _seed_words(seed: int) -> list[int]:
-    """The four uint64 words of numpy's
-    ``SeedSequence(seed).generate_state(4, np.uint64)``: the seed's base-2**32
-    digits hashed into a pool of four 32-bit words, which is hashed out to
-    eight 32-bit words, read in little-endian pairs."""
-    entropy = [(seed >> 32 * k) & _M32 for k in range(max(1, -(-seed.bit_length() // 32)))]
-    hash_const = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * 0x931E8875 & _M32
-        value = value * hash_const & _M32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return value ^ value >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const = 0x8B51F9DD
-    state = []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * 0x58F38DED & _M32
-        value = value * hash_const & _M32
-        state.append(value ^ value >> 16)
-    return [state[2 * i] | state[2 * i + 1] << 32 for i in range(4)]
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output mix of each uint64 state of ``z``, in place
+    (Steele, Lea and Flood, OOPSLA 2014).  uint64 array arithmetic wraps
+    mod 2**64 without a warning, where uint64 scalars would warn."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
 
 
-def _limbs(values: list[int], shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """128-bit integers as uint64 (high, low) arrays of the given shape."""
-    return (
-        np.array([v >> 64 for v in values], dtype=np.uint64).reshape(shape),
-        np.array([v & 0xFFFFFFFFFFFFFFFF for v in values], dtype=np.uint64).reshape(shape),
-    )
-
-
-def _draw(xh, xl, ah, al, ch, cl, out: np.ndarray):
-    """The doubles of the PCG64 states a x + c mod 2**128, broadcast over
-    uint64 (high, low) limbs, written to ``out``: each state's XSL-RR output
-    (its two halves xor-ed, rotated right by its top six bits), read as
-    ``(next64 >> 11) * 2**-53``."""
-    # a x mod 2**128: the low words' product wraps to the low word; its high
-    # word comes from the 32-bit halves of the low words (x1 a1 plus the
-    # carries of the middle products), and the high words add a cross term each
-    x0, x1, a0, a1 = xl & _M32, xl >> 32, al & _M32, al >> 32
-    lo = xl * al
-    p00 = x0 * a0
-    p00 >>= 32
-    mid = x0 * a1
-    mid += p00
-    cross = x1 * a0
-    np.bitwise_and(mid, _M32, out=p00)
-    cross += p00
-    mid >>= 32
-    cross >>= 32
-    hi = x1 * a1
-    hi += mid
-    hi += cross
-    hi += np.multiply(xh, al, out=mid)
-    hi += np.multiply(xl, ah, out=cross)
-    hi += ch
-    lo += cl
-    hi += lo < cl  # the carry out of the low word
-    # XSL-RR
-    lo ^= hi
-    hi >>= 58
-    np.right_shift(lo, hi, out=mid)
-    np.subtract(64, hi, out=hi)
-    hi &= 63
-    lo <<= hi
-    lo |= mid
-    lo >>= 11
-    np.multiply(lo.reshape(-1)[:out.size], 2.0**-53, out=out)
-
-
-class PCG64Stream:
-    """The doubles of ``numpy.random.default_rng(seed).random``, bit for bit,
-    without importing numpy.random.
-
-    The generator is numpy's PCG64 (XSL-RR 128/64), seeded through its
-    ``SeedSequence``; a draw continues where the last one stopped.  A draw of
-    k doubles steps w = ceil(sqrt(k)) states in Python and writes the rest
-    as rows of w: row i is the first row advanced i w steps, one affine map
-    a s + c mod 2**128 per row, on uint64 limbs.
-    """
-
-    def __init__(self, seed: int):
-        seed = operator.index(seed)  # TypeError for None, floats, strings
-        if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed}")
-        words = _seed_words(seed)
-        self._inc = ((words[2] << 64 | words[3]) << 1 | 1) & _M128
-        state = (self._inc + (words[0] << 64 | words[1])) & _M128
-        self._state = (state * _PCG_MULT + self._inc) & _M128
-
-    def random(self, size) -> np.ndarray:
-        """An array of the given shape holding the stream's next doubles, in
-        C order.  The array is allocated before the draw, so a size beyond
-        memory raises MemoryError at once."""
-        out = np.empty(size)
-        k = out.size
-        if not k:
-            return out
-        width = math.isqrt(k - 1) + 1
-        first, state = [], self._state
-        for _ in range(width):
-            state = (state * _PCG_MULT + self._inc) & _M128
-            first.append(state)
-        a_row = pow(_PCG_MULT, width, 1 << 128)
-        c_row = (state - a_row * self._state) & _M128
-        rows, maps, a, c = -(-k // width), [], 1, 0
-        for _ in range(rows):
-            maps.append((a, c))
-            a, c = a_row * a & _M128, (a_row * c + c_row) & _M128
-        a, c = maps[(k - 1) // width]
-        self._state = (a * first[(k - 1) % width] + c) & _M128
-        xh, xl = _limbs(first, (1, width))
-        ah, al = _limbs([m[0] for m in maps], (rows, 1))
-        ch, cl = _limbs([m[1] for m in maps], (rows, 1))
-        flat = out.reshape(-1)
-        step = max(1, _DRAW_BLOCK // width)
-        for r in range(0, rows, step):
-            block = slice(r, r + step)
-            _draw(xh, xl, ah[block], al[block], ch[block], cl[block],
-                  flat[r * width:(r + step) * width])
-        return out
+def _key(seed: int) -> np.ndarray:
+    """The stream key of a seed, as a one-element uint64 array: the seed's
+    64-bit words, least significant first, each folded in by one SplitMix64
+    step.  The mix is a bijection, so seeds below 2**64 get distinct keys,
+    and every further word of a larger seed changes the key."""
+    key = np.zeros(1, dtype=np.uint64)
+    for shift in range(0, max(1, seed.bit_length()), 64):
+        key ^= (seed >> shift) & 0xFFFFFFFFFFFFFFFF
+        key += _GAMMA
+        _splitmix64(key)
+    return key
 
 
 def sample(spec: ManifoldSpec, count: int, seed: int) -> SampleSet:
-    """Uniform points in the box.
+    """Uniform points in the box, from a stateless counter stream.
 
-    The doubles are numpy's ``default_rng(seed)`` stream, drawn here
-    (``PCG64Stream``) so that sampling does not import numpy.random; the
-    seed is a non-negative integer.  Rows of (count, 5, n) are drawn in one
-    call and row 0 of each is scaled as ``Generator.uniform`` scales it
-    (lo + (hi - lo) u).  A count whose rows do not fit in memory raises
-    MemoryError before any draw.
+    Coordinate c of sample i is double k = i n + c of the seed's stream,
+    (splitmix64(key(seed) + (k + 1) gamma) >> 11) * 2**-53: the k-th output
+    of SplitMix64 run from the state ``_key(seed)``, computed from k alone.
+    It is scaled as lo + (hi - lo) u.  So a seed reproduces the set
+    bit-for-bit, and the first k samples of a set are the set of k samples.
+    The seed is a non-negative integer of any size.  A count whose samples
+    do not fit in memory raises MemoryError before any draw.
     """
     if count < 1:
         raise ValueError("sample count must be at least 1")
     for i, (lo, hi) in enumerate(spec.box):
         if not lo < hi:
             raise ValueError(f"empty sampling box for coordinate {spec.coords[i]!r}")
-    rows = PCG64Stream(seed).random((count, 5, spec.n))
+    seed = operator.index(seed)  # TypeError for None, floats, strings
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    n = spec.n
+    try:
+        z = np.arange(1, count * n + 1, dtype=np.uint64)
+    except ValueError:  # numpy's "maximum allowed size exceeded"
+        raise MemoryError(f"{count} samples of {n} coordinates do not fit in memory") from None
+    z *= _GAMMA
+    z += _key(seed)
+    u = (_splitmix64(z) >> 11) * 2.0**-53
     lows = np.array([lo for lo, _ in spec.box])
     highs = np.array([hi for _, hi in spec.box])
-    return SampleSet(seed=seed, points=lows + (highs - lows) * rows[:, 0])
+    return SampleSet(seed=seed, points=lows + (highs - lows) * u.reshape(count, n))

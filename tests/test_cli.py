@@ -264,19 +264,19 @@ def test_evaluation_error_exits_3_naming_point_and_subexpression(tmp_path, capsy
 
 def test_derivative_domain_error_at_a_late_sample_names_it(tmp_path, capsys):
     # g is finite everywhere, but its x-partial divides by zero where x = a,
-    # the x coordinate of sample 150 of 200: in the second of three chunks,
+    # the x coordinate of sample 149 of 200: in the second of three chunks,
     # which share one block of each table
     spec = load_spec(CHARTS / "euclidean3.manifold")
     samples = sample(spec, 200, seed=42)
-    a = float(samples.points[150, 0])
+    a = float(samples.points[149, 0])
     assert a > 0.0 and np.count_nonzero(samples.points[:, 0] == a) == 1
-    assert samples.chunks()[1][0] <= 150 < samples.chunks()[1][1]
+    assert samples.chunks()[1][0] <= 149 < samples.chunks()[1][1]
     path = tmp_path / "kink.manifold"
     path.write_text(_euclidean3_with("g[0][0] = 1", f"g[0][0] = 2 + sqrt((x - {a!r})^2)"),
                     encoding="utf-8")
     code, out, err = run_cli(capsys, "verify", "--file", str(path))
     assert (code, out) == (3, "")
-    assert err == (f"error: division by zero at {point_text(samples.points[150])} "
+    assert err == (f"error: division by zero at {point_text(samples.points[149])} "
                    f"in '2*(x-{a!r})/(2*sqrt((x-{a!r})^2))'\n")
 
 
@@ -481,6 +481,10 @@ def test_entry_at_the_depth_limit_verifies_and_evaluates(tmp_path, capsys, shape
          "--seed must be non-negative"),
         (["verify", "--manifold", "euclidean3", "--samples", "10000000000000"], None, 3,
          "--samples 10000000000000 is too many"),
+        (["verify", "--manifold", "euclidean3", "--samples", "100000000000000000"], None, 3,
+         "--samples 100000000000000000 is too many"),
+        (["verify", "--manifold", "euclidean3", "--samples", "10000000000000000000"], None, 3,
+         "--samples 10000000000000000000 is too many"),
         (["verify", "--manifold", "euclidean3", "--samples", "٣"], None, 2,
          "--samples must be an integer, got '٣'"),
         (["verify", "--manifold", "euclidean3", "--seed", "١_0"], None, 2,
@@ -543,6 +547,7 @@ def test_entry_at_the_depth_limit_verifies_and_evaluates(tmp_path, capsys, shape
          "invalid JSON document: nested too deeply"),
     ],
     ids=["samples_zero", "samples_negative", "seed_negative", "samples_beyond_memory",
+         "samples_beyond_address_space", "samples_beyond_array_size",
          "samples_arabic_indic_digit",
          "seed_arabic_indic_digit_underscore", "samples_underscore", "seed_decimal_point",
          "samples_space", "empty_box", "short_box_pair",
