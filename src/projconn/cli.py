@@ -148,12 +148,21 @@ def _cmd_list(args) -> int:
 # eval
 
 
+def _json_text(data, subject: str) -> str:
+    """``data`` as indented JSON; a non-finite number, which JSON has not,
+    is an input error naming ``subject``."""
+    try:
+        return json.dumps(data, indent=2, allow_nan=False)
+    except ValueError:
+        raise _InputError(f"{subject} holds a non-finite value") from None
+
+
 def _component_lines(label: str, array: np.ndarray, index_names: str) -> list[str]:
-    """Nonzero components with 1-based index labels."""
+    """Nonzero components with 1-based index labels; NaN counts as nonzero."""
     lines = []
     for idx in np.ndindex(array.shape):
         value = array[idx]
-        if abs(value) > 1e-14:
+        if not abs(value) <= 1e-14:
             tags = ",".join(
                 f"{name}={pos + 1}" for name, pos in zip(index_names, idx)
             )
@@ -233,7 +242,7 @@ def _cmd_eval(args) -> int:
             "components": array.tolist(),
         }
         payload.update(extras)
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(_json_text(payload, f"{args.tensor} on {spec.name!r} at ({args.point})"), args.out)
         return EXIT_OK
     lines = [f"{args.tensor} on {spec.name} at ({args.point})"]
     lines += _component_lines(args.tensor, array, index_names)
@@ -281,10 +290,7 @@ def _cmd_verify(args) -> int:
     except (NotSPDError, SpecError, DimensionError, expr.ExprError) as err:
         raise _InputError(str(err)) from err
     if args.json:
-        try:
-            text = json.dumps([r.to_dict() for r in reports], indent=2, allow_nan=False)
-        except ValueError:  # JSON has no non-finite number
-            raise _InputError(f"chart {spec.name!r}: a report holds a non-finite value") from None
+        text = _json_text([r.to_dict() for r in reports], f"chart {spec.name!r}: a report")
     else:
         header = (
             f"verification of {spec.name}: samples={count} seed={seed}"

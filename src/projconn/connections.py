@@ -155,7 +155,8 @@ def connection_at(spec: ManifoldSpec, kind: str, point, order: int = 1) -> Conne
 def wedge(A: np.ndarray) -> np.ndarray:
     """W(A)[s,l,i,j,...] = delta^l_i A[s,j,...] - delta^l_j A[s,i,...], for A
     with a leading sample axis: the torsion is W(pi), the Ricci term of the
-    projective tensor W(S), the curvature shift -W(pi pi)."""
+    projective tensor W(S), the curvature shift -W(pi pi), the nullity
+    fit's pattern -W(pi)."""
     eye = np.eye(A.shape[1])
     return np.einsum("li,sj...->slij...", eye, A) - np.einsum("lj,si...->slij...", eye, A)
 

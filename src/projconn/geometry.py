@@ -579,7 +579,14 @@ class MetricJet:
 
     @cached_property
     def G_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.G)
+        """G^-1, finite at every sample: a metric whose inverse overflows
+        (a subnormal diagonal entry, say) is an input error naming the
+        first such point, not NaN connection coefficients."""
+        G_inv = np.linalg.inv(self.G)
+        bad = np.flatnonzero(~np.isfinite(G_inv).all(axis=(1, 2)))
+        if bad.size:
+            raise SpecError(f"metric inverse is not finite at {ex.point_text(self.points[bad[0]])}")
+        return G_inv
 
     @cached_property
     def pi(self) -> np.ndarray:
@@ -620,9 +627,10 @@ _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment, odd: 2**64 / golden
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's output mix of each uint64 state of ``z``, in place
-    (Steele, Lea and Flood, OOPSLA 2014).  uint64 array arithmetic wraps
-    mod 2**64 without a warning, where uint64 scalars would warn."""
+    """One SplitMix64 step from each uint64 state of ``z``, in place: the
+    state advanced by gamma, then mixed (Steele, Lea and Flood, OOPSLA
+    2014).  uint64 array arithmetic wraps without a warning; scalars warn."""
+    z += _GAMMA
     z ^= z >> 30
     z *= 0xBF58476D1CE4E5B9
     z ^= z >> 27
@@ -631,29 +639,17 @@ def _splitmix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _key(seed: int) -> np.ndarray:
-    """The stream key of a seed, as a one-element uint64 array: the seed's
-    64-bit words, least significant first, each folded in by one SplitMix64
-    step.  The mix is a bijection, so seeds below 2**64 get distinct keys,
-    and every further word of a larger seed changes the key."""
-    key = np.zeros(1, dtype=np.uint64)
-    for shift in range(0, max(1, seed.bit_length()), 64):
-        key ^= (seed >> shift) & 0xFFFFFFFFFFFFFFFF
-        key += _GAMMA
-        _splitmix64(key)
-    return key
-
-
 def sample(spec: ManifoldSpec, count: int, seed: int) -> SampleSet:
     """Uniform points in the box, from a stateless counter stream.
 
     Coordinate c of sample i is double k = i n + c of the seed's stream,
-    (splitmix64(key(seed) + (k + 1) gamma) >> 11) * 2**-53: the k-th output
-    of SplitMix64 run from the state ``_key(seed)``, computed from k alone.
-    It is scaled as lo + (hi - lo) u.  So a seed reproduces the set
-    bit-for-bit, and the first k samples of a set are the set of k samples.
-    The seed is a non-negative integer of any size.  A count whose samples
-    do not fit in memory raises MemoryError before any draw.
+    (splitmix64(key + k gamma) >> 11) * 2**-53, scaled as lo + (hi - lo) u.
+    The key folds in the seed's 64-bit words, least significant first, one
+    SplitMix64 step each; the step is a bijection, so seeds below 2**64
+    get distinct keys.  A seed reproduces the set bit-for-bit, and a set of
+    k samples is the first k of any larger set.  The seed is a non-negative
+    integer of any size.  A count whose samples do not fit in memory
+    raises MemoryError before any draw.
     """
     if count < 1:
         raise ValueError("sample count must be at least 1")
@@ -663,14 +659,15 @@ def sample(spec: ManifoldSpec, count: int, seed: int) -> SampleSet:
     seed = operator.index(seed)  # TypeError for None, floats, strings
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    n = spec.n
+    key = np.zeros(1, dtype=np.uint64)
+    for shift in range(0, max(1, seed.bit_length()), 64):
+        key = _splitmix64(key ^ ((seed >> shift) & 0xFFFFFFFFFFFFFFFF))
     try:
-        z = np.arange(1, count * n + 1, dtype=np.uint64)
-    except ValueError:  # numpy's "maximum allowed size exceeded"
-        raise MemoryError(f"{count} samples of {n} coordinates do not fit in memory") from None
+        z = np.arange(count * spec.n, dtype=np.uint64)
+    except ValueError:  # past numpy's array size limit
+        raise MemoryError(f"{count} samples do not fit in memory") from None
     z *= _GAMMA
-    z += _key(seed)
+    z += key
     u = (_splitmix64(z) >> 11) * 2.0**-53
-    lows = np.array([lo for lo, _ in spec.box])
-    highs = np.array([hi for _, hi in spec.box])
-    return SampleSet(seed=seed, points=lows + (highs - lows) * u.reshape(count, n))
+    lows, highs = np.array(spec.box).T
+    return SampleSet(seed=seed, points=lows + (highs - lows) * u.reshape(count, spec.n))

@@ -77,6 +77,19 @@ def test_declared_gate_flags_verified(name):
     assert measured_parallel == spec.parallel_xi_expected
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_verdicts_do_not_depend_on_the_seed(name):
+    # the benchmark's verdict table names one verdict per chart and check
+    # for every run seed; the sample points are all a seed changes
+    spec = builtin(name).spec
+    verdicts = {
+        seed: [(r.check_id, "skip" if r.skipped else "pass" if r.passed else "fail")
+               for r in run_checks(spec, count=200, seed=seed)]
+        for seed in (0, 7, 42, 1234)
+    }
+    assert all(v == verdicts[42] for v in verdicts.values()), verdicts
+
+
 def test_gate_failure_magnitude_on_sphere():
     spec = builtin("sphere3_bad_xi").spec
     report = run_checks(spec, sample(spec, 40, seed=5), selected=["parallel_unit_xi"])[0]

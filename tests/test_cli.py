@@ -364,6 +364,8 @@ def _euclidean3_with(old: str, new: str) -> str:
 
 
 _EVAL_GAMMA = ["eval", "--manifold", "euclidean3", "--tensor", "gamma"]
+# SPD, but 1/g[0][0] overflows: G^-1 is not finite
+_SUBNORMAL_CHART = _euclidean3_with("g[0][0] = 1\n", "g[0][0] = 1e-320\n")
 
 
 _OVERFLOWING_PRODUCT = _euclidean3_with("g[0][0] = 1", "g[0][0] = 1 + x*x*x*x*x*x*x*x").replace(
@@ -391,6 +393,18 @@ def test_verify_json_never_writes_a_non_finite_number(monkeypatch, capsys):
     monkeypatch.setattr(theorems, "run_checks", lambda *args, **kwargs: [report])
     code, out, err = run_cli(capsys, "verify", "--manifold", "euclidean3", "--json")
     assert (code, out, err) == (3, "", "error: chart 'euclidean3': a report holds a non-finite value\n")
+
+
+def test_eval_never_shows_a_non_finite_component_as_zero(monkeypatch, capsys):
+    from projconn import cli
+
+    nan_first = np.zeros((3, 3, 3))
+    nan_first[0, 0, 0] = math.nan
+    monkeypatch.setattr(cli, "_eval_tensor", lambda *args: (nan_first, "kij", {}))
+    code, out, _ = run_cli(capsys, *_EVAL_GAMMA, "--point", "0,0,0")
+    assert (code, out.splitlines()[1:]) == (0, ["gamma[k=1,i=1,j=1] = nan"])
+    code, out, err = run_cli(capsys, *_EVAL_GAMMA, "--point", "0,0,0", "--json")
+    assert (code, out, err) == (3, "", "error: gamma on 'euclidean3' at (0,0,0) holds a non-finite value\n")
 
 
 @pytest.mark.parametrize("args, document, code, message", [
@@ -525,6 +539,11 @@ def test_entry_at_the_depth_limit_verifies_and_evaluates(tmp_path, capsys, shape
         (["verify"], _OVERFLOWING_CHART, 3, "number out of range"),
         (["eval", "--tensor", "gamma", "--point", "0,0,0"], _OVERFLOWING_CHART, 3,
          "number out of range"),
+        (["eval", "--tensor", "gamma", "--point", "0.5,0.5,0.5"], _SUBNORMAL_CHART, 3,
+         "metric inverse is not finite at (0.5, 0.5, 0.5)"),
+        (["eval", "--json", "--tensor", "gamma", "--point", "0.5,0.5,0.5"], _SUBNORMAL_CHART, 3,
+         "metric inverse is not finite at (0.5, 0.5, 0.5)"),
+        (["verify", "--json"], _SUBNORMAL_CHART, 3, "metric inverse is not finite at ("),
         (["list", "--out", "{tmp}"], None, 3, "cannot write --out file"),
         (["list", "--out", "{tmp}/missing/list.txt"], None, 3, "cannot write --out file"),
         (["verify"], b"\xff" + (CHARTS / "euclidean3.manifold").read_bytes(), 3,
@@ -554,7 +573,8 @@ def test_entry_at_the_depth_limit_verifies_and_evaluates(tmp_path, capsys, shape
          "g_not_a_list", "coords_not_a_list", "verify_planar_eq17", "eval_planar_projective",
          "tol_nan", "tol_overflows", "tol_negative", "check_names_none", "dim_not_integral",
          "box_infinite", "box_overflows", "box_width_overflows", "verify_number_overflows",
-         "eval_number_overflows", "out_is_a_directory", "out_directory_missing",
+         "eval_number_overflows", "eval_subnormal_metric", "eval_json_subnormal_metric",
+         "verify_json_subnormal_metric", "out_is_a_directory", "out_directory_missing",
          "file_not_utf8", "superscript_exponent", "arabic_indic_digit", "parallel_flag_null",
          "parallel_flag_number",
          *[f"{shape}_past_depth_limit" for shape in _DEEP_ENTRIES], "eval_parens_2000",
