@@ -254,8 +254,8 @@ def test_sampling_seed_is_a_non_negative_integer(cylinder):
 
 
 def test_sampling_count_beyond_memory_fails_before_drawing(cylinder):
-    # 1.2e15 bytes of rows: more than a 48-bit virtual address space holds,
-    # so the allocation fails without touching memory
+    # 2.4e14 bytes of counters: more than the 128 TiB a process addresses with
+    # 48-bit virtual addresses, so the allocation fails without touching memory
     with pytest.raises(MemoryError):
         sample(cylinder, 10**13, seed=1)
 
