@@ -63,12 +63,13 @@ class ConnectionJet:
     """One connection at a batch of points, every array with a leading
     sample axis: its coefficients, and the curvature data built from them
     on first read and kept, so every family that reads one shares one copy.
-    Arrays beyond the jet's order are None."""
+    Arrays beyond the jet's order are None.  ``release`` lets go of d2Gamma
+    and dR; a later read of either raises AttributeError."""
 
     G: np.ndarray  # the metric, which lowers R
     Gamma: np.ndarray  # Gamma[s,k,i,j]
-    dGamma: np.ndarray | None = None  # dGamma[s,m,k,i,j]
-    d2Gamma: np.ndarray | None = None  # d2Gamma[s,p,m,k,i,j]
+    dGamma: np.ndarray | None  # dGamma[s,m,k,i,j]
+    d2Gamma: np.ndarray | None  # d2Gamma[s,p,m,k,i,j]
 
     @cached_property
     def R(self) -> np.ndarray | None:
@@ -93,6 +94,11 @@ class ConnectionJet:
         return _riemann_partials(self.Gamma, self.dGamma, self.d2Gamma)
 
     @cached_property
+    def dS(self) -> np.ndarray | None:
+        """dS[s,m,j,k] = d_m S[j,k], the first-slot contraction of dR."""
+        return None if self.dR is None else ricci_contraction(self.dR)
+
+    @cached_property
     def nabla_R(self) -> np.ndarray | None:
         """nabla_R[s,m,l,i,j,k] = (D_m R)[l,i,j,k]."""
         return None if self.dR is None else covariant(self.Gamma, self.R, self.dR, "ulll")
@@ -101,6 +107,24 @@ class ConnectionJet:
     def P(self) -> np.ndarray:
         """The Weyl projective curvature P[s,l,i,j,k] of R and S."""
         return projective_tensor(self.R, self.S)
+
+    def release(self) -> None:
+        """Build nabla_R and dS, then let go of d2Gamma and dR: n^5 values
+        per sample each, which the identity checks read only through those
+        two.  A connection below order 3 has neither and keeps its Nones."""
+        if self.d2Gamma is None:
+            return
+        self.nabla_R, self.dS
+        del self.d2Gamma, self.dR
+
+    def __getattr__(self, name: str):
+        # reached for d2Gamma and dR only once ``release`` has deleted them
+        if name in ("d2Gamma", "dR"):
+            raise AttributeError(
+                f"{name} was released once nabla_R and dS were built; "
+                "a new jet of the points builds it again"
+            )
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
 class Jet(MetricJet):
@@ -130,17 +154,22 @@ class Jet(MetricJet):
 
     def complete(self) -> Jet:
         """Build the metric's fields, then each connection's coefficients,
-        R, Rlow, S, dR and nabla_R, now, and return the jet; the shared
-        tensors below stay lazy.  ``run_checks`` reads them all.  Built
-        before the checks' temporaries rather than among them, a chunk's
-        arrays reuse the memory the last chunk freed instead of faulting in
-        fresh pages (a quarter of the page faults and 8% less time on an
-        n = 4 chart)."""
+        R, Rlow, S, nabla_R and dS, now, let go of its d2Gamma and dR
+        (``ConnectionJet.release``), and return the jet; the shared tensors
+        below stay lazy.  ``run_checks`` reads them all.  The projective
+        coefficients are shifted copies of the Levi-Civita ones, so both
+        are built before either connection releases, and the Levi-Civita dR
+        goes before the projective one is built.  Of the six n^5 arrays per
+        sample the two connections build, a completed jet keeps two, the
+        nabla_R of each.  It is built before the checks' temporaries rather
+        than among them: a jet built lazily among them took 4-5 times the
+        page faults."""
         for name in ("xi", "G_inv", "pi", "dG", "d2G", "d3G", "dpi", "d2pi"):
             getattr(self, name)
         for cj in (self.lc, self.pr):
-            for name in ("R", "Rlow", "S", "dR", "nabla_R"):
+            for name in ("R", "Rlow", "S"):
                 getattr(cj, name)
+            cj.release()
         return self
 
     def connection(self, kind: str) -> ConnectionJet:
@@ -421,6 +450,7 @@ def nullity_fit(spec: ManifoldSpec, conn_kind: str, samples) -> NullityFit:
         j = jet(spec, samples.points[lo:hi], 2)
         vs.append(np.einsum("slijk,sk->slij", j.connection(conn_kind).R, j.xi)[..., a, b])
         ws.append(-wedge(j.pi)[..., a, b])  # (S, n, pair)
+        del j  # this chunk's jet goes before the next one is built
     v = np.concatenate(vs)
     w = np.concatenate(ws)
     den = float(np.sum(w * w))

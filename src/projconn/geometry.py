@@ -60,19 +60,25 @@ class DimensionError(Exception):
     """An operation requiring dimension > 2 was invoked on a planar chart."""
 
 
-# Samples are walked in chunks: the largest run of samples at n^6 float64
-# values each that fits this many bytes, and at least one sample.  The jet's
-# dR and nabla R and the smlijk contractions of the curvature family hold n^5
-# values per sample.  The a < b curvature-derivation frames, n^4 n(n-1)/2
-# values per sample, are built in blocks of frames of at most this many
-# bytes, one walk over them giving both R~.R~ and R~.P~
-# (``curvature.derivation_all_frames``).  A verification's chart tables are
-# evaluated in blocks of whole chunks of at most this many bytes per table,
-# and at least one chunk (``TableStore``): every table is one block at
-# n = 3, the order-3 metric partials are 64 samples at n = 4 and 2 at
-# n = 8.  The gate's pass steps through the blocks of the four tables it
-# reads (``TableStore.walk``), 128 samples at a time at n = 8.
-CHUNK_BYTES = 512 * 1024
+# Samples are walked in chunks: the fewest runs of samples at n^6 float64
+# values each that fit this many bytes, balanced so that only the last may be
+# shorter, and at least one sample each; at 200 samples, 100 at n = 3, 29 at
+# n = 4, 8 at n = 5 and 1 at n = 8.  A chunk's jet keeps n^5 values per sample
+# in each connection's nabla R, once it has released dR and d2Gamma
+# (``curvature.Jet.complete``), and the curvature family's smlijk contractions
+# hold n^5 values per sample each.  At 1.25 MiB the n = 3 charts would walk
+# one chunk, and the traced peak of a 200-sample ``run_checks`` would rise
+# 30-70% on every curved catalog chart (3.8 to 4.9 MiB on warped_r3xr).  The
+# a < b curvature-derivation frames, n^4 n(n-1)/2 values per sample, are built
+# in blocks of frames of at most this many bytes, one walk over them giving
+# both R~.R~ and R~.P~ (``curvature.derivation_all_frames``).  A
+# verification's chart tables are evaluated in blocks of whole chunks of at
+# most this many bytes per table, and at least one chunk (``TableStore``):
+# every table is one block at n = 3, the order-3 metric partials are 116
+# samples at n = 4 and 4 at n = 8.  The gate's pass steps through the blocks
+# of the four tables it reads (``TableStore.walk``), 256 samples at a time at
+# n = 8.
+CHUNK_BYTES = 1024 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +228,16 @@ class SampleSet:
         return self.points.shape[0]
 
     def chunks(self) -> list[tuple[int, int]]:
-        """(start, stop) ranges walking the samples in order, each as long
-        as CHUNK_BYTES allows at n^6 float64 values per sample: n times the
-        n^5 values of dR, nabla R and the smlijk contractions, which bounds
+        """(start, stop) ranges walking the samples in order: the fewest
+        runs that CHUNK_BYTES allows at n^6 float64 values per sample, all
+        of one length but the last, which may be shorter.  n^6 is n times the
+        n^5 values of nabla R and of each smlijk contraction, which bounds
         the n^5 tensors alive per sample.  No frame tensor is sized here:
         the derivation frames are blocked to CHUNK_BYTES on their own."""
         n = self.points.shape[1]
-        size = max(1, CHUNK_BYTES // (8 * n**6))
+        most = max(1, CHUNK_BYTES // (8 * n**6))
+        runs = max(1, -(-self.count // most))  # the fewest chunks of at most `most`
+        size = max(1, -(-self.count // runs))  # balanced: only the last may be shorter
         return [(lo, min(lo + size, self.count)) for lo in range(0, self.count, size)]
 
 

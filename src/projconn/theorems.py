@@ -28,7 +28,7 @@ import numpy as np
 
 from .geometry import ManifoldSpec, SampleSet, SpecError, TableStore, sample
 from .connections import check_parallel_unit_xi, covariant, wedge
-from .curvature import jet, lam_scale, ricci_contraction, ricci_shifts
+from .curvature import jet, lam_scale, ricci_shifts
 from .report import CheckReport
 
 __all__ = ["REGISTRY", "CHECK_IDS", "run_checks"]
@@ -183,8 +183,8 @@ def _ricci_columns(spec, j, curved) -> dict:
     statement, since the shift term is parallel together with the field."""
     _, _, ricci_defect, scalar_defect = ricci_shifts(j)
     Gamma = j.lc.Gamma
-    nabla_S = covariant(Gamma, j.lc.S, ricci_contraction(j.lc.dR), "ll")
-    nabla_St = covariant(Gamma, j.pr.S, ricci_contraction(j.pr.dR), "ll")
+    nabla_S = covariant(Gamma, j.lc.S, j.lc.dS, "ll")
+    nabla_St = covariant(Gamma, j.pr.S, j.pr.dS, "ll")
     codazzi = (nabla_St - np.einsum("smjk->sjmk", nabla_St)) - (
         nabla_S - np.einsum("smjk->sjmk", nabla_S)
     )
@@ -562,6 +562,7 @@ def run_checks(
                     cols["max_R"] = max_R
                 for key, col in cols.items():
                     columns[family][key].append(col)
+            del j  # this chunk's jet goes before the next one is built
     by_id = {"parallel_unit_xi": gate}
     for family in families:
         # Per-sample values are joined across chunks and spread to the

@@ -264,7 +264,7 @@ def test_evaluation_error_exits_3_naming_point_and_subexpression(tmp_path, capsy
 
 def test_derivative_domain_error_at_a_late_sample_names_it(tmp_path, capsys):
     # g is finite everywhere, but its x-partial divides by zero where x = a,
-    # the x coordinate of sample 149 of 200: in the second of three chunks,
+    # the x coordinate of sample 149 of 200: in the second of two chunks,
     # which share one block of each table
     spec = load_spec(CHARTS / "euclidean3.manifold")
     samples = sample(spec, 200, seed=42)

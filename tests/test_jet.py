@@ -5,6 +5,7 @@ independent SymPy derivation from the chart strings."""
 import functools
 import itertools
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -23,18 +24,26 @@ from test_bench_contract import _bench_module
 
 def test_chunk_sizes_follow_the_byte_budget():
     sizes = {}
-    for n in (3, 4, 8):
+    for n in (3, 4, 5, 8):
         samples = sample(builtin(f"euclidean{n}").spec, 200, seed=1)
         chunks = samples.chunks()
         assert chunks[0][0] == 0 and chunks[-1][1] == 200
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-        sizes[n] = chunks[0][1] - chunks[0][0]
-    assert sizes == {3: 89, 4: 16, 8: 1}
+        sizes[n] = [hi - lo for lo, hi in chunks]
+        # balanced: the fewest chunks of at most the budget's length, all of
+        # one length but the last, which is shorter by less than one chunk
+        most = max(1, geometry.CHUNK_BYTES // (8 * n**6))
+        assert len(chunks) == -(-200 // most)
+        assert set(sizes[n][:-1]) <= {sizes[n][0]} and 0 < sizes[n][-1] <= sizes[n][0]
+    assert sizes == {3: [100, 100], 4: [29] * 6 + [26], 5: [8] * 25, 8: [1] * 200}
+    assert [hi - lo for lo, hi in sample(builtin("euclidean4").spec, 37, seed=1).chunks()] == [
+        19, 18]
+    assert [hi - lo for lo, hi in sample(builtin("euclidean4").spec, 1, seed=1).chunks()] == [1]
 
 
 def test_no_covariant_output_exceeds_the_byte_budget(monkeypatch):
     # at n = 8 a chunk is one sample, and the 28 curvature-derivation frames
-    # of R~ . R~ and R~ . P~ would take 0.9 MB: they are built in blocks
+    # of R~ . R~ and R~ . P~ take 0.9 MB, one block within the budget
     act = connections.covariant
     sizes = []
 
@@ -48,6 +57,74 @@ def test_no_covariant_output_exceeds_the_byte_budget(monkeypatch):
     reports = run_checks(builtin("euclidean8").spec, count=2, seed=42)
     assert any(r.check_id == "def4_1_flat" and r.passed for r in reports)
     assert sizes and max(sizes) <= geometry.CHUNK_BYTES
+
+
+def _jets_released_in_turn(monkeypatch, module) -> list:
+    """Weak references to every jet ``module.jet`` builds; each call first
+    asserts that every jet built before it is already gone."""
+    built = []
+    make = module.jet
+
+    def tracked(*args):
+        alive = [k for k, ref in enumerate(built) if ref() is not None]
+        assert not alive, f"jet {len(built)} built while jets {alive} are alive"
+        j = make(*args)
+        built.append(weakref.ref(j))
+        return j
+
+    monkeypatch.setattr(module, "jet", tracked)
+    return built
+
+
+@pytest.mark.parametrize("name", ["cylinder_s2xr", "warped_r3xr"])
+def test_run_checks_lets_each_chunk_jet_go_before_the_next(monkeypatch, name):
+    built = _jets_released_in_turn(monkeypatch, theorems)
+    spec = builtin(name).spec
+    samples = sample(spec, 200, seed=42)
+    run_checks(spec, samples=samples)
+    assert len(built) == len(samples.chunks()) > 1
+
+
+def test_nullity_fit_lets_each_chunk_jet_go_before_the_next(monkeypatch):
+    built = _jets_released_in_turn(monkeypatch, curvature)
+    spec = builtin("warped_r3xr").spec
+    samples = sample(spec, 100, seed=42)
+    curvature.nullity_fit(spec, connections.PROJECTIVE, samples)
+    assert len(built) == len(samples.chunks()) == 4
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_nullity_fit_is_exact_in_any_chunks(monkeypatch, n):
+    # at n = 5 the two walks give k one bit apart, both within 1e-15
+    spec = builtin(f"euclidean{n}").spec
+    samples = sample(spec, 200, seed=42)
+    fits = [curvature.nullity_fit(spec, connections.PROJECTIVE, samples)]
+    monkeypatch.setattr(geometry, "CHUNK_BYTES", 1)
+    assert len(samples.chunks()) == 200
+    fits.append(curvature.nullity_fit(spec, connections.PROJECTIVE, samples))
+    for fit in fits:
+        assert abs(fit.k - curvature.lam_scale(n)) <= 1e-15 and fit.residual <= 1e-15
+
+
+def test_complete_releases_d2gamma_and_dr_and_never_reads_none():
+    spec = builtin("warped_r3xr").spec
+    points = sample(spec, 5, seed=3).points
+    done, fresh = jet(spec, points, 3).complete(), jet(spec, points, 3)
+    for kind in ("lc", "pr"):
+        cj, ref = getattr(done, kind), getattr(fresh, kind)
+        for field in ("d2Gamma", "dR"):
+            with pytest.raises(AttributeError, match=f"^{field} was released"):
+                getattr(cj, field)
+        # what the checks read of them was built from the same arrays
+        assert _same_bits(cj.nabla_R, ref.nabla_R)
+        assert _same_bits(cj.dS, curvature.ricci_contraction(ref.dR))
+        assert _same_bits(cj.dGamma, ref.dGamma) and _same_bits(cj.R, ref.R)
+        with pytest.raises(AttributeError, match="no attribute 'dT'"):
+            cj.dT
+    # below order 3 nothing is released: the fields beyond the order are None
+    low = jet(spec, points, 2).complete()
+    for cj in (low.lc, low.pr):
+        assert (cj.d2Gamma, cj.dR, cj.dS, cj.nabla_R) == (None,) * 4
 
 
 # A chart that is flat by detection at some samples only: |R| runs from
@@ -190,7 +267,7 @@ def test_run_checks_reads_each_table_once_per_block(monkeypatch):
     samples = sample(spec, 200, seed=42)
     run_checks(spec, samples=samples)
     chunks = len(samples.chunks())
-    assert chunks == 3
+    assert chunks == 2
     assert len(riemann) == 2 * chunks  # R and R~, once per chunk
     # at n = 3 every table's block is the whole sample set: the gate reads g,
     # dg, xi and dpi, and the walk reads them again from the store and adds
@@ -202,8 +279,8 @@ def test_run_checks_reads_each_table_once_per_block(monkeypatch):
 
 
 @pytest.mark.parametrize("name, chunks, per_chunk", [
-    ("cylinder_s2xr", 3, 1),
-    ("polar_r2xr2", 13, 2),
+    ("cylinder_s2xr", 2, 1),
+    ("polar_r2xr2", 7, 2),
 ])
 def test_curved_chunks_compute_no_flat_premise_column(monkeypatch, name, chunks, per_chunk):
     # the bracket is eq11d's in every chunk and eq20's in a flat one: the
@@ -274,7 +351,7 @@ def test_chart_that_reads_a_coordinate_walks_every_chunk(monkeypatch):
     samples = sample(spec, 200, seed=42)
     assert not spec.coordinate_free
     run_checks(spec, samples=samples)
-    assert len(riemann) == 2 * len(samples.chunks()) == 26
+    assert len(riemann) == 2 * len(samples.chunks()) == 14
 
 
 def test_coordinate_free_reads_every_entry():
@@ -323,12 +400,12 @@ def test_one_jet_reports_match_the_walk_of_every_sample(name, counts):
 
 def test_run_checks_reads_phi_and_f_through_the_store(monkeypatch):
     # gssf_c1 is n = 3: every table is one block, evaluated once, phi and f
-    # as well, though the gssf family reads them in each of the 3 chunks
+    # as well, though the gssf family reads them in each of the 2 chunks
     reads = _counting(monkeypatch, geometry.ChartTables, "values")
     spec = builtin("gssf_c1").spec
     samples = sample(spec, 200, seed=42)
     run_checks(spec, samples=samples)
-    assert len(samples.chunks()) == 3
+    assert len(samples.chunks()) == 2
     assert [(name, k, len(points)) for _, name, k, points in reads] == [
         ("g", 0, 200), ("g", 1, 200), ("xi", 0, 200), ("pi", 1, 200),
         ("g", 2, 200), ("g", 3, 200), ("pi", 2, 200), ("phi", 0, 200), ("f", 0, 200),
@@ -337,18 +414,18 @@ def test_run_checks_reads_phi_and_f_through_the_store(monkeypatch):
 
 def test_gate_walks_the_blocks_of_its_tables(monkeypatch):
     # at n = 8 a chunk is one sample, but the gate reads only g, dg, xi and
-    # dpi: it steps through dg's 128-sample blocks, the shortest of the four,
+    # dpi: it steps through dg's 256-sample blocks, the shortest of the four,
     # and each block is evaluated once, in the gate's read order
     reads = _counting(monkeypatch, geometry.ChartTables, "values")
     passes = _counting(monkeypatch, connections, "metric_jet")
     spec = builtin("euclidean8").spec
-    samples = sample(spec, 200, seed=42)
+    samples = sample(spec, 300, seed=42)
     store = geometry.TableStore(spec, samples)
-    assert store.walk(connections._GATE_TABLES) == [(0, 128), (128, 200)]
+    assert store.walk(connections._GATE_TABLES) == [(0, 256), (256, 300)]
     nabla, unit = connections.check_parallel_unit_xi(spec, samples, store)
-    assert nabla.shape == unit.shape == (200,) and len(passes) == 2
+    assert nabla.shape == unit.shape == (300,) and len(passes) == 2
     assert [(name, k, len(points)) for _, name, k, points in reads] == [
-        ("g", 0, 200), ("g", 1, 128), ("xi", 0, 200), ("pi", 1, 200), ("g", 1, 72),
+        ("g", 0, 300), ("g", 1, 256), ("xi", 0, 300), ("pi", 1, 300), ("g", 1, 44),
     ]
 
 
@@ -391,8 +468,8 @@ def test_reports_do_not_depend_on_table_blocks(name, monkeypatch):
     chunks = len(samples.chunks())
     walk = 5 if name == "sphere3_bad_xi" else 7
     assert evaluations[1:] == [(4 + walk) * chunks, walk]
-    # g's order-3 block is 64 samples at n = 4, four of the 16-sample chunks
-    assert evaluations[0] == (walk + 3 if name == "warped_r3xr" else walk)
+    # g's order-3 block is 116 samples at n = 4, four of the 29-sample chunks
+    assert evaluations[0] == (walk + 1 if name == "warped_r3xr" else walk)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
