@@ -152,7 +152,7 @@ class Jet(MetricJet):
             self.G, *connections._projective_shift(self, (lc.Gamma, lc.dGamma, lc.d2Gamma))
         )
 
-    def complete(self) -> Jet:
+    def complete(self, projective: bool = True) -> Jet:
         """Build the metric's fields, then each connection's coefficients,
         R, Rlow, S, nabla_R and dS, now, let go of its d2Gamma and dR
         (``ConnectionJet.release``), and return the jet; the shared tensors
@@ -163,10 +163,15 @@ class Jet(MetricJet):
         sample the two connections build, a completed jet keeps two, the
         nabla_R of each.  It is built before the checks' temporaries rather
         than among them: a jet built lazily among them took 4-5 times the
-        page faults."""
+        page faults.
+
+        With ``projective`` False the Levi-Civita connection completes
+        alone, for a verification whose gate failed; the projective one
+        stays lazy, and above order 2, where the Levi-Civita d2Gamma it
+        shifts is released, it can no longer be built."""
         for name in ("xi", "G_inv", "pi", "dG", "d2G", "d3G", "dpi", "d2pi"):
             getattr(self, name)
-        for cj in (self.lc, self.pr):
+        for cj in (self.lc, self.pr) if projective else (self.lc,):
             for name in ("R", "Rlow", "S"):
                 getattr(cj, name)
             cj.release()
@@ -234,12 +239,11 @@ class NullityFit:
 
 def _antisymmetrised(D: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """X - X^T for X = D + Q, ^T swapping the (i, j) slots of [..., l, i, j, k]:
-    one rule for R and for dR.  It is summed as (D - D^T + Q) - Q^T, the
-    order of the coordinate formula's four terms, so R keeps its rounding."""
-    out = D - D.swapaxes(-3, -2)
-    out += Q
-    out -= Q.swapaxes(-3, -2)
-    return out
+    one rule for R and for dR.  X is summed into Q, which the caller owns,
+    so the only transposed view read is X^T, once, and the result is
+    exactly antisymmetric in (i, j)."""
+    Q += D
+    return Q - Q.swapaxes(-3, -2)
 
 
 def _riemann_components(Gamma: np.ndarray, dGamma: np.ndarray) -> np.ndarray:

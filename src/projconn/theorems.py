@@ -103,7 +103,8 @@ def _residual(*defects: np.ndarray) -> np.ndarray:
     """The residual rule of every check: per sample, the largest |entry| over
     all the defects given, each with a leading sample axis.  A per-sample
     column counts as its own entries, so residuals compose."""
-    return reduce(np.maximum, (np.max(np.abs(d), axis=tuple(range(1, d.ndim))) for d in defects))
+    return reduce(np.maximum, (np.maximum.reduce(np.abs(d), axis=tuple(range(1, d.ndim)))
+                               for d in defects))
 
 
 def _cyclic(T: np.ndarray, a: int, b: int, c: int) -> np.ndarray:
@@ -126,18 +127,21 @@ def _pi_in_lower_slots(pi: np.ndarray, T: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-chunk contractions: each maps one jet, and whether its chunk refuted
-# flatness, to per-sample columns
+# per-chunk contractions: each maps one jet, whether its chunk refuted
+# flatness and whether the gate passed, to per-sample columns
 
 
-def _computes(check_id: str, curved: bool) -> bool:
-    """Whether a chunk computes the column of ``check_id``: every column but
-    those of ``_FLAT_ONLY`` when the chunk refuted flatness, since those
-    checks then skip and their columns reach no report."""
-    return not (curved and check_id in _FLAT_ONLY)
+def _computes(check_id: str, curved: bool, gate_passed: bool) -> bool:
+    """Whether a chunk computes the column of ``check_id``: not that of a
+    gated check when the gate failed, nor that of a ``_FLAT_ONLY`` check
+    when the chunk refuted flatness, since those checks then skip and their
+    columns reach no report."""
+    return (gate_passed or not REGISTRY[check_id][2]) and not (
+        curved and check_id in _FLAT_ONLY
+    )
 
 
-def _curvature_columns(spec, j, curved) -> dict:
+def _curvature_columns(spec, j, curved, gate_passed) -> dict:
     n = spec.n
     lam = lam_scale(n)
     eye = np.eye(n)
@@ -156,7 +160,7 @@ def _curvature_columns(spec, j, curved) -> dict:
     )
     cols["thm2_1_iii"] = _residual(Rtlow - np.einsum("sijkl->sklij", Rtlow) - lam * (iljk - jkil))
     cols["thm2_1_iv"] = _residual(_cyclic(Rt, 2, 3, 4))
-    cols["thm2_1_v"] = _residual(_cyclic(nabla_Rt, 1, 3, 4) - 2.0 * _cyclic(pi_R, 1, 3, 4))
+    cols["thm2_1_v"] = _residual(_cyclic(nabla_Rt - 2.0 * pi_R, 1, 3, 4))
     rhs_11d = (
         j.lc.nabla_R
         + (2.0 / (n + 1)) * pi_R
@@ -177,7 +181,7 @@ def _curvature_columns(spec, j, curved) -> dict:
     return cols
 
 
-def _ricci_columns(spec, j, curved) -> dict:
+def _ricci_columns(spec, j, curved, gate_passed) -> dict:
     """Both Ricci tensors are differentiated with the metric connection: that
     is the reading under which the shift identity differentiates to an exact
     statement, since the shift term is parallel together with the field."""
@@ -196,31 +200,32 @@ def _ricci_columns(spec, j, curved) -> dict:
     }
 
 
-def _projective_columns(spec, j, curved) -> dict:
+def _projective_columns(spec, j, curved, gate_passed) -> dict:
     """The space-form premise of ``thm3_3_p_flat`` is detected by a
     least-squares fit of the sampled curvature to K times the unit pattern
     g_jk g_il - g_ik g_jl.  The fit sums are kept per chunk, and so are the
     lowered curvature and the pattern for the fit residual: both exactly
-    antisymmetric in (i, j), so their i < j half carries every |entry|."""
+    antisymmetric in (i, j), so their i < j half carries every |entry|.
+    Only the gated eq17 and eq10b read the projective connection."""
     lam = lam_scale(spec.n)
-    Rt, P, Pt, G, Rlow = j.pr.R, j.lc.P, j.pr.P, j.G, j.lc.Rlow
+    P, G, Rlow = j.lc.P, j.G, j.lc.Rlow
     pattern = np.einsum("sjk,sil->sijkl", G, G) - np.einsum("sik,sjl->sijkl", G, G)
     half = np.triu_indices(spec.n, 1)
-    coincidence = _residual(Pt - P)
     cols = {
         "Rlow": Rlow[:, half[0], half[1]],
         "pattern": pattern[:, half[0], half[1]],
         "fit_num": np.sum(Rlow * pattern, axis=(1, 2, 3, 4)),
         "fit_den": np.sum(pattern * pattern, axis=(1, 2, 3, 4)),
-        "eq17": coincidence,
         "thm3_3_p_flat": _residual(P),
     }
-    if _computes("eq10b", curved):
-        cols["eq10b"] = _residual(Rt - (P + lam * j.shift), coincidence)
+    if _computes("eq17", curved, gate_passed):
+        cols["eq17"] = _residual(j.pr.P - P)
+    if _computes("eq10b", curved, gate_passed):  # gated too, so eq17's column is there
+        cols["eq10b"] = _residual(j.pr.R - (P + lam * j.shift), cols["eq17"])
     return cols
 
 
-def _semisymmetry_columns(spec, j, curved) -> dict:
+def _semisymmetry_columns(spec, j, curved, gate_passed) -> dict:
     """Every check here has the flat premise.  On non-flat charts the checks
     skip but still report the observed max |R| and |R~.R~|: that is the
     contrapositive direction of the flat-iff-semi-symmetric theorem.  So a
@@ -230,18 +235,18 @@ def _semisymmetry_columns(spec, j, curved) -> dict:
     pi, Rt = j.pi, j.pr.R
     rho = -2.0 * (n - 1) / (n + 1.0) * pi
     cols = {"def4_1_flat": j.derivation_maxima[0]}
-    if _computes("eq20", curved):
+    if _computes("eq20", curved, gate_passed):
         applied = covariant(j.xi_Rt, Rt, None, "ulll")  # R~(xi, e_m) . R~
         rhs_20 = -lam * _pi_in_lower_slots(pi, Rt) + 2.0 * lam * lam * j.pi_shift
         cols["eq20"] = _residual(applied - rhs_20)
-    if _computes("eq21", curved):
+    if _computes("eq21", curved, gate_passed):
         cols["eq21"] = _residual(Rt - lam * j.shift)
-    if _computes("cor4_3", curved):
+    if _computes("cor4_3", curved, gate_passed):
         cols["cor4_3"] = _residual(j.pr.nabla_R - np.einsum("sm,slijk->smlijk", rho, Rt))
     return cols
 
 
-def _rp_columns(spec, j, curved) -> dict:
+def _rp_columns(spec, j, curved, gate_passed) -> dict:
     """``thm5_1_flat`` joins what flatness gives: R~.P~ = 0, S = 0 and P~
     equal to both R and P.  On non-flat charts it skips but reports the
     observed max |R~.P~| and max |S|."""
@@ -264,12 +269,12 @@ def _rp_columns(spec, j, curved) -> dict:
         "max_RP": rp,
         "max_S": max_S,
     }
-    if _computes("thm5_1_flat", curved):
+    if _computes("thm5_1_flat", curved, gate_passed):
         cols["thm5_1_flat"] = _residual(rp, max_S, Pt - R, Pt - P)
     return cols
 
 
-def _gssf_columns(spec, j, curved) -> dict:
+def _gssf_columns(spec, j, curved, gate_passed) -> dict:
     """For charts carrying the almost-contact structure (phi, f1, f2, f3):
     the structure identities, the three-term curvature shape with the
     chart's coefficient functions, the annihilation of the field by the
@@ -498,7 +503,11 @@ def run_checks(
     sharing one jet per chunk at the highest order they need.  The gate's
     pass and every chunk's jet read the chart tables from one
     ``TableStore``, which evaluates each block of them once.  A family
-    whose checks are all gated does not run when the gate fails.  On a
+    whose checks are all gated does not run when the gate fails, and a
+    family that still runs then computes no column of a gated check; each
+    chunk's jet then completes the Levi-Civita connection alone
+    (``Jet.complete``), and builds the projective one only if a column
+    computed there reads it (``gssf_star4`` does).  On a
     coordinate-free chart (``ManifoldSpec.coordinate_free``), whose jet is
     the same at every sample, the gate and the walk run on the first
     sample only, and each per-sample column (the gate's two and every
@@ -507,9 +516,10 @@ def run_checks(
     would give.
     Once a chunk's max |R| refutes flatness (``_is_flat``), that chunk
     computes no column of a ``_FLAT_ONLY`` check, whose premise is
-    flatness; the walk joins only the columns every chunk computed.  Whether
-    a check runs is still decided in ``_reports`` alone, and such a check
-    skips there, since a chunk's max |R| bounds the whole set's from below.
+    flatness (``_computes`` holds both rules); the walk joins only the
+    columns every chunk computed.  Whether a check runs is still decided
+    in ``_reports`` alone, and such a check skips there, since a chunk's
+    max |R| bounds the whole set's from below.
     Deterministic: the same spec, seed, count and tolerance map produce
     byte-identical serialized reports.
     """
@@ -543,21 +553,21 @@ def run_checks(
     nabla, unit = (_spread(column, samples.count)
                    for column in check_parallel_unit_xi(spec, walked, store))
     gate = _gate_report(spec, samples, nabla, unit, tolerances)
+    gate_passed = gate.gate_status == "passed"
     running = [
         family for family in families
-        if gate.gate_status == "passed"
-        or not all(REGISTRY[cid][2] for cid in _family_ids(family))
+        if gate_passed or not all(REGISTRY[cid][2] for cid in _family_ids(family))
     ]
     columns = {family: defaultdict(list) for family in running}
     chunks = walked.chunks()
     if running:
         order = max(_FAMILIES[family] for family in running)
         for lo, hi in chunks:
-            j = jet(spec, walked.points[lo:hi], order, store.rows(lo, hi)).complete()
+            j = jet(spec, walked.points[lo:hi], order, store.rows(lo, hi)).complete(gate_passed)
             max_R = _residual(j.lc.R)
             curved = not _is_flat(float(np.max(max_R)))
             for family in running:
-                cols = _FAMILY_RUNNERS[family](spec, j, curved)
+                cols = _FAMILY_RUNNERS[family](spec, j, curved, gate_passed)
                 if family in _FLAT_PREMISED:
                     cols["max_R"] = max_R
                 for key, col in cols.items():
@@ -568,7 +578,8 @@ def run_checks(
         # Per-sample values are joined across chunks and spread to the
         # sample count; per-sample tensors stay one array per walked chunk,
         # so they are never copied whole.  A column some chunk did not
-        # compute belongs to a check whose premise that chunk refuted.
+        # compute belongs to a check that skips: its premise was refuted
+        # there, or the gate failed.
         cols = {
             key: _spread(np.concatenate(parts), samples.count) if parts[0].ndim == 1 else parts
             for key, parts in columns.get(family, {}).items() if len(parts) == len(chunks)

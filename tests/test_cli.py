@@ -159,7 +159,7 @@ def test_verify_json_output_is_byte_identical(capsys):
 def test_verify_tolerance_override_fails(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--manifold", "cylinder_s2xr", "--samples", "5",
-        "--check", "thm2_1_v", "--tol", "thm2_1_v=1e-30",
+        "--check", "thm2_1_ii", "--tol", "thm2_1_ii=1e-30",
     )
     assert code == 1
     assert "FAIL" in out

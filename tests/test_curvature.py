@@ -19,6 +19,7 @@ from projconn.curvature import (
 from projconn.geometry import DimensionError, GateError, load_spec, metric_at, sample
 from projconn.theorems import run_checks
 from mutants import mutant
+from test_bench_contract import _bench_module
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -444,7 +445,7 @@ def test_eq20_field_action_matches_definition(monkeypatch, n):
         return out
 
     monkeypatch.setattr(theorems, "covariant", recording)
-    theorems._semisymmetry_columns(spec, j, curved=False)
+    theorems._semisymmetry_columns(spec, j, curved=False, gate_passed=True)
     [(T, dT, variance, applied)] = actions
     Rt = j.pr.R
     assert T is Rt and dT is None and variance == "ulll"
@@ -548,10 +549,11 @@ def test_riemann_rules_match_reference(n):
     assert max(_riemann_gaps(n)) <= 1e-12
 
 
-# slot-swap mutants: the antisymmetrisation over (j, k) instead of (i, j) on
-# the products, and Gamma[l,p,i] for Gamma[l,i,p] in each rule's product
+# slot-swap mutants: the antisymmetrisation over (j, k) instead of (i, j),
+# and Gamma[l,p,i] for Gamma[l,i,p] in each rule's product
 RIEMANN_MUTANTS = {
-    "antisymmetrised": ("_antisymmetrised", "out -= Q.swapaxes(-3, -2)", "out -= Q.swapaxes(-2, -1)"),
+    "antisymmetrised": ("_antisymmetrised", "return Q - Q.swapaxes(-3, -2)",
+                        "return Q - Q.swapaxes(-2, -1)"),
     "components": ("_riemann_components", "Gamma.reshape(s, n * n, n) @",
                    "Gamma.swapaxes(-1, -2).reshape(s, n * n, n) @"),
     "partials": ("_riemann_partials", "(Gamma.reshape(s, 1, n * n, n)",
@@ -564,6 +566,20 @@ def test_riemann_reference_catches_slot_swaps(monkeypatch, name):
     rule, old, new = RIEMANN_MUTANTS[name]
     monkeypatch.setattr(curvature, rule, mutant(getattr(curvature, rule), old, new))
     assert max(_riemann_gaps(5)) > 1e-3
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), "bench_warped_1"])
+def test_riemann_rules_are_exactly_antisymmetric(name):
+    # R and dR are X - X^T of one array X, so swapping (i, j) negates every
+    # entry bit for bit, for both connections
+    if name == "bench_warped_1":
+        spec = load_spec(_bench_module("workloads").warped_document(1))
+    else:
+        spec = builtin(name).spec
+    j = jet(spec, sample(spec, 50, seed=42).points, 3)
+    for cj in (j.lc, j.pr):
+        for T, i in ((cj.R, 2), (cj.dR, 3)):
+            assert np.count_nonzero(T + T.swapaxes(i, i + 1)) == 0, (name, T.ndim)
 
 
 def test_quasi_einstein_exact_member():

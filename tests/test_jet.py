@@ -326,6 +326,35 @@ def test_walk_keeps_every_column_a_report_reads(monkeypatch, name, flat):
     }
 
 
+def test_failed_gate_builds_no_projective_connection(monkeypatch):
+    # behind the failed gate only thm3_3_p_flat runs, with its space-form
+    # fit: every column it reads is of the Levi-Civita connection
+    shifted = _counting(monkeypatch, connections, "_projective_shift")
+    riemann = _counting(monkeypatch, curvature, "_riemann_components")
+    reports = run_checks(builtin("sphere3_bad_xi").spec, count=200, seed=42)
+    assert [r.check_id for r in reports if not r.skipped] == ["thm3_3_p_flat"]
+    assert shifted == [] and len(riemann) == 2  # the Levi-Civita R of 2 chunks
+
+
+def test_failed_gate_builds_the_projective_connection_a_column_reads(monkeypatch):
+    # gssf_star4 is ungated and reads R~ through the nullity defect: behind a
+    # failed gate its chunk builds the projective connection on that read,
+    # to the same report
+    spec = builtin("gssf_c1").spec
+    passed = {r.check_id: r.to_dict() for r in run_checks(spec, count=30, seed=7)}
+    monkeypatch.setattr(theorems, "check_parallel_unit_xi",
+                        lambda spec, samples, store: (np.ones(samples.count),
+                                                      np.zeros(samples.count)))
+    shifted = _counting(monkeypatch, connections, "_projective_shift")
+    failed = {r.check_id: r.to_dict() for r in run_checks(spec, count=30, seed=7)}
+    assert failed["parallel_unit_xi"]["gate_status"] == "failed"
+    assert {cid for cid, report in failed.items() if not report["skipped"]} == {
+        "parallel_unit_xi", "gssf_star1", "gssf_star2", "gssf_star3", "gssf_star4"}
+    ungated = {cid for cid, meta in theorems.REGISTRY.items() if not meta[2]}
+    assert all(failed[cid] == passed[cid] for cid in ungated - {"parallel_unit_xi"})
+    assert len(shifted) == 1  # one chunk of 30 samples
+
+
 def test_spread_repeats_one_walked_sample_only():
     assert theorems._spread(np.array([2.0]), 3).tolist() == [2.0, 2.0, 2.0]
     with pytest.raises(ValueError, match="2 samples cannot stand for 3"):

@@ -163,8 +163,8 @@ def test_unknown_tolerance_id_rejected(cylinder):
 
 def test_tolerance_override_can_fail(cylinder):
     reports = run_checks(
-        cylinder, count=10, seed=42, selected=["thm2_1_v"],
-        tolerances={"thm2_1_v": 1e-30},
+        cylinder, count=10, seed=42, selected=["thm2_1_ii"],
+        tolerances={"thm2_1_ii": 1e-30},
     )
     assert not reports[0].passed
     assert not reports[0].skipped

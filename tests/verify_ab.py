@@ -19,9 +19,12 @@ time, so other processes on the machine do not count.
 Prints, per chart, each side's median milliseconds, the median over rounds
 of the ratio of B's time to A's, the number of rounds in which B's was the
 lower, the ``tracemalloc`` peak of one more verification per side (traced
-after the timed rounds, since tracing slows allocation), and whether the
-two sides' reports serialise to the same bytes.  Exits 1 when some chart's
-bytes differ.  Not a pytest module: its name has no ``test_`` prefix.
+after the timed rounds, since tracing slows allocation), whether the two
+sides' verdicts (check id, skipped, passed) are equal, the largest
+|residual_max| difference between their reports, and whether the reports
+serialise to the same bytes.  Exits 1 when some chart's verdicts differ, so
+a change that moves residuals by rounding alone can be timed and checked in
+one run.  Not a pytest module: its name has no ``test_`` prefix.
 """
 
 from __future__ import annotations
@@ -51,10 +54,26 @@ def charts(pc, names, seed: int, count: int) -> list:
     return out
 
 
-def document(pc, spec, samples) -> str:
-    """The bytes ``projconn verify --json`` prints for one verification."""
-    reports = pc.theorems.run_checks(spec, samples=samples)
-    return json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
+def reports(pc, spec, samples) -> list[dict]:
+    """The report dicts of one verification, as ``projconn verify --json``
+    prints them."""
+    return [r.to_dict() for r in pc.theorems.run_checks(spec, samples=samples)]
+
+
+def document(dicts) -> str:
+    """The bytes ``projconn verify --json`` prints for these reports."""
+    return json.dumps(dicts, indent=2) + "\n"
+
+
+def verdicts(dicts) -> list[tuple]:
+    return [(d["check_id"], d["skipped"], d["pass"]) for d in dicts]
+
+
+def largest_gap(a, b) -> float:
+    """The largest |residual_max| difference over the checks both sides ran."""
+    return max((abs(x["residual_max"] - y["residual_max"]) for x, y in zip(a, b)
+                if x["residual_max"] is not None and y["residual_max"] is not None),
+               default=0.0)
 
 
 def traced_peak(pc, spec, samples) -> float:
@@ -103,16 +122,21 @@ def main(argv=None) -> int:
         wins = sum(y < x for x, y in zip(a, b))
         peak_a = traced_peak(sides["A"], spec_a, samples_a)
         peak_b = traced_peak(sides["B"], spec_b, samples_b)
-        same = document(sides["A"], spec_a, samples_a) == document(sides["B"], spec_b, samples_b)
-        if not same:
+        dicts_a = reports(sides["A"], spec_a, samples_a)
+        dicts_b = reports(sides["B"], spec_b, samples_b)
+        agree = verdicts(dicts_a) == verdicts(dicts_b)
+        if not agree:
             differing.append(name)
+        same = document(dicts_a) == document(dicts_b)
         print(f"{name:15s} A {statistics.median(a) * 1e3:8.2f} ms"
               f"  B {statistics.median(b) * 1e3:8.2f} ms"
               f"  B/A {ratio:.3f} (B lower in {wins} of {args.rounds})"
               f"  peak A {peak_a:.3f} MiB  B {peak_b:.3f} MiB"
-              f"  reports {'identical' if same else 'DIFFER'}")
+              f"  verdicts {'equal' if agree else 'DIFFER'}"
+              f"  max |d residual_max| {largest_gap(dicts_a, dicts_b):.1e}"
+              f"  bytes {'identical' if same else 'differ'}")
     if differing:
-        print(f"reports differ on {', '.join(differing)}")
+        print(f"verdicts differ on {', '.join(differing)}")
         return 1
     return 0
 
