@@ -41,7 +41,7 @@ def main():
     print("nullity constant of the field, by dimension")
     for n in (3, 4, 5, 8):
         flat = builtin(f"euclidean{n}").spec
-        fit = nullity_fit(flat, PROJECTIVE, sample(flat, 30, seed=9))
+        fit = nullity_fit(flat, jet(flat, sample(flat, 30, seed=9).points, 2), PROJECTIVE)
         print(f"  n = {n}: fitted k = {fit.k:+.9f}, expected {lam_scale(n):+.9f}, "
               f"residual {fit.residual:.1e}")
     print()

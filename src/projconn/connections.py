@@ -233,26 +233,19 @@ def covariant(Gamma: np.ndarray, T: np.ndarray, dT: np.ndarray | None, variance)
 # the parallel-unit-field gate
 
 
-# the tables an order-1 metric jet reads for Gamma and grad pi, in read order
-_GATE_TABLES = (("g", 0), ("g", 1), ("xi", 0), ("pi", 1))
-
-
 def check_parallel_unit_xi(
-    spec: ManifoldSpec, samples, store: TableStore | None = None
+    spec: ManifoldSpec, samples, store: TableStore
 ) -> tuple[np.ndarray, np.ndarray]:
     """The gate's measurement, from an order-1 pass of its own over the
     samples: per sample, the largest componentwise |grad pi| under
     Levi-Civita and |g(xi,xi) - 1|.  ``theorems`` judges and reports it.
-    The tables are read from ``store``, which a verification shares with
-    its chunk walk, or from a store of the gate's own.  The pass reads
-    only g, dg, xi and dpi, so it steps through the store's blocks of
-    those four (``TableStore.walk``), not through the n^6-sized chunks."""
-    if store is None:
-        store = TableStore(spec, samples)
-    nabla, unit = [], []
-    for lo, hi in store.walk(_GATE_TABLES):
+    The pass steps through the chunks of the samples (``SampleSet.chunks``)
+    and reads the tables from ``store``, which a verification shares with
+    its chunk walk, so each block of a table is evaluated once."""
+    nabla, unit = np.empty(samples.count), np.empty(samples.count)
+    for lo, hi in samples.chunks():
         mj = metric_jet(spec, samples.points[lo:hi], 1, store.rows(lo, hi))
         nabla_pi = covariant(_lc_pieces(mj)[0], mj.pi, mj.dpi, "l")
-        nabla.append(np.max(np.abs(nabla_pi), axis=(1, 2)))
-        unit.append(np.abs(np.einsum("si,si->s", mj.pi, mj.xi) - 1.0))
-    return np.concatenate(nabla), np.concatenate(unit)
+        nabla[lo:hi] = np.max(np.abs(nabla_pi), axis=(1, 2))
+        unit[lo:hi] = np.abs(np.einsum("si,si->s", mj.pi, mj.xi) - 1.0)
+    return nabla, unit

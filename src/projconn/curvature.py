@@ -432,12 +432,13 @@ def quasi_einstein_fit(S: np.ndarray, G: np.ndarray, pi: np.ndarray) -> QuasiEin
     return QuasiEinsteinFit(a, b, eigenvalues, residual, multiplicity_ok, is_quasi_einstein)
 
 
-def nullity_fit(spec: ManifoldSpec, conn_kind: str, samples) -> NullityFit:
+def nullity_fit(spec: ManifoldSpec, j: Jet, conn_kind: str) -> NullityFit:
     """Scalar least squares for the nullity constant of the distinguished
     field: R(X,Y)xi ~ k {pi(X) Y - pi(Y) X} over the coordinate pairs
-    (X, Y) = (e_a, e_b), a < b, at every sample.  Both sides are tensorial,
-    so the coordinate pairs certify the relation for every pair of vectors;
-    the pattern pi_a e_b - pi_b e_a is -W(pi)[:, :, a, b] (``wedge``).
+    (X, Y) = (e_a, e_b), a < b, at every sample of a jet of order 2 or
+    more.  Both sides are tensorial, so the coordinate pairs certify the
+    relation for every pair of vectors; the pattern pi_a e_b - pi_b e_a is
+    -W(pi)[:, :, a, b] (``wedge``).
 
     The comparison pattern is oriented so that, for the projective connection
     on a parallel-unit-field chart, the fitted constant equals
@@ -449,14 +450,8 @@ def nullity_fit(spec: ManifoldSpec, conn_kind: str, samples) -> NullityFit:
             "parallel-unit-field hypothesis"
         )
     a, b = np.triu_indices(spec.n, 1)
-    vs, ws = [], []
-    for lo, hi in samples.chunks():
-        j = jet(spec, samples.points[lo:hi], 2)
-        vs.append(np.einsum("slijk,sk->slij", j.connection(conn_kind).R, j.xi)[..., a, b])
-        ws.append(-wedge(j.pi)[..., a, b])  # (S, n, pair)
-        del j  # this chunk's jet goes before the next one is built
-    v = np.concatenate(vs)
-    w = np.concatenate(ws)
+    v = np.einsum("slijk,sk->slij", j.connection(conn_kind).R, j.xi)[..., a, b]
+    w = -wedge(j.pi)[..., a, b]  # (S, n, pair)
     den = float(np.sum(w * w))
     k = float(np.sum(v * w)) / den if den > 0.0 else 0.0
     residuals = np.max(np.abs(v - k * w), axis=1)

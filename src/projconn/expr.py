@@ -729,7 +729,9 @@ def const(value: float) -> Const:
 _ZERO, _ONE = Const(0.0), Const(1.0)
 
 # The simplifying constructors below read the value of a constant operand as
-# x or y, None for any other node.
+# x or y, None for any other node.  Two constants fold only to a finite
+# value, so no table holds a constant infinity: an overflow is left to the
+# evaluation, which names it and the point.
 
 
 def add(a: Expr, b: Expr) -> Expr:
@@ -739,7 +741,7 @@ def add(a: Expr, b: Expr) -> Expr:
         return b
     if y == 0.0:
         return a
-    if x is not None and y is not None:
+    if x is not None and y is not None and math.isfinite(x + y):
         return Const(x + y)
     return Add(a, b)
 
@@ -751,7 +753,7 @@ def _sub(a: Expr, b: Expr) -> Expr:
         return a
     if x == 0.0:
         return _neg(b)
-    if x is not None and y is not None:
+    if x is not None and y is not None and math.isfinite(x - y):
         return Const(x - y)
     return Sub(a, b)
 
@@ -765,7 +767,7 @@ def mul(a: Expr, b: Expr) -> Expr:
         return b
     if y == 1.0:
         return a
-    if x is not None and y is not None:
+    if x is not None and y is not None and math.isfinite(x * y):
         return Const(x * y)
     return Mul(a, b)
 
@@ -777,7 +779,7 @@ def _div(a: Expr, b: Expr) -> Expr:
         return _ZERO
     if y == 1.0:
         return a
-    if x is not None and y is not None and y != 0.0:
+    if x is not None and y is not None and y != 0.0 and math.isfinite(x / y):
         return Const(x / y)
     return Div(a, b)
 

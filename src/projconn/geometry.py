@@ -75,9 +75,8 @@ class DimensionError(Exception):
 # verification's chart tables are evaluated in blocks of whole chunks of at
 # most this many bytes per table, and at least one chunk (``TableStore``):
 # every table is one block at n = 3, the order-3 metric partials are 116
-# samples at n = 4 and 4 at n = 8.  The gate's pass steps through the blocks
-# of the four tables it reads (``TableStore.walk``), 256 samples at a time at
-# n = 8.
+# samples at n = 4 and 4 at n = 8.  The gate's pass steps through the same
+# chunks as the walk and reads the same blocks.
 CHUNK_BYTES = 1024 * 1024
 
 
@@ -233,7 +232,8 @@ class SampleSet:
         of one length but the last, which may be shorter.  n^6 is n times the
         n^5 values of nabla R and of each smlijk contraction, which bounds
         the n^5 tensors alive per sample.  No frame tensor is sized here:
-        the derivation frames are blocked to CHUNK_BYTES on their own."""
+        the derivation frames are blocked to CHUNK_BYTES on their own.
+        A verification's gate and its check walk both step through these."""
         n = self.points.shape[1]
         most = max(1, CHUNK_BYTES // (8 * n**6))
         runs = max(1, -(-self.count // most))  # the fewest chunks of at most `most`
@@ -263,19 +263,6 @@ class TableStore:
         """Samples per block of the table (name, order)."""
         per_chunk = 8 * self.tables.table(name, order).size * self.chunk
         return self.chunk * max(1, CHUNK_BYTES // per_chunk)
-
-    def walk(self, tables) -> list[tuple[int, int]]:
-        """(start, stop) ranges walking the samples in order, each inside
-        one block of every table (name, order) of ``tables``: the longest
-        steps a pass that reads only those tables can take."""
-        count = len(self.points)
-        spans = [self.span(name, order) for name, order in tables]
-        ranges, lo = [], 0
-        while lo < count:
-            hi = min(count, *(lo - lo % span + span for span in spans))
-            ranges.append((lo, hi))
-            lo = hi
-        return ranges
 
     def rows(self, lo: int, hi: int):
         """The reader of the chunk lo..hi: (name, order) -> a view of the
@@ -586,21 +573,27 @@ class MetricJet:
     phi = _table_field("phi", 0, 0)  # (S, n, n)
     f = _table_field("f", 0, 0)  # (S, 3): f1, f2, f3
 
+    def _finite(self, values: np.ndarray, what: str) -> np.ndarray:
+        """``values``, with a leading sample axis, if finite at every
+        sample; else an input error naming the first point where not."""
+        bad = np.flatnonzero(~np.isfinite(values.reshape(len(values), -1)).all(axis=1))
+        if bad.size:
+            raise SpecError(f"{what} is not finite at {ex.point_text(self.points[bad[0]])}")
+        return values
+
     @cached_property
     def G_inv(self) -> np.ndarray:
         """G^-1, finite at every sample: a metric whose inverse overflows
         (a subnormal diagonal entry, say) is an input error naming the
         first such point, not NaN connection coefficients."""
-        G_inv = np.linalg.inv(self.G)
-        bad = np.flatnonzero(~np.isfinite(G_inv).all(axis=(1, 2)))
-        if bad.size:
-            raise SpecError(f"metric inverse is not finite at {ex.point_text(self.points[bad[0]])}")
-        return G_inv
+        return self._finite(np.linalg.inv(self.G), "metric inverse")
 
     @cached_property
     def pi(self) -> np.ndarray:
-        """(S, n), pi = G xi."""
-        return np.einsum("sij,sj->si", self.G, self.xi)
+        """(S, n), pi = G xi, finite at every sample as G^-1 is: finite
+        tables can still give a product that overflows (g = 1e308 with
+        xi = 10)."""
+        return self._finite(np.einsum("sij,sj->si", self.G, self.xi), "1-form pi = g xi")
 
 
 def metric_jet(spec: ManifoldSpec, points, order: int = 1, rows=None) -> MetricJet:

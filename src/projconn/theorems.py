@@ -118,12 +118,12 @@ def _cyclic(T: np.ndarray, a: int, b: int, c: int) -> np.ndarray:
 
 def _pi_in_lower_slots(pi: np.ndarray, T: np.ndarray) -> np.ndarray:
     """pi_i T[l,m,j,k] + pi_j T[l,i,m,k] + pi_k T[l,i,j,m] as [s,m,l,i,j,k]:
-    the bracket of eq. (11d) with T = R and of eq. (20) with T = R~."""
-    return (
-        np.einsum("si,slmjk->smlijk", pi, T)
-        + np.einsum("sj,slimk->smlijk", pi, T)
-        + np.einsum("sk,slijm->smlijk", pi, T)
-    )
+    the bracket of eq. (11d) with T = R and of eq. (20) with T = R~, summed
+    in place in that order."""
+    out = np.einsum("si,slmjk->smlijk", pi, T)
+    out += np.einsum("sj,slimk->smlijk", pi, T)
+    out += np.einsum("sk,slijm->smlijk", pi, T)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +161,17 @@ def _curvature_columns(spec, j, curved, gate_passed) -> dict:
     cols["thm2_1_iii"] = _residual(Rtlow - np.einsum("sijkl->sklij", Rtlow) - lam * (iljk - jkil))
     cols["thm2_1_iv"] = _residual(_cyclic(Rt, 2, 3, 4))
     cols["thm2_1_v"] = _residual(_cyclic(nabla_Rt - 2.0 * pi_R, 1, 3, 4))
-    rhs_11d = (
-        j.lc.nabla_R
-        + (2.0 / (n + 1)) * pi_R
-        - (n / (n + 1.0)) * _pi_in_lower_slots(pi, R)
-        - (2.0 * lam * (n - 1) / (n + 1)) * j.pi_shift
-    )
-    cols["eq11d"] = _residual(nabla_Rt - rhs_11d)
+    # eq11d's right side, summed in place in term order (into pi_R, which
+    # no later column reads; never into a jet array), less nabla R~
+    rhs_11d = pi_R
+    rhs_11d *= 2.0 / (n + 1)
+    rhs_11d += j.lc.nabla_R
+    term = _pi_in_lower_slots(pi, R)
+    term *= n / (n + 1.0)
+    rhs_11d -= term
+    rhs_11d -= np.multiply(2.0 * lam * (n - 1) / (n + 1), j.pi_shift, out=term)
+    rhs_11d -= nabla_Rt
+    cols["eq11d"] = _residual(rhs_11d)
     cols["eq12"] = _residual(j.nullity_defect)
     d1 = j.xi_Rt - lam * (
         np.einsum("sk,lj->sljk", pi, eye) - np.einsum("sj,sk,sl->sljk", pi, pi, xi)
@@ -209,7 +213,8 @@ def _projective_columns(spec, j, curved, gate_passed) -> dict:
     Only the gated eq17 and eq10b read the projective connection."""
     lam = lam_scale(spec.n)
     P, G, Rlow = j.lc.P, j.G, j.lc.Rlow
-    pattern = np.einsum("sjk,sil->sijkl", G, G) - np.einsum("sik,sjl->sijkl", G, G)
+    pattern = np.einsum("sjk,sil->sijkl", G, G)
+    pattern = pattern - pattern.swapaxes(1, 2)  # g_ik g_jl is the (i, j) swap of g_jk g_il
     half = np.triu_indices(spec.n, 1)
     cols = {
         "Rlow": Rlow[:, half[0], half[1]],
@@ -236,9 +241,12 @@ def _semisymmetry_columns(spec, j, curved, gate_passed) -> dict:
     rho = -2.0 * (n - 1) / (n + 1.0) * pi
     cols = {"def4_1_flat": j.derivation_maxima[0]}
     if _computes("eq20", curved, gate_passed):
-        applied = covariant(j.xi_Rt, Rt, None, "ulll")  # R~(xi, e_m) . R~
-        rhs_20 = -lam * _pi_in_lower_slots(pi, Rt) + 2.0 * lam * lam * j.pi_shift
-        cols["eq20"] = _residual(applied - rhs_20)
+        # eq20's right side, summed in place, less R~(xi, e_m) . R~
+        rhs_20 = _pi_in_lower_slots(pi, Rt)
+        rhs_20 *= -lam
+        rhs_20 += 2.0 * lam * lam * j.pi_shift
+        rhs_20 -= covariant(j.xi_Rt, Rt, None, "ulll")
+        cols["eq20"] = _residual(rhs_20)
     if _computes("eq21", curved, gate_passed):
         cols["eq21"] = _residual(Rt - lam * j.shift)
     if _computes("cor4_3", curved, gate_passed):

@@ -63,7 +63,7 @@ def test_criterion_02_nullity_scale_by_dimension():
     worst = 0.0
     for n, value in expected.items():
         spec = builtin(f"euclidean{n}").spec
-        fit = nullity_fit(spec, PROJECTIVE, sample(spec, SAMPLES, SEED))
+        fit = nullity_fit(spec, jet(spec, sample(spec, SAMPLES, SEED).points, 2), PROJECTIVE)
         assert value == pytest.approx(lam_scale(n), abs=1e-15)
         worst = max(worst, abs(fit.k - value))
     _emit(2, worst <= 1e-10, f"nullity constant matches -n^2/(n+1)^2 for n in "

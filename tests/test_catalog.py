@@ -7,7 +7,7 @@ import pytest
 
 from projconn.catalog import CHARTS, builtin, catalog_names
 from projconn.connections import PROJECTIVE
-from projconn.curvature import lam_scale, nullity_fit
+from projconn.curvature import jet, lam_scale, nullity_fit
 from projconn.geometry import load_spec, sample
 from projconn.theorems import run_checks
 
@@ -99,7 +99,7 @@ def test_gate_failure_magnitude_on_sphere():
 @pytest.mark.parametrize("n", [3, 4, 5, 8])
 def test_nullity_scale_across_dimensions(n):
     spec = builtin(f"euclidean{n}").spec
-    fit = nullity_fit(spec, PROJECTIVE, sample(spec, 30, seed=13))
+    fit = nullity_fit(spec, jet(spec, sample(spec, 30, seed=13).points, 2), PROJECTIVE)
     assert fit.k == pytest.approx(lam_scale(n), abs=1e-10)
     assert fit.k == pytest.approx(-(n * n) / (n + 1.0) ** 2, abs=1e-10)
 

@@ -385,6 +385,30 @@ def test_entry_that_overflows_through_products_exits_3(tmp_path, capsys):
     assert (code, out, err) == (3, "", f"error: non-finite value at {point_text(first)} in {entry}\n")
 
 
+# Two constants fold only to a finite value: d g[0][0] / dx is 1e308 + 1e308,
+# left to the evaluation, which names it
+_FOLDING_OVERFLOW = _euclidean3_with("g[0][0] = 1\n", "g[0][0] = 1 + 1e308*x + 1e308*x\n").replace(
+    "box[0] = -1, 1", "box[0] = 0, 1e-300")
+# finite tables and a finite G^-1, but pi = g xi overflows
+_PI_OVERFLOW = _euclidean3_with("g[0][0] = 1\n", "g[0][0] = 1e308\n").replace(
+    "xi[0] = 1\n", "xi[0] = 10\n")
+
+
+@pytest.mark.parametrize("document, tensor, message", [
+    (_FOLDING_OVERFLOW, "gamma", "non-finite value at {} in '1e+308+1e+308'"),
+    (_PI_OVERFLOW, "torsion", "1-form pi = g xi is not finite at {}"),
+], ids=["constant_fold", "pi"])
+def test_overflow_from_finite_entries_exits_3(tmp_path, capsys, document, tensor, message):
+    path = tmp_path / "overflow.manifold"
+    path.write_text(document, encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval", "--file", str(path), "--tensor", tensor,
+                             "--point", "0,0,0")
+    assert (code, out, err) == (3, "", f"error: {message.format('(0.0, 0.0, 0.0)')}\n")
+    first = sample(load_spec(path), 200, seed=42).points[0]
+    code, out, err = run_cli(capsys, "verify", "--file", str(path))
+    assert (code, out, err) == (3, "", f"error: {message.format(point_text(first))}\n")
+
+
 def test_verify_json_never_writes_a_non_finite_number(monkeypatch, capsys):
     from projconn import theorems
     from projconn.report import CheckReport

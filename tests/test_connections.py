@@ -15,7 +15,7 @@ from projconn.connections import (
 )
 from projconn.catalog import builtin, catalog_names
 from projconn.curvature import jet
-from projconn.geometry import load_spec, metric_at, sample
+from projconn.geometry import TableStore, load_spec, metric_at, sample
 from projconn.theorems import run_checks
 from mutants import mutant
 
@@ -275,7 +275,8 @@ def test_gate_fails_on_sphere_control(sphere):
 
 
 def test_gate_measures_per_sample(sphere):
-    nabla, unit = connections.check_parallel_unit_xi(sphere, sample(sphere, 30, seed=71))
+    samples = sample(sphere, 30, seed=71)
+    nabla, unit = connections.check_parallel_unit_xi(sphere, samples, TableStore(sphere, samples))
     assert nabla.shape == unit.shape == (30,)
     assert np.all(nabla >= 0.0) and np.all(unit >= 0.0)
 

@@ -621,19 +621,19 @@ def test_quasi_einstein_zero_form_rejected():
 
 
 def test_nullity_fit_values(euclidean3, cylinder):
-    s = sample(euclidean3, 40, seed=131)
-    fit = nullity_fit(euclidean3, PROJECTIVE, s)
+    j = jet(euclidean3, sample(euclidean3, 40, seed=131).points, 2)
+    fit = nullity_fit(euclidean3, j, PROJECTIVE)
     assert fit.k == pytest.approx(-9.0 / 16.0, abs=1e-10)
     assert fit.residual <= 1e-10
-    fit_lc = nullity_fit(euclidean3, LEVI_CIVITA, s)
+    fit_lc = nullity_fit(euclidean3, j, LEVI_CIVITA)
     assert fit_lc.k == 0.0
     assert fit_lc.residual == 0.0
-    s2 = sample(cylinder, 40, seed=131)
-    fit_cyl = nullity_fit(cylinder, LEVI_CIVITA, s2)
+    j2 = jet(cylinder, sample(cylinder, 40, seed=131).points, 2)
+    fit_cyl = nullity_fit(cylinder, j2, LEVI_CIVITA)
     assert fit_cyl.k == pytest.approx(0.0, abs=1e-13)
     assert fit_cyl.residual <= 1e-12
 
 
 def test_nullity_fit_gate(sphere):
     with pytest.raises(GateError):
-        nullity_fit(sphere, PROJECTIVE, sample(sphere, 5, seed=1))
+        nullity_fit(sphere, jet(sphere, sample(sphere, 5, seed=1).points, 2), PROJECTIVE)

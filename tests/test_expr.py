@@ -235,6 +235,17 @@ def test_diff_of_constant_is_zero():
     assert ex.evaluate(ex.diff(ex.parse("c"), "theta"), {"c": 5.0}) == 0.0
 
 
+def test_constants_fold_only_to_a_finite_value():
+    # an infinite constant would pass through both evaluation paths unchecked
+    big, tiny = ex.const(1e308), ex.const(1e-308)
+    for unfolded in (ex.add(big, big), ex._sub(big, ex.const(-1e308)), ex.mul(big, big),
+                     ex._div(big, tiny), ex._pow(big, 2)):
+        assert type(unfolded) is not ex.Const
+    # a finite value still folds
+    assert ex.add(big, ex.const(-1e308)) == ex.const(0.0)
+    assert ex.mul(big, tiny) == ex.const(1e308 * 1e-308)
+
+
 def test_second_derivative_matches_hand_value():
     # d^2/dt^2 t^3 = 6t, so 12 at t = 2
     second = ex.diff(ex.diff(ex.parse("t^3"), "t"), "t")

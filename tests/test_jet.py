@@ -85,24 +85,16 @@ def test_run_checks_lets_each_chunk_jet_go_before_the_next(monkeypatch, name):
     assert len(built) == len(samples.chunks()) > 1
 
 
-def test_nullity_fit_lets_each_chunk_jet_go_before_the_next(monkeypatch):
-    built = _jets_released_in_turn(monkeypatch, curvature)
-    spec = builtin("warped_r3xr").spec
-    samples = sample(spec, 100, seed=42)
-    curvature.nullity_fit(spec, connections.PROJECTIVE, samples)
-    assert len(built) == len(samples.chunks()) == 4
-
-
 @pytest.mark.parametrize("n", [3, 4, 5, 8])
-def test_nullity_fit_is_exact_in_any_chunks(monkeypatch, n):
-    # at n = 5 the two walks give k one bit apart, both within 1e-15
+def test_nullity_fit_is_exact_in_any_chunks(n):
+    # the fit reads the jet its caller built: one jet of every sample, or
+    # one per chunk of the walk
     spec = builtin(f"euclidean{n}").spec
     samples = sample(spec, 200, seed=42)
-    fits = [curvature.nullity_fit(spec, connections.PROJECTIVE, samples)]
-    monkeypatch.setattr(geometry, "CHUNK_BYTES", 1)
-    assert len(samples.chunks()) == 200
-    fits.append(curvature.nullity_fit(spec, connections.PROJECTIVE, samples))
-    for fit in fits:
+    jets = [jet(spec, samples.points, 2)]
+    jets += [jet(spec, samples.points[lo:hi], 2) for lo, hi in samples.chunks()]
+    for j in jets:
+        fit = curvature.nullity_fit(spec, j, connections.PROJECTIVE)
         assert abs(fit.k - curvature.lam_scale(n)) <= 1e-15 and fit.residual <= 1e-15
 
 
@@ -441,32 +433,21 @@ def test_run_checks_reads_phi_and_f_through_the_store(monkeypatch):
     ]
 
 
-def test_gate_walks_the_blocks_of_its_tables(monkeypatch):
-    # at n = 8 a chunk is one sample, but the gate reads only g, dg, xi and
-    # dpi: it steps through dg's 256-sample blocks, the shortest of the four,
-    # and each block is evaluated once, in the gate's read order
+def test_gate_steps_through_the_chunks_and_reads_each_block_once(monkeypatch):
+    # at n = 8 a chunk is one sample: the gate takes the walk's 300 steps,
+    # and each block of g, dg, xi and dpi, 256 samples long for dg, is
+    # evaluated once, in the gate's read order
     reads = _counting(monkeypatch, geometry.ChartTables, "values")
     passes = _counting(monkeypatch, connections, "metric_jet")
     spec = builtin("euclidean8").spec
     samples = sample(spec, 300, seed=42)
     store = geometry.TableStore(spec, samples)
-    assert store.walk(connections._GATE_TABLES) == [(0, 256), (256, 300)]
     nabla, unit = connections.check_parallel_unit_xi(spec, samples, store)
-    assert nabla.shape == unit.shape == (300,) and len(passes) == 2
+    assert nabla.shape == unit.shape == (300,)
+    assert len(passes) == len(samples.chunks()) == 300
     assert [(name, k, len(points)) for _, name, k, points in reads] == [
         ("g", 0, 300), ("g", 1, 256), ("xi", 0, 300), ("pi", 1, 300), ("g", 1, 44),
     ]
-
-
-def test_table_store_walk_stays_inside_every_block():
-    # block spans that do not divide each other: each step ends at the
-    # nearest block end of any table
-    spec = builtin("euclidean3").spec
-    store = geometry.TableStore(spec, sample(spec, 10, seed=1))
-    store.chunk = 1
-    spans = {("g", 0): 3, ("g", 1): 2}
-    store.span = lambda name, order: spans[(name, order)]
-    assert store.walk(spans) == [(0, 2), (2, 3), (3, 4), (4, 6), (6, 8), (8, 9), (9, 10)]
 
 
 def _whole_set(store, name, order):

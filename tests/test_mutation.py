@@ -62,12 +62,14 @@ MUTANTS = {
         "s, n, k = Gamma.shape[:3]\n",
         "s, n, k = Gamma.shape[:3]\n    if k == n:\n        Gamma = Gamma.swapaxes(2, 3)\n",
     ),
-    "eq11d_term_dropped": ("catalog", (), "_curvature_columns", "+ (2.0 / (n + 1)) * pi_R", ""),
+    "eq11d_term_dropped": (
+        "catalog", (), "_curvature_columns", "rhs_11d *= 2.0 / (n + 1)", "rhs_11d *= 0.0",
+    ),
     "eq11d_coefficient_n_over_n_plus_1": (
-        "catalog", (), "_curvature_columns", "(n / (n + 1.0))", "0.75",
+        "catalog", (), "_curvature_columns", "term *= n / (n + 1.0)", "term *= 0.75",
     ),
     "eq11d_coefficient_2_over_n_plus_1": (
-        "catalog", (), "_curvature_columns", "(2.0 / (n + 1))", "0.5",
+        "catalog", (), "_curvature_columns", "rhs_11d *= 2.0 / (n + 1)", "rhs_11d *= 0.5",
     ),
     "eq5_3_part_i_over_n_minus_1": (
         "catalog", (), "_rp_columns",
@@ -90,7 +92,7 @@ MUTANTS = {
     ),
     "eq11d_shift_coefficient_at_n3": (
         "catalog", (), "_curvature_columns",
-        "(2.0 * lam * (n - 1) / (n + 1))", "(2.0 * lam * 2 / (n + 1))",
+        "2.0 * lam * (n - 1) / (n + 1)", "2.0 * lam * 2 / (n + 1)",
     ),
     "lambda_at_n3": (
         "catalog", (curvature, theorems), "lam_scale",
@@ -101,7 +103,8 @@ MUTANTS = {
     ),
     # the bracket eq11d and eq20 share
     "eq20_term_dropped": (
-        "catalog", (theorems,), "_pi_in_lower_slots", '+ np.einsum("sj,slimk->smlijk", pi, T)', "",
+        "catalog", (theorems,), "_pi_in_lower_slots",
+        'out += np.einsum("sj,slimk->smlijk", pi, T)', "",
     ),
     "cyclic_permutation_repeated": (
         "catalog", (theorems,), "_cyclic", "cab[a], cab[b], cab[c] = b, c, a", "cab = bca",

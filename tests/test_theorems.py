@@ -7,7 +7,7 @@ import pytest
 
 from projconn.catalog import builtin
 from projconn.connections import check_parallel_unit_xi
-from projconn.geometry import SpecError, sample
+from projconn.geometry import SpecError, TableStore, sample
 from projconn.theorems import (
     CHECK_IDS,
     REGISTRY,
@@ -87,7 +87,7 @@ def test_sphere_gate_report_is_negative_control(sphere_reports):
 def test_gate_mean_is_the_mean_over_samples(sphere):
     samples = sample(sphere, 200, 42)
     gate = run_checks(sphere, samples, selected=["parallel_unit_xi"])[0]
-    nabla, unit = check_parallel_unit_xi(sphere, samples)
+    nabla, unit = check_parallel_unit_xi(sphere, samples, TableStore(sphere, samples))
     assert gate.residual_max == float(np.max(np.maximum(nabla, unit)))
     assert gate.residual_mean == float(np.mean(np.maximum(nabla, unit)))
     assert gate.residual_max == pytest.approx(0.949, abs=5e-4)
